@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import jsonio
-from .hyperfields import display_rt, format_val, rt_to_json
+from .hyperfields import SIGN_CHARS, display_rt, format_val, rt_to_json
 from .matroids import (
     check_covector_axioms,
     check_gp_relations,
@@ -75,7 +75,7 @@ def _load_matrix(arg: str):
     return jsonio.matrix_from_json(obj)
 
 
-def _load_point(arg: str, rows=None):
+def _load_point(arg: str):
     obj = _load(arg)
     if isinstance(obj, str):
         parsed = jsonio.parse_point_literal(obj)
@@ -200,7 +200,7 @@ def _cmd_limit(args) -> dict:
 
 def _cmd_fixture(args) -> dict:
     sign = nondiag_fixture(parse_puiseux(args.x), parse_puiseux(args.y))
-    return {"sign": {1: "+", 0: "0", -1: "-"}[sign]}
+    return {"sign": SIGN_CHARS[sign]}
 
 
 # -- parser ---------------------------------------------------------------------
@@ -283,8 +283,6 @@ def main(argv=None) -> int:
         expected = _EXPECTED_INPUTS[args.action]
         if len(args.inputs) != expected:
             parser.error(f"seminorm {args.action} takes {expected} input(s)")
-    if args.command == "fixture" and args.name != "nondiag":
-        parser.error("unknown fixture")
     try:
         _emit(args.run(args))
     except Exception as exc:  # noqa: BLE001 - boundary of the process

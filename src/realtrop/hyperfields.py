@@ -115,7 +115,6 @@ class TV:
 
 
 TV_ZERO = TV(INF)
-TV_ONE = TV(0)
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,6 @@ def field_of(x: Elem) -> str:
 
 def zero_of(field: str) -> Elem:
     return {"RT": RT_ZERO, "T": TV_ZERO, "K": KV_ZERO, "S": 0}[field]
-
-
-def one_of(field: str) -> Elem:
-    return {"RT": RT_ONE, "T": TV_ONE, "K": KV_ONE, "S": 1}[field]
 
 
 def is_zero(x: Elem) -> bool:

@@ -26,7 +26,6 @@ from .hyperfields import (
 from .matroids import (
     CovectorPoset,
     GrassmannPlucker,
-    SignedCircuit,
     parse_sign_vector,
     sign_vector_str,
 )
@@ -45,10 +44,6 @@ from .tropical import BergmanFan, LinearEmbedding, ProjPoint
 
 
 # -- matrices and vectors ----------------------------------------------------
-
-
-def matrix_to_json(rows) -> list:
-    return [[format_series(as_series(x)) for x in row] for row in rows]
 
 
 def matrix_from_json(obj) -> list[list[PuiseuxSeries]]:
@@ -125,12 +120,6 @@ def circuit_entry_to_json(x: RT) -> list:
 
 def circuits_to_json(circuits) -> list:
     return [[circuit_entry_to_json(x) for x in c.entries] for c in circuits]
-
-
-def circuits_from_json(obj) -> tuple[SignedCircuit, ...]:
-    return tuple(
-        SignedCircuit(tuple(rt_from_json(e) for e in entry_list)) for entry_list in obj
-    )
 
 
 # -- Grassmann-Plucker functions ------------------------------------------------

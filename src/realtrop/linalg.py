@@ -23,21 +23,9 @@ def mat(rows) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, u: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in u)
-
-
-def vec_dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def is_zero_vec(u: Vec) -> bool:
@@ -136,27 +124,6 @@ def in_span(basis_rref: Mat, v: Sequence) -> bool:
 
 def span_eq(vs: Iterable[Sequence], ws: Iterable[Sequence]) -> bool:
     return span_basis(vs) == span_basis(ws)
-
-
-def span_intersection(vs: Sequence[Sequence], ws: Sequence[Sequence]) -> Mat:
-    """Basis of span(vs) intersected with span(ws)."""
-    vs, ws = mat(vs), mat(ws)
-    if not vs or not ws:
-        return ()
-    # x = sum a_i v_i = sum b_j w_j: solve for (a, b) in the kernel of [V^T | -W^T].
-    ncols = len(vs[0])
-    eqs = []
-    for c in range(ncols):
-        eqs.append(tuple(v[c] for v in vs) + tuple(-w[c] for w in ws))
-    combos = nullspace(eqs)
-    vectors = []
-    for combo in combos:
-        x = [Fraction(0)] * ncols
-        for coef, v in zip(combo[: len(vs)], vs):
-            for c in range(ncols):
-                x[c] += coef * v[c]
-        vectors.append(tuple(x))
-    return span_basis(vectors)
 
 
 def complete_basis(vectors: Sequence[Sequence], dim: int) -> Mat:

@@ -2,10 +2,10 @@
 circuits of realizable matroids, cocircuits, and covector posets.
 
 Ground sets are finite and indexed 0..m-1, optionally with labels and
-with realizing column vectors.  Underlying-matroid notions (rank,
-closure, minimal dependent sets) are computed by exhaustive subset
-search, which at desk scale doubles as the independent oracle for
-everything built on top.
+with realizing column vectors.  The table of signed valuations of the
+maximal minors is the one source for a realizable matroid: its
+Grassmann-Plucker function, its bases, and its signed valuated circuits,
+which are read off the table one (rank+1)-subset at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from .hyperfields import (
     RT,
     RT_ZERO,
+    CHAR_SIGNS,
+    SIGN_CHARS,
     Elem,
     contains_zero,
     field_of,
@@ -30,7 +32,7 @@ from .hyperfields import (
     pushmap_target,
     zero_of,
 )
-from .puiseux import PuiseuxSeries, as_series, columns_independent, det, signed_value
+from .puiseux import PuiseuxSeries, as_series, det, signed_value
 
 SignVector = tuple[int, ...]
 
@@ -254,41 +256,25 @@ def pushforward_gp(
 
 
 # ---------------------------------------------------------------------------
-# Underlying matroid, by exhaustive search
+# Underlying matroid, from a basis list
 
 
 class UnderlyingMatroid:
-    """Rank/closure oracle from either column vectors or a basis list."""
+    """Rank/closure oracle from a basis list."""
 
     def __init__(self, size: int, bases: tuple[tuple[int, ...], ...]):
         if not bases:
             raise ValueError("a matroid needs at least one basis")
         self.size = size
         self.bases = bases
-        self.rank_value = len(bases[0])
 
     @staticmethod
     def from_gp(gp: GrassmannPlucker) -> "UnderlyingMatroid":
         return UnderlyingMatroid(len(gp), gp.bases())
 
-    @staticmethod
-    def from_columns(cols) -> "UnderlyingMatroid":
-        cols = [tuple(as_series(x) for x in c) for c in cols]
-        r = 0
-        bases = []
-        for tup in itertools.combinations(range(len(cols)), len(cols[0])):
-            if columns_independent([cols[j] for j in tup]):
-                bases.append(tup)
-        if bases:
-            return UnderlyingMatroid(len(cols), tuple(bases))
-        raise RankDeficientError("columns do not span")
-
     def rank_of(self, subset) -> int:
         s = set(subset)
         return max(len(s & set(b)) for b in self.bases)
-
-    def is_independent(self, subset) -> bool:
-        return self.rank_of(subset) == len(set(subset))
 
     def closure(self, subset) -> tuple[int, ...]:
         s = set(subset)
@@ -299,18 +285,6 @@ class UnderlyingMatroid:
 
     def is_flat(self, subset) -> bool:
         return tuple(sorted(set(subset))) == self.closure(subset)
-
-    def circuit_supports(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal dependent subsets, ascending by size then lexicographically."""
-        found: list[tuple[int, ...]] = []
-        for size in range(1, self.rank_value + 2):
-            for tup in itertools.combinations(range(self.size), size):
-                st = set(tup)
-                if any(set(c) <= st for c in found):
-                    continue
-                if not self.is_independent(tup):
-                    found.append(tup)
-        return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,52 +332,36 @@ class SignedCircuit:
 def circuits_from_matrix(ground: GroundSet) -> tuple[SignedCircuit, ...]:
     """One normalized circuit per minimal dependent set of columns.
 
-    On a minimal dependent support the coefficients come from Cramer's
-    rule: pick rows making the support-minus-one-column square blocks
-    testable, take alternating-sign minors, and keep only signs and
-    valuations.
+    The circuits are read off the maximal-minor table phi.  For an
+    (r+1)-subset tau of the columns, Cramer's rule says the vector putting
+    (-1)^k phi(tau minus tau_k) at tau_k is a linear dependence among the
+    columns in tau.  When tau contains a basis the vector is nonzero and
+    supported on the unique circuit inside tau; every circuit arises this
+    way, from any basis completed by one of its elements.  Circuits come
+    sorted by support size, then support.
     """
     if isinstance(ground, (list, tuple)) and ground and not isinstance(ground, GroundSet):
         ground = ground_from_matrix(ground)
-    cols = ground.columns
-    if cols is None:
+    if ground.columns is None:
         raise ValueError("ground set carries no column vectors")
-    matroid = UnderlyingMatroid.from_columns(cols)
-    if matroid.rank_value != ground.height:
-        raise RankDeficientError("columns do not span")
-    height = ground.height
-    out = []
-    for support in matroid.circuit_supports():
-        k = len(support) - 1
-        lam = _cramer_dependence([cols[j] for j in support], height, k)
-        entries = [RT_ZERO] * len(cols)
-        for pos, e in enumerate(support):
-            entries[e] = lam[pos]
-        out.append(SignedCircuit(tuple(entries)))
-    return tuple(out)
-
-
-def _cramer_dependence(sup_cols, height: int, k: int) -> list[RT]:
-    if k == 0:
-        return [RT(1, 0)]
-    for rowsel in itertools.combinations(range(height), k):
-        minors = []
-        any_nonzero = False
-        for drop in range(k + 1):
-            sub = [
-                [sup_cols[j][i] for j in range(k + 1) if j != drop] for i in rowsel
-            ]
-            d = det(sub)
-            minors.append(d)
-            any_nonzero = any_nonzero or not d.is_zero
-        if any_nonzero:
-            lam = []
-            for j, d in enumerate(minors):
-                sv = signed_value(d)
-                lam.append(hyper_neg(sv) if j % 2 else sv)
-            if all(x.sign != 0 for x in lam):
-                return lam
-    raise ValueError("support is not a minimal dependence")
+    m, r = len(ground), ground.height
+    count = _ncr(m, r + 1)
+    if count > DEFAULT_PAIR_CAP:
+        raise EnumerationCapError(count, DEFAULT_PAIR_CAP, "circuit enumeration")
+    try:
+        phi = gp_from_matrix(ground).values
+    except RankDeficientError:
+        raise RankDeficientError("columns do not span") from None
+    by_support = {}
+    for tau in itertools.combinations(range(m), r + 1):
+        entries = [RT_ZERO] * m
+        for k, e in enumerate(tau):
+            v = phi[tau[:k] + tau[k + 1 :]]
+            entries[e] = hyper_neg(v) if k % 2 else v
+        if any(x.sign != 0 for x in entries):
+            c = SignedCircuit(tuple(entries))
+            by_support.setdefault(c.support, c)
+    return tuple(by_support[s] for s in sorted(by_support, key=lambda s: (len(s), s)))
 
 
 def check_circuit_axioms(circuits) -> Report:
@@ -712,12 +670,8 @@ def covector_zero_flat(X: SignVector, underlying) -> tuple[int, ...]:
     return zset
 
 
-_SV_CHARS = {1: "+", 0: "0", -1: "-"}
-_SV_VALUES = {"+": 1, "0": 0, "-": -1}
-
-
 def _sv_str(X: SignVector) -> str:
-    return "".join(_SV_CHARS[x] for x in X)
+    return "".join(SIGN_CHARS[x] for x in X)
 
 
 def sign_vector_str(X: SignVector) -> str:
@@ -726,6 +680,6 @@ def sign_vector_str(X: SignVector) -> str:
 
 def parse_sign_vector(s: str) -> SignVector:
     try:
-        return tuple(_SV_VALUES[ch] for ch in s.strip())
+        return tuple(CHAR_SIGNS[ch] for ch in s.strip())
     except KeyError as exc:
         raise ValueError(f"bad sign vector {s!r}") from exc

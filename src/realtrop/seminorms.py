@@ -149,12 +149,6 @@ class DiagonalSeminorm:
             self.basis, tuple(w - shift if w != INF else INF for w in self.weights)
         )
 
-    @property
-    def is_normalized(self) -> bool:
-        return any(w == 0 for w in self.weights) and all(
-            w == INF or w >= 0 for w in self.weights
-        )
-
     def __repr__(self):
         from .hyperfields import format_val
 

@@ -158,8 +158,6 @@ class BergmanFan:
         return max((len(c) for c in self.cones), default=0)
 
     def maximal_cones(self) -> tuple[tuple[int, ...], ...]:
-        chain_set = set(self.cones)
-
         def extendable(chain):
             lower = self.poset.vectors[chain[0]]
             upper = self.poset.vectors[chain[-1]]

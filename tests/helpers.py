@@ -134,11 +134,6 @@ def random_series_vector(rng, dim):
             return v
 
 
-GRID_STATES = {
-    (0, 1): [RT_ZERO, RT(1, 0), RT(-1, 0), RT(1, 1), RT(-1, 1)],
-}
-
-
 def normalized_grid(width, vals=(0, 1)):
     """Every normalized point whose coordinates have the given valuations."""
     states = [RT_ZERO]

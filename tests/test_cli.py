@@ -39,6 +39,14 @@ def test_tropicalize_zero_rejected(capsys):
     assert "error" in json.loads(out)
 
 
+def test_circuits_rank_deficient_error(capsys):
+    code, out = run_cli(["circuits", "[[1,2],[2,4]]"], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "RankDeficientError", "message": "columns do not span"}
+    }
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["member"])

@@ -11,7 +11,7 @@ from realtrop import (
     ground_from_matrix,
     pushforward_gp,
 )
-from realtrop.matroids import compose_sv, leq_sv, sign_vector_str
+from realtrop.matroids import compose_sv, leq_sv, parse_sign_vector, sign_vector_str
 
 from helpers import random_full_rank_ground
 
@@ -123,3 +123,10 @@ def test_composition_operator():
     assert compose_sv((1, 0, -1), (0, 1, 1)) == (1, 1, -1)
     assert compose_sv((0, 0, 0), (1, -1, 0)) == (1, -1, 0)
     assert sign_vector_str((1, 0, -1)) == "+0-"
+
+
+def test_sign_vector_round_trip_and_rejection():
+    assert parse_sign_vector(" +0- ") == (1, 0, -1)
+    assert sign_vector_str(parse_sign_vector("-+0")) == "-+0"
+    with pytest.raises(ValueError, match="bad sign vector"):
+        parse_sign_vector("+x-")

@@ -1,10 +1,10 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from realtrop import (
+    EnumerationCapError,
     KV,
     RT,
     RT_ZERO,
@@ -21,9 +21,11 @@ from realtrop import (
     rt,
     rt_cocircuits_from_gp,
 )
+from realtrop import matroids
 from realtrop.linalg import nullspace
 
 from helpers import random_full_rank_ground
+from oracles import circuits_by_subset_search
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
 FOUR = ground_from_matrix([[1, 0, 1, 1], [0, 1, 1, -1]])
@@ -146,26 +148,40 @@ def test_circuits_against_exact_nullspace():
 
 
 def test_circuit_supports_are_exactly_the_minimal_dependent_sets():
-    # independent oracle: determinant-based dependence tests on every subset
-    from realtrop.puiseux import columns_independent
-
+    # Differential test against the subset-search/Cramer oracle: supports,
+    # normalized entries and their order must all agree, on sparse series
+    # and constant grounds where loops and parallel columns occur.
     rng = random.Random(29)
-    for _ in range(6):
-        g = random_full_rank_ground(rng, rng.randint(2, 3), rng.randint(4, 6))
+    support_sizes = set()
+    for trial in range(40):
+        h = rng.randint(1, 4)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 7), constant=trial % 2 == 1)
         circuits = circuits_from_matrix(g)
-        supports = {c.support for c in circuits}
-        cols = g.columns
-        minimal_dependent = set()
-        for size in range(1, g.height + 2):
-            for tup in itertools.combinations(range(len(cols)), size):
-                if columns_independent([cols[j] for j in tup]):
-                    continue
-                if all(
-                    columns_independent([cols[j] for j in sub])
-                    for sub in itertools.combinations(tup, size - 1)
-                ):
-                    minimal_dependent.add(tup)
-        assert supports == minimal_dependent
+        assert [c.entries for c in circuits] == [
+            c.entries for c in circuits_by_subset_search(g)
+        ]
+        support_sizes.update(len(c.support) for c in circuits)
+    assert {1, 2} <= support_sizes  # loops and parallel pairs were seen
+
+
+def test_circuits_rank_deficient_like_the_oracle():
+    for rows in ([[1, 2], [2, 4]], [[1], [2]], [[0, 0, 0], [1, 1, 0]]):
+        g = ground_from_matrix(rows)
+        for build in (circuits_from_matrix, circuits_by_subset_search):
+            with pytest.raises(RankDeficientError, match="^columns do not span$"):
+                build(g)
+
+
+def test_circuit_enumeration_cap_checked_before_any_minor(monkeypatch):
+    def no_minors(rows):
+        raise AssertionError("a minor was computed")
+
+    monkeypatch.setattr(matroids, "det", no_minors)
+    g = ground_from_matrix([[(i * 7 + j * j) % 5 for j in range(26)] for i in range(5)])
+    with pytest.raises(EnumerationCapError) as info:
+        circuits_from_matrix(g)
+    assert info.value.required == 230230
+    assert info.value.cap == matroids.DEFAULT_PAIR_CAP
 
 
 # -- circuit axioms ----------------------------------------------------------------------
