@@ -6,6 +6,11 @@ with realizing column vectors.  The table of signed valuations of the
 maximal minors is the one source for a realizable matroid: its
 Grassmann-Plucker function, its bases, and its signed valuated circuits,
 which are read off the table one (rank+1)-subset at a time.
+
+Covector closure, covering relations and the covector axioms work on sign
+vectors stored as (plus, minus) pairs of int bitmasks, and on sets of
+vectors stored as int bitsets over positions; sign-vector tuples are made
+only for the public API.
 """
 
 from __future__ import annotations
@@ -495,6 +500,14 @@ def _rt_vec_key(entries):
 
 # ---------------------------------------------------------------------------
 # Covectors
+#
+# Inside this section a sign vector is a pair of int bitmasks (plus, minus),
+# bit e set where entry e is +1 or -1, so X o Y is
+# (p1 | p2 & ~m1, m1 | m2 & ~p1) and the separation set is
+# p1 & m2 | m1 & p2.  A set of vectors from a list is an int bitset over
+# their positions; the vectors above X are those with the sign of X at
+# every coordinate of its support, an AND of per-coordinate bitsets.
+# Tuples appear only at the API edge.
 
 
 def compose_sv(X: SignVector, Y: SignVector) -> SignVector:
@@ -508,6 +521,73 @@ def leq_sv(X: SignVector, Y: SignVector) -> bool:
 
 def separation_set(X: SignVector, Y: SignVector) -> tuple[int, ...]:
     return tuple(e for e, (x, y) in enumerate(zip(X, Y)) if x != 0 and x == -y)
+
+
+def _masks(X: SignVector) -> tuple[int, int]:
+    plus = minus = 0
+    for e, x in enumerate(X):
+        if x == 1:
+            plus |= 1 << e
+        elif x == -1:
+            minus |= 1 << e
+        elif x != 0:
+            raise ValueError(f"sign vector entries must be -1, 0 or 1, got {x!r}")
+    return plus, minus
+
+
+def _mask_pairs(vectors) -> tuple[int, list[tuple[int, int]]]:
+    """Common length and (plus, minus) masks of a list of sign vectors."""
+    width = len(vectors[0]) if vectors else 0
+    if any(len(v) != width for v in vectors):
+        raise ValueError("sign vectors of unequal length")
+    return width, [_masks(v) for v in vectors]
+
+
+def _bits(x: int):
+    """Positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _positions(masks, width: int) -> tuple[list[int], list[int], list[int]]:
+    """Per coordinate, the bitsets of the positions of the vectors that are
+    +, - and 0 there."""
+    plus_at = [0] * width
+    minus_at = [0] * width
+    for i, (p, m) in enumerate(masks):
+        for e in _bits(p):
+            plus_at[e] |= 1 << i
+        for e in _bits(m):
+            minus_at[e] |= 1 << i
+    every = (1 << len(masks)) - 1
+    zero_at = [every & ~(plus_at[e] | minus_at[e]) for e in range(width)]
+    return plus_at, minus_at, zero_at
+
+
+def _agreeing(at, among: int, plus: int, minus: int, zero: int = 0) -> int:
+    """The positions in among whose vectors are + on plus, - on minus and
+    0 on zero; at is the result of _positions."""
+    plus_at, minus_at, zero_at = at
+    for e in _bits(plus):
+        among &= plus_at[e]
+    for e in _bits(minus):
+        among &= minus_at[e]
+    for e in _bits(zero):
+        among &= zero_at[e]
+    return among
+
+
+def _strictly_above(masks, width: int) -> list[int]:
+    """Per position, the bitset of the positions whose vectors lie strictly
+    above its vector."""
+    at = _positions(masks, width)
+    equal: dict[tuple[int, int], int] = {}
+    for i, pm in enumerate(masks):
+        equal[pm] = equal.get(pm, 0) | 1 << i
+    every = (1 << len(masks)) - 1
+    return [_agreeing(at, every & ~equal[pm], *pm) for pm in masks]
 
 
 @dataclass(frozen=True)
@@ -539,24 +619,21 @@ class CovectorPoset:
         return tuple(v for v in self.vectors if any(v))
 
     def chains(self) -> tuple[tuple[int, ...], ...]:
-        """Every nonempty chain of nonzero covectors, as index tuples."""
-        nz = [i for i, v in enumerate(self.vectors) if any(v)]
-        above = {
-            i: [j for j in nz if j != i and leq_sv(self.vectors[i], self.vectors[j])]
-            for i in nz
-        }
+        """Every nonempty chain of nonzero covectors, as index tuples,
+        ordered by length and then lexicographically.
+
+        The chains of one length are extended in order, each by the
+        positions above its last element in increasing order, so every
+        level comes out sorted.
+        """
+        width, masks = _mask_pairs(self.vectors)
+        above = [list(_bits(up)) for up in _strictly_above(masks, width)]
         out: list[tuple[int, ...]] = []
-
-        def grow(chain: list[int]):
-            out.append(tuple(chain))
-            for j in above[chain[-1]]:
-                chain.append(j)
-                grow(chain)
-                chain.pop()
-
-        for i in nz:
-            grow([i])
-        return tuple(sorted(out, key=lambda c: (len(c), c)))
+        level = [(i,) for i, (p, m) in enumerate(masks) if p | m]
+        while level:
+            out.extend(level)
+            level = [c + (j,) for c in level for j in above[c[-1]]]
+        return tuple(out)
 
     def max_chain_length(self) -> int:
         return max((len(c) for c in self.chains()), default=0)
@@ -565,98 +642,101 @@ class CovectorPoset:
 def covector_closure(
     cocircuits, cap: int = DEFAULT_CLOSURE_CAP
 ) -> CovectorPoset:
-    """Smallest composition-closed set containing zero and the cocircuits."""
-    cocircuits = [tuple(c) for c in cocircuits]
-    if cocircuits:
-        width = len(cocircuits[0])
-        zero = (0,) * width
-    else:
-        zero = ()
-    current: set[SignVector] = {zero} | set(cocircuits)
-    frontier = list(current)
+    """Smallest composition-closed set containing zero and the cocircuits.
+
+    Composition is associative and the zero vector is its identity, so
+    every element of the composition-closed set generated by the cocircuits
+    is a finite composition g1 o g2 o ... o gk of cocircuits (Bjorner, Las
+    Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, 3.7).  Read
+    left to right, each step of such a product composes a vector already
+    found with one generator.  So the breadth-first search composes each
+    new vector X only with the generators, as X o g, never with the other
+    vectors found.  The cap is checked each time a vector is added.  Any
+    list of equally long sign vectors may serve as the generators.
+    """
+    width, gens = _mask_pairs([tuple(c) for c in cocircuits])
+    gens = list(dict.fromkeys(gens))
+    current = {(0, 0), *gens}
+    frontier = gens
     while frontier:
         fresh = []
-        for X in frontier:
-            for Y in list(current):
-                for Z in (compose_sv(X, Y), compose_sv(Y, X)):
-                    if Z not in current:
-                        current.add(Z)
-                        fresh.append(Z)
-                        if len(current) > cap:
-                            raise EnumerationCapError(len(current), cap, "covector closure")
+        for p1, m1 in frontier:
+            for p2, m2 in gens:
+                Z = (p1 | p2 & ~m1, m1 | m2 & ~p1)
+                if Z not in current:
+                    current.add(Z)
+                    fresh.append(Z)
+                    if len(current) > cap:
+                        raise EnumerationCapError(len(current), cap, "covector closure")
         frontier = fresh
-    vectors = tuple(sorted(current))
-    covers = _covering_relations(vectors)
-    return CovectorPoset(vectors, covers)
+    vectors = tuple(
+        sorted(
+            tuple(1 if p >> e & 1 else -1 if m >> e & 1 else 0 for e in range(width))
+            for p, m in current
+        )
+    )
+    return CovectorPoset(vectors, _covering_relations(vectors))
 
 
 def _covering_relations(vectors) -> tuple[tuple[int, int], ...]:
-    n = len(vectors)
-    less = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq_sv(vectors[i], vectors[j]) and vectors[i] != vectors[j]:
-                less[i][j] = True
+    """The pairs (i, j), in increasing order, where vectors[j] covers
+    vectors[i]: j is above i but above no other position above i."""
+    width, masks = _mask_pairs(vectors)
+    up = _strictly_above(masks, width)
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n)):
-                covers.append((i, j))
+    for i, above in enumerate(up):
+        beyond = 0
+        for k in _bits(above):
+            beyond |= up[k]
+        covers.extend((i, j) for j in _bits(above & ~beyond))
     return tuple(covers)
 
 
 def check_covector_axioms(poset) -> Report:
-    """Symmetry, composition closure, and elimination for a covector set."""
+    """Symmetry, composition closure, and elimination for a covector set.
+
+    Takes a poset or any list of equally long sign vectors, repeats
+    allowed; violations are reported in the order of that list.
+    """
     vectors = poset.vectors if isinstance(poset, CovectorPoset) else tuple(poset)
-    vecset = set(vectors)
-    violations: list[dict] = []
     if not vectors:
         return Report(ok=False, violations=({"axiom": "Cov1"},))
-    width = len(vectors[0])
-    zero = (0,) * width
-    if zero not in vecset:
+    width, masks = _mask_pairs(vectors)
+    names = [_sv_str(X) for X in vectors]
+    vecset = set(masks)
+    violations: list[dict] = []
+    if (0, 0) not in vecset:
         violations.append({"axiom": "Cov1"})
-    for X in vectors:
-        if tuple(-x for x in X) not in vecset:
-            violations.append({"axiom": "Cov2", "vector": _sv_str(X)})
-    for X in vectors:
-        for Y in vectors:
-            if compose_sv(X, Y) not in vecset:
-                violations.append(
-                    {"axiom": "Cov3", "pair": [_sv_str(X), _sv_str(Y)]}
-                )
-    # The elimination witness is pinned down coordinatewise, so index the
-    # vectors by (coordinate, value) and intersect; T = X o Y agrees with
-    # Y o X away from the separation set, so unordered pairs suffice.
-    by_val: dict[tuple[int, int], set[int]] = {}
-    for i, v in enumerate(vectors):
-        for g, x in enumerate(v):
-            by_val.setdefault((g, x), set()).add(i)
-    empty: set[int] = set()
-    n = len(vectors)
-    for xi in range(n):
-        X = vectors[xi]
-        for yi in range(xi + 1, n):
-            Y = vectors[yi]
-            sep = separation_set(X, Y)
+    for (p, m), name in zip(masks, names):
+        if (m, p) not in vecset:
+            violations.append({"axiom": "Cov2", "vector": name})
+    for (p1, m1), xname in zip(masks, names):
+        for (p2, m2), yname in zip(masks, names):
+            if (p1 | p2 & ~m1, m1 | m2 & ~p1) not in vecset:
+                violations.append({"axiom": "Cov3", "pair": [xname, yname]})
+    # Elimination: for each e separating X and Y, some vector is zero at e
+    # and agrees with T = X o Y off the separation set S.  The candidates are
+    # the AND over those coordinates g of the bitset of positions holding
+    # T_g at g.  T agrees with Y o X off S, so unordered pairs suffice, and
+    # the outcome depends only on S and T off S, which many pairs share.
+    at = _positions(masks, width)
+    every = (1 << len(masks)) - 1
+    full = (1 << width) - 1
+    unmet: dict[tuple[int, int, int], list[int]] = {}
+    for xi, (p1, m1) in enumerate(masks):
+        for yi in range(xi + 1, len(masks)):
+            p2, m2 = masks[yi]
+            sep = p1 & m2 | m1 & p2
             if not sep:
                 continue
-            T = compose_sv(X, Y)
-            sepset = set(sep)
-            needed = sorted(
-                (by_val.get((g, T[g]), empty) for g in range(width) if g not in sepset),
-                key=len,
-            )
-            for e in sep:
-                cands = by_val.get((e, 0), empty)
-                for req in needed:
-                    cands = cands & req
-                    if not cands:
-                        break
-                if not cands:
-                    violations.append(
-                        {"axiom": "Cov4", "pair": [_sv_str(X), _sv_str(Y)], "e": e}
-                    )
+            key = ((p1 | p2 & ~m1) & ~sep, (m1 | m2 & ~p1) & ~sep, sep)
+            missing = unmet.get(key)
+            if missing is None:
+                tp, tm, _ = key
+                agree = _agreeing(at, every, tp, tm, full & ~(tp | tm | sep))
+                missing = unmet[key] = [e for e in _bits(sep) if not agree & at[2][e]]
+            for e in missing:
+                violations.append({"axiom": "Cov4", "pair": [names[xi], names[yi]], "e": e})
     return Report(ok=not violations, violations=tuple(violations))
 
 

@@ -186,12 +186,11 @@ def bergman_member(y: ProjPoint, fan: BergmanFan) -> bool:
     vectors are nested, so they automatically make a chain and the point
     lies in the cone that chain spans.
     """
-    covs = set(fan.poset.vectors)
     levels = sorted({x.val for x in y.coords if x.val != INF})
     for v in levels:
         revealed = tuple(
             x.sign if x.val <= v else 0 for x in y.coords
         )
-        if revealed not in covs:
+        if revealed not in fan.poset:
             return False
     return True

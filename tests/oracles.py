@@ -8,13 +8,37 @@ the minimal dependent ones, and take the coefficients of each dependence
 from Cramer's rule.  It is slow (many more determinants than the
 maximal-minor table needs) but shares no code with
 ``realtrop.matroids.circuits_from_matrix`` beyond the determinant.
+
+The covector functions work on sign vectors as int tuples with the
+public helpers ``compose_sv``, ``leq_sv`` and ``separation_set``:
+``closure_by_all_pairs`` composes every new vector with every vector found
+so far, ``covers_by_triples`` tests every triple for an element strictly
+between, ``chains_by_recursion`` grows chains depth first, and
+``covector_axioms_by_tuples`` checks elimination with Python sets.  The
+library does the same on (plus, minus) bitmask pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from realtrop import RT, RT_ZERO, RankDeficientError, SignedCircuit, hyper_neg
+from realtrop import (
+    RT,
+    RT_ZERO,
+    CovectorPoset,
+    EnumerationCapError,
+    RankDeficientError,
+    Report,
+    SignedCircuit,
+    hyper_neg,
+)
+from realtrop.matroids import (
+    DEFAULT_CLOSURE_CAP,
+    compose_sv,
+    leq_sv,
+    separation_set,
+    sign_vector_str,
+)
 from realtrop.puiseux import columns_independent, det, signed_value
 
 
@@ -80,3 +104,95 @@ def circuits_by_subset_search(ground) -> tuple[SignedCircuit, ...]:
             entries[e] = lam[pos]
         out.append(SignedCircuit(tuple(entries)))
     return tuple(out)
+
+
+def closure_by_all_pairs(cocircuits, cap: int = DEFAULT_CLOSURE_CAP) -> CovectorPoset:
+    """Smallest composition-closed set containing zero and the cocircuits,
+    with its covering relations."""
+    cocircuits = [tuple(c) for c in cocircuits]
+    zero = (0,) * len(cocircuits[0]) if cocircuits else ()
+    current = {zero} | set(cocircuits)
+    frontier = list(current)
+    while frontier:
+        fresh = []
+        for X in frontier:
+            for Y in list(current):
+                for Z in (compose_sv(X, Y), compose_sv(Y, X)):
+                    if Z not in current:
+                        current.add(Z)
+                        fresh.append(Z)
+                        if len(current) > cap:
+                            raise EnumerationCapError(len(current), cap, "covector closure")
+        frontier = fresh
+    vectors = tuple(sorted(current))
+    return CovectorPoset(vectors, covers_by_triples(vectors))
+
+
+def covers_by_triples(vectors) -> tuple[tuple[int, int], ...]:
+    n = len(vectors)
+    less = [
+        [i != j and vectors[i] != vectors[j] and leq_sv(vectors[i], vectors[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n))
+    )
+
+
+def chains_by_recursion(vectors) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty chain of nonzero vectors, as index tuples."""
+    nz = [i for i, v in enumerate(vectors) if any(v)]
+    above = {i: [j for j in nz if j != i and leq_sv(vectors[i], vectors[j])] for i in nz}
+    out: list[tuple[int, ...]] = []
+
+    def grow(chain: tuple[int, ...]):
+        out.append(chain)
+        for j in above[chain[-1]]:
+            grow(chain + (j,))
+
+    for i in nz:
+        grow((i,))
+    return tuple(sorted(out, key=lambda c: (len(c), c)))
+
+
+def covector_axioms_by_tuples(vectors) -> Report:
+    """Symmetry, composition closure and elimination, violations in the
+    order of the input list."""
+    vectors = tuple(vectors)
+    if not vectors:
+        return Report(ok=False, violations=({"axiom": "Cov1"},))
+    vecset = set(vectors)
+    violations: list[dict] = []
+    width = len(vectors[0])
+    if (0,) * width not in vecset:
+        violations.append({"axiom": "Cov1"})
+    for X in vectors:
+        if tuple(-x for x in X) not in vecset:
+            violations.append({"axiom": "Cov2", "vector": sign_vector_str(X)})
+    for X in vectors:
+        for Y in vectors:
+            if compose_sv(X, Y) not in vecset:
+                violations.append(
+                    {"axiom": "Cov3", "pair": [sign_vector_str(X), sign_vector_str(Y)]}
+                )
+    by_val: dict[tuple[int, int], set[int]] = {}
+    for i, v in enumerate(vectors):
+        for g, x in enumerate(v):
+            by_val.setdefault((g, x), set()).add(i)
+    for xi, X in enumerate(vectors):
+        for Y in vectors[xi + 1 :]:
+            sep = separation_set(X, Y)
+            T = compose_sv(X, Y)
+            agree = set(range(len(vectors)))
+            for g in range(width):
+                if g not in sep:
+                    agree &= by_val.get((g, T[g]), set())
+            for e in sep:
+                if not agree & by_val.get((e, 0), set()):
+                    violations.append(
+                        {"axiom": "Cov4", "pair": [sign_vector_str(X), sign_vector_str(Y)], "e": e}
+                    )
+    return Report(ok=not violations, violations=tuple(violations))

@@ -47,6 +47,17 @@ def test_circuits_rank_deficient_error(capsys):
     }
 
 
+def test_covector_closure_cap_error(capsys):
+    code, out = run_cli(["--cap", "5", "covectors", U23], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "type": "EnumerationCapError",
+            "message": "covector closure needs 8 steps, cap is 5",
+        }
+    }
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["member"])

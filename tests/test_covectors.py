@@ -3,6 +3,7 @@ import random
 import pytest
 
 from realtrop import (
+    EnumerationCapError,
     check_covector_axioms,
     cocircuits_from_gp,
     covector_closure,
@@ -14,6 +15,11 @@ from realtrop import (
 from realtrop.matroids import compose_sv, leq_sv, parse_sign_vector, sign_vector_str
 
 from helpers import random_full_rank_ground
+from oracles import (
+    chains_by_recursion,
+    closure_by_all_pairs,
+    covector_axioms_by_tuples,
+)
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
 
@@ -130,3 +136,55 @@ def test_sign_vector_round_trip_and_rejection():
     assert sign_vector_str(parse_sign_vector("-+0")) == "-+0"
     with pytest.raises(ValueError, match="bad sign vector"):
         parse_sign_vector("+x-")
+
+
+def _generator_sets(rng):
+    """Seeded generator lists: the cocircuits of a realizable oriented
+    matroid, a random subset of them, and random sign vectors."""
+    h = rng.randint(1, 4)
+    g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=True)
+    cocircuits = list(cocircuits_from_gp(gp_from_matrix(g, target="S")))
+    yield cocircuits
+    yield rng.sample(cocircuits, rng.randint(1, len(cocircuits)))
+    width = rng.randint(1, 6)
+    yield [tuple(rng.choice((-1, 0, 1)) for _ in range(width)) for _ in range(rng.randint(1, 6))]
+
+
+def test_mask_closure_and_axioms_match_tuple_oracles():
+    rng = random.Random(331)
+    failing = small = 0
+    for _ in range(40):
+        for gens in _generator_sets(rng):
+            poset = covector_closure(gens)
+            expected = closure_by_all_pairs(gens)
+            assert poset.vectors == expected.vectors, gens
+            assert poset.covers == expected.covers, gens
+            if len(poset) < 60:
+                small += 1
+                assert poset.chains() == chains_by_recursion(poset.vectors), gens
+            for vectors in (poset.vectors, gens, gens + gens[:2]):
+                got = check_covector_axioms(vectors)
+                want = covector_axioms_by_tuples(vectors)
+                assert (got.ok, got.violations) == (want.ok, want.violations), vectors
+                failing += not got.ok
+    assert failing > 40 and small > 40
+
+
+def test_closure_cap_counts_the_first_added_vector():
+    # zero and the six cocircuits of U(2,3) are 7 > 5 vectors before any is
+    # added; the cap is checked only when the closure adds one
+    cocircuits = cocircuits_from_gp(gp_from_matrix(U23, target="S"))
+    for closure in (covector_closure, closure_by_all_pairs):
+        with pytest.raises(EnumerationCapError) as exc:
+            closure(cocircuits, cap=5)
+        assert (exc.value.cap, exc.value.required) == (5, 8)
+    assert len(covector_closure(cocircuits, cap=13)) == 13
+
+
+def test_unequal_lengths_and_bad_entries_rejected():
+    with pytest.raises(ValueError, match="unequal length"):
+        covector_closure([(1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="unequal length"):
+        check_covector_axioms([(0, 0), (0, 0, 0)])
+    with pytest.raises(ValueError, match="-1, 0 or 1"):
+        covector_closure([(2, 0)])
