@@ -3,11 +3,13 @@
 Vectors are tuples of Fraction; matrices are tuples of row tuples.
 Everything here is dense Gaussian elimination at desk scale, used for
 the trivially valued regime (constant coefficients), where field
-division is available.
+division is available, and for the sign of the rational determinant
+that certifies the leading term of a series determinant.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -108,6 +110,38 @@ def inverse(rows) -> Mat:
     if len(R) < n or pivots != tuple(range(n)):
         raise ValueError("singular matrix")
     return tuple(r[n:] for r in R)
+
+
+def det_sign(rows) -> int:
+    """Sign (-1, 0 or +1) of the determinant of a square rational matrix.
+
+    Each row is scaled by the positive common denominator of its entries,
+    which keeps the sign, and the integer matrix is eliminated fraction
+    free (Bareiss): every division is exact, so no Fraction is built.
+    """
+    work = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        work.append([x.numerator * (den // x.denominator) for x in r])
+    n = len(work)
+    if any(len(r) != n for r in work):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        top = work[k]
+        akk = top[k]
+        for row in work[k + 1 :]:
+            aik = row[k]
+            for j in range(k + 1, n):
+                row[j] = (akk * row[j] - aik * top[j]) // prev
+        prev = akk
+    return sign if prev > 0 else -sign
 
 
 def span_basis(vectors: Iterable[Sequence]) -> Mat:

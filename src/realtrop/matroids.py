@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .hyperfields import (
     RT,
@@ -37,7 +38,7 @@ from .hyperfields import (
     pushmap_target,
     zero_of,
 )
-from .puiseux import PuiseuxSeries, as_series, det, signed_value
+from .puiseux import PuiseuxSeries, as_series, signed_det
 
 SignVector = tuple[int, ...]
 
@@ -94,6 +95,17 @@ class GroundSet:
         if self.columns is None or not self.columns:
             raise ValueError("ground set has no column vectors")
         return len(self.columns[0])
+
+    @cached_property
+    def minor_table(self) -> dict[tuple[int, ...], RT]:
+        """Signed value of every maximal minor, keyed by increasing column
+        tuple; computed once per ground set.  Callers check their caps
+        before the first read."""
+        cols, r = self.columns, self.height
+        return {
+            tup: signed_det([[cols[j][i] for j in tup] for i in range(r)])
+            for tup in itertools.combinations(range(len(cols)), r)
+        }
 
 
 def ground_from_matrix(rows, labels=None) -> GroundSet:
@@ -182,30 +194,30 @@ def gp_from_matrix(
     """Signed valuations of maximal minors, pushed into the target hyperfield."""
     if isinstance(ground, (list, tuple)) and ground and not isinstance(ground, GroundSet):
         ground = ground_from_matrix(ground)
-    cols = ground.columns
-    if cols is None:
+    table = _spanning_minor_table(ground, tuple_cap)
+    if target == "RT":
+        values = table
+    else:
+        hom = {"T": "abs", "S": "sgn", "K": "to-krasner"}[target]
+        values = {tup: pushmap(hom, sv) for tup, sv in table.items()}
+    return GrassmannPlucker(ground.height, ground.labels, target, values)
+
+
+def _spanning_minor_table(ground: GroundSet, tuple_cap: int) -> dict:
+    """The ground set's minor table, after the rank and cap checks that
+    come before any minor is taken."""
+    if ground.columns is None:
         raise ValueError("ground set carries no column vectors")
-    r = ground.height
-    m = len(cols)
+    r, m = ground.height, len(ground)
     if r > m:
         raise RankDeficientError("fewer columns than rows, matroid cannot have full rank")
     count = _ncr(m, r)
     if count > tuple_cap:
         raise EnumerationCapError(count, tuple_cap, "minor enumeration")
-    values = {}
-    nonzero = False
-    for tup in itertools.combinations(range(m), r):
-        sub = [[cols[j][i] for j in tup] for i in range(r)]
-        sv = signed_value(det(sub))
-        if target != "RT":
-            v = pushmap({"T": "abs", "S": "sgn", "K": "to-krasner"}[target], sv)
-        else:
-            v = sv
-        values[tup] = v
-        nonzero = nonzero or not is_zero(v)
-    if not nonzero:
+    table = ground.minor_table
+    if all(sv.sign == 0 for sv in table.values()):
         raise RankDeficientError("columns do not span, matroid is rank deficient")
-    return GrassmannPlucker(r, ground.labels, target, values)
+    return table
 
 
 def _ncr(n: int, k: int) -> int:
@@ -354,7 +366,7 @@ def circuits_from_matrix(ground: GroundSet) -> tuple[SignedCircuit, ...]:
     if count > DEFAULT_PAIR_CAP:
         raise EnumerationCapError(count, DEFAULT_PAIR_CAP, "circuit enumeration")
     try:
-        phi = gp_from_matrix(ground).values
+        phi = _spanning_minor_table(ground, DEFAULT_PAIR_CAP)
     except RankDeficientError:
         raise RankDeficientError("columns do not span") from None
     by_support = {}

@@ -10,20 +10,33 @@ valued regimes.
 
 Division is deliberately absent: quotients only ever appear downstream
 as (sign, valuation) pairs or leading-term pairs, both computable from
-numerator and denominator separately.  Determinants are computed by
-division-free expansion, which keeps every intermediate value in the
-ring.
+numerator and denominator separately.
+
+``det`` expands the determinant exactly, by division-free Laplace
+expansion with subset memoization, which keeps every intermediate value
+in the ring and costs O(n 2^n) series products.  Callers that need only
+its signed value use ``signed_det``, which certifies the leading term
+instead: an optimal assignment on the leading exponents (Hungarian
+method) gives the tropical determinant and dual potentials, and the
+leading coefficients of the entries tight under those potentials form a
+rational matrix whose determinant is the coefficient of that power of t
+in det.  When that determinant is nonzero it gives the sign, in O(n^3);
+when it vanishes the leading terms cancel, and ``signed_det`` falls back
+to the exact expansion.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hyperfields import INF, RT, RT_ZERO, Val, format_val
+from .linalg import det_sign
 
 DEFAULT_MAX_EXP_DENOMINATOR = 10**9
 
@@ -354,7 +367,7 @@ def format_series(f: PuiseuxSeries) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra in the ring (division-free)
+# Determinants and column independence in the ring
 
 Matrix = Sequence[Sequence[PuiseuxSeries]]
 
@@ -366,14 +379,21 @@ def coerce_matrix(rows) -> tuple[tuple[PuiseuxSeries, ...], ...]:
     return out
 
 
-def det(rows: Matrix, size_bound: int = 12) -> PuiseuxSeries:
-    """Determinant by division-free expansion with subset memoization."""
+def _square_matrix(rows: Matrix, size_bound: int) -> tuple[tuple[PuiseuxSeries, ...], ...]:
+    """The coerced rows, once they form a square matrix within the bound."""
     rows = coerce_matrix(rows)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
     if n > size_bound:
         raise ValueError(f"matrix size {n} exceeds bound {size_bound}")
+    return rows
+
+
+def det(rows: Matrix, size_bound: int = 12) -> PuiseuxSeries:
+    """Determinant by division-free expansion with subset memoization."""
+    rows = _square_matrix(rows, size_bound)
+    n = len(rows)
     if n == 0:
         return _ONE
 
@@ -400,6 +420,99 @@ def det(rows: Matrix, size_bound: int = 12) -> PuiseuxSeries:
     return minor(tuple(range(n)))
 
 
+def signed_det(rows: Matrix, size_bound: int = 12) -> RT:
+    """``signed_value(det(rows))``, from the leading terms when they decide it.
+
+    Up to 2x2 the expansion is as cheap as anything else.  A constant
+    matrix has valuation 0 and the sign of its rational determinant.
+    Otherwise an optimal assignment on the leading exponents q_ij gives
+    the tropical determinant sum(u) + sum(v) and potentials with
+    u_i + v_j <= q_ij; every term of det has valuation at least that, and
+    the coefficient of t^(sum(u) + sum(v)) in det is det L, where L keeps
+    the leading coefficients of the tight entries (q_ij == u_i + v_j) and
+    zeros the rest.  Only when det L vanishes is det expanded exactly.
+    """
+    rows = _square_matrix(rows, size_bound)
+    n = len(rows)
+    if n <= 2:
+        return signed_value(det(rows))
+    if all(x.is_constant for row in rows for x in row):
+        sign = det_sign([[x.constant_value() for x in row] for row in rows])
+        return RT(sign, Fraction(0)) if sign else RT_ZERO
+    leads = [[x.terms[0] if x.terms else None for x in row] for row in rows]
+    scale = math.lcm(*(t[1].denominator for row in leads for t in row if t))
+    cost = [
+        [t[1].numerator * (scale // t[1].denominator) if t else None for t in row]
+        for row in leads
+    ]
+    potentials = _assignment_potentials(cost)
+    if potentials is None:
+        return RT_ZERO
+    u, v = potentials
+    tight = [
+        [t[0] if t and c == ui + vj else 0 for t, c, vj in zip(lrow, crow, v)]
+        for lrow, crow, ui in zip(leads, cost, u)
+    ]
+    sign = det_sign(tight)
+    if sign == 0:
+        return signed_value(det(rows))
+    return RT(sign, Fraction(sum(u) + sum(v), scale))
+
+
+def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:
+    """Dual potentials of a min-cost perfect matching (Hungarian method).
+
+    ``cost`` is a square table of ints, None where no edge exists.  The
+    rows are matched one at a time along shortest augmenting paths
+    (Kuhn 1955, in the O(n^3) form with potentials), which keeps
+    u_i + v_j <= cost_ij on every edge, with equality on the matching.
+    Returns (u, v), or None when there is no perfect matching.
+    """
+    n = len(cost)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: row (1-based) matched to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        slack = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            row = cost[i0 - 1]
+            ui0 = u[i0]
+            delta, j1 = INF, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                c = row[j - 1]
+                if c is not None:
+                    cur = c - ui0 - v[j]
+                    if cur < slack[j]:
+                        slack[j] = cur
+                        way[j] = j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            if not j1:
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return u[1:], v[1:]
+
+
 def dot(u: Sequence[PuiseuxSeries], v: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
     if len(u) != len(v):
         raise ValueError("dot product length mismatch")
@@ -416,8 +529,6 @@ def columns_independent(cols: Sequence[Sequence[PuiseuxSeries]]) -> bool:
     row-submatrix has nonzero determinant; heights here are small enough
     for direct enumeration.
     """
-    import itertools
-
     cols = [tuple(as_series(x) for x in c) for c in cols]
     k = len(cols)
     if k == 0:
@@ -427,7 +538,7 @@ def columns_independent(cols: Sequence[Sequence[PuiseuxSeries]]) -> bool:
         return False
     for rowsel in itertools.combinations(range(height), k):
         sub = [[cols[j][i] for j in range(k)] for i in rowsel]
-        if not det(sub).is_zero:
+        if signed_det(sub).sign != 0:
             return True
     return False
 

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 from . import linalg
 from .hyperfields import INF, RT, RT_ZERO, TV, Val, as_val, hyper_div, hyper_mul
-from .puiseux import PuiseuxSeries, as_series, det, signed_value
+from .puiseux import PuiseuxSeries, as_series, signed_det
 from .tropical import LinearEmbedding, ProjPoint
 
 
@@ -75,8 +75,8 @@ class DiagonalSeminorm:
         for a, b in zip(weights, weights[1:]):
             if b < a:
                 raise ValueError("weights must be nondecreasing valuations")
-        d = det([[cols[j][i] for j in range(n)] for i in range(n)])
-        if d.is_zero:
+        d = signed_det([[cols[j][i] for j in range(n)] for i in range(n)])
+        if d.sign == 0:
             raise SingularBasisError("basis vectors are dependent")
         object.__setattr__(self, "_det", d)
 
@@ -115,7 +115,7 @@ class DiagonalSeminorm:
                 lam = sum((a * b for a, b in zip(row, vals)), Fraction(0))
                 out.append(RT_ZERO if lam == 0 else RT(1 if lam > 0 else -1, 0))
             return tuple(out)
-        den = signed_value(self._det)
+        den = self._det
         n = self.dim
         out = []
         for j in range(n):
@@ -123,7 +123,7 @@ class DiagonalSeminorm:
                 [f[i] if k == j else self.basis[k][i] for k in range(n)]
                 for i in range(n)
             ]
-            num = signed_value(det(rows))
+            num = signed_det(rows)
             out.append(RT_ZERO if num.sign == 0 else hyper_div(num, den))
         return tuple(out)
 
@@ -615,7 +615,7 @@ def cocircuit_value(mu_columns, f) -> RT:
     rows = [
         [f[i]] + [c[i] for c in mu] for i in range(n)
     ]
-    return signed_value(det(rows))
+    return signed_det(rows)
 
 
 def scaled_cocircuit_decomposition(

@@ -20,6 +20,7 @@ from .matroids import (
     GroundSet,
     SignedCircuit,
     SignVector,
+    circuits_from_matrix,
     ground_from_matrix,
     leq_sv,
     normalize_rt_vector,
@@ -91,11 +92,14 @@ class LinearEmbedding:
 
     @cached_property
     def circuits(self) -> tuple[SignedCircuit, ...]:
-        from .matroids import circuits_from_matrix
-
-        return circuits_from_matrix(GroundSet(tuple(range(len(self.columns))), self.columns))
+        return circuits_from_matrix(self.ground())
 
     def ground(self) -> GroundSet:
+        """The columns as one ground set, which caches their minor table."""
+        return self._ground
+
+    @cached_property
+    def _ground(self) -> GroundSet:
         return GroundSet(tuple(range(len(self.columns))), self.columns)
 
     def apply(self, x) -> tuple[PuiseuxSeries, ...]:

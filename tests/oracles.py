@@ -39,15 +39,20 @@ from realtrop.matroids import (
     separation_set,
     sign_vector_str,
 )
-from realtrop.puiseux import columns_independent, det, signed_value
+from realtrop.puiseux import det, signed_value
 
 
 def bases_by_subset_search(cols) -> tuple[tuple[int, ...], ...]:
-    """Every independent subset of len(cols[0]) columns, lexicographically."""
+    """Every independent subset of len(cols[0]) columns, lexicographically.
+
+    Independence is tested with the exact Laplace ``det``, not the
+    library's ``signed_det``, so the oracle does not share its fast path.
+    """
+    height = len(cols[0])
     return tuple(
         tup
-        for tup in itertools.combinations(range(len(cols)), len(cols[0]))
-        if columns_independent([cols[j] for j in tup])
+        for tup in itertools.combinations(range(len(cols)), height)
+        if not det([[cols[j][i] for j in tup] for i in range(height)]).is_zero
     )
 
 

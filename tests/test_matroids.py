@@ -18,13 +18,14 @@ from realtrop import (
     gp_from_matrix,
     ground_from_matrix,
     pushforward_gp,
+    pushmap,
     rt,
     rt_cocircuits_from_gp,
 )
 from realtrop import matroids
 from realtrop.linalg import nullspace
 
-from helpers import random_full_rank_ground
+from helpers import random_embedding, random_full_rank_ground
 from oracles import circuits_by_subset_search
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
@@ -56,6 +57,25 @@ def test_gp_alternating():
 def test_gp_rank_deficient_rejected():
     with pytest.raises(RankDeficientError):
         gp_from_matrix(ground_from_matrix([[1, 2], [2, 4]]))
+
+
+def test_one_minor_table_per_embedding(monkeypatch):
+    emb = random_embedding(random.Random(41), 3, 6)
+    real = matroids.signed_det
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(matroids, "signed_det", counting)
+    gp = gp_from_matrix(emb.ground())
+    circuits = emb.circuits
+    signs = gp_from_matrix(emb.ground(), target="S")
+    assert len(calls) == 20  # C(6, 3) maximal minors, each taken once
+    assert emb.ground() is emb.ground()
+    assert circuits and check_gp_relations(signs).ok
+    assert signs.values == {tup: pushmap("sgn", v) for tup, v in gp.values.items()}
 
 
 # -- exchange relations -------------------------------------------------------------
@@ -176,7 +196,7 @@ def test_circuit_enumeration_cap_checked_before_any_minor(monkeypatch):
     def no_minors(rows):
         raise AssertionError("a minor was computed")
 
-    monkeypatch.setattr(matroids, "det", no_minors)
+    monkeypatch.setattr(matroids, "signed_det", no_minors)
     g = ground_from_matrix([[(i * 7 + j * j) % 5 for j in range(26)] for i in range(5)])
     with pytest.raises(EnumerationCapError) as info:
         circuits_from_matrix(g)

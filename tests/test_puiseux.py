@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from realtrop import (
     INF,
+    RT_ZERO,
     FineValue,
     PuiseuxParseError,
     PuiseuxSeries,
@@ -18,8 +19,13 @@ from realtrop import (
     hyper_sum,
     hyperset_contains,
     parse_puiseux,
+    signed_det,
     signed_value,
 )
+from realtrop import puiseux
+from realtrop.linalg import det_sign
+
+from helpers import random_constant, random_series
 
 t = PuiseuxSeries.t_power
 const = PuiseuxSeries.constant
@@ -175,6 +181,131 @@ def test_det_multilinear_in_a_row():
     rows = [[PuiseuxSeries.constant(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
     scaled = [rows[0], [t(1) * x for x in rows[1]], rows[2]]
     assert det(scaled) == t(1) * det(rows)
+
+
+# -- signed determinants -----------------------------------------------------------
+
+# acceptance criterion 5's alphabet: leading terms that cancel against each other
+CANCELLATION = [
+    parse_puiseux(s) for s in ("1", "-1", "1+t", "1-t", "-1+t", "-1-t", "t", "2", "-2", "1/2")
+]
+
+
+def _differential_matrix(rng, n):
+    """A seeded n x n matrix; some are singular or have no perfect matching
+    by construction."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        def entry():
+            return rng.choice(CANCELLATION)
+    elif kind == 2:
+        def entry():
+            return random_constant(rng, sparse=rng.random() < 0.5)
+    else:
+        sparse = kind == 0
+        def entry():
+            return random_series(rng, sparse=sparse)
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    shape = rng.random()
+    if n >= 2 and shape < 0.15:
+        # one row a multiple of another: det vanishes exactly
+        a, b = rng.sample(range(n), 2)
+        factor = rng.choice(CANCELLATION)
+        rows[a] = [factor * x for x in rows[b]]
+    elif n >= 1 and shape < 0.25:
+        # k rows that vanish outside k - 1 columns: no perfect matching
+        k = rng.randint(1, n)
+        for i in range(k):
+            for j in range(n - k + 1):
+                rows[i][j] = PuiseuxSeries.zero()
+    return rows
+
+
+def test_signed_det_matches_laplace(monkeypatch):
+    exact = puiseux.det
+    assignment = puiseux._assignment_potentials
+    fallbacks, unmatched = [], []
+
+    def counting_det(rows, *args, **kwargs):
+        if len(rows) > 2:
+            fallbacks.append(len(rows))
+        return exact(rows, *args, **kwargs)
+
+    def counting_assignment(cost):
+        got = assignment(cost)
+        if got is None:
+            unmatched.append(len(cost))
+        return got
+
+    monkeypatch.setattr(puiseux, "det", counting_det)
+    monkeypatch.setattr(puiseux, "_assignment_potentials", counting_assignment)
+    rng = random.Random(2024)
+    # the Laplace reference grows like n 2^n, so large n are drawn less often
+    sizes = rng.choices(range(7), weights=(1, 1, 2, 10, 10, 3, 1), k=2000)
+    assert set(sizes) == set(range(7))
+    for n in sizes:
+        rows = _differential_matrix(rng, n)
+        assert signed_det(rows) == signed_value(exact(rows)), rows
+    assert fallbacks
+    assert unmatched
+
+
+def test_signed_det_examples():
+    assert signed_det([]) == RT(1, 0)
+    assert signed_det([["t^(1/2)"]]) == RT(1, Fraction(1, 2))
+    assert signed_det([["1", "t", "0"], ["t", "1", "0"], ["0", "0", "-t"]]) == RT(-1, 1)
+    # leading terms cancel: det = (1+t)(1-t) - 1 = -t^2
+    assert signed_det([["1+t", "1", "0"], ["1", "1-t", "0"], ["0", "0", "1"]]) == RT(-1, 2)
+    assert signed_det([["t", "1", "0"], ["0", "0", "2"], ["0", "0", "3"]]) == RT_ZERO
+
+
+@pytest.mark.parametrize(
+    "rows, size_bound",
+    [
+        ([["1", "t", "0"], ["t"], ["1", "1", "1"]], 12),
+        ([["1", "t", "0"], ["t", "1", "0"]], 12),
+        ([[const(1)] * 3 for _ in range(3)], 2),
+        ([[t(1)] * 13 for _ in range(13)], 12),
+    ],
+    ids=["ragged", "non-square", "over-bound", "over-default-bound"],
+)
+def test_signed_det_rejects_input_like_det(monkeypatch, rows, size_bound):
+    with pytest.raises(ValueError) as expected:
+        det(rows, size_bound=size_bound)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input checks")
+
+    for name in ("det", "det_sign", "_assignment_potentials"):
+        monkeypatch.setattr(puiseux, name, no_work)
+    with pytest.raises(ValueError) as got:
+        signed_det(rows, size_bound=size_bound)
+    assert str(got.value) == str(expected.value)
+
+
+def test_columns_independent_matches_laplace_minors():
+    rng = random.Random(77)
+    for _ in range(150):
+        height, k = rng.randint(1, 4), rng.randint(1, 4)
+        cols = [[rng.choice(CANCELLATION + [PuiseuxSeries.zero()]) for _ in range(height)]
+                for _ in range(k)]
+        if rng.random() < 0.3:
+            cols[-1] = [t(1) * x for x in cols[0]]
+        expected = k <= height and any(
+            not det([[cols[j][i] for j in range(k)] for i in rowsel]).is_zero
+            for rowsel in itertools.combinations(range(height), k)
+        )
+        assert puiseux.columns_independent(cols) == expected
+
+
+def test_det_sign_examples():
+    assert det_sign([]) == 1
+    assert det_sign([[Fraction(-1, 2)]]) == -1
+    assert det_sign([[0, 1], [1, 0]]) == -1
+    assert det_sign([[1, 2], [2, 4]]) == 0
+    assert det_sign([[Fraction(1, 3), 2, 0], [1, Fraction(1, 2), 3], [0, 1, 1]]) == -1
+    with pytest.raises(ValueError, match="non-square"):
+        det_sign([[1, 2]])
 
 
 # -- fine values -------------------------------------------------------------------
