@@ -39,6 +39,7 @@ from .hyperfields import INF, RT, RT_ZERO, Val, format_val
 from .linalg import det_sign
 
 DEFAULT_MAX_EXP_DENOMINATOR = 10**9
+DET_SIZE_BOUND = 12  # the exact expansion is O(n 2^n)
 
 
 class PuiseuxParseError(ValueError):
@@ -390,7 +391,7 @@ def _square_matrix(rows: Matrix, size_bound: int) -> tuple[tuple[PuiseuxSeries, 
     return rows
 
 
-def det(rows: Matrix, size_bound: int = 12) -> PuiseuxSeries:
+def det(rows: Matrix, size_bound: int = DET_SIZE_BOUND) -> PuiseuxSeries:
     """Determinant by division-free expansion with subset memoization."""
     rows = _square_matrix(rows, size_bound)
     n = len(rows)
@@ -420,7 +421,7 @@ def det(rows: Matrix, size_bound: int = 12) -> PuiseuxSeries:
     return minor(tuple(range(n)))
 
 
-def signed_det(rows: Matrix, size_bound: int = 12) -> RT:
+def signed_det(rows: Matrix) -> RT:
     """``signed_value(det(rows))``, from the leading terms when they decide it.
 
     Up to 2x2 the expansion is as cheap as anything else.  A constant
@@ -431,8 +432,10 @@ def signed_det(rows: Matrix, size_bound: int = 12) -> RT:
     the coefficient of t^(sum(u) + sum(v)) in det is det L, where L keeps
     the leading coefficients of the tight entries (q_ij == u_i + v_j) and
     zeros the rest.  Only when det L vanishes is det expanded exactly.
+    Input is checked as in ``det``, against its default size bound, before
+    any work.
     """
-    rows = _square_matrix(rows, size_bound)
+    rows = _square_matrix(rows, DET_SIZE_BOUND)
     n = len(rows)
     if n <= 2:
         return signed_value(det(rows))

@@ -23,6 +23,7 @@ from realtrop import (
     signed_value,
 )
 from realtrop import puiseux
+from realtrop.puiseux import DET_SIZE_BOUND
 from realtrop.linalg import det_sign
 
 from helpers import random_constant, random_series
@@ -260,18 +261,18 @@ def test_signed_det_examples():
 
 
 @pytest.mark.parametrize(
-    "rows, size_bound",
+    "rows",
     [
-        ([["1", "t", "0"], ["t"], ["1", "1", "1"]], 12),
-        ([["1", "t", "0"], ["t", "1", "0"]], 12),
-        ([[const(1)] * 3 for _ in range(3)], 2),
-        ([[t(1)] * 13 for _ in range(13)], 12),
+        [["1", "t", "0"], ["t"], ["1", "1", "1"]],
+        [["1", "t", "0"], ["t", "1", "0"]],
+        [[const(1)] * (DET_SIZE_BOUND + 1) for _ in range(DET_SIZE_BOUND + 1)],
+        [[t(1)] * (DET_SIZE_BOUND + 1) for _ in range(DET_SIZE_BOUND + 1)],
     ],
-    ids=["ragged", "non-square", "over-bound", "over-default-bound"],
+    ids=["ragged", "non-square", "over-bound-constant", "over-bound-series"],
 )
-def test_signed_det_rejects_input_like_det(monkeypatch, rows, size_bound):
+def test_signed_det_rejects_input_like_det(monkeypatch, rows):
     with pytest.raises(ValueError) as expected:
-        det(rows, size_bound=size_bound)
+        det(rows)
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the input checks")
@@ -279,7 +280,7 @@ def test_signed_det_rejects_input_like_det(monkeypatch, rows, size_bound):
     for name in ("det", "det_sign", "_assignment_potentials"):
         monkeypatch.setattr(puiseux, name, no_work)
     with pytest.raises(ValueError) as got:
-        signed_det(rows, size_bound=size_bound)
+        signed_det(rows)
     assert str(got.value) == str(expected.value)
 
 
