@@ -1,10 +1,12 @@
-"""Small exact linear algebra toolkit over the rationals.
+"""Exact dense linear algebra over the rationals.
 
-Vectors are tuples of Fraction; matrices are tuples of row tuples.
-Everything here is dense Gaussian elimination at desk scale, used for
-the trivially valued regime (constant coefficients), where field
-division is available, and for the sign of the rational determinant
-that certifies the leading term of a series determinant.
+Vectors are tuples of Fraction; matrices are tuples of row tuples.  It
+serves the constant-coefficient case, where field division is available:
+``rref`` picks the pivots that diagonalize a seminorm composition,
+``inverse`` dualizes bases and functionals, ``rank``, ``span_eq`` and
+``solve`` compare signed flags.  ``det_sign`` gives the sign of the
+rational determinant that certifies the leading term of a series
+determinant, by fraction-free elimination on integers.
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ def vec_scale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
 def rref(rows: Iterable[Sequence]) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (zero rows dropped)."""
     work = [list(vec(r)) for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
+    if any(len(r) != ncols for r in work):
+        raise ValueError("ragged matrix")
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -62,24 +62,6 @@ def rref(rows: Iterable[Sequence]) -> tuple[Mat, tuple[int, ...]]:
 
 def rank(rows) -> int:
     return len(rref(rows)[0])
-
-
-def nullspace(rows) -> tuple[Vec, ...]:
-    """Basis of {x : A x = 0} where the input rows are the equations."""
-    rows = mat(rows)
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    R, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -R[r][fc]
-        basis.append(tuple(x))
-    return tuple(basis)
 
 
 def solve(rows, b: Sequence) -> Vec | None:
@@ -149,26 +131,6 @@ def span_basis(vectors: Iterable[Sequence]) -> Mat:
     return rref(list(vectors))[0]
 
 
-def in_span(basis_rref: Mat, v: Sequence) -> bool:
-    v = vec(v)
-    if not basis_rref:
-        return is_zero_vec(v)
-    return rank(basis_rref + (v,)) == len(basis_rref)
-
-
 def span_eq(vs: Iterable[Sequence], ws: Iterable[Sequence]) -> bool:
     return span_basis(vs) == span_basis(ws)
 
-
-def complete_basis(vectors: Sequence[Sequence], dim: int) -> Mat:
-    """Extend independent vectors to a basis using standard unit vectors."""
-    out = [vec(v) for v in vectors]
-    if rank(out) != len(out):
-        raise ValueError("given vectors are dependent")
-    for i in range(dim):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-        if rank(out + [e]) > len(out):
-            out.append(e)
-        if len(out) == dim:
-            break
-    return tuple(out)

@@ -259,16 +259,16 @@ def check_gp_relations(
 
 
 def pushforward_gp(
-    gp: GrassmannPlucker, hom: str, check: bool = True, pair_cap: int = DEFAULT_PAIR_CAP
+    gp: GrassmannPlucker, hom: str, pair_cap: int = DEFAULT_PAIR_CAP
 ) -> GrassmannPlucker:
-    """Apply a hyperfield homomorphism pointwise to the value table."""
+    """Apply a hyperfield homomorphism pointwise to the value table, and
+    check the exchange relations of the result."""
     target = pushmap_target(hom)
     values = {t: pushmap(hom, v) for t, v in gp.values.items()}
     out = GrassmannPlucker(gp.rank, gp.labels, target, values)
-    if check:
-        rep = check_gp_relations(out, pair_cap=pair_cap)
-        if not rep.ok:
-            raise ValueError(f"pushforward is not a Grassmann-Plucker function: {rep.violations}")
+    rep = check_gp_relations(out, pair_cap=pair_cap)
+    if not rep.ok:
+        raise ValueError(f"pushforward is not a Grassmann-Plucker function: {rep.violations}")
     return out
 
 

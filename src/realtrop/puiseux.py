@@ -380,20 +380,21 @@ def coerce_matrix(rows) -> tuple[tuple[PuiseuxSeries, ...], ...]:
     return out
 
 
-def _square_matrix(rows: Matrix, size_bound: int) -> tuple[tuple[PuiseuxSeries, ...], ...]:
-    """The coerced rows, once they form a square matrix within the bound."""
+def _square_matrix(rows: Matrix) -> tuple[tuple[PuiseuxSeries, ...], ...]:
+    """The coerced rows, once they form a square matrix of size at most
+    ``DET_SIZE_BOUND``."""
     rows = coerce_matrix(rows)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n > size_bound:
-        raise ValueError(f"matrix size {n} exceeds bound {size_bound}")
+    if n > DET_SIZE_BOUND:
+        raise ValueError(f"matrix size {n} exceeds bound {DET_SIZE_BOUND}")
     return rows
 
 
-def det(rows: Matrix, size_bound: int = DET_SIZE_BOUND) -> PuiseuxSeries:
+def det(rows: Matrix) -> PuiseuxSeries:
     """Determinant by division-free expansion with subset memoization."""
-    rows = _square_matrix(rows, size_bound)
+    rows = _square_matrix(rows)
     n = len(rows)
     if n == 0:
         return _ONE
@@ -432,10 +433,10 @@ def signed_det(rows: Matrix) -> RT:
     the coefficient of t^(sum(u) + sum(v)) in det is det L, where L keeps
     the leading coefficients of the tight entries (q_ij == u_i + v_j) and
     zeros the rest.  Only when det L vanishes is det expanded exactly.
-    Input is checked as in ``det``, against its default size bound, before
-    any work.
+    Input is checked as in ``det``, against the same ``DET_SIZE_BOUND``,
+    before any work.
     """
-    rows = _square_matrix(rows, DET_SIZE_BOUND)
+    rows = _square_matrix(rows)
     n = len(rows)
     if n <= 2:
         return signed_value(det(rows))

@@ -209,20 +209,19 @@ def standard_leaf(dim: int, weights=None) -> DiagonalSeminorm:
 # ---------------------------------------------------------------------------
 # Diagonalization over trivially valued coefficients
 #
-# Over constant coefficients a diagonal leaf is exactly the rule "first
-# nonzero basis coordinate in weight order decides"; a composition
-# merges the two ordered functional lists by weight with the left branch
-# first on ties.  Diagonalizing is therefore a stable merge of the leaf
-# functional lists followed by dropping functionals dependent on earlier
-# ones and dualizing back to a basis.
+# Over constant coefficients a diagonal leaf is the rule "the first nonzero
+# basis coordinate in weight order decides"; its coordinate functionals
+# are the rows of the inverse basis matrix.  A composition merges the two
+# ordered functional lists by weight, left branch first on ties.  A
+# functional in the span of earlier ones never decides and is dropped, and
+# unit vectors of infinite weight complete the rest to a dual basis.  One
+# elimination over the columns [phi_1 .. phi_L, e_1 .. e_d] does both: its
+# pivot columns are the kept functionals, then the completing unit
+# vectors.  The inverse of that dual basis is the diagonal basis.
 
 
 def _leaf_functionals(leaf: DiagonalSeminorm) -> list[tuple[linalg.Vec, Val]]:
-    rows = tuple(
-        tuple(leaf.basis[j][i].constant_value() for j in range(leaf.dim))
-        for i in range(leaf.dim)
-    )
-    inv = linalg.inverse(rows)
+    inv = leaf._const_inverse
     return [(inv[j], w) for j, w in enumerate(leaf.weights) if w != INF]
 
 
@@ -245,30 +244,23 @@ def _flatten(expr: SeminormExpr) -> list[tuple[linalg.Vec, Val]]:
     return out
 
 
-def diagonalize(expr: SeminormExpr, dim_bound: int = 16) -> DiagonalSeminorm:
+def diagonalize(expr: SeminormExpr) -> DiagonalSeminorm:
     """Exact diagonal form of a composition over constant coefficients.
 
     The result evaluates identically to the expression on every vector.
     """
-    if expr.dim > dim_bound:
-        raise DiagonalizationError(f"dimension {expr.dim} exceeds bound {dim_bound}")
     if not expr.has_constant_basis:
         raise DiagonalizationError("diagonalization needs constant basis entries")
     d = expr.dim
-    kept: list[tuple[linalg.Vec, Val]] = []
-    kept_rows: list[linalg.Vec] = []
-    for phi, w in _flatten(expr):
-        if not linalg.in_span(linalg.span_basis(kept_rows), phi):
-            kept.append((phi, w))
-            kept_rows.append(phi)
-    rows = linalg.complete_basis(kept_rows, d) if kept_rows else linalg.mat(
-        [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    )
-    dual = linalg.inverse(rows)
+    merged = _flatten(expr)
+    units = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+    vectors = [phi for phi, _ in merged] + units
+    _, pivots = linalg.rref([[v[i] for v in vectors] for i in range(d)])
+    dual = linalg.inverse([vectors[p] for p in pivots])
     cols = tuple(
         tuple(PuiseuxSeries.constant(dual[i][j]) for i in range(d)) for j in range(d)
     )
-    weights = tuple(w for _, w in kept) + (INF,) * (d - len(kept))
+    weights = tuple(merged[p][1] if p < len(merged) else INF for p in pivots)
     return DiagonalSeminorm(cols, weights)
 
 
@@ -360,14 +352,17 @@ def seminorm_from_flag(flag: SignedFlag) -> DiagonalSeminorm:
 
 
 def flags_equivalent(F: SignedFlag, G: SignedFlag) -> bool:
-    """Same subspace chain and weights, regions equal up to a global flip."""
+    """Same subspace chain and weights, regions equal up to a global flip.
+
+    With equal kernels, each signed G step is solved against the signed F
+    step and the F subspace below it.  A solution at every step puts
+    span(K, G_1..G_i) inside span(K, F_1..F_i), by induction on i; both
+    have dimension dim K + i, so the chains agree without being compared.
+    """
     if F.dim != G.dim or len(F.steps) != len(G.steps):
         return False
     if not linalg.span_eq(F.kernel, G.kernel):
         return False
-    for i in range(1, len(F.steps) + 1):
-        if F.subspace_at(i) != G.subspace_at(i):
-            return False
     if any(a.weight != b.weight for a, b in zip(F.steps, G.steps)):
         return False
     flips = set()
@@ -612,6 +607,8 @@ def cocircuit_value(mu_columns, f) -> RT:
     n = len(f)
     if len(mu) != n - 1:
         raise ValueError("need dimension minus one columns")
+    if any(len(c) != n for c in mu):
+        raise ValueError("every column needs one entry per coordinate of f")
     rows = [
         [f[i]] + [c[i] for c in mu] for i in range(n)
     ]

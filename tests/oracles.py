@@ -16,21 +16,35 @@ so far, ``covers_by_triples`` tests every triple for an element strictly
 between, ``chains_by_recursion`` grows chains depth first, and
 ``covector_axioms_by_tuples`` checks elimination with Python sets.  The
 library does the same on (plus, minus) bitmask pairs.
+
+``diagonalize_by_span_tests`` inverts every leaf afresh, orders the
+functionals by a stable sort on weight, keeps each one whose rank test
+against the kept ones succeeds and completes them with unit vectors one
+rank test at a time; the library picks the same vectors as the pivots of
+one elimination.  ``flags_equivalent_by_chains`` compares every subspace
+prefix of the two flags before solving for the regions, a comparison the
+library leaves to the per-step solve.  ``nullspace`` is the rational
+kernel of a matrix, by back substitution from the reduced row echelon
+form.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from realtrop import (
+    INF,
     RT,
     RT_ZERO,
     CovectorPoset,
+    DiagonalSeminorm,
     EnumerationCapError,
     RankDeficientError,
     Report,
     SignedCircuit,
     hyper_neg,
+    linalg,
 )
 from realtrop.matroids import (
     DEFAULT_CLOSURE_CAP,
@@ -39,7 +53,7 @@ from realtrop.matroids import (
     separation_set,
     sign_vector_str,
 )
-from realtrop.puiseux import det, signed_value
+from realtrop.puiseux import PuiseuxSeries, det, signed_value
 
 
 def bases_by_subset_search(cols) -> tuple[tuple[int, ...], ...]:
@@ -201,3 +215,83 @@ def covector_axioms_by_tuples(vectors) -> Report:
                         {"axiom": "Cov4", "pair": [sign_vector_str(X), sign_vector_str(Y)], "e": e}
                     )
     return Report(ok=not violations, violations=tuple(violations))
+
+
+def nullspace(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of {x : A x = 0} where the input rows are the equations."""
+    rows = linalg.mat(rows)
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    R, pivots = linalg.rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -R[r][fc]
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def _functionals_by_sort(expr) -> list:
+    """(functional, weight) pairs of the finite weights in evaluation order:
+    a stable sort of left + right by weight puts the left branch first on
+    ties, as the composition rule does."""
+    if isinstance(expr, DiagonalSeminorm):
+        d = expr.dim
+        inv = linalg.inverse(
+            [[expr.basis[j][i].constant_value() for j in range(d)] for i in range(d)]
+        )
+        return [(inv[j], w) for j, w in enumerate(expr.weights) if w != INF]
+    both = _functionals_by_sort(expr.left) + _functionals_by_sort(expr.right)
+    return sorted(both, key=lambda pair: pair[1])
+
+
+def diagonalize_by_span_tests(expr) -> DiagonalSeminorm:
+    """Diagonal form of a constant-coefficient composition, one rank test
+    per functional and per completing unit vector."""
+    d = expr.dim
+    rows: list = []
+    weights: list = []
+    for phi, w in _functionals_by_sort(expr):
+        if linalg.rank(rows + [phi]) > len(rows):
+            rows.append(phi)
+            weights.append(w)
+    for i in range(d):
+        e = tuple(Fraction(1 if j == i else 0) for j in range(d))
+        if len(rows) < d and linalg.rank(rows + [e]) > len(rows):
+            rows.append(e)
+            weights.append(INF)
+    dual = linalg.inverse(rows)
+    cols = tuple(
+        tuple(PuiseuxSeries.constant(dual[i][j]) for i in range(d)) for j in range(d)
+    )
+    return DiagonalSeminorm(cols, tuple(weights))
+
+
+def flags_equivalent_by_chains(F, G) -> bool:
+    """Same kernel, same subspace after every step, same weights, and every
+    signed G step a positive (or every one a negative) multiple of the
+    signed F step modulo the subspace below."""
+    if F.dim != G.dim or len(F.steps) != len(G.steps):
+        return False
+    if not linalg.span_eq(F.kernel, G.kernel):
+        return False
+    for i in range(1, len(F.steps) + 1):
+        if F.subspace_at(i) != G.subspace_at(i):
+            return False
+    if any(a.weight != b.weight for a, b in zip(F.steps, G.steps)):
+        return False
+    flips = set()
+    for i, (fs, gs) in enumerate(zip(F.steps, G.steps)):
+        below = list(F.kernel) + [s.vector for s in F.steps[:i]]
+        cols = [linalg.vec_scale(fs.region, fs.vector)] + below
+        rows = tuple(tuple(col[r] for col in cols) for r in range(F.dim))
+        sol = linalg.solve(rows, linalg.vec_scale(gs.region, gs.vector))
+        if sol is None or sol[0] == 0:
+            return False
+        flips.add(1 if sol[0] > 0 else -1)
+    return len(flips) == 1

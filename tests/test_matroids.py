@@ -23,10 +23,9 @@ from realtrop import (
     rt_cocircuits_from_gp,
 )
 from realtrop import matroids
-from realtrop.linalg import nullspace
 
 from helpers import random_embedding, random_full_rank_ground
-from oracles import circuits_by_subset_search
+from oracles import circuits_by_subset_search, nullspace
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
 FOUR = ground_from_matrix([[1, 0, 1, 1], [0, 1, 1, -1]])

@@ -8,8 +8,11 @@ from realtrop import (
     INF,
     RT,
     DiagonalSeminorm,
+    FlagStep,
     LinearEmbedding,
+    SignedFlag,
     SingularBasisError,
+    cocircuit_value,
     cocircuits_from_gp,
     compose,
     covector_closure,
@@ -33,16 +36,22 @@ from realtrop import (
     signed_value,
     standard_leaf,
 )
+from realtrop import linalg
+from realtrop.jsonio import seminorm_to_json
 from realtrop.linalg import rank as q_rank
-from realtrop.puiseux import PuiseuxSeries, as_series
+from realtrop.puiseux import PuiseuxSeries, as_series, signed_det
+from realtrop.seminorms import leaves
 
 from helpers import (
     random_diagonal,
     random_expression,
     random_full_rank_ground,
+    random_invertible_constant_basis,
     random_rational_vector,
     random_series_vector,
+    random_weights,
 )
+from oracles import diagonalize_by_span_tests, flags_equivalent_by_chains
 
 E = PuiseuxSeries.constant
 
@@ -88,6 +97,13 @@ def test_weights_must_be_sorted():
 def test_singular_basis_rejected():
     with pytest.raises(SingularBasisError):
         DiagonalSeminorm(((1, 2), (2, 4)), (0, 0))
+
+
+def test_leaf_dimension_is_bounded_by_the_determinant():
+    # every seminorm, hence every composition handed to diagonalize, has
+    # passed the determinant's size bound
+    with pytest.raises(ValueError, match="exceeds bound 12"):
+        standard_leaf(13)
 
 
 # -- composition -------------------------------------------------------------------
@@ -269,6 +285,75 @@ def test_diagonalize_requires_constant_coefficients():
         diagonalize(s)
 
 
+def _related_leaf(rng, dim, earlier):
+    """A leaf on a fresh sparse basis, on an earlier leaf's basis (repeated
+    functionals) or on it with columns scaled and permuted (parallel
+    functionals), weighted from a small pool or the zero seminorm."""
+    if earlier and rng.random() < 0.5:
+        basis = list(rng.choice(earlier).basis)
+        if rng.random() < 0.5:
+            scales = [E(rng.choice((-2, -1, 3))) for _ in basis]
+            basis = [tuple(c * x for x in col) for c, col in zip(scales, basis)]
+            rng.shuffle(basis)
+    else:
+        while True:
+            basis = [
+                tuple(E(rng.choice((-2, -1, 0, 0, 0, 1, 2))) for _ in range(dim))
+                for _ in range(dim)
+            ]
+            if signed_det([list(col) for col in basis]).sign:
+                break
+    weights = (INF,) * dim if rng.random() < 0.1 else random_weights(rng, dim)
+    return DiagonalSeminorm(tuple(basis), weights)
+
+
+def test_diagonalize_matches_span_test_oracle():
+    # one elimination picks the same functionals, completing unit vectors
+    # and weights as one rank test per candidate
+    rng = random.Random(181)
+    dropped = completed = zero = 0
+    for _ in range(1000):
+        dim = rng.randint(1, 6)
+        leaves_ = []
+        for _ in range(rng.randint(1, 4)):
+            leaves_.append(_related_leaf(rng, dim, leaves_))
+        exprs = list(leaves_)
+        while len(exprs) > 1:
+            i = rng.randrange(len(exprs) - 1)
+            exprs[i] = compose(exprs[i], exprs.pop(i + 1))
+        got = diagonalize(exprs[0])
+        want = diagonalize_by_span_tests(exprs[0])
+        assert (got.basis, got.weights) == (want.basis, want.weights)
+        assert seminorm_to_json(got) == seminorm_to_json(want)
+        finite = sum(w != INF for leaf in leaves_ for w in leaf.weights)
+        dropped += finite > sum(w != INF for w in got.weights)
+        completed += INF in got.weights
+        zero += all(w == INF for w in got.weights)
+    assert dropped > 500 and completed > 50 and zero > 10
+
+
+def test_diagonalize_takes_one_elimination_and_one_inverse(monkeypatch):
+    rng = random.Random(191)
+    expr = random_expression(rng, 4, 3)
+    for leaf in leaves(expr):
+        leaf._const_inverse  # cached on the leaf once, as evaluation does
+    real_rref, real_inverse = linalg.rref, linalg.inverse
+    calls = {"rref": 0, "inverse": 0}
+
+    def counting_rref(rows):
+        calls["rref"] += 1
+        return real_rref(rows)
+
+    def counting_inverse(rows):
+        calls["inverse"] += 1
+        return real_inverse(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "inverse", counting_inverse)
+    diagonalize(expr)
+    assert calls == {"rref": 2, "inverse": 1}  # the pivots, then inside inverse
+
+
 # -- flags ------------------------------------------------------------------------------
 
 
@@ -313,6 +398,77 @@ def test_flag_weights_differ():
     a = standard_leaf(2, (0, 1))
     b = standard_leaf(2, (0, 2))
     assert not flags_equivalent(flag_of(a), flag_of(b))
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_flag_with_ragged_vectors_rejected(order):
+    a, b = ((1, 0), (0, 1, 0))[::order]
+    with pytest.raises(ValueError, match="ragged"):
+        SignedFlag((), (FlagStep(a, 1, 1), FlagStep(b, 0, 1)))
+
+
+def _combination(rng, vectors, dim):
+    out = [Fraction(0)] * dim
+    for v in vectors:
+        c = rng.choice((-1, 0, 0, 1))
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def _variant_pair(rng, variant):
+    """A signed flag and a second one built from it: the same chain on
+    new vectors, flipped regions, two steps swapped, or a new kernel."""
+    dim = rng.randint(2, 4)
+    cols = [
+        tuple(x.constant_value() for x in col)
+        for col in random_invertible_constant_basis(rng, dim)
+    ]
+    k = rng.randint(0, dim - 1)
+    kernel, vectors = cols[:k], cols[k:]
+    pool = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    weights = sorted((rng.choice(pool) for _ in vectors), reverse=True)
+    regions = [rng.choice((1, -1)) for _ in vectors]
+    F = SignedFlag(kernel, tuple(map(FlagStep, vectors, weights, regions)))
+    g_kernel, g_vectors, g_regions = list(kernel), list(vectors), list(regions)
+    if variant == "rebase":
+        g_kernel = []
+        for j, v in enumerate(kernel):
+            c = rng.choice((-2, 1, 3))
+            g_kernel.append([c * a + b for a, b in zip(v, _combination(rng, kernel[:j], dim))])
+        g_vectors, g_regions = [], []
+        for i, (v, r) in enumerate(zip(vectors, regions)):
+            c = rng.choice((-2, -1, 1, 3))
+            below = _combination(rng, kernel + vectors[:i], dim)
+            g_vectors.append([c * a + b for a, b in zip(v, below)])
+            g_regions.append(r * (1 if c > 0 else -1))
+        if rng.random() < 0.5:
+            g_regions[rng.randrange(len(g_regions))] *= -1
+    elif variant == "flip":
+        g_regions = [r * rng.choice((1, -1)) for r in regions]
+    elif variant == "swap" and len(vectors) > 1:
+        i = rng.randrange(len(vectors) - 1)
+        g_vectors[i], g_vectors[i + 1] = g_vectors[i + 1], g_vectors[i]
+    elif variant == "kernel" and kernel:
+        j = rng.randrange(len(kernel))
+        g_kernel[j] = [a + b for a, b in zip(kernel[j], rng.choice(vectors))]
+    if rng.random() < 0.5:
+        g_regions = [-r for r in g_regions]
+    G = SignedFlag(g_kernel, tuple(map(FlagStep, g_vectors, weights, g_regions)))
+    return F, G
+
+
+def test_flags_equivalent_matches_chain_oracle():
+    # the per-step solves decide the subspace chain on their own
+    rng = random.Random(193)
+    outcomes = {}
+    for variant in ("rebase", "flip", "swap", "kernel"):
+        for _ in range(500):
+            F, G = _variant_pair(rng, variant)
+            got = flags_equivalent(F, G)
+            assert got == flags_equivalent_by_chains(F, G)
+            assert got == flags_equivalent(G, F)
+            outcomes.setdefault(variant, set()).add(got)
+    assert outcomes == {v: {True, False} for v in ("rebase", "flip", "swap", "kernel")}
 
 
 # -- the magnitude map and its fibers ---------------------------------------------------
@@ -467,3 +623,10 @@ def test_decomposition_into_scaled_minor_seminorms():
         g = random_full_rank_ground(rng, dim, rng.randint(dim, 8), constant=True)
         for f in g.columns:
             assert decomposition_value(pieces, f) == s.value(f)
+
+
+@pytest.mark.parametrize("mu", [[[1, 2, 3]], [[1]]])
+def test_cocircuit_value_rejects_columns_of_the_wrong_height(mu):
+    with pytest.raises(ValueError, match="one entry per coordinate"):
+        cocircuit_value(mu, [1, 0])
+    assert cocircuit_value([[0, 1]], [1, 0]) == rt(1, 0)
