@@ -68,6 +68,8 @@ def solve(rows, b: Sequence) -> Vec | None:
     """One solution of A x = b, or None when inconsistent."""
     rows = mat(rows)
     b = vec(b)
+    if len(rows) != len(b):
+        raise ValueError("right-hand side length does not match the rows")
     aug = [r + (bb,) for r, bb in zip(rows, b)]
     R, pivots = rref(aug)
     ncols = len(rows[0]) if rows else 0

@@ -1,9 +1,10 @@
 """Grassmann-Plucker functions over hyperfields, their axiom checkers,
 circuits of realizable matroids, cocircuits, and covector posets.
 
-Ground sets are finite and indexed 0..m-1, optionally with labels and
-with realizing column vectors.  The table of signed valuations of the
-maximal minors is the one source for a realizable matroid: its
+A ground set is the list of columns of a matrix, indexed 0..m-1; a linear
+embedding (``tropical.LinearEmbedding``) is a ground set whose columns
+span.  The table of signed valuations of the maximal minors, cached on the
+ground set, is the one source for a realizable matroid: its
 Grassmann-Plucker function, its bases, and its signed valuated circuits,
 which are read off the table one (rank+1)-subset at a time.
 
@@ -72,29 +73,38 @@ class Report:
 
 @dataclass(frozen=True)
 class GroundSet:
-    labels: tuple
-    columns: tuple[tuple[PuiseuxSeries, ...], ...] | None = None
+    """The columns of a matrix as the ground elements 0..m-1."""
+
+    columns: tuple[tuple[PuiseuxSeries, ...], ...]
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("ground set labels must be distinct")
-        if self.columns is not None:
-            cols = tuple(tuple(as_series(x) for x in c) for c in self.columns)
-            object.__setattr__(self, "columns", cols)
-            if len(cols) != len(self.labels):
-                raise ValueError("one column per label required")
-            heights = {len(c) for c in cols}
-            if len(heights) > 1:
-                raise ValueError("columns of unequal height")
+        cols = tuple(tuple(as_series(x) for x in c) for c in self.columns)
+        object.__setattr__(self, "columns", cols)
+        heights = {len(c) for c in cols}
+        if len(heights) > 1:
+            raise ValueError("columns of unequal height")
+
+    @classmethod
+    def from_matrix(cls, rows):
+        """Interpret a row-major matrix as its list of columns."""
+        rows = [tuple(as_series(x) for x in row) for row in rows]
+        if not rows or not rows[0]:
+            raise ValueError("empty matrix")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
+        return cls(tuple(zip(*rows)))
 
     def __len__(self):
-        return len(self.labels)
+        return len(self.columns)
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(range(len(self.columns)))
 
     @property
     def height(self) -> int:
-        if self.columns is None or not self.columns:
-            raise ValueError("ground set has no column vectors")
-        return len(self.columns[0])
+        return len(self.columns[0]) if self.columns else 0
 
     @cached_property
     def minor_table(self) -> dict[tuple[int, ...], RT]:
@@ -108,18 +118,9 @@ class GroundSet:
         }
 
 
-def ground_from_matrix(rows, labels=None) -> GroundSet:
+def ground_from_matrix(rows) -> GroundSet:
     """Interpret a row-major matrix as a ground set of column vectors."""
-    rows = [tuple(as_series(x) for x in row) for row in rows]
-    if not rows or not rows[0]:
-        raise ValueError("empty matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix")
-    cols = tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(width))
-    if labels is None:
-        labels = tuple(range(width))
-    return GroundSet(tuple(labels), cols)
+    return GroundSet.from_matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +193,6 @@ def gp_from_matrix(
     ground: GroundSet, target: str = "RT", tuple_cap: int = DEFAULT_PAIR_CAP
 ) -> GrassmannPlucker:
     """Signed valuations of maximal minors, pushed into the target hyperfield."""
-    if isinstance(ground, (list, tuple)) and ground and not isinstance(ground, GroundSet):
-        ground = ground_from_matrix(ground)
     table = _spanning_minor_table(ground, tuple_cap)
     if target == "RT":
         values = table
@@ -206,8 +205,6 @@ def gp_from_matrix(
 def _spanning_minor_table(ground: GroundSet, tuple_cap: int) -> dict:
     """The ground set's minor table, after the rank and cap checks that
     come before any minor is taken."""
-    if ground.columns is None:
-        raise ValueError("ground set carries no column vectors")
     r, m = ground.height, len(ground)
     if r > m:
         raise RankDeficientError("fewer columns than rows, matroid cannot have full rank")
@@ -273,38 +270,6 @@ def pushforward_gp(
 
 
 # ---------------------------------------------------------------------------
-# Underlying matroid, from a basis list
-
-
-class UnderlyingMatroid:
-    """Rank/closure oracle from a basis list."""
-
-    def __init__(self, size: int, bases: tuple[tuple[int, ...], ...]):
-        if not bases:
-            raise ValueError("a matroid needs at least one basis")
-        self.size = size
-        self.bases = bases
-
-    @staticmethod
-    def from_gp(gp: GrassmannPlucker) -> "UnderlyingMatroid":
-        return UnderlyingMatroid(len(gp), gp.bases())
-
-    def rank_of(self, subset) -> int:
-        s = set(subset)
-        return max(len(s & set(b)) for b in self.bases)
-
-    def closure(self, subset) -> tuple[int, ...]:
-        s = set(subset)
-        r = self.rank_of(s)
-        return tuple(
-            e for e in range(self.size) if e in s or self.rank_of(s | {e}) == r
-        )
-
-    def is_flat(self, subset) -> bool:
-        return tuple(sorted(set(subset))) == self.closure(subset)
-
-
-# ---------------------------------------------------------------------------
 # Signed valuated circuits
 
 
@@ -357,10 +322,6 @@ def circuits_from_matrix(ground: GroundSet) -> tuple[SignedCircuit, ...]:
     way, from any basis completed by one of its elements.  Circuits come
     sorted by support size, then support.
     """
-    if isinstance(ground, (list, tuple)) and ground and not isinstance(ground, GroundSet):
-        ground = ground_from_matrix(ground)
-    if ground.columns is None:
-        raise ValueError("ground set carries no column vectors")
     m, r = len(ground), ground.height
     count = _ncr(m, r + 1)
     if count > DEFAULT_PAIR_CAP:
@@ -752,14 +713,20 @@ def check_covector_axioms(poset) -> Report:
     return Report(ok=not violations, violations=tuple(violations))
 
 
-def covector_zero_flat(X: SignVector, underlying) -> tuple[int, ...]:
-    """Zero set of a covector, certified to be a flat of the underlying matroid."""
-    if isinstance(underlying, GrassmannPlucker):
-        underlying = UnderlyingMatroid.from_gp(underlying)
-    zset = tuple(e for e, x in enumerate(X) if x == 0)
-    if not underlying.is_flat(zset):
-        raise ValueError(f"zero set {zset} is not a flat; not a covector")
-    return zset
+def covector_zero_flat(X: SignVector, gp: GrassmannPlucker) -> tuple[int, ...]:
+    """Zero set of a covector, certified to be a flat of the matroid whose
+    bases are the support of gp: no other element keeps its rank."""
+    zset = {e for e, x in enumerate(X) if x == 0}
+    bases = [set(b) for b in gp.bases()]
+
+    def rank(s: set) -> int:
+        return max(len(s & b) for b in bases)
+
+    r = rank(zset)
+    closure = {e for e in range(len(gp)) if e in zset or rank(zset | {e}) == r}
+    if closure != zset:
+        raise ValueError(f"zero set {tuple(sorted(zset))} is not a flat; not a covector")
+    return tuple(sorted(zset))
 
 
 def _sv_str(X: SignVector) -> str:

@@ -425,21 +425,18 @@ def det(rows: Matrix) -> PuiseuxSeries:
 def signed_det(rows: Matrix) -> RT:
     """``signed_value(det(rows))``, from the leading terms when they decide it.
 
-    Up to 2x2 the expansion is as cheap as anything else.  A constant
-    matrix has valuation 0 and the sign of its rational determinant.
-    Otherwise an optimal assignment on the leading exponents q_ij gives
-    the tropical determinant sum(u) + sum(v) and potentials with
-    u_i + v_j <= q_ij; every term of det has valuation at least that, and
-    the coefficient of t^(sum(u) + sum(v)) in det is det L, where L keeps
-    the leading coefficients of the tight entries (q_ij == u_i + v_j) and
-    zeros the rest.  Only when det L vanishes is det expanded exactly.
+    A constant matrix, the empty one included, has valuation 0 and the
+    sign of its rational determinant.  Otherwise an optimal assignment on
+    the leading exponents q_ij gives the tropical determinant
+    sum(u) + sum(v) and potentials with u_i + v_j <= q_ij; every term of
+    det has valuation at least that, and the coefficient of
+    t^(sum(u) + sum(v)) in det is det L, where L keeps the leading
+    coefficients of the tight entries (q_ij == u_i + v_j) and zeros the
+    rest.  Only when det L vanishes is det expanded exactly, at any size.
     Input is checked as in ``det``, against the same ``DET_SIZE_BOUND``,
     before any work.
     """
     rows = _square_matrix(rows)
-    n = len(rows)
-    if n <= 2:
-        return signed_value(det(rows))
     if all(x.is_constant for row in rows for x in row):
         sign = det_sign([[x.constant_value() for x in row] for row in rows])
         return RT(sign, Fraction(0)) if sign else RT_ZERO
@@ -520,10 +517,12 @@ def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:
 def dot(u: Sequence[PuiseuxSeries], v: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
     if len(u) != len(v):
         raise ValueError("dot product length mismatch")
-    acc = _ZERO
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    return PuiseuxSeries.from_terms(
+        (c1 * c2, q1 + q2)
+        for a, b in zip(u, v)
+        for c1, q1 in a.terms
+        for c2, q2 in b.terms
+    )
 
 
 def columns_independent(cols: Sequence[Sequence[PuiseuxSeries]]) -> bool:

@@ -620,15 +620,15 @@ def scaled_cocircuit_decomposition(
 ) -> tuple[tuple[tuple, RT], ...]:
     """Pieces (mu_i, scale_i), one per finite-weight basis vector, whose
     weight-ordered composition reproduces the seminorm: mu_i drops the
-    i-th basis vector and the scale matches levels and signs."""
+    i-th basis vector and the scale matches levels and signs.  Moving b_i
+    to the front of the basis takes i transpositions, so the minor
+    cocircuit_value(mu_i, b_i) is (-1)^i det B, read off the leaf."""
     pieces = []
     for i, w in enumerate(s.weights):
         if w == INF:
             continue
         mu = tuple(s.basis[:i] + s.basis[i + 1 :])
-        lead = cocircuit_value(mu, s.basis[i])
-        if lead.sign == 0:
-            raise SingularBasisError("degenerate minor in decomposition")
+        lead = -s._det if i % 2 else s._det
         scale = hyper_div(RT(1, w), lead)
         pieces.append((mu, scale))
     return tuple(pieces)

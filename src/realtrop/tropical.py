@@ -1,6 +1,10 @@
 """Real tropicalization of points and linear embeddings, membership tests
 for real tropical hyperplanes and linear spaces, and real Bergman fans.
 
+A linear embedding is a ground set (``matroids.GroundSet``) whose
+columns, the functionals, span the dual space; its circuits come from the
+one minor table that the ground set caches.
+
 Projective points carry one sign-and-valuation coordinate per ground
 element, normalized so the smallest-index nonzero coordinate is (+, 0).
 A point lies on the hyperplane of a circuit when the coordinatewise
@@ -21,7 +25,6 @@ from .matroids import (
     SignedCircuit,
     SignVector,
     circuits_from_matrix,
-    ground_from_matrix,
     leq_sv,
     normalize_rt_vector,
 )
@@ -62,45 +65,24 @@ def trop_r_point(coords) -> ProjPoint:
 
 
 @dataclass(frozen=True)
-class LinearEmbedding:
-    """Columns are the functionals of a linear embedding; they must span."""
-
-    columns: tuple[tuple[PuiseuxSeries, ...], ...]
+class LinearEmbedding(GroundSet):
+    """A ground set whose columns span: the functionals of a linear
+    embedding.  Its matroid is read off the ground set's minor table."""
 
     def __post_init__(self):
-        cols = tuple(tuple(as_series(x) for x in c) for c in self.columns)
-        object.__setattr__(self, "columns", cols)
-        if not cols:
+        super().__post_init__()
+        if not self.columns:
             raise ValueError("embedding needs at least one column")
-        heights = {len(c) for c in cols}
-        if len(heights) != 1:
-            raise ValueError("columns of unequal height")
-        if column_rank(cols) != len(cols[0]):
+        if column_rank(self.columns) != self.height:
             raise ValueError("columns do not span the dual space")
 
-    @staticmethod
-    def from_matrix(rows) -> "LinearEmbedding":
-        g = ground_from_matrix(rows)
-        return LinearEmbedding(g.columns)
-
-    @property
-    def height(self) -> int:
-        return len(self.columns[0])
-
-    def __len__(self):
-        return len(self.columns)
+    def ground(self) -> GroundSet:
+        """The embedding itself, as the ground set that caches its minors."""
+        return self
 
     @cached_property
     def circuits(self) -> tuple[SignedCircuit, ...]:
-        return circuits_from_matrix(self.ground())
-
-    def ground(self) -> GroundSet:
-        """The columns as one ground set, which caches their minor table."""
-        return self._ground
-
-    @cached_property
-    def _ground(self) -> GroundSet:
-        return GroundSet(tuple(range(len(self.columns))), self.columns)
+        return circuits_from_matrix(self)
 
     def apply(self, x) -> tuple[PuiseuxSeries, ...]:
         """Evaluate every functional at the coordinate vector x."""

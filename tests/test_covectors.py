@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from realtrop import (
     ground_from_matrix,
     pushforward_gp,
 )
+from realtrop import linalg
 from realtrop.matroids import compose_sv, leq_sv, parse_sign_vector, sign_vector_str
 
 from helpers import random_full_rank_ground
@@ -123,6 +125,36 @@ def test_flat_map_is_strictly_monotone_on_poset():
             if X != Y and leq_sv(X, Y):
                 fy = set(covector_zero_flat(Y, und))
                 assert fy < fx
+
+
+def test_zero_flats_match_rational_rank():
+    # a zero set Z is a flat exactly when every column outside it raises
+    # the rank of the columns in Z; ranks here are rational ranks of the
+    # constant columns, independent of the minor table
+    rng = random.Random(337)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        h = rng.randint(1, 3)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        und = pushforward_gp(gp_from_matrix(g), "to-krasner")
+        cols = [[x.constant_value() for x in c] for c in g.columns]
+        m = len(cols)
+        for size in range(m + 1):
+            for zset in itertools.combinations(range(m), size):
+                r = linalg.rank([cols[e] for e in zset])
+                flat = all(
+                    linalg.rank([cols[e] for e in zset + (f,)]) > r
+                    for f in range(m)
+                    if f not in zset
+                )
+                X = tuple(0 if e in zset else 1 for e in range(m))
+                seen[flat] += 1
+                if flat:
+                    assert covector_zero_flat(X, und) == zset
+                else:
+                    with pytest.raises(ValueError, match="is not a flat"):
+                        covector_zero_flat(X, und)
+    assert seen[True] and seen[False]
 
 
 def test_composition_operator():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from realtrop import (
     RT,
     RT_ZERO,
     GrassmannPlucker,
+    GroundSet,
+    LinearEmbedding,
     RankDeficientError,
     SignedCircuit,
     check_circuit_axioms,
@@ -23,12 +26,52 @@ from realtrop import (
     rt_cocircuits_from_gp,
 )
 from realtrop import matroids
+from realtrop.puiseux import as_series
 
 from helpers import random_embedding, random_full_rank_ground
 from oracles import circuits_by_subset_search, nullspace
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
 FOUR = ground_from_matrix([[1, 0, 1, 1], [0, 1, 1, -1]])
+
+
+# -- ground sets -----------------------------------------------------------------
+
+
+def test_ground_set_is_its_columns():
+    assert [f.name for f in dataclasses.fields(GroundSet)] == ["columns"]
+    g = ground_from_matrix([["1", "0", "t"], ["0", "1", "1"]])
+    assert type(g) is GroundSet
+    assert g == GroundSet.from_matrix([[1, 0, "t"], [0, 1, 1]])
+    assert g == GroundSet(((1, 0), (0, 1), ("t", 1)))
+    assert g.columns[2] == (as_series("t"), as_series(1))
+    assert (g.labels, len(g), g.height) == ((0, 1, 2), 3, 2)
+    assert gp_from_matrix(g).labels == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [([], "empty matrix"), ([[]], "empty matrix"), ([[1, 2], [3]], "ragged matrix")],
+)
+def test_malformed_matrices_rejected(rows, message):
+    for build in (ground_from_matrix, LinearEmbedding.from_matrix):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(rows)
+    with pytest.raises(ValueError, match="^columns of unequal height$"):
+        GroundSet(((1, 0), (1,)))
+
+
+def test_rank_deficient_ground_set_constructs_but_has_no_matroid():
+    g = ground_from_matrix([[1, 2], [2, 4]])
+    assert (len(g), g.height) == (2, 2)
+    with pytest.raises(
+        RankDeficientError, match="^columns do not span, matroid is rank deficient$"
+    ):
+        gp_from_matrix(g)
+    with pytest.raises(
+        RankDeficientError, match="^fewer columns than rows, matroid cannot have full rank$"
+    ):
+        gp_from_matrix(ground_from_matrix([[1], [2]]))
 
 
 # -- gp_from_matrix --------------------------------------------------------------

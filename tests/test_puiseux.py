@@ -260,6 +260,38 @@ def test_signed_det_examples():
     assert signed_det([["t", "1", "0"], ["0", "0", "2"], ["0", "0", "3"]]) == RT_ZERO
 
 
+def test_small_signed_det_expands_only_when_leading_terms_cancel(monkeypatch):
+    exact = puiseux.det
+    cancelling = [["1+t", "1"], ["1", "1-t"]]  # det = -t^2
+
+    def no_laplace(rows):
+        raise AssertionError("Laplace expansion of a certified matrix")
+
+    monkeypatch.setattr(puiseux, "det", no_laplace)
+    assert signed_det([]) == RT(1, 0)
+    assert signed_det([["0"]]) == RT_ZERO
+    assert signed_det([["-2*t^(1/3)+t"]]) == RT(-1, Fraction(1, 3))
+    assert signed_det([["1", "2"], ["3", "4"]]) == RT(-1, 0)
+    assert signed_det([["t", "1"], ["1", "t"]]) == RT(-1, 0)
+    assert signed_det([["t", "0"], ["1", "0"]]) == RT_ZERO
+    monkeypatch.setattr(puiseux, "det", exact)
+    assert signed_det(cancelling) == RT(-1, 2)
+
+
+def test_dot_equals_the_sum_of_products():
+    rng = random.Random(91)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        u = [random_series(rng, sparse=rng.random() < 0.5) for _ in range(n)]
+        v = [rng.choice(CANCELLATION + [PuiseuxSeries.zero()]) for _ in range(n)]
+        expected = PuiseuxSeries.zero()
+        for a, b in zip(u, v):
+            expected = expected + a * b
+        assert puiseux.dot(u, v) == expected
+    with pytest.raises(ValueError, match="length mismatch"):
+        puiseux.dot([t(1)], [])
+
+
 @pytest.mark.parametrize(
     "rows",
     [

@@ -22,6 +22,7 @@ from realtrop import (
     flags_equivalent,
     gp_from_matrix,
     hyper_add,
+    hyper_div,
     hyper_mul,
     hyperset_contains,
     linear_space_member,
@@ -36,7 +37,7 @@ from realtrop import (
     signed_value,
     standard_leaf,
 )
-from realtrop import linalg
+from realtrop import linalg, seminorms
 from realtrop.jsonio import seminorm_to_json
 from realtrop.linalg import rank as q_rank
 from realtrop.puiseux import PuiseuxSeries, as_series, signed_det
@@ -407,6 +408,15 @@ def test_flag_with_ragged_vectors_rejected(order):
         SignedFlag((), (FlagStep(a, 1, 1), FlagStep(b, 0, 1)))
 
 
+@pytest.mark.parametrize(
+    "rows, b", [([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5])], ids=["short-b", "long-b"]
+)
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(rows, b):
+    with pytest.raises(ValueError, match="right-hand side length"):
+        linalg.solve(rows, b)
+    assert linalg.solve(rows, [1] * len(rows)) is not None
+
+
 def _combination(rng, vectors, dim):
     out = [Fraction(0)] * dim
     for v in vectors:
@@ -623,6 +633,34 @@ def test_decomposition_into_scaled_minor_seminorms():
         g = random_full_rank_ground(rng, dim, rng.randint(dim, 8), constant=True)
         for f in g.columns:
             assert decomposition_value(pieces, f) == s.value(f)
+
+
+def test_decomposition_reads_the_basis_determinant(monkeypatch):
+    # moving b_i to the front of B takes i transpositions, so the minor of
+    # each piece is (-1)^i det B and no determinant is taken beyond the leaf's
+    rng = random.Random(179)
+    leafs = [
+        random_diagonal(rng, rng.randint(1, 6), constant=k % 2 == 0) for k in range(60)
+    ]
+    expected = []
+    for s in leafs:
+        pieces = []
+        for i, w in enumerate(s.weights):
+            mu = s.basis[:i] + s.basis[i + 1 :]
+            minor = cocircuit_value(mu, s.basis[i])
+            assert minor == (-s._det if i % 2 else s._det)
+            if w != INF:
+                pieces.append((mu, hyper_div(RT(1, w), minor)))
+        expected.append(tuple(pieces))
+    assert any(INF in s.weights for s in leafs)
+    assert any(not s.has_constant_basis for s in leafs)
+
+    def no_det(rows):
+        raise AssertionError("determinant taken after the leaf was built")
+
+    monkeypatch.setattr(seminorms, "signed_det", no_det)
+    for s, pieces in zip(leafs, expected):
+        assert scaled_cocircuit_decomposition(s) == pieces
 
 
 @pytest.mark.parametrize("mu", [[[1, 2, 3]], [[1]]])

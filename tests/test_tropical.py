@@ -7,6 +7,7 @@ import pytest
 from realtrop import (
     RT,
     RT_ZERO,
+    GroundSet,
     LinearEmbedding,
     ProjPoint,
     bergman_fan,
@@ -142,6 +143,35 @@ def test_identity_embedding_accepts_everything():
     assert emb.circuits == ()
     for y in normalized_grid(2, vals=(0, 1)):
         assert linear_space_member(y, emb)
+
+
+def test_embedding_is_the_spanning_ground_set():
+    rows = [[1, 0, 1], [0, 1, 1]]
+    emb = LinearEmbedding.from_matrix(rows)
+    assert isinstance(emb, GroundSet) and type(emb) is LinearEmbedding
+    assert emb.ground() is emb
+    assert emb == LinearEmbedding(ground_from_matrix(rows).columns)
+    assert (emb.labels, len(emb), emb.height) == ((0, 1, 2), 3, 2)
+    assert "minor_table" not in vars(emb)
+    assert emb.circuits == circuits_from_matrix(ground_from_matrix(rows))
+    assert "minor_table" in vars(emb)  # the circuits came from its own table
+    with pytest.raises(ValueError, match="^point has the wrong dimension$"):
+        emb.apply(("1",))
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ((), "embedding needs at least one column"),
+        (((1, 0), (1,)), "columns of unequal height"),
+        (((1, 2), (2, 4)), "columns do not span the dual space"),
+        (((1, 0, 0), (0, 1, 0)), "columns do not span the dual space"),
+    ],
+    ids=["empty", "unequal-height", "rank-deficient", "too-few-columns"],
+)
+def test_embedding_errors(columns, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LinearEmbedding(columns)
 
 
 def test_sign_break_fails_linear_space():
