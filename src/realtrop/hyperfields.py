@@ -27,7 +27,10 @@ Val = Union[Fraction, float]
 
 
 def as_val(x) -> Val:
-    """Coerce ints/strings/Fractions to a valuation value."""
+    """Coerce ints/strings/Fractions to a valuation value; every infinite
+    input becomes the module's ``INF`` object."""
+    if type(x) is Fraction:
+        return x
     if x == INF:
         return INF
     if isinstance(x, Fraction):
@@ -69,7 +72,7 @@ class RT:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
         object.__setattr__(self, "val", as_val(self.val))
-        if (self.sign == 0) != (self.val == INF):
+        if (self.sign == 0) != (self.val is INF):
             raise ValueError("sign 0 must pair with valuation inf, and conversely")
 
     @property

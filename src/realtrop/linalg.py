@@ -47,12 +47,17 @@ def rref(rows: Iterable[Sequence]) -> tuple[Mat, tuple[int, ...]]:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        top = work[r]
+        # zero entries stay as they are, in the pivot row and below it
+        support = [j for j in range(c, ncols) if top[j]]
+        pv = top[c]
+        for j in support:
+            top[j] /= pv
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] -= f * top[j]
         pivots.append(c)
         r += 1
         if r == len(work):

@@ -8,6 +8,13 @@ ground set, is the one source for a realizable matroid: its
 Grassmann-Plucker function, its bases, and its signed valuated circuits,
 which are read off the table one (rank+1)-subset at a time.
 
+The axiom checkers build no hyperfield values.  ``check_gp_relations``
+reads every value once as a (sign, int) pair, the valuations scaled to
+ints by the lcm of their denominators, and compares ints.
+``check_circuit_axioms`` holds each circuit the same way plus a support
+bitmask, and finds elimination candidates as ANDs of per-coordinate
+bitsets over circuit positions.
+
 Covector closure, covering relations and the covector axioms work on sign
 vectors stored as (plus, minus) pairs of int bitmasks, and on sets of
 vectors stored as int bitsets over positions; sign-vector tuples are made
@@ -16,8 +23,11 @@ only for the public API.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .hyperfields import (
@@ -26,14 +36,8 @@ from .hyperfields import (
     CHAR_SIGNS,
     SIGN_CHARS,
     Elem,
-    contains_zero,
     field_of,
-    hyper_add,
-    hyper_div,
-    hyper_mul,
     hyper_neg,
-    hyper_sum,
-    hyperset_contains,
     is_zero,
     pushmap,
     pushmap_target,
@@ -232,27 +236,80 @@ def check_gp_relations(
     """Exhaustively verify the three-term exchange relations.
 
     For every (rank+1)-subset x and (rank-1)-subset y the alternating sum
-    of products phi(x minus x_k) * phi(x_k, y) must admit zero, i.e. the
-    terms are all zero or the least valuation is reached with both signs.
+    of products phi(x minus x_k) * phi(x_k, y) must admit zero: the terms
+    are all zero, or the least valuation is reached with both signs (RT
+    and S) or by two terms (T and K).  The first failing (x, y), in
+    lexicographic order, is reported.
+
+    Each value is read once as a (sign, int) pair (``_scaled_values``).
+    The left factors are taken once per x.  The right factor phi(x_k, y)
+    is phi at y with x_k inserted at its sorted position p, times (-1)^p,
+    and is tabulated once per y and element.
     """
     m, r = len(gp), gp.rank
     npairs = _ncr(m, r + 1) * _ncr(m, r - 1)
     if npairs > pair_cap:
         raise EnumerationCapError(npairs, pair_cap, "relation enumeration")
+    table = _scaled_values(gp)
+    signed = gp.hyperfield in ("RT", "S")
+    ys = list(itertools.combinations(range(m), r - 1))
+    rights = []
+    for y in ys:
+        row = []
+        for z in range(m):
+            p = bisect.bisect_left(y, z)
+            if p < len(y) and y[p] == z:
+                row.append((0, 0))
+                continue
+            s, v = table[y[:p] + (z,) + y[p:]]
+            row.append((-s if signed and p % 2 else s, v))
+        rights.append(row)
     for x in itertools.combinations(range(m), r + 1):
-        for y in itertools.combinations(range(m), r - 1):
-            terms = []
-            for k, xk in enumerate(x):
-                left = gp.value_on(x[:k] + x[k + 1 :])
-                right = gp.value_on((xk,) + y)
-                t = hyper_mul(left, right)
-                terms.append(hyper_neg(t) if k % 2 else t)
-            if not contains_zero(hyper_sum(terms)):
+        lefts = []
+        for k, xk in enumerate(x):
+            s, v = table[x[:k] + x[k + 1 :]]
+            if s:
+                lefts.append((xk, -s if signed and k % 2 else s, v))
+        for y, row in zip(ys, rights):
+            terms = [(s * row[xk][0], v + row[xk][1]) for xk, s, v in lefts if row[xk][0]]
+            if not _admits_zero(terms, signed):
                 return Report(
                     ok=False,
                     violations=({"relation": {"x": list(x), "y": list(y)}},),
                 )
     return Report(ok=True, info={"pairs_checked": npairs})
+
+
+def _scaled_values(gp: GrassmannPlucker) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Every value of gp as (sign, valuation), the valuations scaled to ints
+    by the lcm of their denominators.  Zero is (0, 0); T and K values are
+    unsigned and get sign 1, S and K values valuation 0."""
+    field = gp.hyperfield
+    if field == "S":
+        return {t: (v, 0) for t, v in gp.values.items()}
+    if field == "K":
+        return {t: (v.value, 0) for t, v in gp.values.items()}
+    nonzero = {t: v for t, v in gp.values.items() if not is_zero(v)}
+    scale = math.lcm(1, *(v.val.denominator for v in nonzero.values()))
+    out = dict.fromkeys(gp.values, (0, 0))
+    for t, v in nonzero.items():
+        out[t] = (v.sign if field == "RT" else 1, _scaled(v.val, scale))
+    return out
+
+
+def _scaled(val: Fraction, scale: int) -> int:
+    return val.numerator * (scale // val.denominator)
+
+
+def _admits_zero(terms, signed: bool) -> bool:
+    """Whether the hypersum of nonzero (sign, valuation) terms contains
+    zero: there are none, or the least valuation is reached with both
+    signs (signed) or by two terms (unsigned)."""
+    if not terms:
+        return True
+    vstar = min(v for _, v in terms)
+    at_min = [s for s, v in terms if v == vstar]
+    return len(set(at_min)) == 2 if signed else len(at_min) > 1
 
 
 def pushforward_gp(
@@ -298,9 +355,6 @@ class SignedCircuit:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.entries) if x.sign != 0)
 
-    def scaled(self, alpha: RT) -> tuple[RT, ...]:
-        return tuple(hyper_mul(alpha, x) for x in self.entries)
-
     def sign_vector(self) -> SignVector:
         return tuple(x.sign for x in self.entries)
 
@@ -345,44 +399,79 @@ def circuits_from_matrix(ground: GroundSet) -> tuple[SignedCircuit, ...]:
 def check_circuit_axioms(circuits) -> Report:
     """Verify the circuit description of an RT-matroid on a finite set.
 
-    Checks: no zero vector; normalization of every representative (the
-    scaling axiom is then structural); incomparable supports between
-    distinct classes; valuated elimination between every matched
-    rescaling pair; and reports the largest subset containing no circuit
-    support, which is the rank witness for the finite-rank axiom.
+    Checks: no zero vector (C0); normalization of every representative
+    (C1; the scaling axiom is then structural); incomparable supports
+    between distinct classes (C2); valuated elimination between every
+    matched rescaling pair (C3); and reports the largest subset containing
+    no circuit support, which is the rank witness for the finite-rank
+    axiom.
+
+    Each circuit is held as a sign list, a list of valuations scaled to
+    ints by the lcm of all denominators, and a support bitmask; sets of
+    circuits are int bitsets over list positions, nonzero_at[g] holding
+    the circuits nonzero at g.  C3 takes each ordered pair (A, C) and
+    shared element e, rescales C to C' with C'_e = -A_e, and tabulates
+    A_g + C'_g once per coordinate: its least valuation, and the sign when
+    it is a singleton.  For each f with val A_f < val C'_f the candidates
+    D are zero at e and nonzero at f; D rescaled to agree with A at f must
+    lie in A_g + C'_g at every g, which only needs a test on the support
+    of D.
     """
     circuits = tuple(circuits)
-    violations: list[dict] = []
     if not circuits:
         return Report(ok=True, info={"max_independent": None})
     m = len(circuits[0])
+    if any(len(c) != m for c in circuits):
+        raise ValueError("circuits of unequal length")
+    signs = [[x.sign for x in c.entries] for c in circuits]
+    scale = math.lcm(1, *(x.val.denominator for c in circuits for x in c.entries if x.sign))
+    vals = [[_scaled(x.val, scale) if x.sign else 0 for x in c.entries] for c in circuits]
+    supports = [sum(1 << g for g, s in enumerate(sg) if s) for sg in signs]
+    nonzero_at = [0] * m
+    for i, mask in enumerate(supports):
+        for g in _bits(mask):
+            nonzero_at[g] |= 1 << i
+    violations: list[dict] = []
 
-    for i, c in enumerate(circuits):
-        if not c.support:
+    for i, mask in enumerate(supports):
+        if not mask:
             violations.append({"axiom": "C0", "circuit": i})
-        lead = c.entries[c.support[0]] if c.support else None
-        if lead is not None and lead != RT(1, 0):
+            continue
+        lead = (mask & -mask).bit_length() - 1
+        if (signs[i][lead], vals[i][lead]) != (1, 0):
             violations.append({"axiom": "C1", "circuit": i})
 
     for i, j in itertools.combinations(range(len(circuits)), 2):
-        si, sj = set(circuits[i].support), set(circuits[j].support)
-        if si <= sj or sj <= si:
-            if circuits[i].entries != circuits[j].entries:
+        both = supports[i] & supports[j]
+        if both in (supports[i], supports[j]):
+            if signs[i] != signs[j] or vals[i] != vals[j]:
                 violations.append({"axiom": "C2", "pair": [i, j]})
 
     for i, j in itertools.permutations(range(len(circuits)), 2):
-        a, b = circuits[i], circuits[j]
-        for e in sorted(set(a.support) & set(b.support)):
-            beta = hyper_div(hyper_neg(a.entries[e]), b.entries[e])
-            cprime = b.scaled(beta)
-            for f in range(m):
-                if a.entries[f].val < cprime[f].val:
-                    if not _eliminate(circuits, a.entries, cprime, e, f):
-                        violations.append(
-                            {"axiom": "C3", "pair": [i, j], "e": e, "f": f}
-                        )
+        sa, va, ma = signs[i], vals[i], supports[i]
+        sc, vc, mc = signs[j], vals[j], supports[j]
+        outside = ~(ma | mc)
+        for e in _bits(ma & mc):
+            beta_sign, beta_val = -sa[e] * sc[e], va[e] - vc[e]
+            # C'_g = (beta_sign * sc[g], vc[g] + beta_val) on the support of C
+            thr, sgn = list(va), list(sa)
+            for g in _bits(mc):
+                cs, cv = beta_sign * sc[g], vc[g] + beta_val
+                if not sa[g] or cv < va[g]:
+                    thr[g], sgn[g] = cv, cs
+                elif cv == va[g] and cs != sa[g]:
+                    sgn[g] = 0
+            for f in _bits(ma):
+                if mc >> f & 1 and va[f] >= vc[f] + beta_val:
+                    continue
+                if not any(
+                    _eliminates(signs[d], vals[d], supports[d], sa[f], va[f], f, thr, sgn)
+                    for d in _bits(nonzero_at[f] & ~nonzero_at[e])
+                    if not supports[d] & outside
+                ):
+                    violations.append({"axiom": "C3", "pair": [i, j], "e": e, "f": f})
 
-    max_ind = _max_independent(m, [c.support for c in circuits])
+    max_ind = _max_independent(m, supports, exhaustive=bool(violations))
     return Report(
         ok=not violations,
         violations=tuple(violations),
@@ -390,26 +479,31 @@ def check_circuit_axioms(circuits) -> Report:
     )
 
 
-def _eliminate(circuits, A, Cp, e: int, f: int) -> bool:
-    for d in circuits:
-        if d.entries[e].sign != 0 or d.entries[f].sign == 0:
-            continue
-        gamma = hyper_div(A[f], d.entries[f])
-        cand = d.scaled(gamma)
-        if all(_elim_entry_ok(cand[g], A[g], Cp[g]) for g in range(len(A))):
-            return True
-    return False
+def _eliminates(sd, vd, md: int, af_sign: int, af_val: int, f: int, thr, sgn) -> bool:
+    """Whether D, rescaled to equal A at f, lies in A_g + C'_g at every g of
+    its support; thr and sgn tabulate that sum (sign 0 for a ball)."""
+    gamma_sign, shift = af_sign * sd[f], af_val - vd[f]
+    for g in _bits(md):
+        v, t = vd[g] + shift, thr[g]
+        if v < t or v == t and sgn[g] and gamma_sign * sd[g] != sgn[g]:
+            return False
+    return True
 
 
-def _elim_entry_ok(cg: RT, ag: RT, bg: RT) -> bool:
-    comp = ag if ag.val <= bg.val else bg
-    if cg.val > comp.val:
-        return True
-    return hyperset_contains(hyper_add(ag, bg), cg)
+def _max_independent(m: int, masks, exhaustive: bool) -> int:
+    """Size of a largest subset of 0..m-1 containing no mask.
 
-
-def _max_independent(m: int, supports) -> int:
-    masks = [sum(1 << e for e in s) for s in supports]
+    When the circuit axioms hold, the masks are the circuits of a matroid,
+    so the greedy independent set is a basis and has the largest size.
+    Otherwise every subset is tried.
+    """
+    if not exhaustive:
+        chosen = 0
+        for e in range(m):
+            trial = chosen | 1 << e
+            if all(mask & trial != mask for mask in masks):
+                chosen = trial
+        return chosen.bit_count()
     best = 0
     for subset in range(1 << m):
         size = subset.bit_count()
@@ -561,6 +655,14 @@ def _strictly_above(masks, width: int) -> list[int]:
         equal[pm] = equal.get(pm, 0) | 1 << i
     every = (1 << len(masks)) - 1
     return [_agreeing(at, every & ~equal[pm], *pm) for pm in masks]
+
+
+def _weakly_above(masks, width: int) -> list[int]:
+    """Per position, the bitset of the other positions whose vectors lie
+    above or at its vector."""
+    at = _positions(masks, width)
+    every = (1 << len(masks)) - 1
+    return [_agreeing(at, every & ~(1 << i), *pm) for i, pm in enumerate(masks)]
 
 
 @dataclass(frozen=True)

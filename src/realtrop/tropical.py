@@ -24,8 +24,10 @@ from .matroids import (
     GroundSet,
     SignedCircuit,
     SignVector,
+    _bits,
+    _mask_pairs,
+    _weakly_above,
     circuits_from_matrix,
-    leq_sv,
     normalize_rt_vector,
 )
 from .puiseux import PuiseuxSeries, as_series, column_rank, dot, signed_value
@@ -144,18 +146,25 @@ class BergmanFan:
         return max((len(c) for c in self.cones), default=0)
 
     def maximal_cones(self) -> tuple[tuple[int, ...], ...]:
+        """The cones whose chain no other nonzero vector can extend: none
+        lies below its first element, above its last, or between two
+        neighbours.  Vectors are compared as position bitsets: above[i]
+        holds the other positions whose vectors lie above or at vector i,
+        below is its transpose.  A chain is strictly increasing, so none
+        of its own positions is below its first, above its last or between
+        two neighbours."""
+        width, masks = _mask_pairs(self.poset.vectors)
+        above = _weakly_above(masks, width)
+        below = [0] * len(masks)
+        for i, up in enumerate(above):
+            for j in _bits(up):
+                below[j] |= 1 << i
+        nonzero = sum(1 << i for i, (p, m) in enumerate(masks) if p | m)
+
         def extendable(chain):
-            lower = self.poset.vectors[chain[0]]
-            upper = self.poset.vectors[chain[-1]]
-            for i, v in enumerate(self.poset.vectors):
-                if not any(v) or i in chain:
-                    continue
-                if leq_sv(v, lower) or leq_sv(upper, v):
-                    return True
-                for a, b in zip(chain, chain[1:]):
-                    if leq_sv(self.poset.vectors[a], v) and leq_sv(v, self.poset.vectors[b]):
-                        return True
-            return False
+            if below[chain[0]] & nonzero or above[chain[-1]]:
+                return True
+            return any(above[a] & below[b] for a, b in zip(chain, chain[1:]))
 
         return tuple(c for c in self.cones if not extendable(c))
 

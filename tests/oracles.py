@@ -26,6 +26,15 @@ prefix of the two flags before solving for the regions, a comparison the
 library leaves to the per-step solve.  ``nullspace`` is the rational
 kernel of a matrix, by back substitution from the reduced row echelon
 form.
+
+``circuit_axioms_by_hypersums`` and ``gp_relations_by_hypersums`` check
+the circuit axioms and the exchange relations with the hyperfield
+operations, building every rescaled vector and every hypersum; the
+library compares (sign, int) pairs and bitmasks instead.
+``max_independent_by_subsets`` tries every subset, largest first, for
+the greedy rank witness of the library.  ``maximal_cones_by_scan`` tests
+every vector of the poset against every cone with ``leq_sv``; the library
+uses position bitsets.
 """
 
 from __future__ import annotations
@@ -43,11 +52,19 @@ from realtrop import (
     RankDeficientError,
     Report,
     SignedCircuit,
+    contains_zero,
+    hyper_add,
+    hyper_div,
+    hyper_mul,
     hyper_neg,
+    hyper_sum,
+    hyperset_contains,
     linalg,
 )
 from realtrop.matroids import (
     DEFAULT_CLOSURE_CAP,
+    DEFAULT_PAIR_CAP,
+    _ncr,
     compose_sv,
     leq_sv,
     separation_set,
@@ -295,3 +312,115 @@ def flags_equivalent_by_chains(F, G) -> bool:
             return False
         flips.add(1 if sol[0] > 0 else -1)
     return len(flips) == 1
+
+
+def gp_relations_by_hypersums(gp, pair_cap: int = DEFAULT_PAIR_CAP) -> Report:
+    """The three-term exchange relations, each alternating sum folded with
+    ``hyper_sum`` from ``value_on`` products; stops at the first failure."""
+    m, r = len(gp), gp.rank
+    npairs = _ncr(m, r + 1) * _ncr(m, r - 1)
+    if npairs > pair_cap:
+        raise EnumerationCapError(npairs, pair_cap, "relation enumeration")
+    for x in itertools.combinations(range(m), r + 1):
+        for y in itertools.combinations(range(m), r - 1):
+            terms = []
+            for k, xk in enumerate(x):
+                left = gp.value_on(x[:k] + x[k + 1 :])
+                right = gp.value_on((xk,) + y)
+                t = hyper_mul(left, right)
+                terms.append(hyper_neg(t) if k % 2 else t)
+            if not contains_zero(hyper_sum(terms)):
+                return Report(
+                    ok=False,
+                    violations=({"relation": {"x": list(x), "y": list(y)}},),
+                )
+    return Report(ok=True, info={"pairs_checked": npairs})
+
+
+def circuit_axioms_by_hypersums(circuits) -> Report:
+    """C0-C3 with RT values: every rescaled circuit is built with
+    ``hyper_div``/``hyper_mul`` and every entry tested against
+    ``hyper_add``; the rank witness by ``max_independent_by_subsets``."""
+    circuits = tuple(circuits)
+    violations: list[dict] = []
+    if not circuits:
+        return Report(ok=True, info={"max_independent": None})
+    m = len(circuits[0])
+
+    for i, c in enumerate(circuits):
+        if not c.support:
+            violations.append({"axiom": "C0", "circuit": i})
+        lead = c.entries[c.support[0]] if c.support else None
+        if lead is not None and lead != RT(1, 0):
+            violations.append({"axiom": "C1", "circuit": i})
+
+    for i, j in itertools.combinations(range(len(circuits)), 2):
+        si, sj = set(circuits[i].support), set(circuits[j].support)
+        if si <= sj or sj <= si:
+            if circuits[i].entries != circuits[j].entries:
+                violations.append({"axiom": "C2", "pair": [i, j]})
+
+    for i, j in itertools.permutations(range(len(circuits)), 2):
+        a, b = circuits[i], circuits[j]
+        for e in sorted(set(a.support) & set(b.support)):
+            beta = hyper_div(hyper_neg(a.entries[e]), b.entries[e])
+            cprime = _scaled_by(beta, b.entries)
+            for f in range(m):
+                if a.entries[f].val < cprime[f].val:
+                    if not _eliminate(circuits, a.entries, cprime, e, f):
+                        violations.append({"axiom": "C3", "pair": [i, j], "e": e, "f": f})
+
+    max_ind = max_independent_by_subsets(m, [c.support for c in circuits])
+    return Report(ok=not violations, violations=tuple(violations), info={"max_independent": max_ind})
+
+
+def _scaled_by(alpha, entries):
+    return tuple(hyper_mul(alpha, x) for x in entries)
+
+
+def _eliminate(circuits, A, Cp, e: int, f: int) -> bool:
+    for d in circuits:
+        if d.entries[e].sign != 0 or d.entries[f].sign == 0:
+            continue
+        cand = _scaled_by(hyper_div(A[f], d.entries[f]), d.entries)
+        if all(_elim_entry_ok(cand[g], A[g], Cp[g]) for g in range(len(A))):
+            return True
+    return False
+
+
+def _elim_entry_ok(cg, ag, bg) -> bool:
+    comp = ag if ag.val <= bg.val else bg
+    if cg.val > comp.val:
+        return True
+    return hyperset_contains(hyper_add(ag, bg), cg)
+
+
+def max_independent_by_subsets(m: int, supports) -> int:
+    """Size of a largest subset of range(m) containing no support, by
+    trying the subsets from the largest size down."""
+    sets = [set(s) for s in supports]
+    for size in range(m, -1, -1):
+        for subset in itertools.combinations(range(m), size):
+            if not any(s <= set(subset) for s in sets):
+                return size
+    return 0
+
+
+def maximal_cones_by_scan(fan) -> tuple[tuple[int, ...], ...]:
+    """The cones no nonzero vector outside the chain can be inserted into:
+    below its first element, above its last, or between two neighbours."""
+    vectors = fan.poset.vectors
+
+    def extendable(chain):
+        lower, upper = vectors[chain[0]], vectors[chain[-1]]
+        for i, v in enumerate(vectors):
+            if not any(v) or i in chain:
+                continue
+            if leq_sv(v, lower) or leq_sv(upper, v):
+                return True
+            for a, b in zip(chain, chain[1:]):
+                if leq_sv(vectors[a], v) and leq_sv(v, vectors[b]):
+                    return True
+        return False
+
+    return tuple(c for c in fan.cones if not extendable(c))

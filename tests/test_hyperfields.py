@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from realtrop import (
     singleton,
 )
 from realtrop.hyperfields import (
+    as_val,
     display_rt,
     hyperset_to_json,
     pushmap_set,
@@ -197,3 +199,39 @@ def test_json_roundtrip_and_display():
     assert display_rt(RT_ZERO) == "0"
     assert display_rt(x, "val") == "-:3/2"
     assert hyperset_to_json(ball("RT", 0)) == {"kind": "ball", "field": "RT", "val": "0"}
+
+
+@pytest.mark.parametrize(
+    "given, expected",
+    [
+        (3, Fraction(3)),
+        (-2, Fraction(-2)),
+        ("1/2", Fraction(1, 2)),
+        (" 7 ", Fraction(7)),
+        (Fraction(2, 3), Fraction(2, 3)),
+        ("inf", INF),
+        ("oo", INF),
+        (float("inf"), INF),
+        (math.inf, INF),
+    ],
+)
+def test_valuations_accepted(given, expected):
+    v = as_val(given)
+    assert v == expected and type(v) is type(expected)
+    if expected == INF:
+        assert v is INF
+        assert RT(0, given).val is INF and TV(given).is_zero
+        with pytest.raises(ValueError, match="^sign 0 must pair with valuation inf, and conversely$"):
+            RT(1, given)
+    else:
+        assert RT(-1, given) == RT(-1, expected) and type(RT(-1, given).val) is Fraction
+        with pytest.raises(ValueError, match="^sign 0 must pair with valuation inf, and conversely$"):
+            RT(0, given)
+
+
+@pytest.mark.parametrize("given", [1.5, 0.0, -math.inf, None])
+def test_valuations_rejected(given):
+    message = f"^cannot interpret {given!r} as a valuation$"
+    for build in (as_val, TV, lambda x: RT(1, x), lambda x: RT(0, x)):
+        with pytest.raises(TypeError, match=message):
+            build(given)

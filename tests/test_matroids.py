@@ -9,6 +9,7 @@ from realtrop import (
     KV,
     RT,
     RT_ZERO,
+    TV,
     GrassmannPlucker,
     GroundSet,
     LinearEmbedding,
@@ -20,16 +21,24 @@ from realtrop import (
     cocircuits_from_gp,
     gp_from_matrix,
     ground_from_matrix,
+    hyper_neg,
     pushforward_gp,
     pushmap,
     rt,
     rt_cocircuits_from_gp,
 )
-from realtrop import matroids
+from realtrop import hyperfields, matroids
+from realtrop.hyperfields import is_zero, zero_of
 from realtrop.puiseux import as_series
 
 from helpers import random_embedding, random_full_rank_ground
-from oracles import circuits_by_subset_search, nullspace
+from oracles import (
+    circuit_axioms_by_hypersums,
+    circuits_by_subset_search,
+    gp_relations_by_hypersums,
+    max_independent_by_subsets,
+    nullspace,
+)
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
 FOUR = ground_from_matrix([[1, 0, 1, 1], [0, 1, 1, -1]])
@@ -349,3 +358,148 @@ def test_rt_cocircuits_against_orthogonal_oracle():
         first = next(x for x in pattern if x)
         oracle.add(tuple(first * x for x in pattern))
     assert cocs == oracle
+
+
+# -- integer-scaled checkers against the hypersum oracles --------------------------------
+
+
+def _rebuilt(c, g, x):
+    """Circuit c with entry g replaced by x, normalized again."""
+    entries = list(c.entries)
+    entries[g] = x
+    return SignedCircuit(tuple(entries))
+
+
+def _raw_circuit(entries):
+    """A circuit object holding entries as given, without normalization."""
+    c = object.__new__(SignedCircuit)
+    object.__setattr__(c, "entries", tuple(entries))
+    return c
+
+
+def _circuit_lists(rng, grounds):
+    """Circuit lists of seeded grounds, each also with a dropped circuit, a
+    flipped sign, a shifted valuation and a repeated circuit; then lists
+    that break C0 or C1, and random lists of RT vectors."""
+    for trial in range(grounds):
+        h = rng.randint(1, 4)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=trial % 2 == 1)
+        circuits = circuits_from_matrix(g)
+        yield circuits
+        if not circuits:
+            continue
+        k = rng.randrange(len(circuits))
+        c = circuits[k]
+        e = rng.choice(c.support)
+        x = c.entries[e]
+        shift = rng.choice([Fraction(1, 2), Fraction(-1), Fraction(1, 3)])
+        yield circuits[:k] + circuits[k + 1 :]
+        yield circuits[:k] + (_rebuilt(c, e, -x),) + circuits[k + 1 :]
+        yield circuits[:k] + (_rebuilt(c, e, RT(x.sign, x.val + shift)),) + circuits[k + 1 :]
+        yield circuits + (c,)
+    u = (rt(1, 0), rt(1, 0), rt(-1, 0))
+    yield (_raw_circuit((RT_ZERO,) * 3), SignedCircuit(u))
+    yield (SignedCircuit(u), _raw_circuit((rt(-1, 0), rt(-1, 0), rt(1, 0))))
+    yield (SignedCircuit(u), _raw_circuit((rt(1, 1), rt(1, 1), rt(-1, 1))))
+    states = [RT_ZERO, rt(1, 0), rt(-1, 0), rt(1, Fraction(1, 2)), rt(-1, 1)]
+    for _ in range(40):
+        width = rng.randint(2, 5)
+        rows = []
+        while len(rows) < rng.randint(1, 5):
+            entries = tuple(rng.choice(states) for _ in range(width))
+            if any(x.sign for x in entries):
+                rows.append(SignedCircuit(entries))
+        yield tuple(rows)
+
+
+def test_circuit_axioms_match_hypersum_oracle():
+    rng = random.Random(71)
+    failing = passing = 0
+    kinds = set()
+    for circuits in _circuit_lists(rng, 60):
+        report = check_circuit_axioms(circuits)
+        assert report == circuit_axioms_by_hypersums(circuits), circuits
+        failing += not report.ok
+        passing += report.ok
+        kinds.update(v["axiom"] for v in report.violations)
+    assert failing >= 80 and passing >= 150
+    assert kinds == {"C0", "C1", "C2", "C3"}
+
+
+def test_greedy_rank_witness_matches_subset_search():
+    rng = random.Random(73)
+    for trial in range(40):
+        h = rng.randint(1, 4)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 7), constant=trial % 2 == 0)
+        supports = [c.support for c in circuits_from_matrix(g)]
+        masks = [sum(1 << e for e in s) for s in supports]
+        got = matroids._max_independent(len(g), masks, exhaustive=False)
+        assert got == max_independent_by_subsets(len(g), supports) == h
+
+
+def test_circuits_of_unequal_length_rejected():
+    short = SignedCircuit((rt(1, 0), rt(1, 0), RT_ZERO))
+    long = SignedCircuit((rt(1, 0), RT_ZERO, rt(-1, 0), rt(1, 0)))
+    for circuits in ((short, long), (long, short)):
+        with pytest.raises(ValueError, match="^circuits of unequal length$"):
+            check_circuit_axioms(circuits)
+
+
+def _corrupted_gps(gp, rng):
+    """gp with one value negated, shifted, zeroed, or made nonzero where it
+    was zero, as far as the hyperfield has such a change."""
+    keys = sorted(gp.values)
+    changes = []
+    key = rng.choice(keys)
+    v = gp.values[key]
+    if gp.hyperfield in ("RT", "S") and not is_zero(v):
+        changes.append(hyper_neg(v))
+    if gp.hyperfield == "RT" and not is_zero(v):
+        changes.append(RT(v.sign, v.val + Fraction(1, 2)))
+    if gp.hyperfield == "T" and not is_zero(v):
+        changes.append(TV(v.val - 1))
+    changes.append(zero_of(gp.hyperfield))
+    zeros = [t for t in keys if is_zero(gp.values[t])]
+    one = {"RT": rt(1, 0), "T": TV(0), "S": 1, "K": KV(1)}[gp.hyperfield]
+    for new in changes:
+        yield key, new
+    if zeros:
+        yield rng.choice(zeros), one
+
+
+def test_gp_relations_match_hypersum_oracle():
+    rng = random.Random(79)
+    outcomes = {}
+    for trial in range(30):
+        h = rng.randint(1, 4)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=trial % 3 == 2)
+        for target in ("RT", "T", "S", "K"):
+            gp = gp_from_matrix(g, target=target)
+            gps = [gp]
+            for key, new in _corrupted_gps(gp, rng):
+                try:
+                    gps.append(dataclasses.replace(gp, values={**gp.values, key: new}))
+                except ValueError:  # identically zero
+                    pass
+            for one in gps:
+                report = check_gp_relations(one)
+                assert report == gp_relations_by_hypersums(one), (target, one.values)
+                outcomes.setdefault(target, set()).add(report.ok)
+    assert outcomes == {f: {True, False} for f in ("RT", "T", "S", "K")}
+
+
+def test_checkers_build_no_hyperfield_values(monkeypatch):
+    def fail(*args):
+        raise AssertionError("hyperfield operation called")
+
+    for name in ("hyper_mul", "hyper_div", "hyper_sum", "hyper_add", "hyperset_contains"):
+        monkeypatch.setattr(matroids, name, fail, raising=False)
+        monkeypatch.setattr(hyperfields, name, fail)
+    circuits = circuits_from_matrix(FOUR)
+    assert check_circuit_axioms(circuits).ok
+    assert not check_circuit_axioms(circuits[:-1]).ok
+    gp = gp_from_matrix(FOUR)
+    assert check_gp_relations(gp).ok
+    bad = dict(gp.values)
+    bad[(2, 3)] = -bad[(2, 3)]
+    assert not check_gp_relations(GrassmannPlucker(2, gp.labels, "RT", bad)).ok

@@ -7,6 +7,7 @@ import pytest
 from realtrop import (
     RT,
     RT_ZERO,
+    BergmanFan,
     GroundSet,
     LinearEmbedding,
     ProjPoint,
@@ -26,6 +27,7 @@ from realtrop import (
 from realtrop.matroids import CovectorPoset, circuits_from_matrix
 
 from helpers import normalized_grid, random_embedding, random_full_rank_ground
+from oracles import maximal_cones_by_scan
 
 LINE = LinearEmbedding.from_matrix([[1, 0, 1], [0, 1, 1]])
 LINE_CIRCUIT = circuits_from_matrix(LINE.ground())[0]
@@ -229,6 +231,34 @@ def test_fan_purity_for_random_matroids():
         gp = gp_from_matrix(g, target="S")
         fan = bergman_fan(covector_closure(cocircuits_from_gp(gp)))
         assert all(len(c) == h for c in fan.maximal_cones())
+
+
+def test_maximal_cones_match_scan_oracle():
+    rng = random.Random(67)
+    for _ in range(30):
+        h = rng.randint(1, 3)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        fan = bergman_fan(covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S"))))
+        assert fan.maximal_cones() == maximal_cones_by_scan(fan)
+    # a repeated vector lies below and above its copy without being strictly so
+    poset = line_fan().poset
+    repeated = CovectorPoset(poset.vectors + poset.vectors[-2:], ())
+    fan = bergman_fan(repeated)
+    assert fan.maximal_cones() == maximal_cones_by_scan(fan)
+    assert len(fan.maximal_cones()) < len(line_fan().maximal_cones())
+
+
+def test_maximal_cones_of_uniform_four_by_five():
+    # U(4,5): every full flag of nonzero covectors has length 4.  The scan
+    # oracle takes seconds on all 4200 cones, so it checks a seeded sample.
+    g = ground_from_matrix([[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]])
+    fan = bergman_fan(covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S"))))
+    assert (len(fan.poset), len(fan.cones)) == (181, 4200)
+    maximal = fan.maximal_cones()
+    assert {len(c) for c in maximal} == {4}
+    assert len(maximal) == sum(len(c) == 4 for c in fan.cones)
+    sample = BergmanFan(fan.poset, tuple(random.Random(5).sample(fan.cones, 600)))
+    assert sample.maximal_cones() == maximal_cones_by_scan(sample)
 
 
 # -- membership via the fan --------------------------------------------------------------
