@@ -376,9 +376,6 @@ def hyperset_add(A: HyperSet, B: HyperSet) -> HyperSet:
 # ---------------------------------------------------------------------------
 # Homomorphisms between the four hyperfields
 
-PUSHMAPS = ("abs", "sgn", "to-krasner")
-
-
 def pushmap(name: str, x: Elem) -> Elem:
     """Apply a named hyperfield homomorphism to an element.
 

@@ -177,9 +177,12 @@ def poset_to_json(poset: CovectorPoset) -> dict:
 
 
 def poset_from_json(obj) -> CovectorPoset:
-    vectors = tuple(parse_sign_vector(s) for s in obj["vectors"])
-    covers = tuple((int(a), int(b)) for a, b in obj["covers"])
-    return CovectorPoset(vectors, covers)
+    """The poset of the vectors; given covers must be the derived ones."""
+    poset = CovectorPoset(tuple(parse_sign_vector(s) for s in obj["vectors"]))
+    derived = poset.covers  # also rejects vectors of unequal length
+    if "covers" in obj and tuple((int(a), int(b)) for a, b in obj["covers"]) != derived:
+        raise ValueError("covers do not match the vectors")
+    return poset
 
 
 def fan_to_json(fan: BergmanFan) -> dict:

@@ -15,10 +15,12 @@ ints by the lcm of their denominators, and compares ints.
 bitmask, and finds elimination candidates as ANDs of per-coordinate
 bitsets over circuit positions.
 
-Covector closure, covering relations and the covector axioms work on sign
-vectors stored as (plus, minus) pairs of int bitmasks, and on sets of
-vectors stored as int bitsets over positions; sign-vector tuples are made
-only for the public API.
+Covectors are stored as (plus, minus) pairs of int bitmasks, and sets of
+them as int bitsets over positions.  A ``CovectorPoset`` holds only its
+vectors and indexes them once, on first use, as masks, per-coordinate
+position bitsets and strictly-above bitsets; its covers, chains,
+membership, axiom check and maximal chains all read that one index.
+Sign-vector tuples are made only for the public API.
 """
 
 from __future__ import annotations
@@ -115,10 +117,10 @@ class GroundSet:
         """Signed value of every maximal minor, keyed by increasing column
         tuple; computed once per ground set.  Callers check their caps
         before the first read."""
-        cols, r = self.columns, self.height
+        cols = self.columns
         return {
-            tup: signed_det([[cols[j][i] for j in tup] for i in range(r)])
-            for tup in itertools.combinations(range(len(cols)), r)
+            tup: signed_det([cols[j] for j in tup])
+            for tup in itertools.combinations(range(len(cols)), self.height)
         }
 
 
@@ -646,31 +648,13 @@ def _agreeing(at, among: int, plus: int, minus: int, zero: int = 0) -> int:
     return among
 
 
-def _strictly_above(masks, width: int) -> list[int]:
-    """Per position, the bitset of the positions whose vectors lie strictly
-    above its vector."""
-    at = _positions(masks, width)
-    equal: dict[tuple[int, int], int] = {}
-    for i, pm in enumerate(masks):
-        equal[pm] = equal.get(pm, 0) | 1 << i
-    every = (1 << len(masks)) - 1
-    return [_agreeing(at, every & ~equal[pm], *pm) for pm in masks]
-
-
-def _weakly_above(masks, width: int) -> list[int]:
-    """Per position, the bitset of the other positions whose vectors lie
-    above or at its vector."""
-    at = _positions(masks, width)
-    every = (1 << len(masks)) - 1
-    return [_agreeing(at, every & ~(1 << i), *pm) for i, pm in enumerate(masks)]
-
-
 @dataclass(frozen=True)
 class CovectorPoset:
-    """Composition-closed set of sign vectors with covering relations."""
+    """Equally long sign vectors, ordered by ``leq_sv``, repeats allowed.
+    All else is derived from the vectors once and cached; a vector is
+    never strictly above its copies."""
 
     vectors: tuple[SignVector, ...]
-    covers: tuple[tuple[int, int], ...]
 
     def __len__(self):
         return len(self.vectors)
@@ -679,19 +663,48 @@ class CovectorPoset:
         return X in self._index
 
     @property
-    def _index(self) -> dict:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {v: i for i, v in enumerate(self.vectors)}
-            self.__dict__["_index_cache"] = idx
-        return idx
-
-    @property
     def width(self) -> int:
         return len(self.vectors[0]) if self.vectors else 0
 
-    def nonzero(self) -> tuple[SignVector, ...]:
-        return tuple(v for v in self.vectors if any(v))
+    @cached_property
+    def _index(self) -> dict[SignVector, int]:
+        return {v: i for i, v in enumerate(self.vectors)}
+
+    @cached_property
+    def _pairs(self) -> list[tuple[int, int]]:
+        return _mask_pairs(self.vectors)[1]
+
+    @cached_property
+    def _copies(self) -> dict[tuple[int, int], int]:
+        """Per (plus, minus) pair, the bitset of the positions holding it."""
+        copies: dict[tuple[int, int], int] = {}
+        for i, pm in enumerate(self._pairs):
+            copies[pm] = copies.get(pm, 0) | 1 << i
+        return copies
+
+    @cached_property
+    def _at(self) -> tuple[list[int], list[int], list[int]]:
+        return _positions(self._pairs, self.width)
+
+    @cached_property
+    def _above(self) -> list[int]:
+        """Per position, the bitset of the positions whose vectors lie
+        strictly above its vector."""
+        every = (1 << len(self.vectors)) - 1
+        return [_agreeing(self._at, every & ~self._copies[pm], *pm) for pm in self._pairs]
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (i, j), in increasing order, where vectors[j] covers
+        vectors[i]: j is above i but above no other position above i."""
+        up = self._above
+        covers = []
+        for i, above in enumerate(up):
+            beyond = 0
+            for k in _bits(above):
+                beyond |= up[k]
+            covers.extend((i, j) for j in _bits(above & ~beyond))
+        return tuple(covers)
 
     def chains(self) -> tuple[tuple[int, ...], ...]:
         """Every nonempty chain of nonzero covectors, as index tuples,
@@ -701,10 +714,9 @@ class CovectorPoset:
         positions above its last element in increasing order, so every
         level comes out sorted.
         """
-        width, masks = _mask_pairs(self.vectors)
-        above = [list(_bits(up)) for up in _strictly_above(masks, width)]
+        above = [list(_bits(up)) for up in self._above]
         out: list[tuple[int, ...]] = []
-        level = [(i,) for i, (p, m) in enumerate(masks) if p | m]
+        level = [(i,) for i, (p, m) in enumerate(self._pairs) if p | m]
         while level:
             out.extend(level)
             level = [c + (j,) for c in level for j in above[c[-1]]]
@@ -712,6 +724,30 @@ class CovectorPoset:
 
     def max_chain_length(self) -> int:
         return max((len(c) for c in self.chains()), default=0)
+
+    def maximal_chains(self, chains) -> tuple[tuple[int, ...], ...]:
+        """The given chains, increasing index tuples of nonzero vectors, that
+        no other nonzero vector extends below the first element, above the
+        last or between two neighbours.  above[i] is the strictly-above
+        bitset plus the copies of vector i, below is its transpose; a chain
+        is strictly increasing, so its own positions never qualify."""
+        copies = self._copies
+        above = [
+            up | copies[pm] & ~(1 << i)
+            for i, (up, pm) in enumerate(zip(self._above, self._pairs))
+        ]
+        below = [0] * len(above)
+        for i, up in enumerate(above):
+            for j in _bits(up):
+                below[j] |= 1 << i
+        nonzero = sum(1 << i for i, (p, m) in enumerate(self._pairs) if p | m)
+
+        def extendable(chain):
+            if below[chain[0]] & nonzero or above[chain[-1]]:
+                return True
+            return any(above[a] & below[b] for a, b in zip(chain, chain[1:]))
+
+        return tuple(c for c in chains if not extendable(c))
 
 
 def covector_closure(
@@ -750,21 +786,7 @@ def covector_closure(
             for p, m in current
         )
     )
-    return CovectorPoset(vectors, _covering_relations(vectors))
-
-
-def _covering_relations(vectors) -> tuple[tuple[int, int], ...]:
-    """The pairs (i, j), in increasing order, where vectors[j] covers
-    vectors[i]: j is above i but above no other position above i."""
-    width, masks = _mask_pairs(vectors)
-    up = _strictly_above(masks, width)
-    covers = []
-    for i, above in enumerate(up):
-        beyond = 0
-        for k in _bits(above):
-            beyond |= up[k]
-        covers.extend((i, j) for j in _bits(above & ~beyond))
-    return tuple(covers)
+    return CovectorPoset(vectors)
 
 
 def check_covector_axioms(poset) -> Report:
@@ -773,12 +795,12 @@ def check_covector_axioms(poset) -> Report:
     Takes a poset or any list of equally long sign vectors, repeats
     allowed; violations are reported in the order of that list.
     """
-    vectors = poset.vectors if isinstance(poset, CovectorPoset) else tuple(poset)
-    if not vectors:
+    if not isinstance(poset, CovectorPoset):
+        poset = CovectorPoset(tuple(poset))
+    if not poset.vectors:
         return Report(ok=False, violations=({"axiom": "Cov1"},))
-    width, masks = _mask_pairs(vectors)
-    names = [_sv_str(X) for X in vectors]
-    vecset = set(masks)
+    masks, vecset, at = poset._pairs, poset._copies, poset._at
+    names = [sign_vector_str(X) for X in poset.vectors]
     violations: list[dict] = []
     if (0, 0) not in vecset:
         violations.append({"axiom": "Cov1"})
@@ -794,9 +816,8 @@ def check_covector_axioms(poset) -> Report:
     # the AND over those coordinates g of the bitset of positions holding
     # T_g at g.  T agrees with Y o X off S, so unordered pairs suffice, and
     # the outcome depends only on S and T off S, which many pairs share.
-    at = _positions(masks, width)
     every = (1 << len(masks)) - 1
-    full = (1 << width) - 1
+    full = (1 << poset.width) - 1
     unmet: dict[tuple[int, int, int], list[int]] = {}
     for xi, (p1, m1) in enumerate(masks):
         for yi in range(xi + 1, len(masks)):
@@ -818,6 +839,8 @@ def check_covector_axioms(poset) -> Report:
 def covector_zero_flat(X: SignVector, gp: GrassmannPlucker) -> tuple[int, ...]:
     """Zero set of a covector, certified to be a flat of the matroid whose
     bases are the support of gp: no other element keeps its rank."""
+    if len(X) != len(gp):
+        raise ValueError("covector and ground set have different lengths")
     zset = {e for e, x in enumerate(X) if x == 0}
     bases = [set(b) for b in gp.bases()]
 
@@ -831,12 +854,8 @@ def covector_zero_flat(X: SignVector, gp: GrassmannPlucker) -> tuple[int, ...]:
     return tuple(sorted(zset))
 
 
-def _sv_str(X: SignVector) -> str:
-    return "".join(SIGN_CHARS[x] for x in X)
-
-
 def sign_vector_str(X: SignVector) -> str:
-    return _sv_str(X)
+    return "".join(SIGN_CHARS[x] for x in X)
 
 
 def parse_sign_vector(s: str) -> SignVector:

@@ -434,7 +434,10 @@ def signed_det(rows: Matrix) -> RT:
     coefficients of the tight entries (q_ij == u_i + v_j) and zeros the
     rest.  Only when det L vanishes is det expanded exactly, at any size.
     Input is checked as in ``det``, against the same ``DET_SIZE_BOUND``,
-    before any work.
+    before any work.  Transposing changes neither det, nor the optimal
+    assignment, nor det L, so the result, and whether the exact fallback
+    runs, are the same for a matrix and its transpose: callers may pass
+    columns as rows.
     """
     rows = _square_matrix(rows)
     if all(x.is_constant for row in rows for x in row):

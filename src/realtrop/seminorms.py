@@ -75,7 +75,7 @@ class DiagonalSeminorm:
         for a, b in zip(weights, weights[1:]):
             if b < a:
                 raise ValueError("weights must be nondecreasing valuations")
-        d = signed_det([[cols[j][i] for j in range(n)] for i in range(n)])
+        d = signed_det(cols)
         if d.sign == 0:
             raise SingularBasisError("basis vectors are dependent")
         object.__setattr__(self, "_det", d)
@@ -119,11 +119,7 @@ class DiagonalSeminorm:
         n = self.dim
         out = []
         for j in range(n):
-            rows = [
-                [f[i] if k == j else self.basis[k][i] for k in range(n)]
-                for i in range(n)
-            ]
-            num = signed_det(rows)
+            num = signed_det([f if k == j else self.basis[k] for k in range(n)])
             out.append(RT_ZERO if num.sign == 0 else hyper_div(num, den))
         return tuple(out)
 
@@ -472,10 +468,9 @@ def check_diagram_commutes(
 ) -> bool:
     """Project, then apply the coordinate map; compare with projecting to
     the mapped embedding directly."""
-    try:
-        cols = tuple(emb.columns[i] for i in index_map)
-    except IndexError as exc:
-        raise ValueError("index map does not fit the embedding") from exc
+    if not all(0 <= i < len(emb) for i in index_map):
+        raise ValueError("index map does not fit the embedding")
+    cols = tuple(emb.columns[i] for i in index_map)
     if target is not None:
         if tuple(target.columns) != cols:
             raise ValueError("target embedding does not match the mapped columns")
@@ -609,10 +604,7 @@ def cocircuit_value(mu_columns, f) -> RT:
         raise ValueError("need dimension minus one columns")
     if any(len(c) != n for c in mu):
         raise ValueError("every column needs one entry per coordinate of f")
-    rows = [
-        [f[i]] + [c[i] for c in mu] for i in range(n)
-    ]
-    return signed_det(rows)
+    return signed_det([f, *mu])
 
 
 def scaled_cocircuit_decomposition(

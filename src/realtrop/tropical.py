@@ -24,9 +24,6 @@ from .matroids import (
     GroundSet,
     SignedCircuit,
     SignVector,
-    _bits,
-    _mask_pairs,
-    _weakly_above,
     circuits_from_matrix,
     normalize_rt_vector,
 )
@@ -117,6 +114,8 @@ def hyperplane_member(y: ProjPoint, circuit) -> bool:
 def unsigned_hyperplane_member(y: ProjPoint, circuit) -> bool:
     """Valuation-only membership: the least product valuation repeats."""
     entries = circuit.entries if isinstance(circuit, SignedCircuit) else tuple(circuit)
+    if len(entries) != len(y):
+        raise ValueError("point and circuit have different lengths")
     prods = [
         hyper_mul(TV(ye.val), TV(ce.val)) for ye, ce in zip(y.coords, entries)
     ]
@@ -146,27 +145,8 @@ class BergmanFan:
         return max((len(c) for c in self.cones), default=0)
 
     def maximal_cones(self) -> tuple[tuple[int, ...], ...]:
-        """The cones whose chain no other nonzero vector can extend: none
-        lies below its first element, above its last, or between two
-        neighbours.  Vectors are compared as position bitsets: above[i]
-        holds the other positions whose vectors lie above or at vector i,
-        below is its transpose.  A chain is strictly increasing, so none
-        of its own positions is below its first, above its last or between
-        two neighbours."""
-        width, masks = _mask_pairs(self.poset.vectors)
-        above = _weakly_above(masks, width)
-        below = [0] * len(masks)
-        for i, up in enumerate(above):
-            for j in _bits(up):
-                below[j] |= 1 << i
-        nonzero = sum(1 << i for i, (p, m) in enumerate(masks) if p | m)
-
-        def extendable(chain):
-            if below[chain[0]] & nonzero or above[chain[-1]]:
-                return True
-            return any(above[a] & below[b] for a, b in zip(chain, chain[1:]))
-
-        return tuple(c for c in self.cones if not extendable(c))
+        """The cones whose chain no other nonzero vector can extend."""
+        return self.poset.maximal_chains(self.cones)
 
 
 def bergman_fan(poset: CovectorPoset) -> BergmanFan:
@@ -181,6 +161,8 @@ def bergman_member(y: ProjPoint, fan: BergmanFan) -> bool:
     vectors are nested, so they automatically make a chain and the point
     lies in the cone that chain spans.
     """
+    if len(y) != fan.poset.width:
+        raise ValueError("point and fan have different lengths")
     levels = sorted({x.val for x in y.coords if x.val != INF})
     for v in levels:
         revealed = tuple(

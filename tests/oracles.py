@@ -143,8 +143,7 @@ def circuits_by_subset_search(ground) -> tuple[SignedCircuit, ...]:
 
 
 def closure_by_all_pairs(cocircuits, cap: int = DEFAULT_CLOSURE_CAP) -> CovectorPoset:
-    """Smallest composition-closed set containing zero and the cocircuits,
-    with its covering relations."""
+    """Smallest composition-closed set containing zero and the cocircuits."""
     cocircuits = [tuple(c) for c in cocircuits]
     zero = (0,) * len(cocircuits[0]) if cocircuits else ()
     current = {zero} | set(cocircuits)
@@ -161,7 +160,7 @@ def closure_by_all_pairs(cocircuits, cap: int = DEFAULT_CLOSURE_CAP) -> Covector
                             raise EnumerationCapError(len(current), cap, "covector closure")
         frontier = fresh
     vectors = tuple(sorted(current))
-    return CovectorPoset(vectors, covers_by_triples(vectors))
+    return CovectorPoset(vectors)
 
 
 def covers_by_triples(vectors) -> tuple[tuple[int, int], ...]:

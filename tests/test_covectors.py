@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from realtrop import (
+    CovectorPoset,
     EnumerationCapError,
+    bergman_fan,
     check_covector_axioms,
     cocircuits_from_gp,
     covector_closure,
@@ -13,7 +16,8 @@ from realtrop import (
     ground_from_matrix,
     pushforward_gp,
 )
-from realtrop import linalg
+from realtrop import linalg, matroids
+from realtrop.jsonio import poset_from_json, poset_to_json
 from realtrop.matroids import compose_sv, leq_sv, parse_sign_vector, sign_vector_str
 
 from helpers import random_full_rank_ground
@@ -21,6 +25,7 @@ from oracles import (
     chains_by_recursion,
     closure_by_all_pairs,
     covector_axioms_by_tuples,
+    covers_by_triples,
 )
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
@@ -86,6 +91,42 @@ def test_cover_relations_are_tight():
         )
 
 
+def test_one_index_serves_covers_chains_axioms_and_maximal_cones(monkeypatch):
+    real = matroids._positions
+    calls = []
+
+    def counting(masks, width):
+        calls.append(len(masks))
+        return real(masks, width)
+
+    monkeypatch.setattr(matroids, "_positions", counting)
+    poset = u23_poset()
+    assert len(poset.covers) == 18
+    assert len(poset.chains()) == 24
+    assert check_covector_axioms(poset).ok
+    assert len(bergman_fan(poset).maximal_cones()) == 12
+    assert calls == [13]
+    # a plain list is wrapped in a poset of its own, indexed once
+    assert check_covector_axioms(list(poset.vectors)).ok
+    assert calls == [13, 13]
+
+
+def test_poset_has_only_its_vectors():
+    assert [f.name for f in dataclasses.fields(CovectorPoset)] == ["vectors"]
+
+
+def test_poset_json_covers_must_match_the_vectors():
+    poset = u23_poset()
+    obj = poset_to_json(poset)
+    assert poset_from_json(obj) == poset
+    assert poset_from_json({"vectors": obj["vectors"]}) == poset
+    for covers in (obj["covers"][1:], [list(reversed(c)) for c in obj["covers"]]):
+        with pytest.raises(ValueError, match="^covers do not match the vectors$"):
+            poset_from_json(dict(obj, covers=covers))
+    with pytest.raises(ValueError, match="^sign vectors of unequal length$"):
+        poset_from_json({"vectors": ["0", "+-"]})
+
+
 def test_chain_lengths_bounded_by_rank():
     rng = random.Random(47)
     for _ in range(4):
@@ -113,6 +154,13 @@ def test_zero_flat_rejects_non_flats():
     # zero set {0, 1} spans everything in U(2,3), so it is not closed
     with pytest.raises(ValueError):
         covector_zero_flat((0, 0, 1), und)
+
+
+@pytest.mark.parametrize("X", [(0,), (0, 1, 1, 0)], ids=["short", "long"])
+def test_zero_flat_checks_lengths(X):
+    und = pushforward_gp(gp_from_matrix(U23), "to-krasner")
+    with pytest.raises(ValueError, match="^covector and ground set have different lengths$"):
+        covector_zero_flat(X, und)
 
 
 def test_flat_map_is_strictly_monotone_on_poset():
@@ -190,7 +238,7 @@ def test_mask_closure_and_axioms_match_tuple_oracles():
             poset = covector_closure(gens)
             expected = closure_by_all_pairs(gens)
             assert poset.vectors == expected.vectors, gens
-            assert poset.covers == expected.covers, gens
+            assert poset.covers == covers_by_triples(poset.vectors), gens
             if len(poset) < 60:
                 small += 1
                 assert poset.chains() == chains_by_recursion(poset.vectors), gens

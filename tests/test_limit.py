@@ -77,6 +77,16 @@ def test_diagram_with_explicit_target_checks_columns():
         check_diagram_commutes(s, emb, (2, 0), target=other)
 
 
+@pytest.mark.parametrize("index_map", [(-1, 0), (0, 4)], ids=["negative", "past-end"])
+def test_diagram_rejects_indices_outside_the_embedding(index_map):
+    # a negative index would wrap around; CompatibleFamily rejects it too
+    rng = random.Random(193)
+    emb = random_embedding(rng, 2, 4, constant=True)
+    s = random_diagonal(rng, 2)
+    with pytest.raises(ValueError, match="^index map does not fit the embedding$"):
+        check_diagram_commutes(s, emb, index_map)
+
+
 # -- compatible families ------------------------------------------------------------
 
 

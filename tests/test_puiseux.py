@@ -251,6 +251,29 @@ def test_signed_det_matches_laplace(monkeypatch):
     assert unmatched
 
 
+def test_signed_det_of_the_transpose(monkeypatch):
+    # callers pass columns as rows: same value, and the fallback fires alike
+    exact = puiseux.det
+    fallbacks = []
+
+    def counting_det(rows):
+        fallbacks.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(puiseux, "det", counting_det)
+    rng = random.Random(2025)
+    fell_back = 0
+    for n in rng.choices(range(7), weights=(1, 1, 2, 10, 10, 3, 1), k=1500):
+        rows = _differential_matrix(rng, n)
+        fallbacks.clear()
+        got = signed_det(rows)
+        once = len(fallbacks)
+        assert signed_det([list(col) for col in zip(*rows)]) == got, rows
+        assert len(fallbacks) == 2 * once, rows
+        fell_back += once
+    assert fell_back
+
+
 def test_signed_det_examples():
     assert signed_det([]) == RT(1, 0)
     assert signed_det([["t^(1/2)"]]) == RT(1, Fraction(1, 2))

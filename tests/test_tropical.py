@@ -192,6 +192,13 @@ def test_unsigned_compatibility():
             assert unsigned_hyperplane_member(y, c)
 
 
+def test_unsigned_membership_checks_lengths():
+    y = ProjPoint((rt(1, 0), rt(1, 1), rt(-1, 0)))
+    for circuit in ((rt(1, 0), rt(-1, 0)), (rt(1, 0),) * 4):
+        with pytest.raises(ValueError, match="^point and circuit have different lengths$"):
+            unsigned_hyperplane_member(y, circuit)
+
+
 # -- Bergman fans ---------------------------------------------------------------------
 
 
@@ -210,7 +217,7 @@ def test_line_fan_chain_counts():
 
 
 def test_empty_poset_fan():
-    fan = bergman_fan(CovectorPoset(((0, 0, 0),), ()))
+    fan = bergman_fan(CovectorPoset(((0, 0, 0),)))
     assert fan.cones == ()
 
 
@@ -242,7 +249,7 @@ def test_maximal_cones_match_scan_oracle():
         assert fan.maximal_cones() == maximal_cones_by_scan(fan)
     # a repeated vector lies below and above its copy without being strictly so
     poset = line_fan().poset
-    repeated = CovectorPoset(poset.vectors + poset.vectors[-2:], ())
+    repeated = CovectorPoset(poset.vectors + poset.vectors[-2:])
     fan = bergman_fan(repeated)
     assert fan.maximal_cones() == maximal_cones_by_scan(fan)
     assert len(fan.maximal_cones()) < len(line_fan().maximal_cones())
@@ -282,6 +289,13 @@ def test_fan_agrees_with_circuit_membership_exhaustively():
         fan = bergman_fan(covector_closure(cocircuits_from_gp(gp)))
         for y in normalized_grid(len(g), vals=(0, 1)):
             assert bergman_member(y, fan) == linear_space_member(y, emb)
+
+
+def test_fan_membership_checks_lengths():
+    fan = line_fan()
+    y = ProjPoint((rt(1, 0),) * (fan.poset.width + 1))
+    with pytest.raises(ValueError, match="^point and fan have different lengths$"):
+        bergman_member(y, fan)
 
 
 def test_sign_pattern_outside_covectors_rejected():
