@@ -9,9 +9,13 @@ with ``INF`` standing in for the valuation of zero.  Every comparison in
 the multiplicative language is translated once, here, into the valuation
 convention; the rest of the package never converts back to floats.
 
-Sign-hyperfield elements are plain ints in {-1, 0, +1}.  Tropical and
-Krasner elements are tiny wrapper types so that the generic operations
-can dispatch on the element type.
+Sign-hyperfield elements are plain ints in {-1, 0, +1}; tropical and
+Krasner elements are the wrapper types ``TV`` and ``KV``.  T, S and K are
+the images of RT under ``abs``, ``sgn`` and ``to-krasner``, so every
+element reads as an RT pair (``sign_val``) and every pair maps back into
+a field (``from_sign_val``).  Products, quotients, negation, hypersums,
+hyperset membership and the homomorphisms are each the one RT rule on
+pairs, and ``admits_zero`` is the one rule for a hypersum containing zero.
 """
 
 from __future__ import annotations
@@ -95,9 +99,7 @@ RT_ONE = RT(1, 0)
 
 def rt(sign: int, val=0) -> RT:
     """Shorthand constructor; ``rt(0)`` is the zero element."""
-    if sign == 0:
-        return RT_ZERO
-    return RT(sign, val)
+    return from_sign_val("RT", sign, val)
 
 
 @dataclass(frozen=True)
@@ -161,53 +163,68 @@ def zero_of(field: str) -> Elem:
     return {"RT": RT_ZERO, "T": TV_ZERO, "K": KV_ZERO, "S": 0}[field]
 
 
+def sign_val(x: Elem) -> tuple[int, Val]:
+    """Read any element as an RT pair (sign, valuation).
+
+    T, S and K are the images of RT under ``abs``, ``sgn`` and
+    ``to-krasner``, so each element reads as the pair it keeps: RT as is,
+    T as (1, v), S as (s, 0) and K as (1, 0); zero is (0, INF).
+    """
+    field = field_of(x)
+    if field == "RT":
+        return x.sign, x.val
+    if field == "S":
+        return (x, Fraction(0)) if x else (0, INF)
+    if x.is_zero:
+        return 0, INF
+    return 1, (x.val if field == "T" else Fraction(0))
+
+
+def from_sign_val(field: str, sign: int, val: Val) -> Elem:
+    """The element of ``field`` read as (sign, val): the image of that RT
+    pair, which keeps only what the field keeps."""
+    zero = zero_of(field)
+    if sign == 0:
+        return zero
+    if field == "RT":
+        return RT(sign, val)
+    if field == "T":
+        return TV(val)
+    return sign if field == "S" else KV_ONE
+
+
 def is_zero(x: Elem) -> bool:
-    return x == 0 if isinstance(x, int) else x.is_zero
+    return sign_val(x)[0] == 0
 
 
 # ---------------------------------------------------------------------------
-# Multiplication, negation, division
+# Multiplication, negation, division: the RT rule on pairs
 
 
 def hyper_mul(a: Elem, b: Elem) -> Elem:
     """Hyperfield product.  Zero is absorbing; signs multiply, valuations add."""
-    if isinstance(a, RT) and isinstance(b, RT):
-        if a.sign == 0 or b.sign == 0:
-            return RT_ZERO
-        return RT(a.sign * b.sign, a.val + b.val)
-    if isinstance(a, TV) and isinstance(b, TV):
-        return TV(a.val + b.val) if not (a.is_zero or b.is_zero) else TV_ZERO
-    if isinstance(a, KV) and isinstance(b, KV):
-        return KV(a.value * b.value)
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    raise TypeError(f"mixed hyperfield product: {a!r} * {b!r}")
+    (s, v), (t, w) = sign_val(a), sign_val(b)
+    field = field_of(a)
+    if field_of(b) != field:
+        raise TypeError(f"mixed hyperfield product: {a!r} * {b!r}")
+    return from_sign_val(field, s * t, v + w)
 
 
 def hyper_neg(x: Elem) -> Elem:
     """Additive inverse.  In T and K, -x = x."""
-    if isinstance(x, RT):
-        return -x
-    if isinstance(x, int):
-        return -x
-    return x
+    s, v = sign_val(x)
+    return from_sign_val(field_of(x), -s, v)
 
 
 def hyper_div(a: Elem, b: Elem) -> Elem:
     """Quotient a/b for nonzero b (signs divide, valuations subtract)."""
-    if is_zero(b):
+    (s, v), (t, w) = sign_val(a), sign_val(b)
+    if t == 0:
         raise ZeroDivisionError("hyperfield division by zero")
-    if isinstance(a, RT) and isinstance(b, RT):
-        if a.sign == 0:
-            return RT_ZERO
-        return RT(a.sign * b.sign, a.val - b.val)
-    if isinstance(a, TV) and isinstance(b, TV):
-        return TV_ZERO if a.is_zero else TV(a.val - b.val)
-    if isinstance(a, KV) and isinstance(b, KV):
-        return a
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    raise TypeError(f"mixed hyperfield quotient: {a!r} / {b!r}")
+    field = field_of(a)
+    if field_of(b) != field:
+        raise TypeError(f"mixed hyperfield quotient: {a!r} / {b!r}")
+    return from_sign_val(field, s * t, v - w)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +276,7 @@ def ball(field: str, threshold: Val = 0) -> HyperSet:
 
 def contains_zero(s: HyperSet) -> bool:
     """Zero lies in every ball and in the zero singleton."""
-    if s.kind == "ball":
-        return True
-    return is_zero(s.element)
+    return s.kind == "ball" or is_zero(s.element)
 
 
 def hyperset_contains(s: HyperSet, x: Elem) -> bool:
@@ -269,77 +284,42 @@ def hyperset_contains(s: HyperSet, x: Elem) -> bool:
         raise TypeError("element from a different hyperfield")
     if s.kind == "singleton":
         return x == s.element
-    if s.field in ("S", "K"):
+    sign, val = sign_val(x)
+    return sign == 0 or val >= s.threshold
+
+
+def admits_zero(terms, signed: bool) -> bool:
+    """Whether the hypersum of nonzero (sign, valuation) terms contains
+    zero: there are none, or the least valuation is reached with both
+    signs (signed) or by two terms (unsigned)."""
+    if not terms:
         return True
-    if is_zero(x):
-        return True
-    v = x.val if isinstance(x, (RT, TV)) else None
-    return v >= s.threshold
+    vstar = min(v for _, v in terms)
+    at_min = [s for s, v in terms if v == vstar]
+    return len(set(at_min)) == 2 if signed else len(at_min) > 1
 
 
 def hyper_sum(xs: Sequence[Elem]) -> HyperSet:
     """Iterated hypersum of a nonempty list of same-hyperfield elements.
 
-    For RT: with v* the least valuation among nonzero terms, the sum is
-    the zero singleton if there are no nonzero terms, the singleton
-    (s, v*) if every valuation-v* term has sign s, and the ball at v*
-    otherwise.  T is the sign-free analogue; S and K are the trivially
-    valued cases.
+    With v* the least valuation among the nonzero terms, read as RT
+    pairs, the sum is the zero singleton if there are no nonzero terms,
+    the ball at v* if those terms admit zero (both signs at v* in RT and
+    S, two terms at v* in T and K), and otherwise the one term at v*.
     """
     xs = list(xs)
     if not xs:
         raise ValueError("hypersum of an empty list is not defined")
     field = field_of(xs[0])
-    for x in xs[1:]:
-        if field_of(x) != field:
-            raise TypeError("hypersum over mixed hyperfields")
-
-    if field == "RT":
-        vstar: Val = INF
-        signs: set[int] = set()
-        for x in xs:
-            if x.sign == 0:
-                continue
-            if x.val < vstar:
-                vstar, signs = x.val, {x.sign}
-            elif x.val == vstar:
-                signs.add(x.sign)
-        if not signs:
-            return singleton(RT_ZERO)
-        if len(signs) == 1:
-            return singleton(RT(signs.pop(), vstar))
-        return ball("RT", vstar)
-
-    if field == "T":
-        vstar = INF
-        count = 0
-        for x in xs:
-            if x.is_zero:
-                continue
-            if x.val < vstar:
-                vstar, count = x.val, 1
-            elif x.val == vstar:
-                count += 1
-        if count == 0:
-            return singleton(TV_ZERO)
-        if count == 1:
-            return singleton(TV(vstar))
-        return ball("T", vstar)
-
-    if field == "S":
-        signs = {x for x in xs if x != 0}
-        if not signs:
-            return singleton(0)
-        if len(signs) == 1:
-            return singleton(signs.pop())
-        return ball("S")
-
-    ones = sum(1 for x in xs if x.value == 1)
-    if ones == 0:
-        return singleton(KV_ZERO)
-    if ones == 1:
-        return singleton(KV_ONE)
-    return ball("K")
+    if any(field_of(x) != field for x in xs[1:]):
+        raise TypeError("hypersum over mixed hyperfields")
+    terms = [p for p in map(sign_val, xs) if p[0]]
+    if not terms:
+        return singleton(zero_of(field))
+    sign, vstar = min(terms, key=lambda p: p[1])
+    if admits_zero(terms, field in ("RT", "S")):
+        return ball(field, vstar)
+    return singleton(from_sign_val(field, sign, vstar))
 
 
 def hyper_add(a: Elem, b: Elem) -> HyperSet:
@@ -362,52 +342,39 @@ def hyperset_add(A: HyperSet, B: HyperSet) -> HyperSet:
         A, B = B, A
     # A is a ball.
     if B.kind == "ball":
-        if A.field in ("S", "K"):
-            return A
         return ball(A.field, min(A.threshold, B.threshold))
-    x = B.element
-    if A.field in ("S", "K"):
-        return A
-    if is_zero(x) or x.val >= A.threshold:
-        return A
-    return singleton(x)
+    return A if hyperset_contains(A, B.element) else B
 
 
 # ---------------------------------------------------------------------------
 # Homomorphisms between the four hyperfields
+
+_TARGETS = {"abs": "T", "sgn": "S", "to-krasner": "K"}
+
 
 def pushmap(name: str, x: Elem) -> Elem:
     """Apply a named hyperfield homomorphism to an element.
 
     ``abs``: RT -> T drops the sign; ``sgn``: RT -> S drops the
     valuation; ``to-krasner``: any hyperfield -> K sends every nonzero
-    element to 1.
+    element to 1.  Each maps the RT pair of x into its target.
     """
-    if name == "abs":
-        if not isinstance(x, RT):
-            raise TypeError("abs expects an RT element")
-        return TV(x.val)
-    if name == "sgn":
-        if not isinstance(x, RT):
-            raise TypeError("sgn expects an RT element")
-        return x.sign
-    if name == "to-krasner":
-        field_of(x)
-        return KV_ZERO if is_zero(x) else KV_ONE
-    raise ValueError(f"unknown homomorphism {name!r}")
+    if name not in _TARGETS:
+        raise ValueError(f"unknown homomorphism {name!r}")
+    if name != "to-krasner" and not isinstance(x, RT):
+        raise TypeError(f"{name} expects an RT element")
+    return from_sign_val(_TARGETS[name], *sign_val(x))
 
 
 def pushmap_target(name: str) -> str:
-    return {"abs": "T", "sgn": "S", "to-krasner": "K"}[name]
+    return _TARGETS[name]
 
 
 def pushmap_set(name: str, s: HyperSet) -> HyperSet:
     """Image of a hyperset under a named homomorphism."""
     if s.kind == "singleton":
         return singleton(pushmap(name, s.element))
-    if name == "abs":
-        return ball("T", s.threshold)
-    return ball(pushmap_target(name))
+    return ball(pushmap_target(name), s.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +404,16 @@ SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
 CHAR_SIGNS = {"+": 1, "0": 0, "-": -1}
 
 
+def sign_from_json(obj) -> int:
+    """A sign read from JSON: a sign character or exactly the int -1, 0 or
+    1; bools and floats are rejected."""
+    if isinstance(obj, str) and obj in CHAR_SIGNS:
+        return CHAR_SIGNS[obj]
+    if type(obj) is int and obj in SIGN_CHARS:
+        return obj
+    raise ValueError(f"bad sign {obj!r}")
+
+
 def display_rt(x: RT, convention: str = "mult") -> str:
     """Render an RT value; ``mult`` gives the symbolic form +-e^{-v}."""
     if x.sign == 0:
@@ -460,8 +437,7 @@ def rt_from_json(obj) -> RT:
         sign, val = obj
     else:
         raise ValueError(f"cannot read RT value from {obj!r}")
-    s = CHAR_SIGNS[sign] if isinstance(sign, str) else int(sign)
-    return RT_ZERO if s == 0 else RT(s, parse_val(val) if isinstance(val, str) else val)
+    return from_sign_val("RT", sign_from_json(sign), val)
 
 
 def hyperset_to_json(s: HyperSet) -> dict:

@@ -22,6 +22,7 @@ from .hyperfields import (
     parse_val,
     rt_from_json,
     rt_to_json,
+    sign_from_json,
 )
 from .matroids import (
     CovectorPoset,
@@ -141,8 +142,10 @@ def _gp_value_from_json(obj, field: str):
     if field == "T":
         return TV(parse_val(obj) if isinstance(obj, str) else obj)
     if field == "S":
-        return CHAR_SIGNS[obj] if isinstance(obj, str) else int(obj)
-    return KV(int(obj))
+        return sign_from_json(obj)
+    if type(obj) is int and obj in (0, 1):
+        return KV(obj)
+    raise ValueError(f"bad Krasner value {obj!r}")
 
 
 def gp_to_json(gp: GrassmannPlucker) -> dict:
@@ -159,6 +162,8 @@ def gp_to_json(gp: GrassmannPlucker) -> dict:
 
 def gp_from_json(obj) -> GrassmannPlucker:
     field = obj["hyperfield"]
+    if field not in ("RT", "T", "S", "K"):
+        raise ValueError(f"unknown hyperfield {field!r}")
     values = {
         tuple(item["tuple"]): _gp_value_from_json(item["value"], field)
         for item in obj["values"]
@@ -252,7 +257,7 @@ def flag_from_json(obj) -> SignedFlag:
         FlagStep(
             _frac_vec_from_json(s["vector"]),
             parse_val(s["weight"]),
-            CHAR_SIGNS[s["region"]],
+            sign_from_json(s["region"]),
         )
         for s in obj["steps"]
     )

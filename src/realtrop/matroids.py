@@ -9,8 +9,9 @@ Grassmann-Plucker function, its bases, and its signed valuated circuits,
 which are read off the table one (rank+1)-subset at a time.
 
 The axiom checkers build no hyperfield values.  ``check_gp_relations``
-reads every value once as a (sign, int) pair, the valuations scaled to
-ints by the lcm of their denominators, and compares ints.
+reads every value once as an RT pair (``hyperfields.sign_val``), the
+valuations scaled to ints by the lcm of their denominators, and compares
+ints with ``hyperfields.admits_zero``.
 ``check_circuit_axioms`` holds each circuit the same way plus a support
 bitmask, and finds elimination candidates as ANDs of per-coordinate
 bitsets over circuit positions.
@@ -38,11 +39,14 @@ from .hyperfields import (
     CHAR_SIGNS,
     SIGN_CHARS,
     Elem,
+    admits_zero,
     field_of,
+    from_sign_val,
     hyper_neg,
     is_zero,
     pushmap,
     pushmap_target,
+    sign_val,
     zero_of,
 )
 from .puiseux import PuiseuxSeries, as_series, signed_det
@@ -170,6 +174,8 @@ class GrassmannPlucker:
                 raise ValueError(f"value keys must be strictly increasing, got {tup}")
             if len(tup) != self.rank:
                 raise ValueError("tuple length must equal rank")
+            if tup[0] < 0 or tup[-1] >= len(self.labels):
+                raise ValueError(f"value key {tup} is outside the ground set")
             if field_of(v) != self.hyperfield:
                 raise ValueError("value from the wrong hyperfield")
             vals[tup] = v
@@ -199,12 +205,9 @@ def gp_from_matrix(
     ground: GroundSet, target: str = "RT", tuple_cap: int = DEFAULT_PAIR_CAP
 ) -> GrassmannPlucker:
     """Signed valuations of maximal minors, pushed into the target hyperfield."""
-    table = _spanning_minor_table(ground, tuple_cap)
-    if target == "RT":
-        values = table
-    else:
-        hom = {"T": "abs", "S": "sgn", "K": "to-krasner"}[target]
-        values = {tup: pushmap(hom, sv) for tup, sv in table.items()}
+    values = _spanning_minor_table(ground, tuple_cap)
+    if target != "RT":
+        values = {tup: from_sign_val(target, *sign_val(sv)) for tup, sv in values.items()}
     return GrassmannPlucker(ground.height, ground.labels, target, values)
 
 
@@ -274,7 +277,7 @@ def check_gp_relations(
                 lefts.append((xk, -s if signed and k % 2 else s, v))
         for y, row in zip(ys, rights):
             terms = [(s * row[xk][0], v + row[xk][1]) for xk, s, v in lefts if row[xk][0]]
-            if not _admits_zero(terms, signed):
+            if not admits_zero(terms, signed):
                 return Report(
                     ok=False,
                     violations=({"relation": {"x": list(x), "y": list(y)}},),
@@ -283,35 +286,15 @@ def check_gp_relations(
 
 
 def _scaled_values(gp: GrassmannPlucker) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Every value of gp as (sign, valuation), the valuations scaled to ints
-    by the lcm of their denominators.  Zero is (0, 0); T and K values are
-    unsigned and get sign 1, S and K values valuation 0."""
-    field = gp.hyperfield
-    if field == "S":
-        return {t: (v, 0) for t, v in gp.values.items()}
-    if field == "K":
-        return {t: (v.value, 0) for t, v in gp.values.items()}
-    nonzero = {t: v for t, v in gp.values.items() if not is_zero(v)}
-    scale = math.lcm(1, *(v.val.denominator for v in nonzero.values()))
-    out = dict.fromkeys(gp.values, (0, 0))
-    for t, v in nonzero.items():
-        out[t] = (v.sign if field == "RT" else 1, _scaled(v.val, scale))
-    return out
+    """Every value of gp read as an RT pair (``sign_val``), the valuations
+    scaled to ints by the lcm of their denominators; zero is (0, 0)."""
+    pairs = {t: sign_val(v) for t, v in gp.values.items()}
+    scale = math.lcm(1, *(v.denominator for s, v in pairs.values() if s))
+    return {t: (s, _scaled(v, scale)) if s else (0, 0) for t, (s, v) in pairs.items()}
 
 
 def _scaled(val: Fraction, scale: int) -> int:
     return val.numerator * (scale // val.denominator)
-
-
-def _admits_zero(terms, signed: bool) -> bool:
-    """Whether the hypersum of nonzero (sign, valuation) terms contains
-    zero: there are none, or the least valuation is reached with both
-    signs (signed) or by two terms (unsigned)."""
-    if not terms:
-        return True
-    vstar = min(v for _, v in terms)
-    at_min = [s for s, v in terms if v == vstar]
-    return len(set(at_min)) == 2 if signed else len(at_min) > 1
 
 
 def pushforward_gp(
@@ -533,11 +516,7 @@ def cocircuits_from_gp(
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
     seen: set[SignVector] = set()
     for mu in itertools.combinations(range(m), r - 1):
-        entries = []
-        for e in range(m):
-            v = gp.value_on(mu + (e,))
-            entries.append(v if isinstance(v, int) else v.sign)
-        X = tuple(entries)
+        X = tuple(sign_val(gp.value_on(mu + (e,)))[0] for e in range(m))
         if any(X):
             seen.add(X)
             seen.add(tuple(-x for x in X))

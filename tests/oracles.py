@@ -27,10 +27,13 @@ library leaves to the per-step solve.  ``nullspace`` is the rational
 kernel of a matrix, by back substitution from the reduced row echelon
 form.
 
-``circuit_axioms_by_hypersums`` and ``gp_relations_by_hypersums`` check
-the circuit axioms and the exchange relations with the hyperfield
-operations, building every rescaled vector and every hypersum; the
-library compares (sign, int) pairs and bitmasks instead.
+The ``*_by_cases`` hyperfield operations branch on the element type, one
+case per hyperfield; the library reads every element as an RT pair and
+applies the one RT rule.  ``circuit_axioms_by_hypersums`` and
+``gp_relations_by_hypersums`` check the circuit axioms and the exchange
+relations with those per-field operations, building every rescaled vector
+and every hypersum; the library compares (sign, int) pairs and bitmasks
+with ``admits_zero`` instead.
 ``max_independent_by_subsets`` tries every subset, largest first, for
 the greedy rank witness of the library.  ``maximal_cones_by_scan`` tests
 every vector of the poset against every cone with ``leq_sv``; the library
@@ -44,22 +47,30 @@ from fractions import Fraction
 
 from realtrop import (
     INF,
+    KV,
     RT,
     RT_ZERO,
+    TV,
     CovectorPoset,
     DiagonalSeminorm,
     EnumerationCapError,
     RankDeficientError,
     Report,
     SignedCircuit,
-    contains_zero,
-    hyper_add,
-    hyper_div,
-    hyper_mul,
+    ball,
     hyper_neg,
-    hyper_sum,
-    hyperset_contains,
     linalg,
+    singleton,
+)
+from realtrop.hyperfields import (
+    KV_ONE,
+    KV_ZERO,
+    TV_ZERO,
+    Elem,
+    HyperSet,
+    Val,
+    field_of,
+    pushmap_target,
 )
 from realtrop.matroids import (
     DEFAULT_CLOSURE_CAP,
@@ -315,7 +326,8 @@ def flags_equivalent_by_chains(F, G) -> bool:
 
 def gp_relations_by_hypersums(gp, pair_cap: int = DEFAULT_PAIR_CAP) -> Report:
     """The three-term exchange relations, each alternating sum folded with
-    ``hyper_sum`` from ``value_on`` products; stops at the first failure."""
+    ``hyper_sum_by_cases`` from ``value_on`` products; stops at the first
+    failure."""
     m, r = len(gp), gp.rank
     npairs = _ncr(m, r + 1) * _ncr(m, r - 1)
     if npairs > pair_cap:
@@ -326,9 +338,9 @@ def gp_relations_by_hypersums(gp, pair_cap: int = DEFAULT_PAIR_CAP) -> Report:
             for k, xk in enumerate(x):
                 left = gp.value_on(x[:k] + x[k + 1 :])
                 right = gp.value_on((xk,) + y)
-                t = hyper_mul(left, right)
-                terms.append(hyper_neg(t) if k % 2 else t)
-            if not contains_zero(hyper_sum(terms)):
+                t = hyper_mul_by_cases(left, right)
+                terms.append(hyper_neg_by_cases(t) if k % 2 else t)
+            if not contains_zero_by_cases(hyper_sum_by_cases(terms)):
                 return Report(
                     ok=False,
                     violations=({"relation": {"x": list(x), "y": list(y)}},),
@@ -338,8 +350,9 @@ def gp_relations_by_hypersums(gp, pair_cap: int = DEFAULT_PAIR_CAP) -> Report:
 
 def circuit_axioms_by_hypersums(circuits) -> Report:
     """C0-C3 with RT values: every rescaled circuit is built with
-    ``hyper_div``/``hyper_mul`` and every entry tested against
-    ``hyper_add``; the rank witness by ``max_independent_by_subsets``."""
+    ``hyper_div_by_cases``/``hyper_mul_by_cases`` and every entry tested
+    against their hypersum; the rank witness by
+    ``max_independent_by_subsets``."""
     circuits = tuple(circuits)
     violations: list[dict] = []
     if not circuits:
@@ -362,7 +375,7 @@ def circuit_axioms_by_hypersums(circuits) -> Report:
     for i, j in itertools.permutations(range(len(circuits)), 2):
         a, b = circuits[i], circuits[j]
         for e in sorted(set(a.support) & set(b.support)):
-            beta = hyper_div(hyper_neg(a.entries[e]), b.entries[e])
+            beta = hyper_div_by_cases(hyper_neg_by_cases(a.entries[e]), b.entries[e])
             cprime = _scaled_by(beta, b.entries)
             for f in range(m):
                 if a.entries[f].val < cprime[f].val:
@@ -374,14 +387,14 @@ def circuit_axioms_by_hypersums(circuits) -> Report:
 
 
 def _scaled_by(alpha, entries):
-    return tuple(hyper_mul(alpha, x) for x in entries)
+    return tuple(hyper_mul_by_cases(alpha, x) for x in entries)
 
 
 def _eliminate(circuits, A, Cp, e: int, f: int) -> bool:
     for d in circuits:
         if d.entries[e].sign != 0 or d.entries[f].sign == 0:
             continue
-        cand = _scaled_by(hyper_div(A[f], d.entries[f]), d.entries)
+        cand = _scaled_by(hyper_div_by_cases(A[f], d.entries[f]), d.entries)
         if all(_elim_entry_ok(cand[g], A[g], Cp[g]) for g in range(len(A))):
             return True
     return False
@@ -391,7 +404,7 @@ def _elim_entry_ok(cg, ag, bg) -> bool:
     comp = ag if ag.val <= bg.val else bg
     if cg.val > comp.val:
         return True
-    return hyperset_contains(hyper_add(ag, bg), cg)
+    return hyperset_contains_by_cases(hyper_sum_by_cases([ag, bg]), cg)
 
 
 def max_independent_by_subsets(m: int, supports) -> int:
@@ -423,3 +436,193 @@ def maximal_cones_by_scan(fan) -> tuple[tuple[int, ...], ...]:
         return False
 
     return tuple(c for c in fan.cones if not extendable(c))
+
+
+# ---------------------------------------------------------------------------
+# Hyperfield operations, one case per hyperfield
+
+
+def is_zero_by_cases(x: Elem) -> bool:
+    return x == 0 if isinstance(x, int) else x.is_zero
+
+
+def contains_zero_by_cases(s: HyperSet) -> bool:
+    """Zero lies in every ball and in the zero singleton."""
+    if s.kind == "ball":
+        return True
+    return is_zero_by_cases(s.element)
+
+
+def hyper_mul_by_cases(a: Elem, b: Elem) -> Elem:
+    """Hyperfield product.  Zero is absorbing; signs multiply, valuations add."""
+    if isinstance(a, RT) and isinstance(b, RT):
+        if a.sign == 0 or b.sign == 0:
+            return RT_ZERO
+        return RT(a.sign * b.sign, a.val + b.val)
+    if isinstance(a, TV) and isinstance(b, TV):
+        return TV(a.val + b.val) if not (a.is_zero or b.is_zero) else TV_ZERO
+    if isinstance(a, KV) and isinstance(b, KV):
+        return KV(a.value * b.value)
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b
+    raise TypeError(f"mixed hyperfield product: {a!r} * {b!r}")
+
+
+def hyper_neg_by_cases(x: Elem) -> Elem:
+    """Additive inverse.  In T and K, -x = x."""
+    if isinstance(x, RT):
+        return -x
+    if isinstance(x, int):
+        return -x
+    return x
+
+
+def hyper_div_by_cases(a: Elem, b: Elem) -> Elem:
+    """Quotient a/b for nonzero b (signs divide, valuations subtract)."""
+    if is_zero_by_cases(b):
+        raise ZeroDivisionError("hyperfield division by zero")
+    if isinstance(a, RT) and isinstance(b, RT):
+        if a.sign == 0:
+            return RT_ZERO
+        return RT(a.sign * b.sign, a.val - b.val)
+    if isinstance(a, TV) and isinstance(b, TV):
+        return TV_ZERO if a.is_zero else TV(a.val - b.val)
+    if isinstance(a, KV) and isinstance(b, KV):
+        return a
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b
+    raise TypeError(f"mixed hyperfield quotient: {a!r} / {b!r}")
+
+
+def hyperset_contains_by_cases(s: HyperSet, x: Elem) -> bool:
+    if field_of(x) != s.field:
+        raise TypeError("element from a different hyperfield")
+    if s.kind == "singleton":
+        return x == s.element
+    if s.field in ("S", "K"):
+        return True
+    if is_zero_by_cases(x):
+        return True
+    v = x.val if isinstance(x, (RT, TV)) else None
+    return v >= s.threshold
+
+
+def hyper_sum_by_cases(xs) -> HyperSet:
+    """Iterated hypersum of a nonempty list of same-hyperfield elements.
+
+    For RT: with v* the least valuation among nonzero terms, the sum is
+    the zero singleton if there are no nonzero terms, the singleton
+    (s, v*) if every valuation-v* term has sign s, and the ball at v*
+    otherwise.  T is the sign-free analogue; S and K are the trivially
+    valued cases.
+    """
+    xs = list(xs)
+    if not xs:
+        raise ValueError("hypersum of an empty list is not defined")
+    field = field_of(xs[0])
+    for x in xs[1:]:
+        if field_of(x) != field:
+            raise TypeError("hypersum over mixed hyperfields")
+
+    if field == "RT":
+        vstar: Val = INF
+        signs: set[int] = set()
+        for x in xs:
+            if x.sign == 0:
+                continue
+            if x.val < vstar:
+                vstar, signs = x.val, {x.sign}
+            elif x.val == vstar:
+                signs.add(x.sign)
+        if not signs:
+            return singleton(RT_ZERO)
+        if len(signs) == 1:
+            return singleton(RT(signs.pop(), vstar))
+        return ball("RT", vstar)
+
+    if field == "T":
+        vstar = INF
+        count = 0
+        for x in xs:
+            if x.is_zero:
+                continue
+            if x.val < vstar:
+                vstar, count = x.val, 1
+            elif x.val == vstar:
+                count += 1
+        if count == 0:
+            return singleton(TV_ZERO)
+        if count == 1:
+            return singleton(TV(vstar))
+        return ball("T", vstar)
+
+    if field == "S":
+        signs = {x for x in xs if x != 0}
+        if not signs:
+            return singleton(0)
+        if len(signs) == 1:
+            return singleton(signs.pop())
+        return ball("S")
+
+    ones = sum(1 for x in xs if x.value == 1)
+    if ones == 0:
+        return singleton(KV_ZERO)
+    if ones == 1:
+        return singleton(KV_ONE)
+    return ball("K")
+
+
+def hyperset_add_by_cases(A: HyperSet, B: HyperSet) -> HyperSet:
+    """Elementwise sum of two hypersets (used to fold sums pairwise).
+
+    The union over a in A, b in B of a + b again has the singleton/ball
+    form; this closure is what makes iterated hypersums well defined
+    independently of association order.
+    """
+    if A.field != B.field:
+        raise TypeError("hypersets over different hyperfields")
+    if A.kind == "singleton" and B.kind == "singleton":
+        return hyper_sum_by_cases([A.element, B.element])
+    if A.kind == "singleton":
+        A, B = B, A
+    # A is a ball.
+    if B.kind == "ball":
+        if A.field in ("S", "K"):
+            return A
+        return ball(A.field, min(A.threshold, B.threshold))
+    x = B.element
+    if A.field in ("S", "K"):
+        return A
+    if is_zero_by_cases(x) or x.val >= A.threshold:
+        return A
+    return singleton(x)
+
+
+def pushmap_by_cases(name: str, x: Elem) -> Elem:
+    """Apply a named hyperfield homomorphism to an element.
+
+    ``abs``: RT -> T drops the sign; ``sgn``: RT -> S drops the
+    valuation; ``to-krasner``: any hyperfield -> K sends every nonzero
+    element to 1.
+    """
+    if name == "abs":
+        if not isinstance(x, RT):
+            raise TypeError("abs expects an RT element")
+        return TV(x.val)
+    if name == "sgn":
+        if not isinstance(x, RT):
+            raise TypeError("sgn expects an RT element")
+        return x.sign
+    if name == "to-krasner":
+        field_of(x)
+        return KV_ZERO if is_zero_by_cases(x) else KV_ONE
+    raise ValueError(f"unknown homomorphism {name!r}")
+
+
+def pushmap_set_by_cases(name: str, s: HyperSet) -> HyperSet:
+    """Image of a hyperset under a named homomorphism."""
+    if s.kind == "singleton":
+        return singleton(pushmap_by_cases(name, s.element))
+    if name == "abs":
+        return ball("T", s.threshold)
+    return ball(pushmap_target(name))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from realtrop import (
     ball,
     contains_zero,
     hyper_add,
+    hyper_div,
     hyper_mul,
     hyper_neg,
     hyper_sum,
@@ -24,13 +26,19 @@ from realtrop import (
     singleton,
 )
 from realtrop.hyperfields import (
+    admits_zero,
     as_val,
     display_rt,
+    from_sign_val,
     hyperset_to_json,
     pushmap_set,
     rt_from_json,
     rt_to_json,
+    sign_from_json,
+    sign_val,
 )
+
+import oracles
 
 GRID = [RT_ZERO] + [RT(s, v) for s in (1, -1) for v in (0, 1, 2)]
 GRID_SETS = [singleton(x) for x in GRID] + [ball("RT", v) for v in (0, 1, 2, INF)]
@@ -235,3 +243,134 @@ def test_valuations_rejected(given):
     for build in (as_val, TV, lambda x: RT(1, x), lambda x: RT(0, x)):
         with pytest.raises(TypeError, match=message):
             build(given)
+
+
+# -- the RT-pair rule against the per-field cases ---------------------------
+
+HALVES = [Fraction(k, 2) for k in (-1, 0, 1, 2)]
+FIELD_GRIDS = {
+    "RT": [RT_ZERO] + [RT(s, v) for s in (1, -1) for v in HALVES],
+    "T": [TV(INF)] + [TV(v) for v in HALVES],
+    "S": [-1, 0, 1],
+    "K": [KV(0), KV(1)],
+}
+ALL_ELEMENTS = [x for grid in FIELD_GRIDS.values() for x in grid]
+FIELD_SETS = {
+    field: [singleton(x) for x in grid] + [ball(field, v) for v in HALVES + [INF]]
+    for field, grid in FIELD_GRIDS.items()
+}
+ALL_SETS = [s for sets in FIELD_SETS.values() for s in sets]
+
+
+def outcome(fn, *args):
+    """The result with its type, or the type of the exception raised."""
+    try:
+        result = fn(*args)
+    except (TypeError, ValueError, ZeroDivisionError, KeyError) as exc:
+        return type(exc)
+    return type(result), result
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        (hyper_mul, oracles.hyper_mul_by_cases),
+        (hyper_div, oracles.hyper_div_by_cases),
+        (hyper_add, lambda a, b: oracles.hyper_sum_by_cases([a, b])),
+    ],
+    ids=["mul", "div", "add"],
+)
+def test_binary_ops_match_per_field_cases(ops):
+    fast, slow = ops
+    for a in ALL_ELEMENTS:
+        for b in ALL_ELEMENTS:
+            assert outcome(fast, a, b) == outcome(slow, a, b), (a, b)
+
+
+def test_neg_matches_per_field_cases():
+    for x in ALL_ELEMENTS:
+        assert outcome(hyper_neg, x) == outcome(oracles.hyper_neg_by_cases, x)
+
+
+def test_sum_matches_per_field_cases():
+    for grid in FIELD_GRIDS.values():
+        for n in (0, 1, 2, 3):
+            for xs in itertools.product(grid, repeat=n):
+                assert outcome(hyper_sum, xs) == outcome(oracles.hyper_sum_by_cases, xs), xs
+    for a, b in itertools.combinations([RT_ZERO, TV(1), 1, KV(1)], 2):
+        assert outcome(hyper_sum, [a, b]) == outcome(oracles.hyper_sum_by_cases, [a, b]) == TypeError
+
+
+def test_hyperset_ops_match_per_field_cases():
+    for A in ALL_SETS:
+        for B in ALL_SETS:
+            assert outcome(hyperset_add, A, B) == outcome(oracles.hyperset_add_by_cases, A, B)
+        for x in ALL_ELEMENTS:
+            assert outcome(hyperset_contains, A, x) == outcome(
+                oracles.hyperset_contains_by_cases, A, x
+            )
+        assert contains_zero(A) == oracles.contains_zero_by_cases(A)
+
+
+def test_homomorphisms_match_per_field_cases():
+    for name in ("abs", "sgn", "to-krasner", "exp"):
+        for x in ALL_ELEMENTS:
+            assert outcome(pushmap, name, x) == outcome(oracles.pushmap_by_cases, name, x)
+    valid = {"abs": ["RT"], "sgn": ["RT"], "to-krasner": list(FIELD_SETS)}
+    for name, fields in valid.items():
+        for field in fields:
+            for s in FIELD_SETS[field]:
+                assert outcome(pushmap_set, name, s) == outcome(
+                    oracles.pushmap_set_by_cases, name, s
+                )
+
+
+def test_pairs_round_trip_in_every_field():
+    for field, grid in FIELD_GRIDS.items():
+        for x in grid:
+            assert from_sign_val(field, *sign_val(x)) == x
+    assert sign_val(TV(INF)) == sign_val(KV(0)) == sign_val(0) == (0, INF)
+    assert sign_val(TV(2)) == (1, 2) and sign_val(-1) == (-1, 0) and sign_val(KV(1)) == (1, 0)
+    assert admits_zero([], signed=True) and admits_zero([(1, 0), (1, 0)], signed=False)
+    assert not admits_zero([(1, 0), (1, 0)], signed=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hyper_mul(2, 3),
+        lambda: hyper_div(2, 3),
+        lambda: hyper_neg(5),
+        lambda: hyper_neg("x"),
+        lambda: hyper_sum([2, 3]),
+    ],
+    ids=["mul", "div", "neg-int", "neg-str", "sum"],
+)
+def test_non_elements_are_rejected(call):
+    with pytest.raises(TypeError, match="^not a hyperfield element: "):
+        call()
+
+
+# -- signs at the JSON boundary --------------------------------------------
+
+
+@pytest.mark.parametrize("given, expected", [("+", 1), ("-", -1), ("0", 0), (1, 1), (-1, -1), (0, 0)])
+def test_sign_decoder_accepts_chars_and_unit_ints(given, expected):
+    assert sign_from_json(given) == expected
+
+
+@pytest.mark.parametrize("given", [True, False, 1.0, -0.5, 1.7, 2, "x", "++", None])
+def test_sign_decoder_rejects_everything_else(given):
+    with pytest.raises(ValueError, match=f"^bad sign {re.escape(repr(given))}$"):
+        sign_from_json(given)
+
+
+@pytest.mark.parametrize("obj", [[-0.5, "1"], [1.7, "0"], [True, "0"], ["?", "0"], {"sign": "p", "val": "1"}])
+def test_rt_from_json_rejects_bad_signs(obj):
+    with pytest.raises(ValueError, match="^bad sign "):
+        rt_from_json(obj)
+
+
+def test_rt_from_json_accepts_int_signs():
+    assert rt_from_json([-1, "1/2"]) == RT(-1, Fraction(1, 2))
+    assert rt_from_json({"sign": 0, "val": "inf"}) == RT_ZERO

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,21 @@ def test_gp_alternating():
 def test_gp_rank_deficient_rejected():
     with pytest.raises(RankDeficientError):
         gp_from_matrix(ground_from_matrix([[1, 2], [2, 4]]))
+
+
+@pytest.mark.parametrize("key", [(0, 5), (-1, 0)])
+def test_gp_keys_outside_the_ground_set_rejected(key):
+    with pytest.raises(ValueError, match=re.escape(f"value key {key} is outside the ground set")):
+        GrassmannPlucker(2, (0, 1, 2), "S", {key: 1})
+
+
+def test_gp_pushes_into_every_field_from_the_one_table():
+    emb = random_embedding(random.Random(7), 2, 4)
+    table = gp_from_matrix(emb.ground()).values
+    assert all(v is emb.minor_table[t] for t, v in table.items())
+    for target, hom in (("T", "abs"), ("S", "sgn"), ("K", "to-krasner")):
+        pushed = gp_from_matrix(emb.ground(), target=target).values
+        assert pushed == {t: pushmap(hom, v) for t, v in table.items()}
 
 
 def test_one_minor_table_per_embedding(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from realtrop import (
     RT,
     RT_ZERO,
+    TV,
     BergmanFan,
     GroundSet,
     LinearEmbedding,
@@ -27,7 +28,12 @@ from realtrop import (
 from realtrop.matroids import CovectorPoset, circuits_from_matrix
 
 from helpers import normalized_grid, random_embedding, random_full_rank_ground
-from oracles import maximal_cones_by_scan
+from oracles import (
+    contains_zero_by_cases,
+    hyper_mul_by_cases,
+    hyper_sum_by_cases,
+    maximal_cones_by_scan,
+)
 
 LINE = LinearEmbedding.from_matrix([[1, 0, 1], [0, 1, 1]])
 LINE_CIRCUIT = circuits_from_matrix(LINE.ground())[0]
@@ -190,6 +196,15 @@ def test_unsigned_compatibility():
         y = trop_r_point(emb.apply(x))
         for c in emb.circuits:
             assert unsigned_hyperplane_member(y, c)
+
+
+def test_unsigned_membership_matches_tropical_hypersum():
+    # the least valuation of the products in T repeats, folded per field
+    for y in normalized_grid(3, vals=(0, 1)):
+        for c in (LINE_CIRCUIT.entries, (rt(1, 1), RT_ZERO, rt(-1, 0))):
+            prods = [hyper_mul_by_cases(TV(a.val), TV(b.val)) for a, b in zip(y.coords, c)]
+            expected = contains_zero_by_cases(hyper_sum_by_cases(prods))
+            assert unsigned_hyperplane_member(y, c) == expected
 
 
 def test_unsigned_membership_checks_lengths():
