@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import jsonio
-from .hyperfields import SIGN_CHARS, display_rt, format_val, rt_to_json
 from .matroids import (
     check_covector_axioms,
     check_gp_relations,
@@ -77,19 +76,12 @@ def _load_matrix(arg: str):
 
 def _load_point(arg: str):
     obj = _load(arg)
-    if isinstance(obj, str):
-        parsed = jsonio.parse_point_literal(obj)
-        if isinstance(parsed, ProjPoint):
-            return parsed
-        return trop_r_point(parsed)
-    return jsonio.point_from_json(obj)
+    pt = jsonio.parse_point_literal(obj) if isinstance(obj, str) else jsonio.point_from_json(obj)
+    return pt if isinstance(pt, ProjPoint) else trop_r_point(pt)
 
 
 def _load_vector(arg: str):
-    obj = _load(arg)
-    if isinstance(obj, str):
-        return tuple(parse_puiseux(chunk) for chunk in obj.split(","))
-    return jsonio.vector_from_json(obj)
+    return jsonio.vector_from_json(_load(arg))
 
 
 def _report_json(report) -> dict:
@@ -158,8 +150,7 @@ def _cmd_seminorm(args) -> dict:
     s = jsonio.seminorm_from_json(_load(args.inputs[0]))
     if action == "eval":
         vec = _load_vector(args.inputs[1])
-        v = s.value(vec)
-        return {"value": rt_to_json(v), "display": display_rt(v, args.convention)}
+        return jsonio.displayed_to_json(s.value(vec), args.convention)
     if action == "project":
         emb = LinearEmbedding.from_matrix(_load_matrix(args.inputs[1]))
         return {"point": jsonio.point_to_json(project_point(s, emb), args.convention)}
@@ -174,11 +165,10 @@ def _cmd_seminorm(args) -> dict:
             tuple(as_series(1 if i == j else 0) for i in range(s.dim))
             for j in range(s.dim)
         ]
-        out = {
-            "abs_on_duals": [format_val(image.value(f).val) for f in duals],
+        return {
+            "abs_on_duals": [jsonio.value_to_json(image.value(f)) for f in duals],
             "flag": jsonio.unsigned_flag_to_json(image.flag) if image.flag else None,
         }
-        return out
     raise ValueError(f"unknown seminorm action {action!r}")
 
 
@@ -188,11 +178,7 @@ def _cmd_limit(args) -> dict:
     if probes:
         values = reconstruct_from_family(fam, probes)
         out["table"] = [
-            {
-                "probe": jsonio.vector_to_json(p),
-                "value": rt_to_json(v),
-                "display": display_rt(v, args.convention),
-            }
+            {"probe": jsonio.vector_to_json(p), **jsonio.displayed_to_json(v, args.convention)}
             for p, v in zip(probes, values)
         ]
     return out
@@ -200,7 +186,7 @@ def _cmd_limit(args) -> dict:
 
 def _cmd_fixture(args) -> dict:
     sign = nondiag_fixture(parse_puiseux(args.x), parse_puiseux(args.y))
-    return {"sign": SIGN_CHARS[sign]}
+    return {"sign": jsonio.value_to_json(sign)}
 
 
 # -- parser ---------------------------------------------------------------------

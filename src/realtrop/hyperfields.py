@@ -16,6 +16,8 @@ element reads as an RT pair (``sign_val``) and every pair maps back into
 a field (``from_sign_val``).  Products, quotients, negation, hypersums,
 hyperset membership and the homomorphisms are each the one RT rule on
 pairs, and ``admits_zero`` is the one rule for a hypersum containing zero.
+This module is algebra and text only; the JSON forms of these values
+live in ``jsonio``.
 """
 
 from __future__ import annotations
@@ -404,16 +406,6 @@ SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
 CHAR_SIGNS = {"+": 1, "0": 0, "-": -1}
 
 
-def sign_from_json(obj) -> int:
-    """A sign read from JSON: a sign character or exactly the int -1, 0 or
-    1; bools and floats are rejected."""
-    if isinstance(obj, str) and obj in CHAR_SIGNS:
-        return CHAR_SIGNS[obj]
-    if type(obj) is int and obj in SIGN_CHARS:
-        return obj
-    raise ValueError(f"bad sign {obj!r}")
-
-
 def display_rt(x: RT, convention: str = "mult") -> str:
     """Render an RT value; ``mult`` gives the symbolic form +-e^{-v}."""
     if x.sign == 0:
@@ -425,32 +417,3 @@ def display_rt(x: RT, convention: str = "mult") -> str:
         return f"{s}1"
     return f"{s}e^{{{-x.val}}}"
 
-
-def rt_to_json(x: RT) -> dict:
-    return {"sign": SIGN_CHARS[x.sign], "val": format_val(x.val)}
-
-
-def rt_from_json(obj) -> RT:
-    if isinstance(obj, dict):
-        sign, val = obj["sign"], obj["val"]
-    elif isinstance(obj, (list, tuple)) and len(obj) == 2:
-        sign, val = obj
-    else:
-        raise ValueError(f"cannot read RT value from {obj!r}")
-    return from_sign_val("RT", sign_from_json(sign), val)
-
-
-def hyperset_to_json(s: HyperSet) -> dict:
-    if s.kind == "ball":
-        return {"kind": "ball", "field": s.field, "val": format_val(s.threshold)}
-    out = {"kind": "singleton", "field": s.field}
-    x = s.element
-    if s.field == "RT":
-        out["value"] = rt_to_json(x)
-    elif s.field == "T":
-        out["value"] = format_val(x.val)
-    elif s.field == "S":
-        out["value"] = SIGN_CHARS[x]
-    else:
-        out["value"] = x.value
-    return out

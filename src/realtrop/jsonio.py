@@ -1,9 +1,11 @@
-"""JSON encodings for every value the command line reads or writes.
-
-All matrices are row-major lists of series literals.  Seminorm bases are
-lists of basis vectors (one list per vector).  Real tropical values use
-{"sign": "+"|"-"|"0", "val": "p/q"|"inf"}; circuit entries use the
-compact ["+", "0"] pair form.  Decoders accept both forms.
+"""JSON encodings for every value the command line reads or writes; the
+one home of the JSON forms of signs, valuations and hyperfield elements.
+A sign is "+", "-", "0" or exactly the int -1, 0 or 1; a valuation is a
+string read by ``parse_val`` ("p/q", "inf") or exactly an int; bools and
+floats are rejected.  RT values are {"sign", "val"} (decoders also read
+[sign, val]; sign 0 pairs only with "inf"), T values valuation strings,
+S values sign characters and K values the ints 0 and 1.  Matrices and
+vectors are lists of series literals; circuit entries are pairs.
 """
 
 from __future__ import annotations
@@ -11,18 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hyperfields import (
-    INF,
     KV,
     RT,
     TV,
     CHAR_SIGNS,
     SIGN_CHARS,
+    Val,
     display_rt,
+    field_of,
     format_val,
     parse_val,
-    rt_from_json,
-    rt_to_json,
-    sign_from_json,
+    sign_val,
 )
 from .matroids import (
     CovectorPoset,
@@ -44,6 +45,64 @@ from .seminorms import (
 from .tropical import BergmanFan, LinearEmbedding, ProjPoint
 
 
+# -- signs, valuations and hyperfield elements -------------------------------
+
+
+def sign_from_json(obj) -> int:
+    """A sign read from JSON: a sign character or exactly the int -1, 0 or
+    1; bools and floats are rejected."""
+    if isinstance(obj, str) and obj in CHAR_SIGNS:
+        return CHAR_SIGNS[obj]
+    if type(obj) is int and obj in SIGN_CHARS:
+        return obj
+    raise ValueError(f"bad sign {obj!r}")
+
+
+def val_from_json(obj) -> Val:
+    """A valuation read from JSON: a string read by ``parse_val`` or
+    exactly an int; bools and floats are rejected."""
+    if isinstance(obj, str):
+        return parse_val(obj)
+    if type(obj) is int:
+        return Fraction(obj)
+    raise ValueError(f"bad valuation {obj!r}")
+
+
+def value_to_json(x):
+    """A hyperfield element as JSON: RT as {"sign", "val"}, T as its
+    valuation string, S as a sign character and K as 0 or 1."""
+    sign, val = sign_val(x)
+    field = field_of(x)
+    if field == "RT":
+        return {"sign": SIGN_CHARS[sign], "val": format_val(val)}
+    if field == "T":
+        return format_val(val)
+    return SIGN_CHARS[sign] if field == "S" else sign
+
+
+def value_from_json(obj, field: str):
+    """The element of ``field`` that ``value_to_json`` wrote as ``obj``;
+    RT also reads the pair [sign, val]."""
+    if field == "RT":
+        if isinstance(obj, dict):
+            obj = obj["sign"], obj["val"]
+        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+            raise ValueError(f"cannot read RT value from {obj!r}")
+        return RT(sign_from_json(obj[0]), val_from_json(obj[1]))
+    if field == "T":
+        return TV(val_from_json(obj))
+    if field == "S":
+        return sign_from_json(obj)
+    if type(obj) is int and obj in (0, 1):
+        return KV(obj)
+    raise ValueError(f"bad Krasner value {obj!r}")
+
+
+def displayed_to_json(x: RT, convention: str = "mult") -> dict:
+    """An RT value with its rendering in ``convention``."""
+    return {"value": value_to_json(x), "display": display_rt(x, convention)}
+
+
 # -- matrices and vectors ----------------------------------------------------
 
 
@@ -54,6 +113,9 @@ def matrix_from_json(obj) -> list[list[PuiseuxSeries]]:
 
 
 def vector_from_json(obj) -> tuple[PuiseuxSeries, ...]:
+    """A list of literals, or one comma-separated string ("1,t,-1+t")."""
+    if isinstance(obj, str):
+        return tuple(parse_puiseux(chunk) for chunk in obj.split(","))
     if not isinstance(obj, list):
         raise ValueError("expected a vector as a list of literals")
     return tuple(as_series(x) for x in obj)
@@ -68,11 +130,7 @@ def embedding_from_json(obj) -> LinearEmbedding:
 
 
 def embedding_to_json(emb: LinearEmbedding) -> list:
-    height = emb.height
-    return [
-        [format_series(emb.columns[j][i]) for j in range(len(emb))]
-        for i in range(height)
-    ]
+    return [[format_series(col[i]) for col in emb.columns] for i in range(emb.height)]
 
 
 # -- points -------------------------------------------------------------------
@@ -80,24 +138,22 @@ def embedding_to_json(emb: LinearEmbedding) -> list:
 
 def parse_point_literal(text: str):
     """Either sign:valuation pairs ("+:0,-:1/2,0:inf") yielding a tropical
-    point, or a comma-separated series vector still to be tropicalized."""
+    point, or a comma-separated series vector still to be tropicalized.
+    A bare "+" or "-" has valuation 0 and a bare "0" is zero."""
     text = text.strip()
-    if ":" in text:
-        coords = []
-        for chunk in text.split(","):
-            sign_s, _, val_s = chunk.strip().partition(":")
-            if sign_s not in CHAR_SIGNS:
-                raise ValueError(f"bad sign {sign_s!r} in point literal")
-            sign = CHAR_SIGNS[sign_s]
-            val = parse_val(val_s) if val_s else Fraction(0)
-            coords.append(RT(sign, INF if sign == 0 else val))
-        return ProjPoint(tuple(coords))
-    return tuple(parse_puiseux(chunk) for chunk in text.split(","))
+    if ":" not in text:
+        return vector_from_json(text)
+    coords = []
+    for chunk in text.split(","):
+        sign, _, val = chunk.strip().partition(":")
+        val = val or ("inf" if sign == "0" else "0")
+        coords.append(value_from_json([sign, val], "RT"))
+    return ProjPoint(tuple(coords))
 
 
 def point_to_json(pt: ProjPoint, convention: str = "mult") -> dict:
     return {
-        "coords": [rt_to_json(x) for x in pt.coords],
+        "coords": [value_to_json(x) for x in pt.coords],
         "display": [display_rt(x, convention) for x in pt.coords],
     }
 
@@ -109,43 +165,18 @@ def point_from_json(obj) -> ProjPoint:
             raise ValueError("point literal must use sign:valuation pairs")
         return pt
     coords = obj["coords"] if isinstance(obj, dict) else obj
-    return ProjPoint(tuple(rt_from_json(c) for c in coords))
+    return ProjPoint(tuple(value_from_json(c, "RT") for c in coords))
 
 
 # -- circuits ------------------------------------------------------------------
 
 
-def circuit_entry_to_json(x: RT) -> list:
-    return [SIGN_CHARS[x.sign], format_val(x.val)]
-
-
 def circuits_to_json(circuits) -> list:
-    return [[circuit_entry_to_json(x) for x in c.entries] for c in circuits]
+    """Each entry in the compact pair form ["+", "0"]."""
+    return [[[SIGN_CHARS[x.sign], format_val(x.val)] for x in c.entries] for c in circuits]
 
 
 # -- Grassmann-Plucker functions ------------------------------------------------
-
-
-def _gp_value_to_json(v, field: str):
-    if field == "RT":
-        return rt_to_json(v)
-    if field == "T":
-        return format_val(v.val)
-    if field == "S":
-        return SIGN_CHARS[v]
-    return v.value
-
-
-def _gp_value_from_json(obj, field: str):
-    if field == "RT":
-        return rt_from_json(obj)
-    if field == "T":
-        return TV(parse_val(obj) if isinstance(obj, str) else obj)
-    if field == "S":
-        return sign_from_json(obj)
-    if type(obj) is int and obj in (0, 1):
-        return KV(obj)
-    raise ValueError(f"bad Krasner value {obj!r}")
 
 
 def gp_to_json(gp: GrassmannPlucker) -> dict:
@@ -154,21 +185,28 @@ def gp_to_json(gp: GrassmannPlucker) -> dict:
         "ground": list(gp.labels),
         "hyperfield": gp.hyperfield,
         "values": [
-            {"tuple": list(t), "value": _gp_value_to_json(v, gp.hyperfield)}
+            {"tuple": list(t), "value": value_to_json(v)}
             for t, v in sorted(gp.values.items())
         ],
     }
 
 
 def gp_from_json(obj) -> GrassmannPlucker:
+    """Repeated ground labels and repeated tuples are rejected."""
     field = obj["hyperfield"]
     if field not in ("RT", "T", "S", "K"):
         raise ValueError(f"unknown hyperfield {field!r}")
-    values = {
-        tuple(item["tuple"]): _gp_value_from_json(item["value"], field)
-        for item in obj["values"]
-    }
-    return GrassmannPlucker(obj["rank"], tuple(obj["ground"]), field, values)
+    labels = tuple(obj["ground"])
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"repeated ground label {label!r}")
+    values = {}
+    for item in obj["values"]:
+        tup = tuple(item["tuple"])
+        if tup in values:
+            raise ValueError(f"repeated tuple {tup}")
+        values[tup] = value_from_json(item["value"], field)
+    return GrassmannPlucker(obj["rank"], labels, field, values)
 
 
 # -- covector posets and fans ----------------------------------------------------
@@ -219,7 +257,7 @@ def seminorm_from_json(obj) -> SeminormExpr:
     kind = obj.get("kind")
     if kind == "leaf":
         basis = tuple(tuple(as_series(x) for x in col) for col in obj["basis"])
-        weights = tuple(parse_val(w) if isinstance(w, str) else w for w in obj["c"])
+        weights = tuple(val_from_json(w) for w in obj["c"])
         return DiagonalSeminorm(basis, weights)
     if kind == "compose":
         return compose(seminorm_from_json(obj["left"]), seminorm_from_json(obj["right"]))
@@ -244,7 +282,7 @@ def flag_to_json(flag: SignedFlag) -> dict:
             {
                 "vector": _frac_vec_to_json(s.vector),
                 "weight": format_val(s.weight),
-                "region": SIGN_CHARS[s.region],
+                "region": value_to_json(s.region),
             }
             for s in flag.steps
         ],
@@ -256,7 +294,7 @@ def flag_from_json(obj) -> SignedFlag:
     steps = tuple(
         FlagStep(
             _frac_vec_from_json(s["vector"]),
-            parse_val(s["weight"]),
+            val_from_json(s["weight"]),
             sign_from_json(s["region"]),
         )
         for s in obj["steps"]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +205,17 @@ def test_entry_point_runs_as_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["circuits"]
+
+
+BENCH_CLI = Path(__file__).resolve().parents[1] / "bench" / "cli"
+GOLDEN_CASES = json.loads((BENCH_CLI / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_output_matches_the_golden_bytes(case, capsys):
+    """Each checked-in CLI case prints exactly its golden output; "@name"
+    arguments name files in the fixtures directory."""
+    argv = [str(BENCH_CLI / "fixtures" / a[1:]) if a.startswith("@") else a for a in case["argv"]]
+    assert main(argv) == 0
+    golden = (BENCH_CLI / "golden" / f"{case['name']}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

@@ -30,13 +30,10 @@ from realtrop.hyperfields import (
     as_val,
     display_rt,
     from_sign_val,
-    hyperset_to_json,
     pushmap_set,
-    rt_from_json,
-    rt_to_json,
-    sign_from_json,
     sign_val,
 )
+from realtrop.jsonio import sign_from_json, value_from_json, value_to_json
 
 import oracles
 
@@ -200,13 +197,12 @@ def test_tropical_table():
 
 def test_json_roundtrip_and_display():
     x = rt(-1, Fraction(3, 2))
-    assert rt_from_json(rt_to_json(x)) == x
-    assert rt_from_json(["-", "3/2"]) == x
+    assert value_from_json(value_to_json(x), "RT") == x
+    assert value_from_json(["-", "3/2"], "RT") == x
     assert display_rt(x) == "-e^{-3/2}"
     assert display_rt(rt(1, 0)) == "+1"
     assert display_rt(RT_ZERO) == "0"
     assert display_rt(x, "val") == "-:3/2"
-    assert hyperset_to_json(ball("RT", 0)) == {"kind": "ball", "field": "RT", "val": "0"}
 
 
 @pytest.mark.parametrize(
@@ -368,9 +364,9 @@ def test_sign_decoder_rejects_everything_else(given):
 @pytest.mark.parametrize("obj", [[-0.5, "1"], [1.7, "0"], [True, "0"], ["?", "0"], {"sign": "p", "val": "1"}])
 def test_rt_from_json_rejects_bad_signs(obj):
     with pytest.raises(ValueError, match="^bad sign "):
-        rt_from_json(obj)
+        value_from_json(obj, "RT")
 
 
 def test_rt_from_json_accepts_int_signs():
-    assert rt_from_json([-1, "1/2"]) == RT(-1, Fraction(1, 2))
-    assert rt_from_json({"sign": 0, "val": "inf"}) == RT_ZERO
+    assert value_from_json([-1, "1/2"], "RT") == RT(-1, Fraction(1, 2))
+    assert value_from_json({"sign": 0, "val": "inf"}, "RT") == RT_ZERO
