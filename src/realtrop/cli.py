@@ -9,6 +9,7 @@ Exit code 0 means the computation ran (axiom reports may still say
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,10 @@ def _cmd_fixture(args) -> dict:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only parses
+    with it, so repeated in-process calls share it."""
     parser = argparse.ArgumentParser(
         prog="realtrop",
         description="Exact computations with real tropical linear spaces, "

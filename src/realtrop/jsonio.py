@@ -272,6 +272,11 @@ def _frac_vec_to_json(v) -> list:
 
 
 def _frac_vec_from_json(obj):
+    """A rational vector read from JSON ints and strings; bools and floats
+    are rejected."""
+    for x in obj:
+        if isinstance(x, (bool, float)):
+            raise ValueError(f"bad rational coordinate {x!r}")
     return tuple(Fraction(x) for x in obj)
 
 

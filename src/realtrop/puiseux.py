@@ -12,17 +12,25 @@ Division is deliberately absent: quotients only ever appear downstream
 as (sign, valuation) pairs or leading-term pairs, both computable from
 numerator and denominator separately.
 
+Sums and products share one integer kernel: a sum of signed products
+sum(+-a*b) is reduced by scaling every exponent to one common
+denominator and the coefficients of each side to one common denominator,
+adding int numerators keyed by int exponent, and building one normalized
+``Fraction`` pair per surviving term.  ``*``, ``+``, ``-``, ``dot`` and
+``from_terms`` are each one call to it.
+
 ``det`` expands the determinant exactly, by division-free Laplace
 expansion with subset memoization, which keeps every intermediate value
-in the ring and costs O(n 2^n) series products.  Callers that need only
-its signed value use ``signed_det``, which certifies the leading term
-instead: an optimal assignment on the leading exponents (Hungarian
-method) gives the tropical determinant and dual potentials, and the
-leading coefficients of the entries tight under those potentials form a
-rational matrix whose determinant is the coefficient of that power of t
-in det.  When that determinant is nonzero it gives the sign, in O(n^3);
-when it vanishes the leading terms cancel, and ``signed_det`` falls back
-to the exact expansion.
+in the ring and costs O(n 2^n) series products; each expansion step,
+sum(+-entry*minor) along a row, is one call to the kernel.  Callers that
+need only its signed value use ``signed_det``, which certifies the
+leading term instead: an optimal assignment on the leading exponents
+(Hungarian method) gives the tropical determinant and dual potentials,
+and the leading coefficients of the entries tight under those potentials
+form a rational matrix whose determinant is the coefficient of that
+power of t in det.  When that determinant is nonzero it gives the sign,
+in O(n^3); when it vanishes the leading terms cancel, and ``signed_det``
+falls back to the exact expansion.
 """
 
 from __future__ import annotations
@@ -61,12 +69,10 @@ class PuiseuxSeries:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple]) -> "PuiseuxSeries":
-        acc: dict[Fraction, Fraction] = {}
-        for c, q in pairs:
-            c, q = Fraction(c), Fraction(q)
-            acc[q] = acc.get(q, Fraction(0)) + c
-        terms = tuple((c, q) for q, c in sorted(acc.items()) if c != 0)
-        return PuiseuxSeries(terms)
+        """The canonical series of (coefficient, exponent) pairs in any
+        order; repeated exponents add up and zero terms drop out."""
+        terms = tuple((_rational(c), _rational(q)) for c, q in pairs)
+        return _sum_of_products([(1, terms, _ONE.terms)])
 
     @staticmethod
     def zero() -> "PuiseuxSeries":
@@ -78,13 +84,13 @@ class PuiseuxSeries:
 
     @staticmethod
     def constant(c) -> "PuiseuxSeries":
-        c = Fraction(c)
+        c = _rational(c)
         return PuiseuxSeries(((c, Fraction(0)),)) if c else _ZERO
 
     @staticmethod
     def t_power(q, coeff=1) -> "PuiseuxSeries":
-        coeff = Fraction(coeff)
-        return PuiseuxSeries(((coeff, Fraction(q)),)) if coeff else _ZERO
+        coeff, q = _rational(coeff), _rational(q)
+        return PuiseuxSeries(((coeff, q),)) if coeff else _ZERO
 
     # -- structure ---------------------------------------------------------
 
@@ -120,22 +126,20 @@ class PuiseuxSeries:
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return PuiseuxSeries.from_terms(self.terms + other.terms)
+        return _sum_of_products([(1, self.terms, _ONE.terms), (1, other.terms, _ONE.terms)])
 
     def __neg__(self) -> "PuiseuxSeries":
         return PuiseuxSeries(tuple((-c, q) for c, q in self.terms))
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self + (-other)
+        if not isinstance(other, PuiseuxSeries):
+            return NotImplemented
+        return _sum_of_products([(1, self.terms, _ONE.terms), (-1, other.terms, _ONE.terms)])
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return _ZERO
-        return PuiseuxSeries.from_terms(
-            (c1 * c2, q1 + q2) for c1, q1 in self.terms for c2, q2 in other.terms
-        )
+        return _sum_of_products([(1, self.terms, other.terms)])
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if n < 0:
@@ -161,13 +165,62 @@ _ZERO = PuiseuxSeries(())
 _ONE = PuiseuxSeries(((Fraction(1), Fraction(0)),))
 
 
+def _rational(x) -> Fraction:
+    """An int, Fraction or str as a Fraction; bools and floats are not
+    scalars of the ring."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"cannot use {x!r} as a rational number")
+    return Fraction(x)
+
+
+def _sum_of_products(products) -> PuiseuxSeries:
+    """The canonical series sum(s * a * b) over the (s, a, b) triples.
+
+    s is 1 or -1, and a and b are term tuples in any order, repeats and
+    zero coefficients allowed.  Exponents are scaled to the lcm of every
+    exponent denominator, and coefficients on the a side (the b side) to
+    the lcm of that side's denominators, so each product of terms is an
+    int added to a dict keyed by its int exponent.  Only the surviving
+    terms become Fractions, one normalized pair each.
+    """
+    ratios = [
+        (
+            s,
+            [c.as_integer_ratio() + q.as_integer_ratio() for c, q in a],
+            [c.as_integer_ratio() + q.as_integer_ratio() for c, q in b],
+        )
+        for s, a, b in products
+        if a and b
+    ]
+    if not ratios:
+        return _ZERO
+    qden = math.lcm(*[r[3] for _, ra, rb in ratios for side in (ra, rb) for r in side])
+    aden = math.lcm(*[r[1] for _, ra, _ in ratios for r in ra])
+    bden = math.lcm(*[r[1] for _, _, rb in ratios for r in rb])
+    acc: dict[int, int] = {}
+    get = acc.get
+    for s, ra, rb in ratios:
+        ints = [(s * cn * (aden // cd), qn * (qden // qd)) for cn, cd, qn, qd in ra]
+        for cn, cd, qn, qd in rb:
+            cb = cn * (bden // cd)
+            kb = qn * (qden // qd)
+            for ca, ka in ints:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    den = aden * bden
+    return PuiseuxSeries(
+        tuple((Fraction(n, den), Fraction(k, qden)) for k, n in sorted(acc.items()) if n)
+    )
+
+
 def as_series(x) -> PuiseuxSeries:
-    """Coerce strings (literals), ints and Fractions into the ring."""
+    """Coerce strings (literals), ints and Fractions into the ring; bools
+    and floats are rejected."""
     if isinstance(x, PuiseuxSeries):
         return x
     if isinstance(x, str):
         return parse_puiseux(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return PuiseuxSeries.constant(x)
     raise TypeError(f"cannot interpret {x!r} as a Puiseux series")
 
@@ -407,17 +460,15 @@ def det(rows: Matrix) -> PuiseuxSeries:
         got = cache.get(cols)
         if got is not None:
             return got
-        r = n - len(cols)
-        acc = _ZERO
-        for j, cidx in enumerate(cols):
-            entry = rows[r][cidx]
-            if entry.is_zero:
-                continue
-            sub = minor(cols[:j] + cols[j + 1 :])
-            term = entry * sub
-            acc = acc + term if j % 2 == 0 else acc - term
-        cache[cols] = acc
-        return acc
+        row = rows[n - len(cols)]
+        got = cache[cols] = _sum_of_products(
+            [
+                (-1 if j % 2 else 1, row[c].terms, minor(cols[:j] + cols[j + 1 :]).terms)
+                for j, c in enumerate(cols)
+                if row[c].terms
+            ]
+        )
+        return got
 
     return minor(tuple(range(n)))
 
@@ -520,12 +571,7 @@ def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:
 def dot(u: Sequence[PuiseuxSeries], v: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
     if len(u) != len(v):
         raise ValueError("dot product length mismatch")
-    return PuiseuxSeries.from_terms(
-        (c1 * c2, q1 + q2)
-        for a, b in zip(u, v)
-        for c1, q1 in a.terms
-        for c2, q2 in b.terms
-    )
+    return _sum_of_products([(1, a.terms, b.terms) for a, b in zip(u, v)])
 
 
 def columns_independent(cols: Sequence[Sequence[PuiseuxSeries]]) -> bool:

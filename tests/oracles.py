@@ -34,6 +34,12 @@ applies the one RT rule.  ``circuit_axioms_by_hypersums`` and
 relations with those per-field operations, building every rescaled vector
 and every hypersum; the library compares (sign, int) pairs and bitmasks
 with ``admits_zero`` instead.
+The ``*_by_terms`` Puiseux-series operations and
+``det_by_fraction_laplace`` are the ring arithmetic the library had before
+its integer kernel: every product of two terms is a pair of Fractions,
+summed in a dict keyed by Fraction exponent (``from_terms_by_fractions``),
+and the Laplace expansion adds one signed product at a time.  They share
+no arithmetic with the library beyond negation.
 ``max_independent_by_subsets`` tries every subset, largest first, for
 the greedy rank witness of the library.  ``maximal_cones_by_scan`` tests
 every vector of the poset against every cone with ``leq_sv``; the library
@@ -626,3 +632,72 @@ def pushmap_set_by_cases(name: str, s: HyperSet) -> HyperSet:
     if name == "abs":
         return ball("T", s.threshold)
     return ball(pushmap_target(name))
+
+
+# -- Puiseux-series arithmetic by per-term Fractions --------------------------
+
+
+def from_terms_by_fractions(pairs) -> PuiseuxSeries:
+    acc: dict[Fraction, Fraction] = {}
+    for c, q in pairs:
+        c, q = Fraction(c), Fraction(q)
+        acc[q] = acc.get(q, Fraction(0)) + c
+    terms = tuple((c, q) for q, c in sorted(acc.items()) if c != 0)
+    return PuiseuxSeries(terms)
+
+
+def add_by_terms(f: PuiseuxSeries, g: PuiseuxSeries) -> PuiseuxSeries:
+    return from_terms_by_fractions(f.terms + g.terms)
+
+
+def sub_by_terms(f: PuiseuxSeries, g: PuiseuxSeries) -> PuiseuxSeries:
+    return add_by_terms(f, -g)
+
+
+def mul_by_terms(f: PuiseuxSeries, g: PuiseuxSeries) -> PuiseuxSeries:
+    if not f.terms or not g.terms:
+        return PuiseuxSeries.zero()
+    return from_terms_by_fractions(
+        (c1 * c2, q1 + q2) for c1, q1 in f.terms for c2, q2 in g.terms
+    )
+
+
+def dot_by_terms(u, v) -> PuiseuxSeries:
+    if len(u) != len(v):
+        raise ValueError("dot product length mismatch")
+    return from_terms_by_fractions(
+        (c1 * c2, q1 + q2)
+        for a, b in zip(u, v)
+        for c1, q1 in a.terms
+        for c2, q2 in b.terms
+    )
+
+
+def det_by_fraction_laplace(rows) -> PuiseuxSeries:
+    """Determinant of a square matrix of series by division-free Laplace
+    expansion along the rows, with subset memoization."""
+    n = len(rows)
+    if n == 0:
+        return from_terms_by_fractions([(1, 0)])
+
+    cache: dict[tuple[int, ...], PuiseuxSeries] = {}
+
+    def minor(cols: tuple[int, ...]) -> PuiseuxSeries:
+        if len(cols) == 1:
+            return rows[n - 1][cols[0]]
+        got = cache.get(cols)
+        if got is not None:
+            return got
+        r = n - len(cols)
+        acc = PuiseuxSeries.zero()
+        for j, cidx in enumerate(cols):
+            entry = rows[r][cidx]
+            if entry.is_zero:
+                continue
+            sub = minor(cols[:j] + cols[j + 1 :])
+            term = mul_by_terms(entry, sub)
+            acc = add_by_terms(acc, term) if j % 2 == 0 else sub_by_terms(acc, term)
+        cache[cols] = acc
+        return acc
+
+    return minor(tuple(range(n)))

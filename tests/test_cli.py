@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from realtrop import jsonio
+from realtrop import cli, jsonio
 from realtrop.cli import main
 
 U23 = "[[1,0,1],[0,1,1]]"
@@ -63,6 +63,42 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["member"])
     assert exc.value.code == 2
+
+
+def test_bool_matrix_entry_is_a_structured_error(capsys):
+    code, out = run_cli(["circuits", "[[true, 0, 1], [0, 1, 1]]"], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "TypeError", "message": "cannot interpret True as a Puiseux series"}
+    }
+
+
+def _run_exit(argv, capsys):
+    """Exit code, stdout and stderr of ``main``, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["seminorm", "--help"], ["member"], ["seminorm", "eval", "x"], ["nosuch"]],
+    ids=["help", "sub-help", "missing-argument", "input-count", "unknown-command"],
+)
+def test_parser_is_built_once_with_the_same_output(argv, capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    first = _run_exit(argv, capsys)
+    second = _run_exit(argv, capsys)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # a parser built afresh for the call prints the same bytes
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_exit(argv, capsys)
+    assert first == second == fresh
+    assert first[1] or first[2]
 
 
 def test_deterministic_output(capsys):

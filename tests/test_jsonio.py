@@ -132,6 +132,22 @@ def test_point_literals_default_bare_signs():
     assert coords == (RT(1, 0), RT(-1, Fraction(1, 2)), RT(-1, 0), RT_ZERO, RT_ZERO)
 
 
+@pytest.mark.parametrize("value", [True, 1.5])
+@pytest.mark.parametrize("slot", ["kernel", "step"])
+def test_flag_vectors_reject_bools_and_floats(slot, value):
+    if slot == "kernel":
+        blob = dict(FLAG, kernel=[[value, "1"]])
+    else:
+        blob = dict(FLAG, steps=[dict(FLAG["steps"][0], vector=[value, 1]), FLAG["steps"][1]])
+    with pytest.raises(ValueError, match=f"^bad rational coordinate {value!r}$"):
+        flag_from_json(blob)
+
+
+def test_flag_vectors_read_ints_and_rational_strings():
+    steps = [dict(FLAG["steps"][0], vector=[1, "-3/2"]), FLAG["steps"][1]]
+    assert flag_from_json(dict(FLAG, steps=steps)).steps[0].vector == (1, Fraction(-3, 2))
+
+
 ZERO_SIGN_FINITE = "sign 0 must pair with valuation inf, and conversely"
 LEAF = {"kind": "leaf", "basis": [["1", "0"], ["0", "1"]], "c": ["0", "1"]}
 VALUATION_ENTRY_POINTS = {

@@ -12,6 +12,7 @@ from realtrop import (
     PuiseuxParseError,
     PuiseuxSeries,
     RT,
+    as_series,
     compare,
     det,
     fval,
@@ -27,6 +28,14 @@ from realtrop.puiseux import DET_SIZE_BOUND
 from realtrop.linalg import det_sign
 
 from helpers import random_constant, random_series
+from oracles import (
+    add_by_terms,
+    det_by_fraction_laplace,
+    dot_by_terms,
+    from_terms_by_fractions,
+    mul_by_terms,
+    sub_by_terms,
+)
 
 t = PuiseuxSeries.t_power
 const = PuiseuxSeries.constant
@@ -309,10 +318,164 @@ def test_dot_equals_the_sum_of_products():
         v = [rng.choice(CANCELLATION + [PuiseuxSeries.zero()]) for _ in range(n)]
         expected = PuiseuxSeries.zero()
         for a, b in zip(u, v):
-            expected = expected + a * b
+            expected = add_by_terms(expected, mul_by_terms(a, b))
         assert puiseux.dot(u, v) == expected
     with pytest.raises(ValueError, match="length mismatch"):
         puiseux.dot([t(1)], [])
+
+
+# -- the integer kernel against per-term Fraction arithmetic ----------------------
+
+
+def _wide_series(rng, max_terms=4):
+    """A series beyond tests/helpers: exponent denominators 1, 2, 3, 4 and 6,
+    negative exponents, coefficient denominators up to 7, and now and then
+    zero or a member of the cancellation alphabet."""
+    kind = rng.random()
+    if kind < 0.15:
+        return PuiseuxSeries.zero()
+    if kind < 0.35:
+        return rng.choice(CANCELLATION)
+    return from_terms_by_fractions(
+        (Fraction(rng.randint(-7, 7), rng.randint(1, 7)),
+         Fraction(rng.randint(-6, 12), rng.choice((1, 2, 3, 4, 6))))
+        for _ in range(rng.randint(1, max_terms))
+    )
+
+
+def _raw_pairs(rng):
+    """(coefficient, exponent) pairs as ints, Fractions and strings, with
+    repeated exponents, zero coefficients and pairs that cancel."""
+    pairs = list(_wide_series(rng).terms)
+    pairs += [(c / 2, q) for c, q in pairs if rng.random() < 0.3]
+    pairs += [(-c, q) for c, q in pairs if rng.random() < 0.5]
+    pairs += [(0, Fraction(rng.randint(-3, 3), 2))] * rng.randint(0, 1)
+    rng.shuffle(pairs)
+    forms = (lambda x: x, str, lambda x: int(x) if x.denominator == 1 else x)
+    return [(rng.choice(forms)(c), rng.choice(forms)(q)) for c, q in pairs]
+
+
+def _wide_matrix(rng, n):
+    rows = [[_wide_series(rng, max_terms=2) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and rng.random() < 0.2:
+        # one row a multiple of another: the expansion cancels to zero
+        a, b = rng.sample(range(n), 2)
+        factor = _wide_series(rng)
+        rows[a] = [mul_by_terms(factor, x) for x in rows[b]]
+    return rows
+
+
+def _assert_canonical(f):
+    assert type(f) is PuiseuxSeries
+    for c, q in f.terms:
+        assert type(c) is Fraction and type(q) is Fraction
+        assert c != 0
+    exponents = [q for _, q in f.terms]
+    assert all(p < q for p, q in zip(exponents, exponents[1:]))
+
+
+def test_ring_operations_match_per_term_fractions():
+    rng = random.Random(1111)
+    cancelled = 0
+    for _ in range(400):
+        f, g = _wide_series(rng), _wide_series(rng)
+        if rng.random() < 0.1:
+            g = f
+        got = [f * g, f + g, f - g, f + (-g)]
+        want = [mul_by_terms(f, g), add_by_terms(f, g), sub_by_terms(f, g), sub_by_terms(f, g)]
+        for x, y in zip(got, want):
+            _assert_canonical(x)
+            assert x.terms == y.terms, (f, g)
+        cancelled += (f - g).is_zero
+        pairs = _raw_pairs(rng)
+        built = PuiseuxSeries.from_terms(pairs)
+        _assert_canonical(built)
+        assert built.terms == from_terms_by_fractions(pairs).terms, pairs
+    assert cancelled
+
+
+def test_dot_matches_per_term_fractions():
+    rng = random.Random(2222)
+    cancelled = 0
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        u = [_wide_series(rng) for _ in range(n)]
+        v = [_wide_series(rng) for _ in range(n)]
+        if rng.random() < 0.2:
+            # u = (a, a), v = (b, -b): the products cancel pairwise
+            a, b = _wide_series(rng), _wide_series(rng)
+            u, v = u + [a, a], v + [b, -b]
+        got = puiseux.dot(u, v)
+        _assert_canonical(got)
+        assert got.terms == dot_by_terms(u, v).terms, (u, v)
+        cancelled += n > 0 and got.is_zero
+    assert puiseux.dot([], []) == PuiseuxSeries.zero()
+    assert cancelled
+
+
+def test_det_matches_per_term_fraction_laplace():
+    rng = random.Random(3333)
+    sizes = rng.choices(range(7), weights=(1, 2, 4, 8, 6, 3, 1), k=200)
+    assert set(sizes) == set(range(7))
+    vanished = 0
+    for n in sizes:
+        rows = _wide_matrix(rng, n)
+        got = det(rows)
+        _assert_canonical(got)
+        assert got.terms == det_by_fraction_laplace(rows).terms, rows
+        vanished += got.is_zero
+    assert vanished
+
+
+def test_one_accumulation_per_operation(monkeypatch):
+    kernel = puiseux._sum_of_products
+    calls = []
+
+    def counting(products):
+        calls.append(products)
+        return kernel(products)
+
+    rng = random.Random(4444)
+    f, g = _wide_series(rng), parse_puiseux("1 - 2/3*t^(1/2)")
+    u = [_wide_series(rng) for _ in range(5)]
+    rows = [[parse_puiseux(f"{i + 1} + {j - 2}*t^(1/3)") for j in range(4)] for i in range(4)]
+    monkeypatch.setattr(puiseux, "_sum_of_products", counting)
+    f * g
+    assert len(calls) == 1
+    puiseux.dot(u, u)
+    assert len(calls) == 2
+    calls.clear()
+    det(rows)
+    # the 4 x 4 minor, four 3 x 3 and six 2 x 2 ones; 1 x 1 minors are entries
+    assert len(calls) == 1 + 4 + 6
+    assert sorted(len(products) for products in calls) == [2] * 6 + [3] * 4 + [4]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: as_series(True),
+        lambda: as_series(0.5),
+        lambda: PuiseuxSeries.from_terms([(1.5, 0.5)]),
+        lambda: PuiseuxSeries.from_terms([(1, True)]),
+        lambda: const(0.25),
+        lambda: const(False),
+        lambda: t(True, 2),
+        lambda: t(1, 2.0),
+    ],
+    ids=["as_series-bool", "as_series-float", "from_terms-float", "from_terms-bool",
+         "constant-float", "constant-bool", "t_power-bool", "t_power-float"],
+)
+def test_bools_and_floats_are_not_ring_scalars(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_ints_fractions_and_strings_are_ring_scalars():
+    half = Fraction(1, 2)
+    assert as_series(3) == as_series(Fraction(3)) == as_series("3") == const("3")
+    assert PuiseuxSeries.from_terms([(1, "1/2"), ("3/4", half)]) == t(half, Fraction(7, 4))
+    assert t("1/2", 2) == t(half, "2") == parse_puiseux("2*t^(1/2)")
 
 
 @pytest.mark.parametrize(
