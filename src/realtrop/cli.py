@@ -16,6 +16,7 @@ import sys
 
 from . import jsonio
 from .matroids import (
+    EnumerationCapError,
     check_covector_axioms,
     check_gp_relations,
     circuits_from_matrix,
@@ -276,7 +277,10 @@ def main(argv=None) -> int:
     try:
         _emit(args.run(args))
     except Exception as exc:  # noqa: BLE001 - boundary of the process
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, EnumerationCapError):
+            error.update(required=exc.required, cap=exc.cap, stage=exc.stage)
+        _emit({"error": error})
         return 1
     return 0
 

@@ -75,10 +75,11 @@ class RT:
     val: Val
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
+        sign = self.sign
+        if sign not in (-1, 0, 1) or sign is True or sign is False:
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
         object.__setattr__(self, "val", as_val(self.val))
-        if (self.sign == 0) != (self.val is INF):
+        if (sign == 0) != (self.val is INF):
             raise ValueError("sign 0 must pair with valuation inf, and conversely")
 
     @property
@@ -156,7 +157,7 @@ def field_of(x: Elem) -> str:
         return "T"
     if isinstance(x, KV):
         return "K"
-    if isinstance(x, int) and x in (-1, 0, 1):
+    if type(x) is int and x in (-1, 0, 1):
         return "S"
     raise TypeError(f"not a hyperfield element: {x!r}")
 

@@ -58,10 +58,13 @@ DEFAULT_CLOSURE_CAP = 20_000
 
 
 class EnumerationCapError(RuntimeError):
-    def __init__(self, required: int, cap: int, what: str):
-        super().__init__(f"{what} needs {required} steps, cap is {cap}")
+    """An enumeration stage would take more steps than its cap allows."""
+
+    def __init__(self, required: int, cap: int, stage: str):
+        super().__init__(f"{stage} needs {required} steps, cap is {cap}")
         self.required = required
         self.cap = cap
+        self.stage = stage
 
 
 class RankDeficientError(ValueError):
@@ -480,7 +483,7 @@ def _max_independent(m: int, masks, exhaustive: bool) -> int:
 
     When the circuit axioms hold, the masks are the circuits of a matroid,
     so the greedy independent set is a basis and has the largest size.
-    Otherwise every subset is tried.
+    Otherwise every subset is tried, within DEFAULT_PAIR_CAP subsets.
     """
     if not exhaustive:
         chosen = 0
@@ -489,6 +492,8 @@ def _max_independent(m: int, masks, exhaustive: bool) -> int:
             if all(mask & trial != mask for mask in masks):
                 chosen = trial
         return chosen.bit_count()
+    if 1 << m > DEFAULT_PAIR_CAP:
+        raise EnumerationCapError(1 << m, DEFAULT_PAIR_CAP, "independent-set search")
     best = 0
     for subset in range(1 << m):
         size = subset.bit_count()
@@ -614,16 +619,14 @@ def _positions(masks, width: int) -> tuple[list[int], list[int], list[int]]:
     return plus_at, minus_at, zero_at
 
 
-def _agreeing(at, among: int, plus: int, minus: int, zero: int = 0) -> int:
-    """The positions in among whose vectors are + on plus, - on minus and
-    0 on zero; at is the result of _positions."""
-    plus_at, minus_at, zero_at = at
+def _agreeing(at, among: int, plus: int, minus: int) -> int:
+    """The positions in among whose vectors are + on plus and - on minus;
+    at is the result of _positions."""
+    plus_at, minus_at, _ = at
     for e in _bits(plus):
         among &= plus_at[e]
     for e in _bits(minus):
         among &= minus_at[e]
-    for e in _bits(zero):
-        among &= zero_at[e]
     return among
 
 
@@ -772,32 +775,102 @@ def check_covector_axioms(poset) -> Report:
     """Symmetry, composition closure, and elimination for a covector set.
 
     Takes a poset or any list of equally long sign vectors, repeats
-    allowed; violations are reported in the order of that list.
+    allowed; violations are reported in the order of that list.  The work
+    on a valid set is per support class, not per pair of vectors.
+
+    Composition (Cov3): X o Y is X plus Y restricted to the zero set z of
+    X, so X passes iff X + r is a vector for every distinct restriction r
+    of the vectors to z.  The restrictions are built once per distinct z,
+    and only the X that fail are scanned pair by pair.
+
+    Elimination (Cov4): for each e separating X and Y, some vector is 0 at
+    e and agrees with T = X o Y off the separation set S = S(X, Y).  The
+    outcome depends only on the key (T off S, S).  When Cov3 holds, these
+    keys are exactly the keys (U off S(U, V), S(U, V)) of the pairs of
+    distinct vectors U, V with equal support:
+    - for X, Y with S nonempty, U = X o Y and V = Y o X are vectors by
+      Cov3.  Both have support supp X | supp Y, and U and V are opposite
+      on S and equal off it, so S(U, V) = S and U off S = T off S;
+    - two distinct vectors U, V with equal support differ only by opposite
+      signs, so S(U, V) is nonempty, U o V = U and V o U = V, and U and V
+      agree off S(U, V): their pair has the key (U off S(U, V), S(U, V)),
+      whichever of them comes first in the list.
+    So if Cov3 holds and every equal-support key passes, Cov4 holds.
+    Otherwise the loop over the pairs of the list decides, and it alone
+    writes Cov4 violations.
     """
     if not isinstance(poset, CovectorPoset):
         poset = CovectorPoset(tuple(poset))
     if not poset.vectors:
         return Report(ok=False, violations=({"axiom": "Cov1"},))
-    masks, vecset, at = poset._pairs, poset._copies, poset._at
+    masks, vecset = poset._pairs, poset._copies
+    unsymmetric = [i for i, (p, m) in enumerate(masks) if (m, p) not in vecset]
+    uncomposable = _uncomposable(vecset, (1 << poset.width) - 1)
+    certified = not uncomposable and _eliminations_certified(poset)
+    if (0, 0) in vecset and not unsymmetric and certified:
+        return Report(ok=True)
     names = [sign_vector_str(X) for X in poset.vectors]
     violations: list[dict] = []
     if (0, 0) not in vecset:
         violations.append({"axiom": "Cov1"})
-    for (p, m), name in zip(masks, names):
-        if (m, p) not in vecset:
-            violations.append({"axiom": "Cov2", "vector": name})
+    violations.extend({"axiom": "Cov2", "vector": names[i]} for i in unsymmetric)
     for (p1, m1), xname in zip(masks, names):
+        if (p1, m1) not in uncomposable:
+            continue
         for (p2, m2), yname in zip(masks, names):
             if (p1 | p2 & ~m1, m1 | m2 & ~p1) not in vecset:
                 violations.append({"axiom": "Cov3", "pair": [xname, yname]})
-    # Elimination: for each e separating X and Y, some vector is zero at e
-    # and agrees with T = X o Y off the separation set S.  The candidates are
-    # the AND over those coordinates g of the bitset of positions holding
-    # T_g at g.  T agrees with Y o X off S, so unordered pairs suffice, and
-    # the outcome depends only on S and T off S, which many pairs share.
-    every = (1 << len(masks)) - 1
-    full = (1 << poset.width) - 1
+    if not certified:
+        violations.extend(_elimination_violations(poset, names))
+    return Report(ok=not violations, violations=tuple(violations))
+
+
+def _uncomposable(pairs, full: int) -> set[tuple[int, int]]:
+    """The (plus, minus) pairs X among pairs for which some X o Y, Y among
+    pairs, is not among pairs; full is the mask of every coordinate."""
+    restrictions: dict[int, set[tuple[int, int]]] = {}
+    failing = set()
+    for p1, m1 in pairs:
+        zero = full & ~(p1 | m1)
+        found = restrictions.get(zero)
+        if found is None:
+            found = restrictions[zero] = {(p2 & zero, m2 & zero) for p2, m2 in pairs}
+        for p2, m2 in found:
+            if (p1 | p2, m1 | m2) not in pairs:
+                failing.add((p1, m1))
+                break
+    return failing
+
+
+def _eliminations_certified(poset) -> bool:
+    """Whether every elimination key of a pair of distinct vectors with
+    equal support passes; each distinct key is evaluated once."""
+    by_support: dict[int, list[tuple[int, int]]] = {}
+    for p, m in poset._copies:
+        by_support.setdefault(p | m, []).append((p, m))
+    at, every, width = poset._at, (1 << len(poset)) - 1, poset.width
+    seen = set()
+    for group in by_support.values():
+        for i, (p1, m1) in enumerate(group):
+            for p2, m2 in group[i + 1 :]:
+                sep = p1 & m2 | m1 & p2
+                key = (p1 & ~sep, m1 & ~sep, sep)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if _elimination_gaps(at, every, width, *key):
+                    return False
+    return True
+
+
+def _elimination_violations(poset, names) -> list[dict]:
+    """Cov4 violations, pair by pair in list order.  T = X o Y agrees with
+    Y o X off S, so unordered pairs suffice, and the outcome depends only on
+    the key (T off S, S), which many pairs share."""
+    masks, at = poset._pairs, poset._at
+    every, width = (1 << len(masks)) - 1, poset.width
     unmet: dict[tuple[int, int, int], list[int]] = {}
+    violations = []
     for xi, (p1, m1) in enumerate(masks):
         for yi in range(xi + 1, len(masks)):
             p2, m2 = masks[yi]
@@ -807,12 +880,29 @@ def check_covector_axioms(poset) -> Report:
             key = ((p1 | p2 & ~m1) & ~sep, (m1 | m2 & ~p1) & ~sep, sep)
             missing = unmet.get(key)
             if missing is None:
-                tp, tm, _ = key
-                agree = _agreeing(at, every, tp, tm, full & ~(tp | tm | sep))
-                missing = unmet[key] = [e for e in _bits(sep) if not agree & at[2][e]]
+                missing = unmet[key] = _elimination_gaps(at, every, width, *key)
             for e in missing:
                 violations.append({"axiom": "Cov4", "pair": [names[xi], names[yi]], "e": e})
-    return Report(ok=not violations, violations=tuple(violations))
+    return violations
+
+
+def _elimination_gaps(at, every: int, width: int, plus: int, minus: int, sep: int) -> list[int]:
+    """The e in sep for which no vector is 0 at e and + on plus, - on minus
+    and 0 off plus, minus and sep; at is the result of _positions and every
+    the bitset of all positions."""
+    plus_at, minus_at, zero_at = at
+    agree = every
+    separated = []
+    for g in range(width):
+        if sep >> g & 1:
+            separated.append(g)
+        elif plus >> g & 1:
+            agree &= plus_at[g]
+        elif minus >> g & 1:
+            agree &= minus_at[g]
+        else:
+            agree &= zero_at[g]
+    return [e for e in separated if not agree & zero_at[e]]
 
 
 def covector_zero_flat(X: SignVector, gp: GrassmannPlucker) -> tuple[int, ...]:

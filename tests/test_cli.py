@@ -55,6 +55,9 @@ def test_covector_closure_cap_error(capsys):
         "error": {
             "type": "EnumerationCapError",
             "message": "covector closure needs 8 steps, cap is 5",
+            "required": 8,
+            "cap": 5,
+            "stage": "covector closure",
         }
     }
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -230,7 +231,61 @@ def _generator_sets(rng):
     yield [tuple(rng.choice((-1, 0, 1)) for _ in range(width)) for _ in range(rng.randint(1, 6))]
 
 
-def test_mask_closure_and_axioms_match_tuple_oracles():
+@pytest.fixture
+def checked_against_oracle(monkeypatch):
+    """check_covector_axioms compared with the tuple oracle on each call,
+    counting the path it took: "certified" when Cov3 held and the
+    equal-support keys passed, "keys failed" when Cov3 held and the pair
+    loop ran, "Cov3 failed" when the pair loop ran after Cov3 failed."""
+    real_uncomposable = matroids._uncomposable
+    real_violations = matroids._elimination_violations
+    ran: dict[str, bool] = {}
+
+    def uncomposable(*args):
+        failing = real_uncomposable(*args)
+        ran["Cov3 failed" if failing else "Cov3 held"] = True
+        return failing
+
+    def violations(*args):
+        ran["pair loop"] = True
+        return real_violations(*args)
+
+    monkeypatch.setattr(matroids, "_uncomposable", uncomposable)
+    monkeypatch.setattr(matroids, "_elimination_violations", violations)
+    paths: collections.Counter = collections.Counter()
+
+    def check(vectors):
+        ran.clear()
+        got = check_covector_axioms(vectors)
+        want = covector_axioms_by_tuples(vectors)
+        assert (got.ok, got.violations) == (want.ok, want.violations), vectors
+        if ran.get("Cov3 failed"):
+            assert ran.get("pair loop"), vectors
+            paths["Cov3 failed"] += 1
+        elif ran.get("Cov3 held"):
+            paths["keys failed" if ran.get("pair loop") else "certified"] += 1
+        return got
+
+    check.paths = paths
+    return check
+
+
+def _damaged(rng, vectors):
+    """A closure with one vector dropped, with one entry changed, and
+    shuffled with repeats of its vectors."""
+    vectors = list(vectors)
+    dropped = vectors[:]
+    del dropped[rng.randrange(len(dropped))]
+    changed = vectors[:]
+    i, e = rng.randrange(len(changed)), rng.randrange(len(changed[0]))
+    entry = rng.choice([x for x in (-1, 0, 1) if x != changed[i][e]])
+    changed[i] = changed[i][:e] + (entry,) + changed[i][e + 1 :]
+    shuffled = vectors + rng.choices(vectors, k=rng.randint(1, 4))
+    rng.shuffle(shuffled)
+    return dropped, changed, shuffled
+
+
+def test_mask_closure_and_axioms_match_tuple_oracles(checked_against_oracle):
     rng = random.Random(331)
     failing = small = 0
     for _ in range(40):
@@ -239,15 +294,48 @@ def test_mask_closure_and_axioms_match_tuple_oracles():
             expected = closure_by_all_pairs(gens)
             assert poset.vectors == expected.vectors, gens
             assert poset.covers == covers_by_triples(poset.vectors), gens
+            lists = [poset.vectors, gens, gens + gens[:2]]
             if len(poset) < 60:
                 small += 1
                 assert poset.chains() == chains_by_recursion(poset.vectors), gens
-            for vectors in (poset.vectors, gens, gens + gens[:2]):
-                got = check_covector_axioms(vectors)
-                want = covector_axioms_by_tuples(vectors)
-                assert (got.ok, got.violations) == (want.ok, want.violations), vectors
-                failing += not got.ok
+                lists.extend(_damaged(rng, poset.vectors))
+            for vectors in lists:
+                failing += not checked_against_oracle(vectors).ok
+    # valid closures of the benchmark's shapes, and each with a vector dropped
+    for h, w in ((4, 5), (3, 6), (2, 7)):
+        rows = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(w)] for _ in range(h)]
+        gp = gp_from_matrix(ground_from_matrix(rows), target="S")
+        poset = covector_closure(cocircuits_from_gp(gp))
+        assert checked_against_oracle(poset.vectors).ok
+        assert not checked_against_oracle(_damaged(rng, poset.vectors)[0]).ok
     assert failing > 40 and small > 40
+    paths = checked_against_oracle.paths
+    assert min(paths[p] for p in ("certified", "keys failed", "Cov3 failed")) >= 20, paths
+
+
+def test_valid_closure_is_certified_per_support_class(monkeypatch):
+    # U(3, 6): every 3 of these columns are independent
+    ground = ground_from_matrix([[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 4, 9]])
+    gp = gp_from_matrix(ground, target="S")
+    assert len(gp.bases()) == 20
+    poset = covector_closure(cocircuits_from_gp(gp))
+    by_support = collections.Counter(tuple(x != 0 for x in v) for v in poset.vectors)
+    equal_support_pairs = sum(k * (k - 1) // 2 for k in by_support.values())
+    real = matroids._elimination_gaps
+    keys = []
+
+    def counting(*args):
+        keys.append(args[3:])
+        return real(*args)
+
+    def pair_loop(*args):
+        raise AssertionError("the pair loop ran on a valid closure")
+
+    monkeypatch.setattr(matroids, "_elimination_gaps", counting)
+    monkeypatch.setattr(matroids, "_elimination_violations", pair_loop)
+    assert check_covector_axioms(poset).ok
+    assert 0 < len(keys) <= equal_support_pairs < len(poset) * (len(poset) - 1) // 2
+    assert len(set(keys)) == len(keys)
 
 
 def test_closure_cap_counts_the_first_added_vector():

@@ -29,6 +29,7 @@ from realtrop.hyperfields import (
     admits_zero,
     as_val,
     display_rt,
+    field_of,
     from_sign_val,
     pushmap_set,
     sign_val,
@@ -339,12 +340,26 @@ def test_pairs_round_trip_in_every_field():
         lambda: hyper_neg(5),
         lambda: hyper_neg("x"),
         lambda: hyper_sum([2, 3]),
+        lambda: hyper_mul(True, -1),
+        lambda: hyper_neg(False),
+        lambda: hyper_sum([1, True]),
     ],
-    ids=["mul", "div", "neg-int", "neg-str", "sum"],
+    ids=["mul", "div", "neg-int", "neg-str", "sum", "mul-bool", "neg-bool", "sum-bool"],
 )
 def test_non_elements_are_rejected(call):
     with pytest.raises(TypeError, match="^not a hyperfield element: "):
         call()
+
+
+@pytest.mark.parametrize("given", [True, False])
+def test_bools_are_not_elements(given):
+    with pytest.raises(ValueError, match=f"^sign must be -1, 0 or \\+1, got {given!r}$"):
+        RT(given, 0 if given else INF)
+    with pytest.raises(ValueError, match="^sign must be -1, 0 or \\+1, got True$"):
+        rt(True)
+    with pytest.raises(TypeError, match=f"^not a hyperfield element: {given!r}$"):
+        field_of(given)
+    assert field_of(1) == field_of(0) == "S"
 
 
 # -- signs at the JSON boundary --------------------------------------------

@@ -310,6 +310,23 @@ def test_nested_supports_flagged():
     assert any(v["axiom"] == "C2" for v in report.violations)
 
 
+@pytest.mark.parametrize("m", [17, 18])
+def test_independent_set_search_is_budgeted(m):
+    # nested supports fail C2, so the largest independent set is searched
+    # over all 2^m subsets, which exceeds the cap from m = 18 on
+    zeros = (RT_ZERO,) * (m - 3)
+    a = SignedCircuit((rt(1, 0), rt(1, 0), RT_ZERO) + zeros)
+    b = SignedCircuit((rt(1, 0), rt(1, 0), rt(-1, 0)) + zeros)
+    if 1 << m <= matroids.DEFAULT_PAIR_CAP:
+        report = check_circuit_axioms((a, b))
+        assert not report.ok and report.info["max_independent"] == m - 1
+        return
+    with pytest.raises(EnumerationCapError, match="^independent-set search needs 262144 steps") as info:
+        check_circuit_axioms((a, b))
+    assert (info.value.required, info.value.cap) == (1 << m, matroids.DEFAULT_PAIR_CAP)
+    assert info.value.stage == "independent-set search"
+
+
 def test_max_independent_reports_rank():
     rng = random.Random(37)
     for _ in range(5):
