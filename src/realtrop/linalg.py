@@ -6,7 +6,15 @@ serves the constant-coefficient case, where field division is available:
 ``inverse`` dualizes bases and functionals, ``rank``, ``span_eq`` and
 ``solve`` compare signed flags.  ``det_sign`` gives the sign of the
 rational determinant that certifies the leading term of a series
-determinant, by fraction-free elimination on integers.
+determinant.
+
+Both eliminate fraction free on integers: ``clear_denominators`` scales
+each row to primitive ints by a positive factor, which keeps every sign
+and the row space.  ``det_sign`` runs Bareiss's elimination, where
+every division is exact; ``rref`` runs Gauss-Jordan on integer rows,
+dividing each updated row by the gcd of its entries, and builds one
+``Fraction`` per nonzero output entry, the entry over its row's pivot.
+Bools and floats are not rational scalars here: ``vec`` rejects them.
 """
 
 from __future__ import annotations
@@ -18,9 +26,18 @@ from typing import Iterable, Sequence
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
+_ZERO = Fraction(0)
+
 
 def vec(xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
+    """The entries as Fractions: ints, Fractions and rational strings;
+    bools and floats raise ``TypeError``."""
+    out = []
+    for x in xs:
+        if type(x) is bool or type(x) is float:
+            raise TypeError(f"cannot use {x!r} as a rational number")
+        out.append(Fraction(x))
+    return tuple(out)
 
 
 def mat(rows) -> Mat:
@@ -32,9 +49,26 @@ def vec_scale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
+def clear_denominators(row: Sequence) -> list[int]:
+    """The primitive integer row that is a positive multiple of a row of
+    ints and Fractions: every entry keeps its sign, and the gcd is 1."""
+    ratios = [x.as_integer_ratio() for x in row]
+    den = math.lcm(*[d for _, d in ratios])
+    out = [n * (den // d) for n, d in ratios]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def rref(rows: Iterable[Sequence]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (zero rows dropped)."""
-    work = [list(vec(r)) for r in rows]
+    """Reduced row echelon form and pivot columns (zero rows dropped).
+
+    Rows are scaled to primitive ints and eliminated fraction free:
+    clearing column c takes ``row = pv * row - row[c] * top`` and divides
+    the row by the gcd of its entries.  Each integer row stays a nonzero
+    multiple of the matching row of the rational elimination, so each row
+    over its pivot is the reduced form, which is unique.
+    """
+    work = [clear_denominators(vec(r)) for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
@@ -43,26 +77,29 @@ def rref(rows: Iterable[Sequence]) -> tuple[Mat, tuple[int, ...]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         top = work[r]
-        # zero entries stay as they are, in the pivot row and below it
-        support = [j for j in range(c, ncols) if top[j]]
         pv = top[c]
-        for j in support:
-            top[j] /= pv
         for i, row in enumerate(work):
             f = row[c]
             if i != r and f:
-                for j in support:
-                    row[j] -= f * top[j]
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return (
+        tuple(
+            tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
+            for row, c in zip(work, pivots)
+        ),
+        tuple(pivots),
+    )
 
 
 def rank(rows) -> int:
@@ -104,14 +141,11 @@ def inverse(rows) -> Mat:
 def det_sign(rows) -> int:
     """Sign (-1, 0 or +1) of the determinant of a square rational matrix.
 
-    Each row is scaled by the positive common denominator of its entries,
-    which keeps the sign, and the integer matrix is eliminated fraction
-    free (Bareiss): every division is exact, so no Fraction is built.
+    Each row is scaled to ints by a positive factor, which keeps the
+    sign, and the integer matrix is eliminated fraction free (Bareiss):
+    every division is exact, so no Fraction is built.
     """
-    work = []
-    for r in rows:
-        den = math.lcm(*(x.denominator for x in r))
-        work.append([x.numerator * (den // x.denominator) for x in r])
+    work = [clear_denominators(r) for r in rows]
     n = len(work)
     if any(len(r) != n for r in work):
         raise ValueError("determinant of a non-square matrix")

@@ -225,6 +225,24 @@ def as_series(x) -> PuiseuxSeries:
     raise TypeError(f"cannot interpret {x!r} as a Puiseux series")
 
 
+def constant_values(xs) -> list | None:
+    """The rational values of ints, Fractions and constant series, read in
+    one pass over the terms; None at the first other entry.  Bools are
+    not ints here."""
+    values = []
+    for x in xs:
+        if type(x) is PuiseuxSeries:
+            terms = x.terms
+            if len(terms) > 1 or (terms and terms[0][1]):
+                return None
+            values.append(terms[0][0] if terms else 0)
+        elif type(x) is int or type(x) is Fraction:
+            values.append(x)
+        else:
+            return None
+    return values
+
+
 def compare(f: PuiseuxSeries, g: PuiseuxSeries) -> int:
     """-1, 0 or +1; f exceeds g exactly when f - g has positive leading coefficient."""
     return (f - g).sign
@@ -491,8 +509,14 @@ def signed_det(rows: Matrix) -> RT:
     columns as rows.
     """
     rows = _square_matrix(rows)
-    if all(x.is_constant for row in rows for x in row):
-        sign = det_sign([[x.constant_value() for x in row] for row in rows])
+    values = []
+    for row in rows:
+        row_values = constant_values(row)
+        if row_values is None:
+            break
+        values.append(row_values)
+    else:
+        sign = det_sign(values)
         return RT(sign, Fraction(0)) if sign else RT_ZERO
     leads = [[x.terms[0] if x.terms else None for x in row] for row in rows]
     scale = math.lcm(*(t[1].denominator for row in leads for t in row if t))

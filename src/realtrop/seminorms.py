@@ -7,7 +7,9 @@ A diagonal seminorm is an ordered invertible basis together with
 nondecreasing weight valuations, one per basis vector; evaluating at f
 solves f in the basis by Cramer's rule, keeps only signs and valuations
 of the coordinates, and picks the first coordinate of least level
-(coordinate valuation plus weight).  The composition of two seminorms
+(coordinate valuation plus weight).  A constant leaf caches the rows of
+its inverse basis scaled to ints, its sign functionals, so a constant f
+costs one int dot product per coordinate.  The composition of two seminorms
 evaluates both branches and keeps the one of larger magnitude, the left
 branch on ties.
 """
@@ -18,11 +20,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence, Union
 
 from . import linalg
-from .hyperfields import INF, RT, RT_ZERO, TV, Val, as_val, hyper_div, hyper_mul
-from .puiseux import PuiseuxSeries, as_series, signed_det
+from .hyperfields import INF, RT, RT_ONE, RT_ZERO, TV, Val, as_val, hyper_div, hyper_mul
+from .matroids import DEFAULT_PAIR_CAP, EnumerationCapError
+from .puiseux import PuiseuxSeries, as_series, constant_values, signed_det
 from .tropical import LinearEmbedding, ProjPoint
 
 
@@ -48,6 +52,13 @@ class NoApplicableEmbeddingError(FamilyError):
 
 # ---------------------------------------------------------------------------
 # Seminorm expressions
+
+
+_BY_SIGN = (RT_ZERO, RT_ONE, RT(-1, 0))  # indexed by the sign -1, 0 or 1
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -102,19 +113,32 @@ class DiagonalSeminorm:
         )
         return linalg.inverse(rows)
 
+    @cached_property
+    def _sign_functionals(self):
+        """Rows of ``_const_inverse`` scaled to ints by positive factors:
+        each keeps the sign of its coordinate."""
+        inv = self._const_inverse
+        return None if inv is None else tuple(linalg.clear_denominators(r) for r in inv)
+
     def coordinates(self, f) -> tuple[RT, ...]:
-        """Signed values of the basis coordinates of f, via Cramer."""
-        f = tuple(as_series(x) for x in f)
+        """Signed values of the basis coordinates of f.
+
+        On a constant basis, a constant f is scaled to ints and each
+        coordinate is the sign of an int dot product with a sign
+        functional; otherwise each coordinate is a Cramer quotient.
+        """
+        f = tuple(f)
+        funcs = self._sign_functionals
+        values = None if funcs is None else constant_values(f)
+        if values is None:
+            f = tuple(as_series(x) for x in f)
+            if funcs is not None:
+                values = constant_values(f)
         if len(f) != self.dim:
             raise ValueError("vector has the wrong dimension")
-        inv = self._const_inverse
-        if inv is not None and all(x.is_constant for x in f):
-            vals = tuple(x.constant_value() for x in f)
-            out = []
-            for row in inv:
-                lam = sum((a * b for a, b in zip(row, vals)), Fraction(0))
-                out.append(RT_ZERO if lam == 0 else RT(1 if lam > 0 else -1, 0))
-            return tuple(out)
+        if values is not None:
+            scaled = linalg.clear_denominators(values)
+            return tuple(_BY_SIGN[_sign(sum(map(mul, row, scaled)))] for row in funcs)
         den = self._det
         n = self.dim
         out = []
@@ -433,10 +457,14 @@ def phi_abs(expr: SeminormExpr) -> PhiImage:
 
 def phi_fiber(flag: UnsignedFlag) -> tuple[SignedFlag, ...]:
     """All sign choices over a complete strict-weight flag, one
-    representative per global-flip class (top step fixed positive)."""
+    representative per global-flip class (top step fixed positive).
+    The 2^(l-1) flags are counted against ``DEFAULT_PAIR_CAP`` first."""
     if any(len(vs) != 1 for vs, _ in flag.steps):
         raise ValueError("fiber is infinite: some step adds more than one direction")
     l = len(flag.steps)
+    count = 2 ** (l - 1)
+    if count > DEFAULT_PAIR_CAP:
+        raise EnumerationCapError(count, DEFAULT_PAIR_CAP, "flag fiber")
     out = []
     for bits in itertools.product((1, -1), repeat=l - 1):
         regions = tuple(bits) + (1,)

@@ -25,7 +25,12 @@ one elimination.  ``flags_equivalent_by_chains`` compares every subspace
 prefix of the two flags before solving for the regions, a comparison the
 library leaves to the per-step solve.  ``nullspace`` is the rational
 kernel of a matrix, by back substitution from the reduced row echelon
-form.
+form.  ``rref_by_fractions`` is Gauss-Jordan elimination in Fraction
+arithmetic, dividing each pivot row by its pivot; the library eliminates
+fraction free on integer rows.  ``const_coordinates_by_fractions``
+evaluates a constant leaf by Fraction dot products with the rows of the
+inverse basis; the library takes the sign of int dot products with
+integer-scaled rows.
 
 The ``*_by_cases`` hyperfield operations branch on the element type, one
 case per hyperfield; the library reads every element as an RT pair and
@@ -87,7 +92,7 @@ from realtrop.matroids import (
     separation_set,
     sign_vector_str,
 )
-from realtrop.puiseux import PuiseuxSeries, det, signed_value
+from realtrop.puiseux import PuiseuxSeries, as_series, det, signed_value
 
 
 def bases_by_subset_search(cols) -> tuple[tuple[int, ...], ...]:
@@ -267,6 +272,50 @@ def nullspace(rows) -> tuple[tuple[Fraction, ...], ...]:
             x[pc] = -R[r][fc]
         basis.append(tuple(x))
     return tuple(basis)
+
+
+def rref_by_fractions(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns, zero rows dropped."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    if not work:
+        return (), ()
+    ncols = len(work[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        pv = top[c]
+        for j in range(ncols):
+            top[j] /= pv
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and f:
+                for j in range(ncols):
+                    row[j] -= f * top[j]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def const_coordinates_by_fractions(leaf, f) -> tuple[RT, ...]:
+    """Signed coordinates of f on a constant leaf: (+-1, 0) or zero, one
+    Fraction dot product with a row of the inverse basis each."""
+    d = leaf.dim
+    basis = [[leaf.basis[j][i].constant_value() for j in range(d)] for i in range(d)]
+    unit = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    R, _ = rref_by_fractions([row + e for row, e in zip(basis, unit)])
+    values = [as_series(x).constant_value() for x in f]
+    out = []
+    for row in R:
+        lam = sum((a * b for a, b in zip(row[d:], values)), Fraction(0))
+        out.append(RT_ZERO if lam == 0 else RT(1 if lam > 0 else -1, 0))
+    return tuple(out)
 
 
 def _functionals_by_sort(expr) -> list:

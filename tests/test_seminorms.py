@@ -7,11 +7,14 @@ import pytest
 from realtrop import (
     INF,
     RT,
+    RT_ZERO,
     DiagonalSeminorm,
+    EnumerationCapError,
     FlagStep,
     LinearEmbedding,
     SignedFlag,
     SingularBasisError,
+    UnsignedFlag,
     cocircuit_value,
     cocircuits_from_gp,
     compose,
@@ -40,10 +43,12 @@ from realtrop import (
 from realtrop import linalg, seminorms
 from realtrop.jsonio import seminorm_to_json
 from realtrop.linalg import rank as q_rank
+from realtrop.matroids import DEFAULT_PAIR_CAP
 from realtrop.puiseux import PuiseuxSeries, as_series, signed_det
 from realtrop.seminorms import leaves
 
 from helpers import (
+    random_coeff,
     random_diagonal,
     random_expression,
     random_full_rank_ground,
@@ -52,7 +57,11 @@ from helpers import (
     random_series_vector,
     random_weights,
 )
-from oracles import diagonalize_by_span_tests, flags_equivalent_by_chains
+from oracles import (
+    const_coordinates_by_fractions,
+    diagonalize_by_span_tests,
+    flags_equivalent_by_chains,
+)
 
 E = PuiseuxSeries.constant
 
@@ -88,6 +97,71 @@ def test_level_selection_example():
     ]
     best = min(levels)
     assert s.value(f) == RT(best[2], best[0])
+
+
+def _cramer_coordinates(leaf, f):
+    f = tuple(as_series(x) for x in f)
+    n = leaf.dim
+    den = signed_det(leaf.basis)
+    out = []
+    for j in range(n):
+        num = signed_det([f if k == j else leaf.basis[k] for k in range(n)])
+        out.append(RT_ZERO if num.sign == 0 else hyper_div(num, den))
+    return tuple(out)
+
+
+def _constant_leaf(rng, dim):
+    while True:
+        cols = [tuple(E(random_coeff(rng) if rng.random() < 0.7 else 0) for _ in range(dim))
+                for _ in range(dim)]
+        if signed_det(cols).sign:
+            return DiagonalSeminorm(tuple(cols), random_weights(rng, dim))
+
+
+def test_constant_coordinates_match_cramer():
+    # the integer sign functionals against per-column Cramer and the
+    # Fraction dot products they replace, on every accepted entry form
+    rng = random.Random(211)
+    forms = {"int": 0, "fraction": 0, "string": 0, "series": 0, "generator": 0}
+    zeros = 0
+    for _ in range(600):
+        leaf = _constant_leaf(rng, rng.randint(1, 6))
+        d = leaf.dim
+        if rng.random() < 0.4:
+            # a combination of some basis columns: the others read zero
+            picked = {j: random_coeff(rng) for j in rng.sample(range(d), rng.randint(1, d))}
+            vals = [
+                sum((c * leaf.basis[j][i].constant_value() for j, c in picked.items()), Fraction(0))
+                for i in range(d)
+            ]
+        else:
+            vals = [random_coeff(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(d)]
+        form = rng.choice(sorted(forms))
+        forms[form] += 1
+        if form == "int":
+            f = vals = linalg.clear_denominators(vals)
+        elif form == "fraction":
+            f = vals
+        elif form == "string":
+            f = [str(E(v)) for v in vals]
+        elif form == "series":
+            f = [E(v) for v in vals]
+        else:
+            f = (v for v in vals)
+        want = _cramer_coordinates(leaf, vals)
+        assert leaf.coordinates(f) == want
+        assert const_coordinates_by_fractions(leaf, vals) == want
+        zeros += RT_ZERO in want
+    assert min(forms.values()) > 80 and zeros > 50
+
+
+@pytest.mark.parametrize("f", [[True, 0, 1], [0.5, 1, 0], [1, 0, 1.0]])
+def test_value_rejects_bools_and_floats(f):
+    for leaf in (standard_leaf(3), DiagonalSeminorm(((1, "t", 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))):
+        with pytest.raises(TypeError):
+            leaf.value(f)
+        with pytest.raises(TypeError):
+            leaf.value(iter(f))
 
 
 def test_weights_must_be_sorted():
@@ -510,6 +584,25 @@ def test_fiber_of_proper_seminorm_is_single():
 def test_fiber_of_two_value_norm_is_pair():
     s = standard_leaf(2, (0, 1))
     assert len(phi_fiber(phi_abs(s).flag)) == 2
+
+
+def test_fiber_size_is_capped_before_any_flag_is_built(monkeypatch):
+    # 2^19 sign choices over a 20-step flag exceed the pair cap
+    dim = 20
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    flag = UnsignedFlag((), tuple(((u,), dim - j) for j, u in enumerate(units)))
+
+    def no_flags(*args):
+        raise AssertionError("the fiber was enumerated")
+
+    monkeypatch.setattr(seminorms, "SignedFlag", no_flags)
+    with pytest.raises(EnumerationCapError) as err:
+        phi_fiber(flag)
+    assert (err.value.required, err.value.cap, err.value.stage) == (
+        2**19,
+        DEFAULT_PAIR_CAP,
+        "flag fiber",
+    )
 
 
 def test_fiber_infinite_for_merged_steps():
