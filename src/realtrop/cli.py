@@ -97,7 +97,7 @@ def _report_json(report) -> dict:
 
 def _cmd_circuits(args) -> dict:
     ground = ground_from_matrix(_load_matrix(args.matrix))
-    circuits = circuits_from_matrix(ground)
+    circuits = circuits_from_matrix(ground, cap=args.cap)
     return {"circuits": jsonio.circuits_to_json(circuits)}
 
 
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_CAP,
-        help="bound on enumeration loops (relations, closures)",
+        help="bound on enumeration loops (minors, circuits, relations, closures)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

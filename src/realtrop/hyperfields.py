@@ -22,6 +22,7 @@ live in ``jsonio``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -48,11 +49,20 @@ def as_val(x) -> Val:
     raise TypeError(f"cannot interpret {x!r} as a valuation")
 
 
+_VAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")  # the denominator is nonzero
+
+
 def parse_val(text: str) -> Val:
-    text = text.strip()
-    if text in ("inf", "Inf", "INF", "oo"):
+    """A valuation from text: an optional sign, an int and an optional
+    "/" and nonzero int ("p/q"), or inf spelled "inf", "Inf", "INF" or
+    "oo"; surrounding whitespace is ignored.  Anything else, floats,
+    exponents and underscores included, raises ValueError."""
+    body = text.strip()
+    if body in ("inf", "Inf", "INF", "oo"):
         return INF
-    return Fraction(text)
+    if not _VAL_RE.fullmatch(body):
+        raise ValueError(f"bad valuation {text!r}")
+    return Fraction(body)
 
 
 def format_val(v: Val) -> str:

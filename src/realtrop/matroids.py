@@ -12,9 +12,11 @@ The axiom checkers build no hyperfield values.  ``check_gp_relations``
 reads every value once as an RT pair (``hyperfields.sign_val``), the
 valuations scaled to ints by the lcm of their denominators, and compares
 ints with ``hyperfields.admits_zero``.
-``check_circuit_axioms`` holds each circuit the same way plus a support
-bitmask, and finds elimination candidates as ANDs of per-coordinate
-bitsets over circuit positions.
+``check_circuit_axioms`` holds each circuit the same way
+(``scaled_rt_vectors``, which also serves
+``tropical.linear_space_member``) plus a support bitmask, and finds
+elimination candidates as ANDs of per-coordinate bitsets over circuit
+positions.
 
 Covectors are stored as (plus, minus) pairs of int bitmasks, and sets of
 them as int bitsets over positions.  A ``CovectorPoset`` holds only its
@@ -353,7 +355,9 @@ class SignedCircuit:
         return f"SignedCircuit({list(self.entries)!r})"
 
 
-def circuits_from_matrix(ground: GroundSet) -> tuple[SignedCircuit, ...]:
+def circuits_from_matrix(
+    ground: GroundSet, cap: int = DEFAULT_PAIR_CAP
+) -> tuple[SignedCircuit, ...]:
     """One normalized circuit per minimal dependent set of columns.
 
     The circuits are read off the maximal-minor table phi.  For an
@@ -362,14 +366,15 @@ def circuits_from_matrix(ground: GroundSet) -> tuple[SignedCircuit, ...]:
     columns in tau.  When tau contains a basis the vector is nonzero and
     supported on the unique circuit inside tau; every circuit arises this
     way, from any basis completed by one of its elements.  Circuits come
-    sorted by support size, then support.
+    sorted by support size, then support.  ``cap`` bounds both the
+    (r+1)-subsets and the minors, and is checked before either is taken.
     """
     m, r = len(ground), ground.height
     count = _ncr(m, r + 1)
-    if count > DEFAULT_PAIR_CAP:
-        raise EnumerationCapError(count, DEFAULT_PAIR_CAP, "circuit enumeration")
+    if count > cap:
+        raise EnumerationCapError(count, cap, "circuit enumeration")
     try:
-        phi = _spanning_minor_table(ground, DEFAULT_PAIR_CAP)
+        phi = _spanning_minor_table(ground, cap)
     except RankDeficientError:
         raise RankDeficientError("columns do not span") from None
     by_support = {}
@@ -411,9 +416,7 @@ def check_circuit_axioms(circuits) -> Report:
     m = len(circuits[0])
     if any(len(c) != m for c in circuits):
         raise ValueError("circuits of unequal length")
-    signs = [[x.sign for x in c.entries] for c in circuits]
-    scale = math.lcm(1, *(x.val.denominator for c in circuits for x in c.entries if x.sign))
-    vals = [[_scaled(x.val, scale) if x.sign else 0 for x in c.entries] for c in circuits]
+    signs, vals, _ = scaled_rt_vectors(c.entries for c in circuits)
     supports = [sum(1 << g for g, s in enumerate(sg) if s) for sg in signs]
     nonzero_at = [0] * m
     for i, mask in enumerate(supports):
@@ -465,6 +468,20 @@ def check_circuit_axioms(circuits) -> Report:
         violations=tuple(violations),
         info={"max_independent": max_ind},
     )
+
+
+def scaled_rt_vectors(vectors) -> tuple[list[list[int]], list[list[int]], int]:
+    """RT vectors as sign lists and int valuation lists, with their scale.
+
+    Every finite valuation is scaled to an int by one lcm of all their
+    denominators, the third value returned; a zero entry reads (0, 0).
+    Comparing and adding the ints is comparing and adding the valuations.
+    """
+    vectors = [tuple(v) for v in vectors]
+    scale = math.lcm(1, *(x.val.denominator for v in vectors for x in v if x.sign))
+    signs = [[x.sign for x in v] for v in vectors]
+    vals = [[_scaled(x.val, scale) if x.sign else 0 for x in v] for v in vectors]
+    return signs, vals, scale
 
 
 def _eliminates(sd, vd, md: int, af_sign: int, af_val: int, f: int, thr, sgn) -> bool:

@@ -17,7 +17,9 @@ sum(+-a*b) is reduced by scaling every exponent to one common
 denominator and the coefficients of each side to one common denominator,
 adding int numerators keyed by int exponent, and building one normalized
 ``Fraction`` pair per surviving term.  ``*``, ``+``, ``-``, ``dot`` and
-``from_terms`` are each one call to it.
+``from_terms`` are each one call to it.  ``IntegerVectors`` holds fixed
+vectors in that integer form once, so a dot product with each of them
+is one accumulation of the same kernel.
 
 ``det`` expands the determinant exactly, by division-free Laplace
 expansion with subset memoization, which keeps every intermediate value
@@ -180,8 +182,8 @@ def _sum_of_products(products) -> PuiseuxSeries:
     zero coefficients allowed.  Exponents are scaled to the lcm of every
     exponent denominator, and coefficients on the a side (the b side) to
     the lcm of that side's denominators, so each product of terms is an
-    int added to a dict keyed by its int exponent.  Only the surviving
-    terms become Fractions, one normalized pair each.
+    int added to a dict keyed by its int exponent (``_accumulate``).
+    Only the surviving terms become Fractions, one normalized pair each.
     """
     ratios = [
         (
@@ -197,20 +199,74 @@ def _sum_of_products(products) -> PuiseuxSeries:
     qden = math.lcm(*[r[3] for _, ra, rb in ratios for side in (ra, rb) for r in side])
     aden = math.lcm(*[r[1] for _, ra, _ in ratios for r in ra])
     bden = math.lcm(*[r[1] for _, _, rb in ratios for r in rb])
+    scaled = [
+        ([(s * cn * (aden // cd), qn * (qden // qd)) for cn, cd, qn, qd in ra], rb)
+        for s, ra, rb in ratios
+    ]
+    return _accumulate(scaled, aden * bden, bden, qden)
+
+
+def _accumulate(products, den: int, bden: int, qden: int) -> PuiseuxSeries:
+    """The canonical series sum(a * b) over the (a, b) pairs of one sum.
+
+    a is a list of int terms (n, k); b lists (cn, cd, qn, qd), the
+    ``as_integer_ratio`` pairs of its terms, which are scaled here to
+    (cn * bden / cd, qn * qden / qd).  A product of int terms (n, k) then
+    stands for n/den * t^(k/qden).
+    """
     acc: dict[int, int] = {}
     get = acc.get
-    for s, ra, rb in ratios:
-        ints = [(s * cn * (aden // cd), qn * (qden // qd)) for cn, cd, qn, qd in ra]
+    for ints, rb in products:
         for cn, cd, qn, qd in rb:
             cb = cn * (bden // cd)
             kb = qn * (qden // qd)
             for ca, ka in ints:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-    den = aden * bden
     return PuiseuxSeries(
         tuple((Fraction(n, den), Fraction(k, qden)) for k, n in sorted(acc.items()) if n)
     )
+
+
+class IntegerVectors:
+    """Fixed series vectors read once in integer form, for dot products
+    with many vectors.
+
+    Every coefficient is held as an int over one common positive
+    denominator and every exponent as an int over another.  ``dots(x)``
+    reads the terms of x once, and sums each vector's products with x in
+    one ``_accumulate``, the accumulation ``_sum_of_products`` runs; the
+    results equal ``tuple(dot(v, x) for v in vectors)``.
+    """
+
+    __slots__ = ("_ints", "_cden", "_qden")
+
+    def __init__(self, vectors: Sequence[Sequence[PuiseuxSeries]]):
+        ratios = [
+            [[c.as_integer_ratio() + q.as_integer_ratio() for c, q in f.terms] for f in v]
+            for v in vectors
+        ]
+        terms = [r for v in ratios for entry in v for r in entry]
+        cden = self._cden = math.lcm(*[r[1] for r in terms])
+        qden = self._qden = math.lcm(*[r[3] for r in terms])
+        self._ints = [
+            [[(cn * (cden // cd), qn * (qden // qd)) for cn, cd, qn, qd in entry] for entry in v]
+            for v in ratios
+        ]
+
+    def dots(self, x: Sequence[PuiseuxSeries]) -> tuple[PuiseuxSeries, ...]:
+        """The dot product of every vector with the series vector x."""
+        if any(len(v) != len(x) for v in self._ints):
+            raise ValueError("dot product length mismatch")
+        rx = [[c.as_integer_ratio() + q.as_integer_ratio() for c, q in f.terms] for f in x]
+        xden = math.lcm(*[r[1] for entry in rx for r in entry])
+        qden = math.lcm(self._qden, *[r[3] for entry in rx for r in entry])
+        ints = self._ints
+        if qden != self._qden:
+            factor = qden // self._qden
+            ints = [[[(n, k * factor) for n, k in entry] for entry in v] for v in ints]
+        den = self._cden * xden
+        return tuple(_accumulate(zip(v, rx), den, xden, qden) for v in ints)
 
 
 def as_series(x) -> PuiseuxSeries:

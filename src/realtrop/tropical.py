@@ -11,10 +11,20 @@ A point lies on the hyperplane of a circuit when the coordinatewise
 products admit zero, i.e. the least product valuation is reached with
 both signs (or everything vanishes); a linear space is the intersection
 over all circuits of the embedding's matroid.
+
+Image points are evaluated on an integer view of the embedding that is
+computed once, on first use, and cached on it.  ``apply`` reads the
+columns once as ``puiseux.IntegerVectors`` (coefficients and exponents
+as ints over common denominators), so each functional is one integer
+accumulation.  ``linear_space_member`` reads the circuits once as signs
+and valuations scaled to ints (``matroids.scaled_rt_vectors``), scales
+the point once to a common denominator, and runs the signed fold of
+``hyperplane_member`` on ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,8 +36,9 @@ from .matroids import (
     SignVector,
     circuits_from_matrix,
     normalize_rt_vector,
+    scaled_rt_vectors,
 )
-from .puiseux import PuiseuxSeries, as_series, column_rank, dot, signed_value
+from .puiseux import IntegerVectors, PuiseuxSeries, as_series, column_rank, signed_value
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,28 @@ class LinearEmbedding(GroundSet):
     def circuits(self) -> tuple[SignedCircuit, ...]:
         return circuits_from_matrix(self)
 
+    @cached_property
+    def _integer_columns(self) -> IntegerVectors:
+        """The functionals on one integer scale, read once for ``apply``."""
+        return IntegerVectors(self.columns)
+
+    @cached_property
+    def _scaled_circuits(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
+        """The circuits' scale and, per circuit, its support as
+        (element, sign, scaled valuation) triples (``scaled_rt_vectors``)."""
+        signs, vals, scale = scaled_rt_vectors(c.entries for c in self.circuits)
+        supports = [
+            tuple((e, s, v) for e, (s, v) in enumerate(zip(sg, vs)) if s)
+            for sg, vs in zip(signs, vals)
+        ]
+        return scale, supports
+
     def apply(self, x) -> tuple[PuiseuxSeries, ...]:
         """Evaluate every functional at the coordinate vector x."""
         x = tuple(as_series(v) for v in x)
         if len(x) != self.height:
             raise ValueError("point has the wrong dimension")
-        return tuple(dot(c, x) for c in self.columns)
+        return self._integer_columns.dots(x)
 
 
 def hyperplane_member(y: ProjPoint, circuit) -> bool:
@@ -123,10 +150,40 @@ def unsigned_hyperplane_member(y: ProjPoint, circuit) -> bool:
 
 
 def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:
-    """Intersection of the hyperplane conditions over all circuits."""
+    """Intersection of the hyperplane conditions over all circuits.
+
+    ``all(hyperplane_member(y, c) for c in embedding.circuits)``, on ints:
+    the point's valuations and the embedding's cached circuit valuations
+    are scaled to one common denominator, the lcm of the two scales, and
+    the signed fold of ``hyperplane_member`` runs on each circuit's
+    support.
+    """
     if len(y) != len(embedding):
         raise ValueError("point and embedding have different lengths")
-    return all(hyperplane_member(y, c) for c in embedding.circuits)
+    circuit_scale, circuits = embedding._scaled_circuits
+    (ysigns,), (yvals,), point_scale = scaled_rt_vectors([y.coords])
+    scale = math.lcm(circuit_scale, point_scale)
+    if scale != point_scale:
+        yvals = [v * (scale // point_scale) for v in yvals]
+    if scale != circuit_scale:
+        factor = scale // circuit_scale
+        circuits = [tuple((e, s, v * factor) for e, s, v in c) for c in circuits]
+    for circuit in circuits:
+        vstar = 0
+        signs_at_min = 0  # bitmask: 1 for plus, 2 for minus
+        for e, cs, cv in circuit:
+            s = ysigns[e] * cs
+            if not s:
+                continue
+            v = yvals[e] + cv
+            if not signs_at_min or v < vstar:
+                vstar = v
+                signs_at_min = 1 if s > 0 else 2
+            elif v == vstar:
+                signs_at_min |= 1 if s > 0 else 2
+        if signs_at_min == 1 or signs_at_min == 2:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,30 @@ def test_covector_closure_cap_error(capsys):
     }
 
 
+@pytest.mark.parametrize("cap, stage, required", [(3, "circuit enumeration", 4), (4, "minor enumeration", 6)])
+def test_circuits_obey_the_cap(capsys, cap, stage, required):
+    # four 3-subsets of columns, six 2 x 2 minors
+    code, out = run_cli(["--cap", str(cap), "circuits", "[[1,0,1,2],[0,1,1,3]]"], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "type": "EnumerationCapError",
+            "message": f"{stage} needs {required} steps, cap is {cap}",
+            "required": required,
+            "cap": cap,
+            "stage": stage,
+        }
+    }
+    code, out = run_cli(["--cap", "6", "circuits", "[[1,0,1,2],[0,1,1,3]]"], capsys)
+    assert code == 0 and len(json.loads(out)["circuits"]) == 4
+
+
+def test_valuation_outside_the_grammar_is_a_structured_error(capsys):
+    code, out = run_cli(["member", "+:0,-:1/0,+:2", U23], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": "bad valuation '1/0'"}}
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["member"])

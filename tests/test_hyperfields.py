@@ -242,6 +242,18 @@ def test_valuations_rejected(given):
             build(given)
 
 
+@pytest.mark.parametrize(
+    "given", ["1.5", "1e3", "1_000", "1/0", "-2/00", "1/-2", "0x1", "+", "", "1 /2", "-inf", "nan"]
+)
+def test_valuation_strings_outside_the_grammar_are_rejected(given):
+    # a valuation string is an optional sign, an int and an optional
+    # nonzero "/" int, or a spelling of inf
+    message = f"^bad valuation {re.escape(repr(given))}$"
+    for build in (as_val, TV, lambda x: RT(1, x), lambda x: RT(0, x)):
+        with pytest.raises(ValueError, match=message):
+            build(given)
+
+
 # -- the RT-pair rule against the per-field cases ---------------------------
 
 HALVES = [Fraction(k, 2) for k in (-1, 0, 1, 2)]

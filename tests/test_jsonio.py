@@ -122,9 +122,21 @@ def test_valuations_reject_everything_else(given):
         val_from_json(given)
 
 
+@pytest.mark.parametrize("given", ["1.5", "1e3", "1_000", "1/0"])
+def test_valuation_strings_outside_the_grammar_are_rejected(given):
+    with pytest.raises(ValueError, match=f"^bad valuation {re.escape(repr(given))}$"):
+        val_from_json(given)
+
+
 def test_vectors_read_lists_and_comma_separated_literals():
     assert vector_from_json("1,t,-1+t^(1/2)") == vector_from_json(["1", "t", "-1+t^(1/2)"])
     assert parse_point_literal("1,t") == vector_from_json("1,t")
+
+
+@pytest.mark.parametrize("text, bad", [("+:1.5,-:0", "1.5"), ("+:0,-:1/0,+:2", "1/0"), ("-:1e3", "1e3")])
+def test_point_literals_reject_valuations_outside_the_grammar(text, bad):
+    with pytest.raises(ValueError, match=f"^bad valuation {re.escape(repr(bad))}$"):
+        parse_point_literal(text)
 
 
 def test_point_literals_default_bare_signs():

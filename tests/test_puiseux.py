@@ -423,6 +423,24 @@ def test_dot_matches_per_term_fractions():
     assert cancelled
 
 
+def test_integer_vectors_dot_every_vector_with_x():
+    # the fixed vectors and x each have their own exponent denominators, so
+    # either side, both or neither is brought to the common one
+    rng = random.Random(2323)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        vectors = [[_wide_series(rng) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        fixed = puiseux.IntegerVectors(vectors)
+        for _ in range(3):
+            x = [_wide_series(rng) for _ in range(n)]
+            got = fixed.dots(x)
+            for f in got:
+                _assert_canonical(f)
+            assert got == tuple(dot_by_terms(v, x) for v in vectors), (vectors, x)
+    with pytest.raises(ValueError, match="^dot product length mismatch$"):
+        puiseux.IntegerVectors([[PuiseuxSeries.one()]]).dots([])
+
+
 def test_det_matches_per_term_fraction_laplace():
     rng = random.Random(3333)
     sizes = rng.choices(range(7), weights=(1, 2, 4, 8, 6, 3, 1), k=200)

@@ -26,8 +26,15 @@ from realtrop import (
     unsigned_hyperplane_member,
 )
 from realtrop.matroids import CovectorPoset, circuits_from_matrix
+from realtrop.puiseux import as_series, dot
 
-from helpers import normalized_grid, random_embedding, random_full_rank_ground
+from helpers import (
+    normalized_grid,
+    random_constant,
+    random_embedding,
+    random_full_rank_ground,
+    random_series,
+)
 from oracles import (
     contains_zero_by_cases,
     hyper_mul_by_cases,
@@ -129,8 +136,6 @@ def sample_points(rng, dim, count):
             coords = tuple(rng.choice(CANCELLATION_COORDS) for _ in range(dim))
         else:
             coords = tuple(str(rng.randint(-9, 9)) for _ in range(dim))
-        from realtrop import as_series
-
         series = [as_series(c) for c in coords]
         if any(not s.is_zero for s in series):
             out.append(series)
@@ -144,6 +149,82 @@ def test_image_points_always_members():
         for x in sample_points(rng, emb.height, 60):
             y = trop_r_point(emb.apply(x))
             assert linear_space_member(y, emb)
+
+
+def _random_x(rng, height, constant):
+    """A coordinate vector with zero entries, string literals and
+    exponent denominators the generated columns lack."""
+    gen = random_constant if constant else random_series
+    pool = ["0", "1/2", "-3", "t^(1/3)", "2/5*t^(-2/5)", "1 - t^(2/3)"]
+    return [rng.choice(pool) if rng.random() < 0.3 else gen(rng) for _ in range(height)]
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["series", "constant"])
+def test_apply_equals_one_dot_per_column(constant):
+    rng = random.Random(71)
+    zeros = 0
+    for _ in range(120):
+        h = rng.randint(1, 4)
+        emb = random_embedding(rng, h, rng.randint(h, 6), constant=constant)
+        for x in [_random_x(rng, h, constant) for _ in range(4)] + [["0"] * h, [0] * h]:
+            series = [as_series(v) for v in x]
+            got = emb.apply(x)
+            assert got == tuple(dot(c, series) for c in emb.columns), (emb, x)
+            assert got == emb.apply(series)
+            zeros += sum(f.is_zero for f in got)
+    assert zeros
+    with pytest.raises(ValueError, match="^point has the wrong dimension$"):
+        emb.apply(["1"] * (h + 1))
+
+
+ODD_VALS = [Fraction(v) for v in ("0", "1", "-1", "1/2", "-3/2", "1/3", "2/5", "-2/5")]
+
+
+def _random_point(rng, width):
+    while True:
+        coords = tuple(
+            RT_ZERO if rng.random() < 0.25 else RT(rng.choice((1, -1)), rng.choice(ODD_VALS))
+            for _ in range(width)
+        )
+        if any(x.sign for x in coords):
+            return ProjPoint(coords)
+
+
+def _with_zero_column(emb, rng):
+    cols = list(emb.columns)
+    cols.insert(rng.randint(0, len(cols)), (0,) * emb.height)
+    return LinearEmbedding(tuple(cols))
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["series", "constant"])
+def test_linear_space_member_equals_every_hyperplane_test(constant):
+    # points whose valuation denominators (3, 5) the circuits lack, negative
+    # valuations, zero coordinates, loop circuits from zero columns, and
+    # image points, which are members
+    rng = random.Random(73)
+    seen = set()
+    for k in range(80):
+        h = rng.randint(1, 3)
+        emb = random_embedding(rng, h, rng.randint(h, 5), constant=constant)
+        if k % 3 == 0:
+            emb = _with_zero_column(emb, rng)
+        points = [_random_point(rng, len(emb)) for _ in range(15)]
+        points += [trop_r_point(emb.apply(x)) for x in sample_points(rng, h, 5)]
+        for y in points:
+            expected = all(hyperplane_member(y, c) for c in emb.circuits)
+            assert linear_space_member(y, emb) == expected, (emb, y)
+            seen.add((expected, min((len(c.support) for c in emb.circuits), default=0) == 1))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    with pytest.raises(ValueError, match="^point and embedding have different lengths$"):
+        linear_space_member(_random_point(rng, len(emb) + 1), emb)
+
+
+def test_loop_circuit_needs_a_zero_coordinate():
+    emb = LinearEmbedding.from_matrix([[1, 0, 0, 1], [0, 1, 0, 1]])
+    assert emb.circuits[0].support == (2,)
+    on = ProjPoint((rt(1, 0), rt(1, Fraction(1, 3)), RT_ZERO, rt(1, 0)))
+    off = ProjPoint((rt(1, 0), rt(1, Fraction(1, 3)), rt(-1, Fraction(2, 5)), rt(1, 0)))
+    assert linear_space_member(on, emb) and not linear_space_member(off, emb)
 
 
 def test_identity_embedding_accepts_everything():
