@@ -104,7 +104,7 @@ def _cmd_circuits(args) -> dict:
 def _cmd_gp_check(args) -> dict:
     obj = _load(args.gp)
     if isinstance(obj, dict):
-        gp = jsonio.gp_from_json(obj)
+        gp = jsonio.gp_from_json(obj, cap=args.cap)
     else:
         gp = gp_from_matrix(
             ground_from_matrix(jsonio.matrix_from_json(obj)), tuple_cap=args.cap

@@ -5,11 +5,14 @@ string read by ``parse_val`` ("p/q", "inf") or exactly an int; bools and
 floats are rejected.  RT values are {"sign", "val"} (decoders also read
 [sign, val]; sign 0 pairs only with "inf"), T values valuation strings,
 S values sign characters and K values the ints 0 and 1.  Matrices and
-vectors are lists of series literals; circuit entries are pairs.
+vectors are lists of series literals; circuit entries are pairs.  Flag
+vectors are lists of ints and rational strings in the same "p/q"
+grammar as valuations (``linalg.rational``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .hyperfields import (
@@ -25,8 +28,11 @@ from .hyperfields import (
     parse_val,
     sign_val,
 )
+from .linalg import rational
 from .matroids import (
+    DEFAULT_PAIR_CAP,
     CovectorPoset,
+    EnumerationCapError,
     GrassmannPlucker,
     parse_sign_vector,
     sign_vector_str,
@@ -191,8 +197,11 @@ def gp_to_json(gp: GrassmannPlucker) -> dict:
     }
 
 
-def gp_from_json(obj) -> GrassmannPlucker:
-    """Repeated ground labels and repeated tuples are rejected."""
+def gp_from_json(obj, cap: int = DEFAULT_PAIR_CAP) -> GrassmannPlucker:
+    """Repeated ground labels and repeated tuples are rejected.  The
+    function has a value on each of the C(m, rank) rank-subsets of the m
+    labels; that count is checked against ``cap`` before any value is
+    read."""
     field = obj["hyperfield"]
     if field not in ("RT", "T", "S", "K"):
         raise ValueError(f"unknown hyperfield {field!r}")
@@ -200,13 +209,17 @@ def gp_from_json(obj) -> GrassmannPlucker:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"repeated ground label {label!r}")
+    rank = obj["rank"]
+    count = math.comb(len(labels), rank) if type(rank) is int and rank >= 0 else 0
+    if count > cap:
+        raise EnumerationCapError(count, cap, "tuple enumeration")
     values = {}
     for item in obj["values"]:
         tup = tuple(item["tuple"])
         if tup in values:
             raise ValueError(f"repeated tuple {tup}")
         values[tup] = value_from_json(item["value"], field)
-    return GrassmannPlucker(obj["rank"], labels, field, values)
+    return GrassmannPlucker(rank, labels, field, values)
 
 
 # -- covector posets and fans ----------------------------------------------------
@@ -272,12 +285,12 @@ def _frac_vec_to_json(v) -> list:
 
 
 def _frac_vec_from_json(obj):
-    """A rational vector read from JSON ints and strings; bools and floats
-    are rejected."""
+    """A rational vector read from JSON ints and "p/q" strings
+    (``linalg.rational``); bools and floats are rejected."""
     for x in obj:
         if isinstance(x, (bool, float)):
             raise ValueError(f"bad rational coordinate {x!r}")
-    return tuple(Fraction(x) for x in obj)
+    return tuple(rational(x) for x in obj)
 
 
 def flag_to_json(flag: SignedFlag) -> dict:

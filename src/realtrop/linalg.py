@@ -10,16 +10,24 @@ determinant.
 
 Both eliminate fraction free on integers: ``clear_denominators`` scales
 each row to primitive ints by a positive factor, which keeps every sign
-and the row space.  ``det_sign`` runs Bareiss's elimination, where
-every division is exact; ``rref`` runs Gauss-Jordan on integer rows,
+and the row space.  ``det_sign`` is that scaling plus ``int_det_sign``,
+Bareiss's elimination, where every division is exact; the leading-term
+certificates of ``puiseux`` call ``int_det_sign`` directly on rows they
+already hold as ints.  ``rref`` runs Gauss-Jordan on integer rows,
 dividing each updated row by the gcd of its entries, and builds one
 ``Fraction`` per nonzero output entry, the entry over its row's pivot.
-Bools and floats are not rational scalars here: ``vec`` rejects them.
+
+``rational`` is the one reader of rational scalars: ints, Fractions, and
+strings in the ``"p/q"`` grammar of ``parse_rational`` (an optional sign,
+an int, and an optional "/" and nonzero int).  Bools and floats are not
+rational scalars here, and neither are float-like strings such as
+``"1.5"``, ``"1e3"`` or ``"1_0"``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,15 +37,34 @@ Mat = tuple[Vec, ...]
 _ZERO = Fraction(0)
 
 
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")  # the denominator is nonzero
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational from text: an optional sign, an int and an optional "/"
+    and nonzero int ("p/q"); surrounding whitespace is ignored.  Anything
+    else, floats, exponents and underscores included, raises ValueError."""
+    body = text.strip()
+    if not _RATIONAL_RE.fullmatch(body):
+        raise ValueError(f"bad rational {text!r}")
+    return Fraction(body)
+
+
+def rational(x) -> Fraction:
+    """An int, Fraction or rational string (``parse_rational``) as a
+    Fraction; bools and floats raise ``TypeError``."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str):
+        return parse_rational(x)
+    if type(x) is bool or type(x) is float:
+        raise TypeError(f"cannot use {x!r} as a rational number")
+    return Fraction(x)
+
+
 def vec(xs) -> Vec:
-    """The entries as Fractions: ints, Fractions and rational strings;
-    bools and floats raise ``TypeError``."""
-    out = []
-    for x in xs:
-        if type(x) is bool or type(x) is float:
-            raise TypeError(f"cannot use {x!r} as a rational number")
-        out.append(Fraction(x))
-    return tuple(out)
+    """The entries as Fractions, each read by ``rational``."""
+    return tuple(rational(x) for x in xs)
 
 
 def mat(rows) -> Mat:
@@ -142,10 +169,17 @@ def det_sign(rows) -> int:
     """Sign (-1, 0 or +1) of the determinant of a square rational matrix.
 
     Each row is scaled to ints by a positive factor, which keeps the
-    sign, and the integer matrix is eliminated fraction free (Bareiss):
-    every division is exact, so no Fraction is built.
+    sign, and the integer matrix goes to ``int_det_sign``.
     """
-    work = [clear_denominators(r) for r in rows]
+    return int_det_sign([clear_denominators(r) for r in rows])
+
+
+def int_det_sign(rows) -> int:
+    """Sign (-1, 0 or +1) of the determinant of a square int matrix, by
+    fraction-free elimination (Bareiss): every division is exact, so no
+    Fraction is built.  The rows are eliminated in place; pass rows the
+    caller no longer needs."""
+    work = list(rows)
     n = len(work)
     if any(len(r) != n for r in work):
         raise ValueError("determinant of a non-square matrix")

@@ -6,17 +6,23 @@ embedding (``tropical.LinearEmbedding``) is a ground set whose columns
 span.  The table of signed valuations of the maximal minors, cached on the
 ground set, is the one source for a realizable matroid: its
 Grassmann-Plucker function, its bases, and its signed valuated circuits,
-which are read off the table one (rank+1)-subset at a time.
+which are read off the table one (rank+1)-subset at a time.  The table
+is filled through one leading-term view of the columns
+(``puiseux.IntegerLeads``), which reads every leading term once.
 
-The axiom checkers build no hyperfield values.  ``check_gp_relations``
-reads every value once as an RT pair (``hyperfields.sign_val``), the
-valuations scaled to ints by the lcm of their denominators, and compares
-ints with ``hyperfields.admits_zero``.
-``check_circuit_axioms`` holds each circuit the same way
+Value tables are read once as (sign, int) pairs (``_scaled_values``):
+every value as an RT pair (``hyperfields.sign_val``), the valuations
+scaled to ints by the lcm of their denominators.  ``check_gp_relations``
+compares those ints with ``hyperfields.admits_zero``, and
+``circuits_from_matrix``, ``cocircuits_from_gp`` and
+``rt_cocircuits_from_gp`` build, normalize, deduplicate and sort their
+vectors as int pairs, making RT values only for the distinct vectors
+they return.  The axiom checkers build no hyperfield values.
+``check_circuit_axioms`` holds each circuit as int pairs too
 (``scaled_rt_vectors``, which also serves
-``tropical.linear_space_member``) plus a support bitmask, and finds
-elimination candidates as ANDs of per-coordinate bitsets over circuit
-positions.
+``tropical.linear_space_member``), with its support as a tuple of
+positions and a bitmask, and finds elimination candidates as ANDs of
+per-coordinate bitsets over circuit positions.
 
 Covectors are stored as (plus, minus) pairs of int bitmasks, and sets of
 them as int bitsets over positions.  A ``CovectorPoset`` holds only its
@@ -51,7 +57,7 @@ from .hyperfields import (
     sign_val,
     zero_of,
 )
-from .puiseux import PuiseuxSeries, as_series, signed_det
+from .puiseux import IntegerLeads, PuiseuxSeries, as_series
 
 SignVector = tuple[int, ...]
 
@@ -126,10 +132,9 @@ class GroundSet:
         """Signed value of every maximal minor, keyed by increasing column
         tuple; computed once per ground set.  Callers check their caps
         before the first read."""
-        cols = self.columns
+        minor = IntegerLeads(self.columns).minor
         return {
-            tup: signed_det([cols[j] for j in tup])
-            for tup in itertools.combinations(range(len(cols)), self.height)
+            tup: minor(tup) for tup in itertools.combinations(range(len(self)), self.height)
         }
 
 
@@ -260,7 +265,7 @@ def check_gp_relations(
     npairs = _ncr(m, r + 1) * _ncr(m, r - 1)
     if npairs > pair_cap:
         raise EnumerationCapError(npairs, pair_cap, "relation enumeration")
-    table = _scaled_values(gp)
+    table, _ = _scaled_values(gp.values)
     signed = gp.hyperfield in ("RT", "S")
     ys = list(itertools.combinations(range(m), r - 1))
     rights = []
@@ -290,12 +295,14 @@ def check_gp_relations(
     return Report(ok=True, info={"pairs_checked": npairs})
 
 
-def _scaled_values(gp: GrassmannPlucker) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Every value of gp read as an RT pair (``sign_val``), the valuations
-    scaled to ints by the lcm of their denominators; zero is (0, 0)."""
-    pairs = {t: sign_val(v) for t, v in gp.values.items()}
+def _scaled_values(values: dict) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
+    """Every value of a table of hyperfield elements read as an RT pair
+    (``sign_val``), the valuations scaled to ints by the lcm of their
+    denominators, and that lcm; zero is (0, 0).  This is the one view in
+    which the exchange relations, circuits and cocircuits are computed."""
+    pairs = {t: sign_val(v) for t, v in values.items()}
     scale = math.lcm(1, *(v.denominator for s, v in pairs.values() if s))
-    return {t: (s, _scaled(v, scale)) if s else (0, 0) for t, (s, v) in pairs.items()}
+    return {t: (s, _scaled(v, scale)) if s else (0, 0) for t, (s, v) in pairs.items()}, scale
 
 
 def _scaled(val: Fraction, scale: int) -> int:
@@ -321,11 +328,14 @@ def pushforward_gp(
 
 
 def normalize_rt_vector(entries) -> tuple[RT, ...]:
-    """Scale so the smallest-index nonzero entry becomes (+, 0)."""
+    """Scale so the smallest-index nonzero entry becomes (+, 0).  A tuple
+    of RT values that is already normalized is returned as it is."""
     entries = tuple(entries)
     lead = next((x for x in entries if x.sign != 0), None)
     if lead is None:
         raise ValueError("cannot normalize the zero vector")
+    if lead.sign == 1 and lead.val == 0 and all(type(x) is RT for x in entries):
+        return entries
     return tuple(
         RT_ZERO if x.sign == 0 else RT(x.sign * lead.sign, x.val - lead.val)
         for x in entries
@@ -365,9 +375,13 @@ def circuits_from_matrix(
     (-1)^k phi(tau minus tau_k) at tau_k is a linear dependence among the
     columns in tau.  When tau contains a basis the vector is nonzero and
     supported on the unique circuit inside tau; every circuit arises this
-    way, from any basis completed by one of its elements.  Circuits come
-    sorted by support size, then support.  ``cap`` bounds both the
-    (r+1)-subsets and the minors, and is checked before either is taken.
+    way, from any basis completed by one of its elements.  The first
+    vector found on a support is kept.  Circuits come sorted by support
+    size, then support.  ``cap`` bounds both the (r+1)-subsets and the
+    minors, and is checked before either is taken.
+
+    Each vector is built and normalized on the scaled pairs of phi
+    (``_scaled_values``); only the kept ones become RT values.
     """
     m, r = len(ground), ground.height
     count = _ncr(m, r + 1)
@@ -377,16 +391,35 @@ def circuits_from_matrix(
         phi = _spanning_minor_table(ground, cap)
     except RankDeficientError:
         raise RankDeficientError("columns do not span") from None
+    table, scale = _scaled_values(phi)
     by_support = {}
     for tau in itertools.combinations(range(m), r + 1):
-        entries = [RT_ZERO] * m
+        pairs = [(0, 0)] * m
         for k, e in enumerate(tau):
-            v = phi[tau[:k] + tau[k + 1 :]]
-            entries[e] = hyper_neg(v) if k % 2 else v
-        if any(x.sign != 0 for x in entries):
-            c = SignedCircuit(tuple(entries))
-            by_support.setdefault(c.support, c)
-    return tuple(by_support[s] for s in sorted(by_support, key=lambda s: (len(s), s)))
+            s, v = table[tau[:k] + tau[k + 1 :]]
+            pairs[e] = (-s if k % 2 else s, v)
+        normal = _normalized(pairs)
+        if normal is not None:
+            by_support.setdefault(tuple(e for e in tau if normal[e][0]), normal)
+    return tuple(
+        SignedCircuit(_rt_vector(by_support[s], scale))
+        for s in sorted(by_support, key=lambda s: (len(s), s))
+    )
+
+
+def _normalized(pairs) -> tuple[tuple[int, int], ...] | None:
+    """Scaled (sign, val) pairs rescaled so the first nonzero one is
+    (1, 0), as ``normalize_rt_vector`` does; None for the zero vector."""
+    lead = next((p for p in pairs if p[0]), None)
+    if lead is None:
+        return None
+    ls, lv = lead
+    return tuple((s * ls, v - lv) if s else (0, 0) for s, v in pairs)
+
+
+def _rt_vector(pairs, scale: int) -> tuple[RT, ...]:
+    """The RT values of scaled (sign, val) pairs."""
+    return tuple(RT(s, Fraction(v, scale)) if s else RT_ZERO for s, v in pairs)
 
 
 def check_circuit_axioms(circuits) -> Report:
@@ -400,15 +433,15 @@ def check_circuit_axioms(circuits) -> Report:
     axiom.
 
     Each circuit is held as a sign list, a list of valuations scaled to
-    ints by the lcm of all denominators, and a support bitmask; sets of
-    circuits are int bitsets over list positions, nonzero_at[g] holding
-    the circuits nonzero at g.  C3 takes each ordered pair (A, C) and
-    shared element e, rescales C to C' with C'_e = -A_e, and tabulates
-    A_g + C'_g once per coordinate: its least valuation, and the sign when
-    it is a singleton.  For each f with val A_f < val C'_f the candidates
-    D are zero at e and nonzero at f; D rescaled to agree with A at f must
-    lie in A_g + C'_g at every g, which only needs a test on the support
-    of D.
+    ints by the lcm of all denominators, and its support, both as a tuple
+    of positions, computed once, and as a bitmask; sets of circuits are
+    int bitsets over list positions, nonzero_at[g] holding the circuits
+    nonzero at g.  C3 takes each ordered pair (A, C) and shared element
+    e, rescales C to C' with C'_e = -A_e, and tabulates A_g + C'_g once
+    per coordinate: its least valuation, and the sign when it is a
+    singleton.  For each f with val A_f < val C'_f the candidates D are
+    zero at e and nonzero at f; D rescaled to agree with A at f must lie
+    in A_g + C'_g at every g, which only needs a test on the support of D.
     """
     circuits = tuple(circuits)
     if not circuits:
@@ -417,19 +450,18 @@ def check_circuit_axioms(circuits) -> Report:
     if any(len(c) != m for c in circuits):
         raise ValueError("circuits of unequal length")
     signs, vals, _ = scaled_rt_vectors(c.entries for c in circuits)
-    supports = [sum(1 << g for g, s in enumerate(sg) if s) for sg in signs]
+    positions = [tuple(g for g, s in enumerate(sg) if s) for sg in signs]
+    supports = [sum(1 << g for g in pos) for pos in positions]
     nonzero_at = [0] * m
-    for i, mask in enumerate(supports):
-        for g in _bits(mask):
+    for i, pos in enumerate(positions):
+        for g in pos:
             nonzero_at[g] |= 1 << i
     violations: list[dict] = []
 
-    for i, mask in enumerate(supports):
-        if not mask:
+    for i, pos in enumerate(positions):
+        if not pos:
             violations.append({"axiom": "C0", "circuit": i})
-            continue
-        lead = (mask & -mask).bit_length() - 1
-        if (signs[i][lead], vals[i][lead]) != (1, 0):
+        elif (signs[i][pos[0]], vals[i][pos[0]]) != (1, 0):
             violations.append({"axiom": "C1", "circuit": i})
 
     for i, j in itertools.combinations(range(len(circuits)), 2):
@@ -446,17 +478,17 @@ def check_circuit_axioms(circuits) -> Report:
             beta_sign, beta_val = -sa[e] * sc[e], va[e] - vc[e]
             # C'_g = (beta_sign * sc[g], vc[g] + beta_val) on the support of C
             thr, sgn = list(va), list(sa)
-            for g in _bits(mc):
+            for g in positions[j]:
                 cs, cv = beta_sign * sc[g], vc[g] + beta_val
                 if not sa[g] or cv < va[g]:
                     thr[g], sgn[g] = cv, cs
                 elif cv == va[g] and cs != sa[g]:
                     sgn[g] = 0
-            for f in _bits(ma):
+            for f in positions[i]:
                 if mc >> f & 1 and va[f] >= vc[f] + beta_val:
                     continue
                 if not any(
-                    _eliminates(signs[d], vals[d], supports[d], sa[f], va[f], f, thr, sgn)
+                    _eliminates(signs[d], vals[d], positions[d], sa[f], va[f], f, thr, sgn)
                     for d in _bits(nonzero_at[f] & ~nonzero_at[e])
                     if not supports[d] & outside
                 ):
@@ -484,11 +516,12 @@ def scaled_rt_vectors(vectors) -> tuple[list[list[int]], list[list[int]], int]:
     return signs, vals, scale
 
 
-def _eliminates(sd, vd, md: int, af_sign: int, af_val: int, f: int, thr, sgn) -> bool:
+def _eliminates(sd, vd, support, af_sign: int, af_val: int, f: int, thr, sgn) -> bool:
     """Whether D, rescaled to equal A at f, lies in A_g + C'_g at every g of
-    its support; thr and sgn tabulate that sum (sign 0 for a ball)."""
+    its support, a tuple of positions; thr and sgn tabulate that sum (sign
+    0 for a ball)."""
     gamma_sign, shift = af_sign * sd[f], af_val - vd[f]
-    for g in _bits(md):
+    for g in support:
         v, t = vd[g] + shift, thr[g]
         if v < t or v == t and sgn[g] and gamma_sign * sd[g] != sgn[g]:
             return False
@@ -536,9 +569,10 @@ def cocircuits_from_gp(
     count = _ncr(m, r - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
+    table, _ = _scaled_values(gp.values)
     seen: set[SignVector] = set()
-    for mu in itertools.combinations(range(m), r - 1):
-        X = tuple(sign_val(gp.value_on(mu + (e,)))[0] for e in range(m))
+    for row in _cocircuit_rows(table, m, r):
+        X = tuple(s for s, _ in row)
         if any(X):
             seen.add(X)
             seen.add(tuple(-x for x in X))
@@ -548,24 +582,38 @@ def cocircuits_from_gp(
 def rt_cocircuits_from_gp(
     gp: GrassmannPlucker, cap: int = DEFAULT_PAIR_CAP
 ) -> tuple[SignedCircuit, ...]:
-    """Normalized RT cocircuit vectors of a real tropical chirotope."""
+    """Normalized RT cocircuit vectors of a real tropical chirotope, one
+    per distinct vector e -> phi(mu, e), sorted by their (sign, valuation)
+    entries.  The vectors are normalized, deduplicated and sorted as
+    scaled pairs; only the distinct ones become RT values."""
     if gp.hyperfield != "RT":
         raise ValueError("expected a real tropical chirotope")
     m, r = len(gp), gp.rank
     count = _ncr(m, r - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
-    seen = {}
+    table, scale = _scaled_values(gp.values)
+    seen = {_normalized(row) for row in _cocircuit_rows(table, m, r)}
+    seen.discard(None)
+    # a zero entry is (0, 0) here and (0, inf) as RT: it only ever ties
+    # with another zero entry, so both orders agree
+    return tuple(SignedCircuit(_rt_vector(v, scale)) for v in sorted(seen))
+
+
+def _cocircuit_rows(table, m: int, r: int):
+    """Per (r-1)-subset mu, in lexicographic order, the scaled pairs of
+    e -> phi(mu + (e,)) from a ``_scaled_values`` table: phi at mu with e
+    inserted at its sorted position p, times (-1)^(r-1-p)."""
     for mu in itertools.combinations(range(m), r - 1):
-        entries = tuple(gp.value_on(mu + (e,)) for e in range(m))
-        if any(x.sign != 0 for x in entries):
-            c = SignedCircuit(entries)
-            seen[c.entries] = c
-    return tuple(seen[k] for k in sorted(seen, key=_rt_vec_key))
-
-
-def _rt_vec_key(entries):
-    return tuple((x.sign, x.val) for x in entries)
+        row = []
+        for e in range(m):
+            p = bisect.bisect_left(mu, e)
+            if p < len(mu) and mu[p] == e:
+                row.append((0, 0))
+                continue
+            s, v = table[mu[:p] + (e,) + mu[p:]]
+            row.append((-s if (r - 1 - p) % 2 else s, v))
+        yield row
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,18 @@ and the leading coefficients of the entries tight under those potentials
 form a rational matrix whose determinant is the coefficient of that
 power of t in det.  When that determinant is nonzero it gives the sign,
 in O(n^3); when it vanishes the leading terms cancel, and ``signed_det``
-falls back to the exact expansion.
+falls back to the exact expansion.  The sign comes from one int Bareiss
+(``linalg.int_det_sign``) on the tight leading coefficients, each row
+scaled to ints by a positive factor.
+
+``IntegerLeads`` is the leading-term view of one ground set: it reads
+every column's leading terms once, exponents as ints over one common
+denominator and each column's coefficients as ints, so each maximal
+minor is the assignment plus that one int Bareiss on the tight entries
+(just the Bareiss when every chosen column is constant), and the exact
+expansion runs only when the leading terms cancel.  Its minors equal
+``signed_det`` of the chosen columns; a single matrix goes through
+``signed_det`` and its own one-pass read.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hyperfields import INF, RT, RT_ZERO, Val, format_val
-from .linalg import det_sign
+from .linalg import clear_denominators, det_sign, int_det_sign, rational
 
 DEFAULT_MAX_EXP_DENOMINATOR = 10**9
 DET_SIZE_BOUND = 12  # the exact expansion is O(n 2^n)
@@ -73,7 +84,7 @@ class PuiseuxSeries:
     def from_terms(pairs: Iterable[tuple]) -> "PuiseuxSeries":
         """The canonical series of (coefficient, exponent) pairs in any
         order; repeated exponents add up and zero terms drop out."""
-        terms = tuple((_rational(c), _rational(q)) for c, q in pairs)
+        terms = tuple((rational(c), rational(q)) for c, q in pairs)
         return _sum_of_products([(1, terms, _ONE.terms)])
 
     @staticmethod
@@ -86,12 +97,12 @@ class PuiseuxSeries:
 
     @staticmethod
     def constant(c) -> "PuiseuxSeries":
-        c = _rational(c)
+        c = rational(c)
         return PuiseuxSeries(((c, Fraction(0)),)) if c else _ZERO
 
     @staticmethod
     def t_power(q, coeff=1) -> "PuiseuxSeries":
-        coeff, q = _rational(coeff), _rational(q)
+        coeff, q = rational(coeff), rational(q)
         return PuiseuxSeries(((coeff, q),)) if coeff else _ZERO
 
     # -- structure ---------------------------------------------------------
@@ -165,14 +176,6 @@ class PuiseuxSeries:
 
 _ZERO = PuiseuxSeries(())
 _ONE = PuiseuxSeries(((Fraction(1), Fraction(0)),))
-
-
-def _rational(x) -> Fraction:
-    """An int, Fraction or str as a Fraction; bools and floats are not
-    scalars of the ring."""
-    if isinstance(x, (bool, float)):
-        raise TypeError(f"cannot use {x!r} as a rational number")
-    return Fraction(x)
 
 
 def _sum_of_products(products) -> PuiseuxSeries:
@@ -562,7 +565,8 @@ def signed_det(rows: Matrix) -> RT:
     before any work.  Transposing changes neither det, nor the optimal
     assignment, nor det L, so the result, and whether the exact fallback
     runs, are the same for a matrix and its transpose: callers may pass
-    columns as rows.
+    columns as rows.  ``IntegerLeads`` gives the same values for the
+    maximal minors of fixed columns.
     """
     rows = _square_matrix(rows)
     values = []
@@ -574,24 +578,86 @@ def signed_det(rows: Matrix) -> RT:
     else:
         sign = det_sign(values)
         return RT(sign, Fraction(0)) if sign else RT_ZERO
-    leads = [[x.terms[0] if x.terms else None for x in row] for row in rows]
-    scale = math.lcm(*(t[1].denominator for row in leads for t in row if t))
+    return _certified(*_integer_leads(rows), rows)
+
+
+def _integer_leads(lines) -> tuple[list[list], list[list[int]], int]:
+    """The leading terms of each line of series in integer form: the
+    exponents as ints over one common denominator (None for a zero
+    entry), the coefficients as ints, each line scaled by its own
+    positive factor (``clear_denominators``), and that denominator."""
+    leads = [[x.terms[0] if x.terms else None for x in line] for line in lines]
+    scale = math.lcm(1, *(t[1].denominator for line in leads for t in line if t))
     cost = [
-        [t[1].numerator * (scale // t[1].denominator) if t else None for t in row]
-        for row in leads
+        [t[1].numerator * (scale // t[1].denominator) if t else None for t in line]
+        for line in leads
     ]
+    coeffs = [clear_denominators([t[0] if t else 0 for t in line]) for line in leads]
+    return cost, coeffs, scale
+
+
+def _certified(cost, coeffs, scale: int, rows) -> RT:
+    """``signed_value(det(rows))`` from the leading terms of its entries,
+    read by ``_integer_leads``.
+
+    Scaling a row of coefficients by a positive factor keeps the sign of
+    det L.  The tight entries form L, whose sign is one int Bareiss; only
+    when det L vanishes is det(rows) expanded exactly.
+    """
     potentials = _assignment_potentials(cost)
     if potentials is None:
         return RT_ZERO
     u, v = potentials
     tight = [
-        [t[0] if t and c == ui + vj else 0 for t, c, vj in zip(lrow, crow, v)]
-        for lrow, crow, ui in zip(leads, cost, u)
+        [c if q == ui + vj else 0 for c, q, vj in zip(crow, qrow, v)]
+        for crow, qrow, ui in zip(coeffs, cost, u)
     ]
-    sign = det_sign(tight)
+    sign = int_det_sign(tight)
     if sign == 0:
         return signed_value(det(rows))
     return RT(sign, Fraction(sum(u) + sum(v), scale))
+
+
+class IntegerLeads:
+    """The leading terms of fixed columns read once in integer form, for
+    the signed values of their maximal minors.
+
+    Every leading exponent is an int over one common denominator, and
+    each column's leading coefficients are ints, the column scaled by a
+    positive factor (``_integer_leads``), which keeps every sign and the
+    sign of every det L.  ``minor(tup)`` equals
+    ``signed_det([columns[j] for j in tup])``, from the same certificate:
+    when every chosen column is constant, the sign of the int determinant
+    of their values; otherwise the assignment and one int Bareiss on the
+    tight entries, and the exact ``det`` only when the leading terms
+    cancel.
+    """
+
+    __slots__ = ("_columns", "_height", "_costs", "_coeffs", "_constant", "_scale")
+
+    def __init__(self, columns: Sequence[Sequence[PuiseuxSeries]]):
+        columns = self._columns = coerce_matrix(columns)
+        height = self._height = len(columns[0]) if columns else 0
+        if height > DET_SIZE_BOUND:
+            raise ValueError(f"matrix size {height} exceeds bound {DET_SIZE_BOUND}")
+        self._costs, self._coeffs, self._scale = _integer_leads(columns)
+        self._constant = [constant_values(col) is not None for col in columns]
+
+    def minor(self, tup: Sequence[int]) -> RT:
+        """The signed value of the minor on the columns in tup, one per
+        row of the columns."""
+        if len(tup) != self._height:
+            raise ValueError("determinant of a non-square matrix")
+        columns, coeffs = self._columns, self._coeffs
+        if all(self._constant[j] for j in tup):
+            sign = int_det_sign([list(coeffs[j]) for j in tup])
+            return RT(sign, Fraction(0)) if sign else RT_ZERO
+        return _certified(
+            [self._costs[j] for j in tup],
+            [coeffs[j] for j in tup],
+            self._scale,
+            [columns[j] for j in tup],
+        )
 
 
 def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:

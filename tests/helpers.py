@@ -17,6 +17,7 @@ from realtrop import (
     PuiseuxSeries,
     compose,
     ground_from_matrix,
+    parse_puiseux,
 )
 from realtrop.puiseux import column_rank
 
@@ -44,6 +45,51 @@ def random_constant(rng: random.Random, sparse: bool = True) -> PuiseuxSeries:
     if sparse and rng.random() < 0.35:
         return PuiseuxSeries.zero()
     return PuiseuxSeries.constant(random_coeff(rng))
+
+
+# acceptance criterion 5's alphabet: leading terms that cancel against each other
+CANCELLATION = ("1", "-1", "1+t", "1-t", "-1+t", "-1-t", "t", "2", "-2", "1/2")
+THIRDS_AND_FIFTHS = [Fraction(k, d) for d in (3, 5) for k in range(-1, 4)]
+
+
+def random_thirds_and_fifths(rng: random.Random) -> PuiseuxSeries:
+    """Element whose exponents have denominators 3 and 5, zero at times."""
+    if rng.random() < 0.25:
+        return PuiseuxSeries.zero()
+    return PuiseuxSeries.from_terms(
+        (random_coeff(rng), rng.choice(THIRDS_AND_FIFTHS)) for _ in range(rng.choice([1, 2]))
+    )
+
+
+def random_columns(rng: random.Random, height: int, width: int) -> list[tuple]:
+    """Seeded columns for maximal-minor tests: constant, series, mixed,
+    exponents over 3 and 5, or the cancellation alphabet, which makes
+    leading terms cancel; some sets get a zero column or are rank
+    deficient by construction."""
+    kind = rng.choice(["constant", "series", "mixed", "thirds-fifths", "cancellation"])
+    alphabet = [parse_puiseux(s) for s in CANCELLATION]
+    makers = {
+        "constant": lambda: random_constant(rng),
+        "series": lambda: random_series(rng),
+        "thirds-fifths": lambda: random_thirds_and_fifths(rng),
+        "cancellation": lambda: rng.choice(alphabet),
+    }
+
+    def column():
+        name = kind if kind != "mixed" else rng.choice(["constant", "series"])
+        return [makers[name]() for _ in range(height)]
+
+    cols = [column() for _ in range(width)]
+    shape = rng.random()
+    if width and shape < 0.2:
+        cols[rng.randrange(width)] = [PuiseuxSeries.zero()] * height
+    elif height >= 2 and shape < 0.4:
+        # one row a multiple of another: every maximal minor vanishes
+        a, b = rng.sample(range(height), 2)
+        factor = rng.choice(alphabet)
+        for col in cols:
+            col[a] = factor * col[b]
+    return [tuple(col) for col in cols]
 
 
 def random_matrix_rows(rng, height, width, constant=False):

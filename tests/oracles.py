@@ -9,6 +9,13 @@ from Cramer's rule.  It is slow (many more determinants than the
 maximal-minor table needs) but shares no code with
 ``realtrop.matroids.circuits_from_matrix`` beyond the determinant.
 
+``circuits_by_rt_vectors``, ``cocircuits_by_value_on`` and
+``rt_cocircuits_by_value_on`` are the loops the library ran before it
+built circuits and cocircuits on scaled int pairs: one RT vector per
+subset, from ``hyper_neg`` or ``GrassmannPlucker.value_on``, normalized
+by ``normalize_by_fractions`` (one Fraction subtraction per entry) and
+deduplicated as RT tuples.
+
 The covector functions work on sign vectors as int tuples with the
 public helpers ``compose_sv``, ``leq_sv`` and ``separation_set``:
 ``closure_by_all_pairs`` composes every new vector with every vector found
@@ -82,6 +89,7 @@ from realtrop.hyperfields import (
     Val,
     field_of,
     pushmap_target,
+    sign_val,
 )
 from realtrop.matroids import (
     DEFAULT_CLOSURE_CAP,
@@ -92,7 +100,7 @@ from realtrop.matroids import (
     separation_set,
     sign_vector_str,
 )
-from realtrop.puiseux import PuiseuxSeries, as_series, det, signed_value
+from realtrop.puiseux import PuiseuxSeries, as_series, det, signed_det, signed_value
 
 
 def bases_by_subset_search(cols) -> tuple[tuple[int, ...], ...]:
@@ -162,6 +170,66 @@ def circuits_by_subset_search(ground) -> tuple[SignedCircuit, ...]:
             entries[e] = lam[pos]
         out.append(SignedCircuit(tuple(entries)))
     return tuple(out)
+
+
+def normalize_by_fractions(entries) -> tuple[RT, ...]:
+    """Every entry of a nonzero RT vector scaled by the first nonzero one,
+    one Fraction subtraction and one RT per entry."""
+    lead = next(x for x in entries if x.sign != 0)
+    return tuple(
+        RT_ZERO if x.sign == 0 else RT(x.sign * lead.sign, x.val - lead.val) for x in entries
+    )
+
+
+def circuits_by_rt_vectors(ground) -> tuple[SignedCircuit, ...]:
+    """The circuits of the maximal-minor table, each (r+1)-subset tau
+    giving the RT vector (-1)^k phi(tau minus tau_k) at tau_k; the first
+    vector found on a support is kept, and circuits are sorted by support
+    size, then support.  The minors come from ``signed_det``."""
+    cols, m, r = ground.columns, len(ground), ground.height
+    phi = {
+        tup: signed_det([cols[j] for j in tup])
+        for tup in itertools.combinations(range(m), r)
+    }
+    if all(v.sign == 0 for v in phi.values()):
+        raise RankDeficientError("columns do not span")
+    by_support = {}
+    for tau in itertools.combinations(range(m), r + 1):
+        entries = [RT_ZERO] * m
+        for k, e in enumerate(tau):
+            v = phi[tau[:k] + tau[k + 1 :]]
+            entries[e] = hyper_neg(v) if k % 2 else v
+        if any(x.sign != 0 for x in entries):
+            c = SignedCircuit(normalize_by_fractions(entries))
+            by_support.setdefault(c.support, c)
+    return tuple(by_support[s] for s in sorted(by_support, key=lambda s: (len(s), s)))
+
+
+def cocircuits_by_value_on(gp) -> tuple[tuple[int, ...], ...]:
+    """Sign vectors e -> sgn phi(mu, e), each value taken by
+    ``value_on``, closed under negation, zero vectors removed, sorted."""
+    m = len(gp)
+    seen = set()
+    for mu in itertools.combinations(range(m), gp.rank - 1):
+        X = tuple(sign_val(gp.value_on(mu + (e,)))[0] for e in range(m))
+        if any(X):
+            seen.add(X)
+            seen.add(tuple(-x for x in X))
+    return tuple(sorted(seen))
+
+
+def rt_cocircuits_by_value_on(gp) -> tuple[SignedCircuit, ...]:
+    """Normalized RT vectors e -> phi(mu, e), each value taken by
+    ``value_on``, one per distinct vector, sorted by (sign, valuation)
+    entries."""
+    m = len(gp)
+    seen = {}
+    for mu in itertools.combinations(range(m), gp.rank - 1):
+        entries = tuple(gp.value_on(mu + (e,)) for e in range(m))
+        if any(x.sign != 0 for x in entries):
+            c = SignedCircuit(normalize_by_fractions(entries))
+            seen[c.entries] = c
+    return tuple(seen[k] for k in sorted(seen, key=lambda v: tuple((x.sign, x.val) for x in v)))
 
 
 def closure_by_all_pairs(cocircuits, cap: int = DEFAULT_CLOSURE_CAP) -> CovectorPoset:

@@ -80,6 +80,27 @@ def test_circuits_obey_the_cap(capsys, cap, stage, required):
     assert code == 0 and len(json.loads(out)["circuits"]) == 4
 
 
+def test_gp_check_counts_the_tuples_of_a_gp_json_against_the_cap(capsys):
+    # 26 labels, rank 6: C(26, 6) value tuples; the unread value is malformed
+    blob = {
+        "rank": 6,
+        "ground": list(range(26)),
+        "hyperfield": "RT",
+        "values": [{"tuple": [0, 1, 2, 3, 4, 5], "value": {"sign": "+", "val": "1.5"}}],
+    }
+    code, out = run_cli(["--cap", "10", "gp-check", json.dumps(blob)], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "type": "EnumerationCapError",
+            "message": "tuple enumeration needs 230230 steps, cap is 10",
+            "required": 230230,
+            "cap": 10,
+            "stage": "tuple enumeration",
+        }
+    }
+
+
 def test_valuation_outside_the_grammar_is_a_structured_error(capsys):
     code, out = run_cli(["member", "+:0,-:1/0,+:2", U23], capsys)
     assert code == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from realtrop import INF, KV, RT, RT_ZERO, TV
+from realtrop import INF, KV, RT, RT_ZERO, TV, EnumerationCapError
 from realtrop.cli import main
 from realtrop.hyperfields import KV_ONE, KV_ZERO, TV_ZERO, field_of
 from realtrop.jsonio import (
@@ -153,6 +153,31 @@ def test_flag_vectors_reject_bools_and_floats(slot, value):
         blob = dict(FLAG, steps=[dict(FLAG["steps"][0], vector=[value, 1]), FLAG["steps"][1]])
     with pytest.raises(ValueError, match=f"^bad rational coordinate {value!r}$"):
         flag_from_json(blob)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_0", "1/0", "1/2/3", "inf"])
+@pytest.mark.parametrize("slot", ["kernel", "step"])
+def test_flag_vectors_reject_strings_outside_the_grammar(slot, text):
+    if slot == "kernel":
+        blob = dict(FLAG, kernel=[["1", text]])
+    else:
+        blob = dict(FLAG, steps=[dict(FLAG["steps"][0], vector=[text, 1]), FLAG["steps"][1]])
+    with pytest.raises(ValueError, match=f"^bad rational {re.escape(repr(text))}$"):
+        flag_from_json(blob)
+
+
+def test_gp_tuples_are_counted_against_the_cap_before_any_value():
+    blob = {"rank": 6, "ground": list(range(26)), "hyperfield": "S", "values": "not read"}
+    with pytest.raises(EnumerationCapError) as info:
+        gp_from_json(blob, cap=10)
+    assert (info.value.required, info.value.cap, info.value.stage) == (
+        230230, 10, "tuple enumeration"
+    )
+    small = {"rank": 1, "ground": [0, 1], "hyperfield": "S",
+             "values": [{"tuple": [0], "value": "+"}]}
+    assert gp_from_json(small, cap=2).values == {(0,): 1, (1,): 0}
+    with pytest.raises(EnumerationCapError):
+        gp_from_json(small, cap=1)
 
 
 def test_flag_vectors_read_ints_and_rational_strings():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,22 @@ def test_rref_of_one_row_divides_by_the_pivot():
     assert linalg.rref([[0, -4, 6, 0]]) == (((0, 1, Fraction(-3, 2), 0),), (1,))
     assert linalg.rref([[0, 0]]) == ((), ())
     assert linalg.rref([]) == ((), ())
+
+
+@pytest.mark.parametrize("text", ["2.5", "1e3", "1_0", "1/0", "0x10", "1/-2", "", " "])
+def test_rational_strings_follow_the_valuation_grammar(text):
+    with pytest.raises(ValueError, match=f"^bad rational {re.escape(repr(text))}$"):
+        linalg.vec(["1", text])
+    with pytest.raises(ValueError, match=f"^bad rational {re.escape(repr(text))}$"):
+        FlagStep((1, text), 0, 1)
+
+
+def test_rational_strings_read_sign_int_and_nonzero_denominator():
+    assert linalg.vec([" -3/6 ", "+4", "007", "2/03"]) == (
+        Fraction(-1, 2), 4, 7, Fraction(2, 3)
+    )
+    assert linalg.parse_rational("-0/5") == 0
+    assert linalg.rational(Fraction(1, 3)) == Fraction(1, 3)
 
 
 @pytest.mark.parametrize("bad", [True, False, 0.5, 0.1, 1.0])

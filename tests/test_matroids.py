@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -23,6 +24,7 @@ from realtrop import (
     gp_from_matrix,
     ground_from_matrix,
     hyper_neg,
+    normalize_rt_vector,
     pushforward_gp,
     pushmap,
     rt,
@@ -30,15 +32,19 @@ from realtrop import (
 )
 from realtrop import hyperfields, matroids
 from realtrop.hyperfields import is_zero, zero_of
-from realtrop.puiseux import as_series
+from realtrop.puiseux import IntegerLeads, as_series, signed_det
 
-from helpers import random_embedding, random_full_rank_ground
+from helpers import random_columns, random_embedding, random_full_rank_ground
 from oracles import (
     circuit_axioms_by_hypersums,
+    circuits_by_rt_vectors,
     circuits_by_subset_search,
+    cocircuits_by_value_on,
     gp_relations_by_hypersums,
     max_independent_by_subsets,
+    normalize_by_fractions,
     nullspace,
+    rt_cocircuits_by_value_on,
 )
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
@@ -128,14 +134,14 @@ def test_gp_pushes_into_every_field_from_the_one_table():
 
 def test_one_minor_table_per_embedding(monkeypatch):
     emb = random_embedding(random.Random(41), 3, 6)
-    real = matroids.signed_det
+    real = IntegerLeads.minor
     calls = []
 
-    def counting(rows):
-        calls.append(rows)
-        return real(rows)
+    def counting(self, tup):
+        calls.append(tup)
+        return real(self, tup)
 
-    monkeypatch.setattr(matroids, "signed_det", counting)
+    monkeypatch.setattr(IntegerLeads, "minor", counting)
     gp = gp_from_matrix(emb.ground())
     circuits = emb.circuits
     signs = gp_from_matrix(emb.ground(), target="S")
@@ -143,6 +149,21 @@ def test_one_minor_table_per_embedding(monkeypatch):
     assert emb.ground() is emb.ground()
     assert circuits and check_gp_relations(signs).ok
     assert signs.values == {tup: pushmap("sgn", v) for tup, v in gp.values.items()}
+
+
+def test_minor_table_equals_signed_det_per_subset():
+    rng = random.Random(1516)
+    kinds = set()
+    for _ in range(200):
+        height = rng.randint(1, 4)
+        cols = random_columns(rng, height, rng.randint(height, 6))
+        table = GroundSet(tuple(cols)).minor_table
+        assert table == {
+            tup: signed_det([cols[j] for j in tup])
+            for tup in itertools.combinations(range(len(cols)), height)
+        }
+        kinds.add(all(v.sign == 0 for v in table.values()))
+    assert kinds == {True, False}  # rank-deficient sets were among them
 
 
 # -- exchange relations -------------------------------------------------------------
@@ -260,10 +281,10 @@ def test_circuits_rank_deficient_like_the_oracle():
 
 
 def test_circuit_enumeration_cap_checked_before_any_minor(monkeypatch):
-    def no_minors(rows):
+    def no_minors(self, tup):
         raise AssertionError("a minor was computed")
 
-    monkeypatch.setattr(matroids, "signed_det", no_minors)
+    monkeypatch.setattr(IntegerLeads, "minor", no_minors)
     g = ground_from_matrix([[(i * 7 + j * j) % 5 for j in range(26)] for i in range(5)])
     with pytest.raises(EnumerationCapError) as info:
         circuits_from_matrix(g)
@@ -334,6 +355,91 @@ def test_max_independent_reports_rank():
         g = random_full_rank_ground(rng, h, rng.randint(h + 1, 6))
         report = check_circuit_axioms(circuits_from_matrix(g))
         assert report.info["max_independent"] == h
+
+
+def _spanning_columns(rng, height, width):
+    while True:
+        cols = random_columns(rng, height, width)
+        if any(v.sign for v in GroundSet(tuple(cols)).minor_table.values()):
+            return GroundSet(tuple(cols))
+
+
+def test_circuits_equal_the_rt_vector_loop():
+    rng = random.Random(1517)
+    dens = set()
+    for _ in range(120):
+        height = rng.randint(1, 4)
+        g = _spanning_columns(rng, height, rng.randint(height, 6))
+        circuits = circuits_from_matrix(g)
+        assert circuits == circuits_by_rt_vectors(g)
+        assert all(type(x) is RT for c in circuits for x in c.entries)
+        dens.update(x.val.denominator for c in circuits for x in c.entries if x.sign)
+    assert {3, 5} <= dens
+    g = GroundSet(((1, 2), (2, 4)))
+    for build in (circuits_from_matrix, circuits_by_rt_vectors):
+        with pytest.raises(RankDeficientError, match="^columns do not span$"):
+            build(g)
+
+
+def _random_gp(rng, field):
+    """A value table on random rank-subsets, not always a GP function:
+    RT valuations with denominators 3 and 5, zeros included."""
+    m = rng.randint(1, 6)
+    r = rng.randint(1, m)
+    values = {}
+    for tup in itertools.combinations(range(m), r):
+        if rng.random() < 0.3:
+            continue
+        sign = rng.choice([1, -1])
+        val = Fraction(rng.randint(-4, 4), rng.choice([1, 3, 5]))
+        values[tup] = sign if field == "S" else RT(sign, val)
+    if not values:
+        values[tuple(range(r))] = 1 if field == "S" else RT(1, 0)
+    return GrassmannPlucker(r, tuple(range(m)), field, values)
+
+
+def test_cocircuits_equal_the_value_on_loops():
+    rng = random.Random(1518)
+    gps = []
+    for _ in range(60):
+        height = rng.randint(1, 4)
+        g = _spanning_columns(rng, height, rng.randint(height, 6))
+        gps += [gp_from_matrix(g), gp_from_matrix(g, target="S")]
+    gps += [_random_gp(rng, rng.choice(["RT", "S"])) for _ in range(200)]
+    dens = set()
+    for gp in gps:
+        assert cocircuits_from_gp(gp) == cocircuits_by_value_on(gp), gp.values
+        if gp.hyperfield == "RT":
+            cocircuits = rt_cocircuits_from_gp(gp)
+            assert cocircuits == rt_cocircuits_by_value_on(gp), gp.values
+            assert all(type(x) is RT for c in cocircuits for x in c.entries)
+            dens.update(x.val.denominator for c in cocircuits for x in c.entries if x.sign)
+    assert {3, 5} <= dens
+
+
+def test_normalize_rt_vector_equals_scaling_by_the_lead():
+    rng = random.Random(1519)
+    states = [RT_ZERO] + [
+        RT(s, Fraction(k, d)) for s in (1, -1) for k in (-2, 0, 1, 4) for d in (1, 3, 5)
+    ]
+    leads = {"normalized": 0, "unnormalized": 0, "negative": 0}
+    for _ in range(500):
+        v = tuple(rng.choice(states) for _ in range(rng.randint(1, 6)))
+        lead = next((x for x in v if x.sign), None)
+        if lead is None:
+            with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+                normalize_rt_vector(v)
+            continue
+        got = normalize_rt_vector(v)
+        assert type(got) is tuple and got == normalize_by_fractions(v)
+        assert normalize_rt_vector(list(v)) == got
+        if lead == RT(1, 0):
+            leads["normalized"] += 1
+            assert got is v
+        else:
+            leads["negative" if lead.sign < 0 else "unnormalized"] += 1
+        assert normalize_rt_vector(got) is got
+    assert all(leads.values())
 
 
 # -- cocircuits -----------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from realtrop import (
     signed_value,
 )
 from realtrop import puiseux
-from realtrop.puiseux import DET_SIZE_BOUND
+from realtrop.puiseux import DET_SIZE_BOUND, IntegerLeads
 from realtrop.linalg import det_sign
 
-from helpers import random_constant, random_series
+from helpers import random_columns, random_constant, random_series
 from oracles import (
     add_by_terms,
     det_by_fraction_laplace,
@@ -528,6 +528,57 @@ def test_signed_det_rejects_input_like_det(monkeypatch, rows):
     with pytest.raises(ValueError) as got:
         signed_det(rows)
     assert str(got.value) == str(expected.value)
+
+
+def test_integer_leads_minor_equals_signed_det(monkeypatch):
+    # every maximal minor of one view against signed_det of its columns,
+    # with the exact fallback counted on both sides: the same minors expand
+    exact = puiseux.det
+    fallbacks = []
+
+    def counting_det(rows):
+        fallbacks.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(puiseux, "det", counting_det)
+    rng = random.Random(1515)
+    seen = {"zero": 0, "nonzero": 0}
+    fell_back = 0
+    for _ in range(400):
+        height = rng.randint(0, 4)
+        cols = random_columns(rng, height, rng.randint(height, 6))
+        leads = IntegerLeads(cols)
+        for tup in itertools.combinations(range(len(cols)), height):
+            fallbacks.clear()
+            got = leads.minor(tup)
+            once = len(fallbacks)
+            assert got == signed_det([cols[j] for j in tup]), (cols, tup)
+            assert len(fallbacks) == 2 * once, (cols, tup)
+            fell_back += once
+            seen["zero" if got.sign == 0 else "nonzero"] += 1
+    assert fell_back and all(seen.values())
+
+
+def test_integer_leads_check_their_input():
+    with pytest.raises(ValueError, match=f"^matrix size 13 exceeds bound {DET_SIZE_BOUND}$"):
+        IntegerLeads([[t(1)] * (DET_SIZE_BOUND + 1)] * (DET_SIZE_BOUND + 1))
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        IntegerLeads([["1", "t"], ["1"]])
+    leads = IntegerLeads([["1", "t"], ["t", "1"], ["0", "2"]])
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        leads.minor((0, 1, 2))
+    assert leads.minor((0, 1)) == RT(1, 0)
+    assert leads.minor((1, 0)) == RT(-1, 0)
+    assert leads.minor((0, 2)) == RT(1, 0)
+    assert IntegerLeads([]).minor(()) == RT(1, 0)
+
+
+@pytest.mark.parametrize("text", ["0.25", "1e3", "1_0", "1/0", "1/2/3", "", "t"])
+def test_rational_strings_outside_the_grammar_are_not_ring_scalars(text):
+    for build in (const, lambda x: t(x, 1), lambda x: t(1, x),
+                  lambda x: PuiseuxSeries.from_terms([(x, 0)])):
+        with pytest.raises(ValueError, match=f"^bad rational {text!r}$"):
+            build(text)
 
 
 def test_columns_independent_matches_laplace_minors():
