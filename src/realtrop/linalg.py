@@ -4,16 +4,14 @@ Vectors are tuples of Fraction; matrices are tuples of row tuples.  It
 serves the constant-coefficient case, where field division is available:
 ``rref`` picks the pivots that diagonalize a seminorm composition,
 ``inverse`` dualizes bases and functionals, ``rank``, ``span_eq`` and
-``solve`` compare signed flags.  ``det_sign`` gives the sign of the
-rational determinant that certifies the leading term of a series
-determinant.
+``solve`` compare signed flags.  ``int_det_sign`` gives the sign of the
+determinant that certifies the leading term of a series determinant.
 
 Both eliminate fraction free on integers: ``clear_denominators`` scales
 each row to primitive ints by a positive factor, which keeps every sign
-and the row space.  ``det_sign`` is that scaling plus ``int_det_sign``,
-Bareiss's elimination, where every division is exact; the leading-term
-certificates of ``puiseux`` call ``int_det_sign`` directly on rows they
-already hold as ints.  ``rref`` runs Gauss-Jordan on integer rows,
+and the row space.  ``int_det_sign`` is Bareiss's elimination, where
+every division is exact; the leading-term certificates of ``puiseux``
+call it on rows they hold as ints.  ``rref`` runs Gauss-Jordan on integer rows,
 dividing each updated row by the gcd of its entries, and builds one
 ``Fraction`` per nonzero output entry, the entry over its row's pivot.
 
@@ -163,15 +161,6 @@ def inverse(rows) -> Mat:
     if len(R) < n or pivots != tuple(range(n)):
         raise ValueError("singular matrix")
     return tuple(r[n:] for r in R)
-
-
-def det_sign(rows) -> int:
-    """Sign (-1, 0 or +1) of the determinant of a square rational matrix.
-
-    Each row is scaled to ints by a positive factor, which keeps the
-    sign, and the integer matrix goes to ``int_det_sign``.
-    """
-    return int_det_sign([clear_denominators(r) for r in rows])
 
 
 def int_det_sign(rows) -> int:

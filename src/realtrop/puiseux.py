@@ -6,44 +6,32 @@ exponents.  The order is determined by the lowest-exponent term: f > 0
 exactly when its leading coefficient is positive, and the valuation of a
 nonzero f is its leading exponent.  Constants double as trivially valued
 scalars, so the same type serves both the trivially and non-trivially
-valued regimes.
+valued regimes.  Division is deliberately absent: quotients only ever
+appear downstream as (sign, valuation) or leading-term pairs, both
+computable from numerator and denominator separately.
 
-Division is deliberately absent: quotients only ever appear downstream
-as (sign, valuation) pairs or leading-term pairs, both computable from
-numerator and denominator separately.
+Each series is stored once in integer form: int coefficient numerators
+over one positive denominator and int exponent numerators over another,
+both the least that work, so the form is unique.  Equality, hashing,
+sign, valuation and every computation here read those ints; ``terms``,
+the Fraction pairs that printing, JSON and ``leading`` use, is a view
+built on first read.  Sums and products share one integer kernel: a sum
+of signed products sum(+-a*b) brings every exponent to one common
+denominator and each side's coefficients to one, adds int numerators
+keyed by int exponent, and reduces the survivors by gcd.  ``*``, ``+``,
+``-``, ``dot`` and each step of ``det`` (division-free Laplace expansion
+with subset memoization, O(n 2^n) products) are one call to it.
 
-Sums and products share one integer kernel: a sum of signed products
-sum(+-a*b) is reduced by scaling every exponent to one common
-denominator and the coefficients of each side to one common denominator,
-adding int numerators keyed by int exponent, and building one normalized
-``Fraction`` pair per surviving term.  ``*``, ``+``, ``-``, ``dot`` and
-``from_terms`` are each one call to it.  ``IntegerVectors`` holds fixed
-vectors in that integer form once, so a dot product with each of them
-is one accumulation of the same kernel.
-
-``det`` expands the determinant exactly, by division-free Laplace
-expansion with subset memoization, which keeps every intermediate value
-in the ring and costs O(n 2^n) series products; each expansion step,
-sum(+-entry*minor) along a row, is one call to the kernel.  Callers that
-need only its signed value use ``signed_det``, which certifies the
-leading term instead: an optimal assignment on the leading exponents
-(Hungarian method) gives the tropical determinant and dual potentials,
-and the leading coefficients of the entries tight under those potentials
-form a rational matrix whose determinant is the coefficient of that
-power of t in det.  When that determinant is nonzero it gives the sign,
-in O(n^3); when it vanishes the leading terms cancel, and ``signed_det``
-falls back to the exact expansion.  The sign comes from one int Bareiss
-(``linalg.int_det_sign``) on the tight leading coefficients, each row
-scaled to ints by a positive factor.
-
-``IntegerLeads`` is the leading-term view of one ground set: it reads
-every column's leading terms once, exponents as ints over one common
-denominator and each column's coefficients as ints, so each maximal
-minor is the assignment plus that one int Bareiss on the tight entries
-(just the Bareiss when every chosen column is constant), and the exact
-expansion runs only when the leading terms cancel.  Its minors equal
-``signed_det`` of the chosen columns; a single matrix goes through
-``signed_det`` and its own one-pass read.
+``signed_det`` certifies the leading term of det instead: an optimal
+assignment on the leading exponents (Hungarian method) gives the
+tropical determinant and dual potentials, and the leading coefficients
+of the entries tight under them, each row scaled to ints, form a matrix
+whose determinant, the coefficient of that power of t in det, is one int
+Bareiss (``linalg.int_det_sign``) in O(n^3).  Only when it vanishes do
+the leading terms cancel and ``det`` run.  ``IntegerLeads`` reads the
+leading terms of a ground set's columns once, so each maximal minor is
+that assignment and Bareiss (just the Bareiss on constant columns); its
+minors equal ``signed_det`` of the chosen columns.
 """
 
 from __future__ import annotations
@@ -57,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hyperfields import INF, RT, RT_ZERO, Val, format_val
-from .linalg import clear_denominators, det_sign, int_det_sign, rational
+from .linalg import int_det_sign, rational
 
 DEFAULT_MAX_EXP_DENOMINATOR = 10**9
 DET_SIZE_BOUND = 12  # the exact expansion is O(n 2^n)
@@ -72,20 +60,59 @@ class PuiseuxParseError(ValueError):
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
 class PuiseuxSeries:
-    """Canonical term list: ((coeff, exponent), ...), exponents increasing."""
+    """A series in canonical integer form.
 
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()
+    ``_ints`` holds (n, k) int pairs, k strictly increasing and n nonzero,
+    standing for the terms n/_cden * t^(k/_qden).  Both denominators are
+    positive and the least that work, so the form is unique and equality
+    compares it field by field.  ``terms`` is the same list as
+    ((coefficient, exponent), ...) Fraction pairs, built on first read.
+    Instances are immutable.
+    """
+
+    __slots__ = ("_ints", "_cden", "_qden", "_terms")
+
+    def __new__(cls, terms: Iterable[tuple] = ()) -> "PuiseuxSeries":
+        """The canonical series of (coefficient, exponent) pairs in any
+        order, each an int, Fraction or rational string; repeated exponents
+        add up and zero terms drop out."""
+        ratios = [
+            rational(c).as_integer_ratio() + rational(q).as_integer_ratio() for c, q in terms
+        ]
+        cden = math.lcm(*[r[1] for r in ratios])
+        qden = math.lcm(*[r[3] for r in ratios])
+        acc: dict[int, int] = {}
+        for cn, cd, qn, qd in ratios:
+            k = qn * (qden // qd)
+            acc[k] = acc.get(k, 0) + cn * (cden // cd)
+        return _collect(acc, cden, qden)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PuiseuxSeries, (self.terms,)
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """((coefficient, exponent), ...) as Fractions, exponents increasing."""
+        try:
+            return self._terms
+        except AttributeError:
+            cden, qden = self._cden, self._qden
+            _set_terms(self, tuple((Fraction(n, cden), Fraction(k, qden)) for n, k in self._ints))
+            return self._terms
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple]) -> "PuiseuxSeries":
-        """The canonical series of (coefficient, exponent) pairs in any
-        order; repeated exponents add up and zero terms drop out."""
-        terms = tuple((rational(c), rational(q)) for c, q in pairs)
-        return _sum_of_products([(1, terms, _ONE.terms)])
+        """``PuiseuxSeries(pairs)``."""
+        return PuiseuxSeries(pairs)
 
     @staticmethod
     def zero() -> "PuiseuxSeries":
@@ -97,62 +124,66 @@ class PuiseuxSeries:
 
     @staticmethod
     def constant(c) -> "PuiseuxSeries":
-        c = rational(c)
-        return PuiseuxSeries(((c, Fraction(0)),)) if c else _ZERO
+        return PuiseuxSeries.t_power(_FRACTION_ZERO, c)
 
     @staticmethod
     def t_power(q, coeff=1) -> "PuiseuxSeries":
         coeff, q = rational(coeff), rational(q)
-        return PuiseuxSeries(((coeff, q),)) if coeff else _ZERO
+        if not coeff:
+            return _ZERO
+        n, cden = coeff.as_integer_ratio()
+        k, qden = q.as_integer_ratio()
+        f = _make(((n, k),), cden, qden)
+        _set_terms(f, ((coeff, q),))
+        return f
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][1] == 0)
+        ints = self._ints
+        return not ints or (len(ints) == 1 and not ints[0][1])
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return self.terms[0][0] if self.terms else Fraction(0)
+        return self.terms[0][0] if self._ints else Fraction(0)
 
     def leading(self) -> tuple[Fraction, Fraction] | None:
         """(coefficient, exponent) of the lowest-exponent term, or None."""
-        return self.terms[0] if self.terms else None
+        return self.terms[0] if self._ints else None
 
     @property
     def valuation(self) -> Val:
-        return self.terms[0][1] if self.terms else INF
+        return Fraction(self._ints[0][1], self._qden) if self._ints else INF
 
     @property
     def sign(self) -> int:
-        if not self.terms:
-            return 0
-        return 1 if self.terms[0][0] > 0 else -1
+        return (1 if self._ints[0][0] > 0 else -1) if self._ints else 0
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return _sum_of_products([(1, self.terms, _ONE.terms), (1, other.terms, _ONE.terms)])
+        return _sum_of_products([(1, self, _ONE), (1, other, _ONE)])
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(tuple((-c, q) for c, q in self.terms))
+        return _make(tuple((-n, k) for n, k in self._ints), self._cden, self._qden)
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return _sum_of_products([(1, self.terms, _ONE.terms), (-1, other.terms, _ONE.terms)])
+        return _sum_of_products([(1, self, _ONE), (-1, other, _ONE)])
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return _sum_of_products([(1, self.terms, other.terms)])
+        return _sum_of_products([(1, self, other)])
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if n < 0:
@@ -162,7 +193,15 @@ class PuiseuxSeries:
             out = out * self
         return out
 
-    # -- order --------------------------------------------------------------
+    # -- equality and order ---------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PuiseuxSeries:
+            return NotImplemented
+        return (self._ints, self._cden, self._qden) == (other._ints, other._cden, other._qden)
+
+    def __hash__(self) -> int:
+        return hash((self._ints, self._cden, self._qden))
 
     def __lt__(self, other: "PuiseuxSeries") -> bool:
         return (self - other).sign < 0
@@ -174,102 +213,67 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({format_series(self)!r})"
 
 
-_ZERO = PuiseuxSeries(())
-_ONE = PuiseuxSeries(((Fraction(1), Fraction(0)),))
+# the slot setters, which assignment on an instance cannot reach
+_set_ints, _set_cden, _set_qden, _set_terms = (
+    vars(PuiseuxSeries)[name].__set__ for name in PuiseuxSeries.__slots__
+)
+
+
+def _make(ints: tuple, cden: int, qden: int) -> PuiseuxSeries:
+    """The series with these fields, taken as canonical."""
+    f = object.__new__(PuiseuxSeries)
+    _set_ints(f, ints)
+    _set_cden(f, cden)
+    _set_qden(f, qden)
+    return f
+
+
+_FRACTION_ZERO = Fraction(0)
+_ZERO = _make((), 1, 1)
+_ONE = _make(((1, 0),), 1, 1)
+
+
+def _collect(acc: dict[int, int], cden: int, qden: int) -> PuiseuxSeries:
+    """The canonical series sum(n/cden * t^(k/qden)) over the items k: n
+    of acc: zero terms drop out and both denominators are reduced by the
+    gcd they share with their numerators."""
+    ints = [(n, k) for k, n in sorted(acc.items()) if n]
+    if not ints:
+        return _ZERO
+    g = math.gcd(cden, *[n for n, _ in ints])
+    h = math.gcd(qden, *[k for _, k in ints])
+    if g != 1 or h != 1:
+        ints = [(n // g, k // h) for n, k in ints]
+    return _make(tuple(ints), cden // g, qden // h)
 
 
 def _sum_of_products(products) -> PuiseuxSeries:
     """The canonical series sum(s * a * b) over the (s, a, b) triples.
 
-    s is 1 or -1, and a and b are term tuples in any order, repeats and
-    zero coefficients allowed.  Exponents are scaled to the lcm of every
-    exponent denominator, and coefficients on the a side (the b side) to
-    the lcm of that side's denominators, so each product of terms is an
-    int added to a dict keyed by its int exponent (``_accumulate``).
-    Only the surviving terms become Fractions, one normalized pair each.
+    s is 1 or -1, and a and b are series.  Exponents are brought to the
+    lcm of every exponent denominator, and coefficients on the a side
+    (the b side) to the lcm of that side's denominators, so each product
+    of terms is an int added to a dict keyed by its int exponent, and
+    ``_collect`` reduces the sum.
     """
-    ratios = [
-        (
-            s,
-            [c.as_integer_ratio() + q.as_integer_ratio() for c, q in a],
-            [c.as_integer_ratio() + q.as_integer_ratio() for c, q in b],
-        )
-        for s, a, b in products
-        if a and b
-    ]
-    if not ratios:
+    products = [p for p in products if p[1]._ints and p[2]._ints]
+    if not products:
         return _ZERO
-    qden = math.lcm(*[r[3] for _, ra, rb in ratios for side in (ra, rb) for r in side])
-    aden = math.lcm(*[r[1] for _, ra, _ in ratios for r in ra])
-    bden = math.lcm(*[r[1] for _, _, rb in ratios for r in rb])
-    scaled = [
-        ([(s * cn * (aden // cd), qn * (qden // qd)) for cn, cd, qn, qd in ra], rb)
-        for s, ra, rb in ratios
-    ]
-    return _accumulate(scaled, aden * bden, bden, qden)
-
-
-def _accumulate(products, den: int, bden: int, qden: int) -> PuiseuxSeries:
-    """The canonical series sum(a * b) over the (a, b) pairs of one sum.
-
-    a is a list of int terms (n, k); b lists (cn, cd, qn, qd), the
-    ``as_integer_ratio`` pairs of its terms, which are scaled here to
-    (cn * bden / cd, qn * qden / qd).  A product of int terms (n, k) then
-    stands for n/den * t^(k/qden).
-    """
+    qden = math.lcm(*[x._qden for _, a, b in products for x in (a, b)])
+    aden = math.lcm(*[a._cden for _, a, _ in products])
+    bden = math.lcm(*[b._cden for _, _, b in products])
     acc: dict[int, int] = {}
     get = acc.get
-    for ints, rb in products:
-        for cn, cd, qn, qd in rb:
-            cb = cn * (bden // cd)
-            kb = qn * (qden // qd)
-            for ca, ka in ints:
+    for s, a, b in products:
+        fa, ea = s * (aden // a._cden), qden // a._qden
+        fb, eb = bden // b._cden, qden // b._qden
+        scaled = [(n * fa, k * ea) for n, k in a._ints]
+        for nb, kb in b._ints:
+            nb, kb = nb * fb, kb * eb
+            for na, ka in scaled:
                 k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-    return PuiseuxSeries(
-        tuple((Fraction(n, den), Fraction(k, qden)) for k, n in sorted(acc.items()) if n)
-    )
-
-
-class IntegerVectors:
-    """Fixed series vectors read once in integer form, for dot products
-    with many vectors.
-
-    Every coefficient is held as an int over one common positive
-    denominator and every exponent as an int over another.  ``dots(x)``
-    reads the terms of x once, and sums each vector's products with x in
-    one ``_accumulate``, the accumulation ``_sum_of_products`` runs; the
-    results equal ``tuple(dot(v, x) for v in vectors)``.
-    """
-
-    __slots__ = ("_ints", "_cden", "_qden")
-
-    def __init__(self, vectors: Sequence[Sequence[PuiseuxSeries]]):
-        ratios = [
-            [[c.as_integer_ratio() + q.as_integer_ratio() for c, q in f.terms] for f in v]
-            for v in vectors
-        ]
-        terms = [r for v in ratios for entry in v for r in entry]
-        cden = self._cden = math.lcm(*[r[1] for r in terms])
-        qden = self._qden = math.lcm(*[r[3] for r in terms])
-        self._ints = [
-            [[(cn * (cden // cd), qn * (qden // qd)) for cn, cd, qn, qd in entry] for entry in v]
-            for v in ratios
-        ]
-
-    def dots(self, x: Sequence[PuiseuxSeries]) -> tuple[PuiseuxSeries, ...]:
-        """The dot product of every vector with the series vector x."""
-        if any(len(v) != len(x) for v in self._ints):
-            raise ValueError("dot product length mismatch")
-        rx = [[c.as_integer_ratio() + q.as_integer_ratio() for c, q in f.terms] for f in x]
-        xden = math.lcm(*[r[1] for entry in rx for r in entry])
-        qden = math.lcm(self._qden, *[r[3] for entry in rx for r in entry])
-        ints = self._ints
-        if qden != self._qden:
-            factor = qden // self._qden
-            ints = [[[(n, k * factor) for n, k in entry] for entry in v] for v in ints]
-        den = self._cden * xden
-        return tuple(_accumulate(zip(v, rx), den, xden, qden) for v in ints)
+                acc[k] = get(k, 0) + na * nb
+    return _collect(acc, aden * bden, qden)
 
 
 def as_series(x) -> PuiseuxSeries:
@@ -285,16 +289,15 @@ def as_series(x) -> PuiseuxSeries:
 
 
 def constant_values(xs) -> list | None:
-    """The rational values of ints, Fractions and constant series, read in
-    one pass over the terms; None at the first other entry.  Bools are
-    not ints here."""
+    """The rational values of ints, Fractions and constant series; None
+    at the first other entry.  Bools are not ints here."""
     values = []
     for x in xs:
         if type(x) is PuiseuxSeries:
-            terms = x.terms
-            if len(terms) > 1 or (terms and terms[0][1]):
+            ints = x._ints
+            if len(ints) > 1 or (ints and ints[0][1]):
                 return None
-            values.append(terms[0][0] if terms else 0)
+            values.append(x.terms[0][0] if ints else 0)
         elif type(x) is int or type(x) is Fraction:
             values.append(x)
         else:
@@ -309,11 +312,10 @@ def compare(f: PuiseuxSeries, g: PuiseuxSeries) -> int:
 
 def signed_value(f: PuiseuxSeries) -> RT:
     """Sign of the leading coefficient together with the leading exponent."""
-    lead = f.leading()
-    if lead is None:
+    if not f._ints:
         return RT_ZERO
-    c, q = lead
-    return RT(1 if c > 0 else -1, q)
+    n, k = f._ints[0]
+    return RT(1 if n > 0 else -1, Fraction(k, f._qden))
 
 
 @dataclass(frozen=True)
@@ -510,6 +512,12 @@ def coerce_matrix(rows) -> tuple[tuple[PuiseuxSeries, ...], ...]:
     return out
 
 
+def check_det_size(n: int) -> None:
+    """Reject square matrices larger than ``DET_SIZE_BOUND``."""
+    if n > DET_SIZE_BOUND:
+        raise ValueError(f"matrix size {n} exceeds bound {DET_SIZE_BOUND}")
+
+
 def _square_matrix(rows: Matrix) -> tuple[tuple[PuiseuxSeries, ...], ...]:
     """The coerced rows, once they form a square matrix of size at most
     ``DET_SIZE_BOUND``."""
@@ -517,8 +525,7 @@ def _square_matrix(rows: Matrix) -> tuple[tuple[PuiseuxSeries, ...], ...]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n > DET_SIZE_BOUND:
-        raise ValueError(f"matrix size {n} exceeds bound {DET_SIZE_BOUND}")
+    check_det_size(n)
     return rows
 
 
@@ -540,9 +547,9 @@ def det(rows: Matrix) -> PuiseuxSeries:
         row = rows[n - len(cols)]
         got = cache[cols] = _sum_of_products(
             [
-                (-1 if j % 2 else 1, row[c].terms, minor(cols[:j] + cols[j + 1 :]).terms)
+                (-1 if j % 2 else 1, row[c], minor(cols[:j] + cols[j + 1 :]))
                 for j, c in enumerate(cols)
-                if row[c].terms
+                if row[c]._ints
             ]
         )
         return got
@@ -569,41 +576,40 @@ def signed_det(rows: Matrix) -> RT:
     maximal minors of fixed columns.
     """
     rows = _square_matrix(rows)
-    values = []
-    for row in rows:
-        row_values = constant_values(row)
-        if row_values is None:
-            break
-        values.append(row_values)
-    else:
-        sign = det_sign(values)
-        return RT(sign, Fraction(0)) if sign else RT_ZERO
-    return _certified(*_integer_leads(rows), rows)
+    constant = all(x.is_constant for row in rows for x in row)
+    return _certified(*_integer_leads(rows), rows, constant)
 
 
 def _integer_leads(lines) -> tuple[list[list], list[list[int]], int]:
     """The leading terms of each line of series in integer form: the
     exponents as ints over one common denominator (None for a zero
-    entry), the coefficients as ints, each line scaled by its own
-    positive factor (``clear_denominators``), and that denominator."""
-    leads = [[x.terms[0] if x.terms else None for x in line] for line in lines]
-    scale = math.lcm(1, *(t[1].denominator for line in leads for t in line if t))
+    entry), the coefficients as ints, each line brought to the lcm of
+    its coefficient denominators (a positive factor), and that exponent
+    denominator."""
+    scale = math.lcm(*[x._qden for line in lines for x in line if x._ints])
     cost = [
-        [t[1].numerator * (scale // t[1].denominator) if t else None for t in line]
-        for line in leads
+        [x._ints[0][1] * (scale // x._qden) if x._ints else None for x in line]
+        for line in lines
     ]
-    coeffs = [clear_denominators([t[0] if t else 0 for t in line]) for line in leads]
+    coeffs = []
+    for line in lines:
+        den = math.lcm(*[x._cden for x in line if x._ints])
+        coeffs.append([x._ints[0][0] * (den // x._cden) if x._ints else 0 for x in line])
     return cost, coeffs, scale
 
 
-def _certified(cost, coeffs, scale: int, rows) -> RT:
+def _certified(cost, coeffs, scale: int, rows, constant: bool) -> RT:
     """``signed_value(det(rows))`` from the leading terms of its entries,
     read by ``_integer_leads``.
 
     Scaling a row of coefficients by a positive factor keeps the sign of
-    det L.  The tight entries form L, whose sign is one int Bareiss; only
-    when det L vanishes is det(rows) expanded exactly.
+    det L.  A constant matrix is its own L.  Otherwise the tight entries
+    form L, whose sign is one int Bareiss; only when det L vanishes is
+    det(rows) expanded exactly.
     """
+    if constant:
+        sign = int_det_sign([list(row) for row in coeffs])
+        return RT(sign, Fraction(0)) if sign else RT_ZERO
     potentials = _assignment_potentials(cost)
     if potentials is None:
         return RT_ZERO
@@ -638,25 +644,21 @@ class IntegerLeads:
     def __init__(self, columns: Sequence[Sequence[PuiseuxSeries]]):
         columns = self._columns = coerce_matrix(columns)
         height = self._height = len(columns[0]) if columns else 0
-        if height > DET_SIZE_BOUND:
-            raise ValueError(f"matrix size {height} exceeds bound {DET_SIZE_BOUND}")
+        check_det_size(height)
         self._costs, self._coeffs, self._scale = _integer_leads(columns)
-        self._constant = [constant_values(col) is not None for col in columns]
+        self._constant = [all(x.is_constant for x in col) for col in columns]
 
     def minor(self, tup: Sequence[int]) -> RT:
         """The signed value of the minor on the columns in tup, one per
         row of the columns."""
         if len(tup) != self._height:
             raise ValueError("determinant of a non-square matrix")
-        columns, coeffs = self._columns, self._coeffs
-        if all(self._constant[j] for j in tup):
-            sign = int_det_sign([list(coeffs[j]) for j in tup])
-            return RT(sign, Fraction(0)) if sign else RT_ZERO
         return _certified(
             [self._costs[j] for j in tup],
-            [coeffs[j] for j in tup],
+            [self._coeffs[j] for j in tup],
             self._scale,
-            [columns[j] for j in tup],
+            [self._columns[j] for j in tup],
+            all(self._constant[j] for j in tup),
         )
 
 
@@ -717,7 +719,7 @@ def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:
 def dot(u: Sequence[PuiseuxSeries], v: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
     if len(u) != len(v):
         raise ValueError("dot product length mismatch")
-    return _sum_of_products([(1, a.terms, b.terms) for a, b in zip(u, v)])
+    return _sum_of_products([(1, a, b) for a, b in zip(u, v)])
 
 
 def columns_independent(cols: Sequence[Sequence[PuiseuxSeries]]) -> bool:

@@ -624,9 +624,10 @@ def nondiag_fixture(x, y) -> int:
 
 
 def cocircuit_value(mu_columns, f) -> RT:
-    """Signed value of the maximal minor with f in front of the mu columns."""
-    mu = [tuple(as_series(x) for x in c) for c in mu_columns]
-    f = tuple(as_series(x) for x in f)
+    """Signed value of the maximal minor with f in front of the mu columns;
+    ``signed_det`` coerces the entries."""
+    mu = [tuple(c) for c in mu_columns]
+    f = tuple(f)
     n = len(f)
     if len(mu) != n - 1:
         raise ValueError("need dimension minus one columns")

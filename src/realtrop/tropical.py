@@ -12,14 +12,13 @@ products admit zero, i.e. the least product valuation is reached with
 both signs (or everything vanishes); a linear space is the intersection
 over all circuits of the embedding's matroid.
 
-Image points are evaluated on an integer view of the embedding that is
-computed once, on first use, and cached on it.  ``apply`` reads the
-columns once as ``puiseux.IntegerVectors`` (coefficients and exponents
-as ints over common denominators), so each functional is one integer
-accumulation.  ``linear_space_member`` reads the circuits once as signs
-and valuations scaled to ints (``matroids.scaled_rt_vectors``), scales
-the point once to a common denominator, and runs the signed fold of
-``hyperplane_member`` on ints.
+``apply`` evaluates each functional as one ``puiseux.dot``, which reads
+the series' integer form directly.  An embedding is at most
+``puiseux.DET_SIZE_BOUND`` rows high, checked before its rank is.
+``linear_space_member`` reads the circuits once as signs and valuations
+scaled to ints (``matroids.scaled_rt_vectors``), cached on the
+embedding, scales the point once to a common denominator, and runs the
+signed fold of ``hyperplane_member`` on ints.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .matroids import (
     normalize_rt_vector,
     scaled_rt_vectors,
 )
-from .puiseux import IntegerVectors, PuiseuxSeries, as_series, column_rank, signed_value
+from .puiseux import PuiseuxSeries, as_series, check_det_size, column_rank, dot, signed_value
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,7 @@ class LinearEmbedding(GroundSet):
         super().__post_init__()
         if not self.columns:
             raise ValueError("embedding needs at least one column")
+        check_det_size(self.height)
         if column_rank(self.columns) != self.height:
             raise ValueError("columns do not span the dual space")
 
@@ -93,11 +93,6 @@ class LinearEmbedding(GroundSet):
     @cached_property
     def circuits(self) -> tuple[SignedCircuit, ...]:
         return circuits_from_matrix(self)
-
-    @cached_property
-    def _integer_columns(self) -> IntegerVectors:
-        """The functionals on one integer scale, read once for ``apply``."""
-        return IntegerVectors(self.columns)
 
     @cached_property
     def _scaled_circuits(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
@@ -115,7 +110,7 @@ class LinearEmbedding(GroundSet):
         x = tuple(as_series(v) for v in x)
         if len(x) != self.height:
             raise ValueError("point has the wrong dimension")
-        return self._integer_columns.dots(x)
+        return tuple(dot(col, x) for col in self.columns)
 
 
 def hyperplane_member(y: ProjPoint, circuit) -> bool:

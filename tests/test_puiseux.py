@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from realtrop import (
 )
 from realtrop import puiseux
 from realtrop.puiseux import DET_SIZE_BOUND, IntegerLeads
-from realtrop.linalg import det_sign
+from realtrop.linalg import int_det_sign
 
 from helpers import random_columns, random_constant, random_series
 from oracles import (
@@ -423,22 +425,30 @@ def test_dot_matches_per_term_fractions():
     assert cancelled
 
 
-def test_integer_vectors_dot_every_vector_with_x():
-    # the fixed vectors and x each have their own exponent denominators, so
-    # either side, both or neither is brought to the common one
-    rng = random.Random(2323)
-    for _ in range(300):
-        n = rng.randint(0, 4)
-        vectors = [[_wide_series(rng) for _ in range(n)] for _ in range(rng.randint(0, 4))]
-        fixed = puiseux.IntegerVectors(vectors)
-        for _ in range(3):
-            x = [_wide_series(rng) for _ in range(n)]
-            got = fixed.dots(x)
-            for f in got:
-                _assert_canonical(f)
-            assert got == tuple(dot_by_terms(v, x) for v in vectors), (vectors, x)
-    with pytest.raises(ValueError, match="^dot product length mismatch$"):
-        puiseux.IntegerVectors([[PuiseuxSeries.one()]]).dots([])
+def test_integer_form_is_canonical_like_the_terms():
+    # the int fields against the Fraction view: rebuilding from the view
+    # gives an equal series with an equal hash, equality is equality of the
+    # views, and the order is the sign of the per-term difference
+    rng = random.Random(1616)
+    equal = below = 0
+    for _ in range(400):
+        f = _wide_series(rng)
+        g = rng.choice([-f, _wide_series(rng), rng.choice(CANCELLATION), parse_puiseux(str(f))])
+        rebuilt = PuiseuxSeries(f.terms)
+        assert rebuilt == f and hash(rebuilt) == hash(f), f
+        assert (f == g) == (f.terms == g.terms), (f, g)
+        assert (f != g) == (f.terms != g.terms), (f, g)
+        assert f != g or hash(f) == hash(g), (f, g)
+        assert pickle.loads(pickle.dumps(f)) == copy.copy(f) == f
+        lead = sub_by_terms(f, g).leading()
+        assert (f < g) == (lead is not None and lead[0] < 0), (f, g)
+        equal += f == g
+        below += f < g
+        with pytest.raises(AttributeError):
+            f.terms = ()
+        with pytest.raises(AttributeError):
+            f._ints = ()
+    assert equal and below
 
 
 def test_det_matches_per_term_fraction_laplace():
@@ -523,7 +533,7 @@ def test_signed_det_rejects_input_like_det(monkeypatch, rows):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the input checks")
 
-    for name in ("det", "det_sign", "_assignment_potentials"):
+    for name in ("det", "int_det_sign", "_assignment_potentials"):
         monkeypatch.setattr(puiseux, name, no_work)
     with pytest.raises(ValueError) as got:
         signed_det(rows)
@@ -596,14 +606,14 @@ def test_columns_independent_matches_laplace_minors():
         assert puiseux.columns_independent(cols) == expected
 
 
-def test_det_sign_examples():
-    assert det_sign([]) == 1
-    assert det_sign([[Fraction(-1, 2)]]) == -1
-    assert det_sign([[0, 1], [1, 0]]) == -1
-    assert det_sign([[1, 2], [2, 4]]) == 0
-    assert det_sign([[Fraction(1, 3), 2, 0], [1, Fraction(1, 2), 3], [0, 1, 1]]) == -1
+def test_int_det_sign_examples():
+    assert int_det_sign([]) == 1
+    assert int_det_sign([[-1]]) == -1
+    assert int_det_sign([[0, 1], [1, 0]]) == -1
+    assert int_det_sign([[1, 2], [2, 4]]) == 0
+    assert int_det_sign([[2, 12, 0], [2, 1, 6], [0, 1, 1]]) == -1
     with pytest.raises(ValueError, match="non-square"):
-        det_sign([[1, 2]])
+        int_det_sign([[1, 2]])
 
 
 # -- fine values -------------------------------------------------------------------

@@ -40,7 +40,7 @@ from realtrop import (
     signed_value,
     standard_leaf,
 )
-from realtrop import linalg, seminorms
+from realtrop import linalg, puiseux, seminorms
 from realtrop.jsonio import seminorm_to_json
 from realtrop.linalg import rank as q_rank
 from realtrop.matroids import DEFAULT_PAIR_CAP
@@ -761,3 +761,20 @@ def test_cocircuit_value_rejects_columns_of_the_wrong_height(mu):
     with pytest.raises(ValueError, match="one entry per coordinate"):
         cocircuit_value(mu, [1, 0])
     assert cocircuit_value([[0, 1]], [1, 0]) == rt(1, 0)
+
+
+def test_cocircuit_value_coerces_each_entry_once(monkeypatch):
+    coerced = []
+    real = puiseux.as_series
+
+    def counting(x):
+        coerced.append(x)
+        return real(x)
+
+    monkeypatch.setattr(puiseux, "as_series", counting)
+    monkeypatch.setattr(seminorms, "as_series", counting)
+    mu, f = [["1", "t", "0"], ["0", "1", "-t"]], ["t", "0", "2"]
+    assert cocircuit_value(mu, f) == rt(1, 0)
+    assert sorted(coerced) == sorted(f + mu[0] + mu[1])
+    with pytest.raises(ValueError, match="^need dimension minus one columns$"):
+        cocircuit_value(mu[:1], f)

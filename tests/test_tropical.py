@@ -25,6 +25,7 @@ from realtrop import (
     trop_r_point,
     unsigned_hyperplane_member,
 )
+from realtrop import tropical
 from realtrop.matroids import CovectorPoset, circuits_from_matrix
 from realtrop.puiseux import as_series, dot
 
@@ -260,6 +261,18 @@ def test_embedding_is_the_spanning_ground_set():
 )
 def test_embedding_errors(columns, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        LinearEmbedding(columns)
+
+
+def test_embedding_height_is_checked_before_its_rank(monkeypatch):
+    # 13 rows can never give a minor table; the rank loop over C(13, k)
+    # row subsets must not run first
+    def no_rank(cols):
+        raise AssertionError("column rank of an embedding over the size bound")
+
+    monkeypatch.setattr(tropical, "column_rank", no_rank)
+    columns = [tuple(int(i == j) for i in range(13)) for j in range(14)]
+    with pytest.raises(ValueError, match="^matrix size 13 exceeds bound 12$"):
         LinearEmbedding(columns)
 
 
