@@ -16,6 +16,7 @@ import sys
 
 from . import jsonio
 from .matroids import (
+    DEFAULT_PAIR_CAP,
     EnumerationCapError,
     check_covector_axioms,
     check_gp_relations,
@@ -44,8 +45,6 @@ from .tropical import (
     linear_space_member,
     trop_r_point,
 )
-
-DEFAULT_CAP = 200_000
 
 
 def _read_arg(arg: str) -> str:
@@ -123,24 +122,26 @@ def _cmd_member(args) -> dict:
     return {"member": linear_space_member(pt, emb)}
 
 
-def _cmd_covectors(args) -> dict:
+def _covectors_of(args):
+    """The cocircuits of the matrix argument's sign chirotope and their
+    covector closure, every stage within ``--cap``."""
     ground = ground_from_matrix(_load_matrix(args.matrix))
     gp = gp_from_matrix(ground, target="S", tuple_cap=args.cap)
     cocircuits = cocircuits_from_gp(gp, cap=args.cap)
-    poset = covector_closure(cocircuits, cap=args.cap)
-    report = check_covector_axioms(poset)
+    return cocircuits, covector_closure(cocircuits, cap=args.cap)
+
+
+def _cmd_covectors(args) -> dict:
+    cocircuits, poset = _covectors_of(args)
     return {
         "cocircuits": [sign_vector_str(v) for v in cocircuits],
         "poset": jsonio.poset_to_json(poset),
-        "axioms": _report_json(report),
+        "axioms": _report_json(check_covector_axioms(poset)),
     }
 
 
 def _cmd_bergman(args) -> dict:
-    ground = ground_from_matrix(_load_matrix(args.matrix))
-    gp = gp_from_matrix(ground, target="S", tuple_cap=args.cap)
-    poset = covector_closure(cocircuits_from_gp(gp, cap=args.cap), cap=args.cap)
-    return jsonio.fan_to_json(bergman_fan(poset))
+    return jsonio.fan_to_json(bergman_fan(_covectors_of(args)[1]))
 
 
 def _cmd_seminorm(args) -> dict:
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap",
         type=int,
-        default=DEFAULT_CAP,
+        default=DEFAULT_PAIR_CAP,
         help="bound on enumeration loops (minors, circuits, relations, closures)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

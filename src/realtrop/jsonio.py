@@ -1,13 +1,15 @@
 """JSON encodings for every value the command line reads or writes; the
 one home of the JSON forms of signs, valuations and hyperfield elements.
 A sign is "+", "-", "0" or exactly the int -1, 0 or 1; a valuation is a
-string read by ``parse_val`` ("p/q", "inf") or exactly an int; bools and
-floats are rejected.  RT values are {"sign", "val"} (decoders also read
-[sign, val]; sign 0 pairs only with "inf"), T values valuation strings,
-S values sign characters and K values the ints 0 and 1.  Matrices and
-vectors are lists of series literals; circuit entries are pairs.  Flag
-vectors are lists of ints and rational strings in the same "p/q"
-grammar as valuations (``linalg.rational``).
+string read by ``parse_val`` ("p/q", "inf") or exactly an int; a rank,
+tuple entry, morphism index or cover index is exactly an int
+(``int_from_json``); bools and floats are rejected.  RT values are
+{"sign", "val"} (decoders also read [sign, val]; sign 0 pairs only with
+"inf"), T values valuation strings, S values sign characters and K
+values the ints 0 and 1.  Matrices and vectors are lists of series
+literals; circuit entries are pairs.  Flag vectors are lists of ints and
+rational strings in the same "p/q" grammar as valuations
+(``linalg.rational``).
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ def sign_from_json(obj) -> int:
     if type(obj) is int and obj in SIGN_CHARS:
         return obj
     raise ValueError(f"bad sign {obj!r}")
+
+
+def int_from_json(obj, name: str) -> int:
+    """Exactly an int read from JSON; anything else, bools, floats and
+    strings included, raises a ValueError naming the field."""
+    if type(obj) is int:
+        return obj
+    raise ValueError(f"{name} must be an int, got {obj!r}")
 
 
 def val_from_json(obj) -> Val:
@@ -209,13 +219,13 @@ def gp_from_json(obj, cap: int = DEFAULT_PAIR_CAP) -> GrassmannPlucker:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"repeated ground label {label!r}")
-    rank = obj["rank"]
-    count = math.comb(len(labels), rank) if type(rank) is int and rank >= 0 else 0
+    rank = int_from_json(obj["rank"], "rank")
+    count = math.comb(len(labels), rank) if rank >= 0 else 0
     if count > cap:
         raise EnumerationCapError(count, cap, "tuple enumeration")
     values = {}
     for item in obj["values"]:
-        tup = tuple(item["tuple"])
+        tup = tuple(int_from_json(e, "tuple entry") for e in item["tuple"])
         if tup in values:
             raise ValueError(f"repeated tuple {tup}")
         values[tup] = value_from_json(item["value"], field)
@@ -236,7 +246,8 @@ def poset_from_json(obj) -> CovectorPoset:
     """The poset of the vectors; given covers must be the derived ones."""
     poset = CovectorPoset(tuple(parse_sign_vector(s) for s in obj["vectors"]))
     derived = poset.covers  # also rejects vectors of unequal length
-    if "covers" in obj and tuple((int(a), int(b)) for a, b in obj["covers"]) != derived:
+    covers = obj.get("covers", derived)
+    if tuple(tuple(int_from_json(i, "cover index") for i in c) for c in covers) != derived:
         raise ValueError("covers do not match the vectors")
     return poset
 
@@ -340,7 +351,11 @@ def family_from_json(obj) -> tuple[CompatibleFamily, list]:
         pt = point_from_json(m["point"])
         members.append((emb, pt))
     morphisms = tuple(
-        Morphism(int(m["src"]), int(m["dst"]), tuple(int(i) for i in m["map"]))
+        Morphism(
+            int_from_json(m["src"], "src"),
+            int_from_json(m["dst"], "dst"),
+            tuple(int_from_json(i, "map entry") for i in m["map"]),
+        )
         for m in obj.get("morphisms", [])
     )
     fam = CompatibleFamily(tuple(members), morphisms)

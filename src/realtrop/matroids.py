@@ -3,23 +3,19 @@ circuits of realizable matroids, cocircuits, and covector posets.
 
 A ground set is the list of columns of a matrix, indexed 0..m-1; a linear
 embedding (``tropical.LinearEmbedding``) is a ground set whose columns
-span.  The table of signed valuations of the maximal minors, cached on the
-ground set, is the one source for a realizable matroid: its
-Grassmann-Plucker function, its bases, and its signed valuated circuits,
-which are read off the table one (rank+1)-subset at a time.  The table
-is filled through one leading-term view of the columns
-(``puiseux.IntegerLeads``), which reads every leading term once.
-
-Value tables are read once as (sign, int) pairs (``_scaled_values``):
-every value as an RT pair (``hyperfields.sign_val``), the valuations
-scaled to ints by the lcm of their denominators.  ``check_gp_relations``
-compares those ints with ``hyperfields.admits_zero``, and
-``circuits_from_matrix``, ``cocircuits_from_gp`` and
-``rt_cocircuits_from_gp`` build, normalize, deduplicate and sort their
-vectors as int pairs, making RT values only for the distinct vectors
-they return.  The axiom checkers build no hyperfield values.
-``check_circuit_axioms`` holds each circuit as int pairs too
-(``scaled_rt_vectors``, which also serves
+span.  Value tables are held in one scaled form: (sign, k) int pairs,
+valuation k/scale and zero (0, 0), keyed by increasing tuples, with their
+scale.  The minor table of a ground set, certified in that form by one
+leading-term view of its columns (``puiseux.IntegerLeads``) and cached,
+is the one source for a realizable matroid; a ``GrassmannPlucker`` reads
+its values into that form once (``scaled_table``).  Circuits and
+cocircuits are the two row families of a table (``_circuit_rows``,
+``_cocircuit_rows``, the only loops over (rank+-1)-subsets here), and
+the exchange relations are their orthogonality (``check_gp_relations``).
+Vectors are normalized, deduplicated and sorted as int pairs, and RT
+values are made only for the distinct vectors returned.  The axiom
+checkers build no hyperfield values.  ``check_circuit_axioms`` holds
+each circuit as int pairs too (``scaled_rt_vectors``, which also serves
 ``tropical.linear_space_member``), with its support as a tuple of
 positions and a bitmask, and finds elimination candidates as ANDs of
 per-coordinate bitsets over circuit positions.
@@ -128,14 +124,13 @@ class GroundSet:
         return len(self.columns[0]) if self.columns else 0
 
     @cached_property
-    def minor_table(self) -> dict[tuple[int, ...], RT]:
-        """Signed value of every maximal minor, keyed by increasing column
-        tuple; computed once per ground set.  Callers check their caps
-        before the first read."""
-        minor = IntegerLeads(self.columns).minor
-        return {
-            tup: minor(tup) for tup in itertools.combinations(range(len(self)), self.height)
-        }
+    def minor_table(self) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
+        """Every maximal minor as a (sign, k) pair, its valuation k/scale,
+        keyed by increasing column tuple, and that scale; computed once
+        per ground set.  Callers check their caps before the first read."""
+        leads = IntegerLeads(self.columns)
+        combos = itertools.combinations(range(len(self)), self.height)
+        return {tup: leads.minor(tup) for tup in combos}, leads.scale
 
 
 def ground_from_matrix(rows) -> GroundSet:
@@ -150,12 +145,7 @@ def ground_from_matrix(rows) -> GroundSet:
 def _perm_sign_and_sorted(tup: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     if len(set(tup)) != len(tup):
         return 0, tup
-    inversions = sum(
-        1
-        for i in range(len(tup))
-        for j in range(i + 1, len(tup))
-        if tup[i] > tup[j]
-    )
+    inversions = sum(a > b for a, b in itertools.combinations(tup, 2))
     return (-1) ** inversions, tuple(sorted(tup))
 
 
@@ -173,6 +163,8 @@ class GrassmannPlucker:
     values: dict
 
     def __post_init__(self):
+        if type(self.rank) is not int:
+            raise ValueError(f"rank must be an int, got {self.rank!r}")
         if self.rank < 1:
             raise ValueError("rank must be positive")
         zero = zero_of(self.hyperfield)
@@ -210,30 +202,39 @@ class GrassmannPlucker:
     def bases(self) -> tuple[tuple[int, ...], ...]:
         return tuple(t for t, v in sorted(self.values.items()) if not is_zero(v))
 
+    @cached_property
+    def scaled_table(self) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
+        """The values read once as RT pairs (``sign_val``), each valuation
+        scaled to an int by the lcm of their denominators, and that lcm;
+        zero is (0, 0).  The exchange relations and cocircuits read this."""
+        pairs = {t: sign_val(v) for t, v in self.values.items()}
+        scale = math.lcm(1, *(v.denominator for s, v in pairs.values() if s))
+        table = {t: (s, _scaled(v, scale)) if s else (0, 0) for t, (s, v) in pairs.items()}
+        return table, scale
+
 
 def gp_from_matrix(
     ground: GroundSet, target: str = "RT", tuple_cap: int = DEFAULT_PAIR_CAP
 ) -> GrassmannPlucker:
     """Signed valuations of maximal minors, pushed into the target hyperfield."""
-    values = _spanning_minor_table(ground, tuple_cap)
-    if target != "RT":
-        values = {tup: from_sign_val(target, *sign_val(sv)) for tup, sv in values.items()}
+    table, scale = _spanning_minor_table(ground, tuple_cap)
+    values = {t: from_sign_val(target, s, Fraction(k, scale)) for t, (s, k) in table.items()}
     return GrassmannPlucker(ground.height, ground.labels, target, values)
 
 
-def _spanning_minor_table(ground: GroundSet, tuple_cap: int) -> dict:
-    """The ground set's minor table, after the rank and cap checks that
-    come before any minor is taken."""
+def _spanning_minor_table(ground: GroundSet, tuple_cap: int) -> tuple[dict, int]:
+    """The ground set's minor table and scale, after the rank and cap
+    checks that come before any minor is taken."""
     r, m = ground.height, len(ground)
     if r > m:
         raise RankDeficientError("fewer columns than rows, matroid cannot have full rank")
     count = _ncr(m, r)
     if count > tuple_cap:
         raise EnumerationCapError(count, tuple_cap, "minor enumeration")
-    table = ground.minor_table
-    if all(sv.sign == 0 for sv in table.values()):
+    table, scale = ground.minor_table
+    if not any(s for s, _ in table.values()):
         raise RankDeficientError("columns do not span, matroid is rank deficient")
-    return table
+    return table, scale
 
 
 def _ncr(n: int, k: int) -> int:
@@ -256,53 +257,28 @@ def check_gp_relations(
     and S) or by two terms (T and K).  The first failing (x, y), in
     lexicographic order, is reported.
 
-    Each value is read once as a (sign, int) pair (``_scaled_values``).
-    The left factors are taken once per x.  The right factor phi(x_k, y)
-    is phi at y with x_k inserted at its sorted position p, times (-1)^p,
-    and is tabulated once per y and element.
+    The sum is the orthogonality of the circuit row of x and the
+    cocircuit row of y, read from ``gp.scaled_table``.  The cocircuit row
+    at e is phi(y + (e,)) = (-1)^(rank-1) phi(e, y), one sign for every
+    term, which does not change whether the sum admits zero.
     """
     m, r = len(gp), gp.rank
     npairs = _ncr(m, r + 1) * _ncr(m, r - 1)
     if npairs > pair_cap:
         raise EnumerationCapError(npairs, pair_cap, "relation enumeration")
-    table, _ = _scaled_values(gp.values)
+    table, _ = gp.scaled_table
     signed = gp.hyperfield in ("RT", "S")
-    ys = list(itertools.combinations(range(m), r - 1))
-    rights = []
-    for y in ys:
-        row = []
-        for z in range(m):
-            p = bisect.bisect_left(y, z)
-            if p < len(y) and y[p] == z:
-                row.append((0, 0))
-                continue
-            s, v = table[y[:p] + (z,) + y[p:]]
-            row.append((-s if signed and p % 2 else s, v))
-        rights.append(row)
-    for x in itertools.combinations(range(m), r + 1):
-        lefts = []
-        for k, xk in enumerate(x):
-            s, v = table[x[:k] + x[k + 1 :]]
-            if s:
-                lefts.append((xk, -s if signed and k % 2 else s, v))
-        for y, row in zip(ys, rights):
-            terms = [(s * row[xk][0], v + row[xk][1]) for xk, s, v in lefts if row[xk][0]]
+    cocircuits = list(_cocircuit_rows(table, m, r))
+    for x, row in _circuit_rows(table, m, r):
+        support = [(e, s, v) for e, (s, v) in enumerate(row) if s]
+        for y, co in cocircuits:
+            terms = [(s * co[e][0], v + co[e][1]) for e, s, v in support if co[e][0]]
             if not admits_zero(terms, signed):
                 return Report(
                     ok=False,
                     violations=({"relation": {"x": list(x), "y": list(y)}},),
                 )
     return Report(ok=True, info={"pairs_checked": npairs})
-
-
-def _scaled_values(values: dict) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
-    """Every value of a table of hyperfield elements read as an RT pair
-    (``sign_val``), the valuations scaled to ints by the lcm of their
-    denominators, and that lcm; zero is (0, 0).  This is the one view in
-    which the exchange relations, circuits and cocircuits are computed."""
-    pairs = {t: sign_val(v) for t, v in values.items()}
-    scale = math.lcm(1, *(v.denominator for s, v in pairs.values() if s))
-    return {t: (s, _scaled(v, scale)) if s else (0, 0) for t, (s, v) in pairs.items()}, scale
 
 
 def _scaled(val: Fraction, scale: int) -> int:
@@ -380,31 +356,38 @@ def circuits_from_matrix(
     size, then support.  ``cap`` bounds both the (r+1)-subsets and the
     minors, and is checked before either is taken.
 
-    Each vector is built and normalized on the scaled pairs of phi
-    (``_scaled_values``); only the kept ones become RT values.
+    The rows of ``_circuit_rows`` over the minor table are normalized as
+    int pairs; only the kept ones become RT values.
     """
     m, r = len(ground), ground.height
     count = _ncr(m, r + 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "circuit enumeration")
     try:
-        phi = _spanning_minor_table(ground, cap)
+        table, scale = _spanning_minor_table(ground, cap)
     except RankDeficientError:
         raise RankDeficientError("columns do not span") from None
-    table, scale = _scaled_values(phi)
     by_support = {}
-    for tau in itertools.combinations(range(m), r + 1):
-        pairs = [(0, 0)] * m
-        for k, e in enumerate(tau):
-            s, v = table[tau[:k] + tau[k + 1 :]]
-            pairs[e] = (-s if k % 2 else s, v)
-        normal = _normalized(pairs)
+    for tau, row in _circuit_rows(table, m, r):
+        normal = _normalized(row)
         if normal is not None:
             by_support.setdefault(tuple(e for e in tau if normal[e][0]), normal)
     return tuple(
         SignedCircuit(_rt_vector(by_support[s], scale))
         for s in sorted(by_support, key=lambda s: (len(s), s))
     )
+
+
+def _circuit_rows(table, m: int, r: int):
+    """Per (r+1)-subset tau, in lexicographic order, tau and the scaled
+    pairs of e -> (-1)^k phi(tau minus tau_k) at e = tau_k, zero off tau;
+    by Cramer's rule a linear dependence of the columns in tau."""
+    for tau in itertools.combinations(range(m), r + 1):
+        row = [(0, 0)] * m
+        for k, e in enumerate(tau):
+            s, v = table[tau[:k] + tau[k + 1 :]]
+            row[e] = (-s if k % 2 else s, v)
+        yield tau, row
 
 
 def _normalized(pairs) -> tuple[tuple[int, int], ...] | None:
@@ -569,9 +552,9 @@ def cocircuits_from_gp(
     count = _ncr(m, r - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
-    table, _ = _scaled_values(gp.values)
+    table, _ = gp.scaled_table
     seen: set[SignVector] = set()
-    for row in _cocircuit_rows(table, m, r):
+    for _, row in _cocircuit_rows(table, m, r):
         X = tuple(s for s, _ in row)
         if any(X):
             seen.add(X)
@@ -592,8 +575,8 @@ def rt_cocircuits_from_gp(
     count = _ncr(m, r - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
-    table, scale = _scaled_values(gp.values)
-    seen = {_normalized(row) for row in _cocircuit_rows(table, m, r)}
+    table, scale = gp.scaled_table
+    seen = {_normalized(row) for _, row in _cocircuit_rows(table, m, r)}
     seen.discard(None)
     # a zero entry is (0, 0) here and (0, inf) as RT: it only ever ties
     # with another zero entry, so both orders agree
@@ -601,9 +584,9 @@ def rt_cocircuits_from_gp(
 
 
 def _cocircuit_rows(table, m: int, r: int):
-    """Per (r-1)-subset mu, in lexicographic order, the scaled pairs of
-    e -> phi(mu + (e,)) from a ``_scaled_values`` table: phi at mu with e
-    inserted at its sorted position p, times (-1)^(r-1-p)."""
+    """Per (r-1)-subset mu, in lexicographic order, mu and the scaled
+    pairs of e -> phi(mu + (e,)): phi at mu with e inserted at its sorted
+    position p, times (-1)^(r-1-p)."""
     for mu in itertools.combinations(range(m), r - 1):
         row = []
         for e in range(m):
@@ -613,7 +596,7 @@ def _cocircuit_rows(table, m: int, r: int):
                 continue
             s, v = table[mu[:p] + (e,) + mu[p:]]
             row.append((-s if (r - 1 - p) % 2 else s, v))
-        yield row
+        yield mu, row
 
 
 # ---------------------------------------------------------------------------

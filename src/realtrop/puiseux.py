@@ -28,10 +28,11 @@ tropical determinant and dual potentials, and the leading coefficients
 of the entries tight under them, each row scaled to ints, form a matrix
 whose determinant, the coefficient of that power of t in det, is one int
 Bareiss (``linalg.int_det_sign``) in O(n^3).  Only when it vanishes do
-the leading terms cancel and ``det`` run.  ``IntegerLeads`` reads the
-leading terms of a ground set's columns once, so each maximal minor is
-that assignment and Bareiss (just the Bareiss on constant columns); its
-minors equal ``signed_det`` of the chosen columns.
+the leading terms cancel and ``det`` run.  The certificate is an int
+pair (sign, k), the valuation being k/scale for the lcm scale of the
+exponent denominators.  ``IntegerLeads`` reads the leading terms of a
+ground set's columns once, so each maximal minor is that assignment and
+Bareiss (just the Bareiss on constant columns), kept as such a pair.
 """
 
 from __future__ import annotations
@@ -577,7 +578,9 @@ def signed_det(rows: Matrix) -> RT:
     """
     rows = _square_matrix(rows)
     constant = all(x.is_constant for row in rows for x in row)
-    return _certified(*_integer_leads(rows), rows, constant)
+    cost, coeffs, scale = _integer_leads(rows)
+    sign, k = _certified(cost, coeffs, scale, rows, constant)
+    return RT(sign, Fraction(k, scale)) if sign else RT_ZERO
 
 
 def _integer_leads(lines) -> tuple[list[list], list[list[int]], int]:
@@ -598,65 +601,67 @@ def _integer_leads(lines) -> tuple[list[list], list[list[int]], int]:
     return cost, coeffs, scale
 
 
-def _certified(cost, coeffs, scale: int, rows, constant: bool) -> RT:
-    """``signed_value(det(rows))`` from the leading terms of its entries,
-    read by ``_integer_leads``.
+def _certified(cost, coeffs, scale: int, rows, constant: bool) -> tuple[int, int]:
+    """The sign of det(rows) and its valuation times ``scale``, from the
+    leading terms of its entries, read by ``_integer_leads``; (0, 0)
+    when det(rows) is zero.
 
     Scaling a row of coefficients by a positive factor keeps the sign of
     det L.  A constant matrix is its own L.  Otherwise the tight entries
     form L, whose sign is one int Bareiss; only when det L vanishes is
-    det(rows) expanded exactly.
+    det(rows) expanded exactly; its exponents are multiples of 1/scale,
+    as sums of the entries' exponents.
     """
     if constant:
-        sign = int_det_sign([list(row) for row in coeffs])
-        return RT(sign, Fraction(0)) if sign else RT_ZERO
+        return int_det_sign([list(row) for row in coeffs]), 0
     potentials = _assignment_potentials(cost)
     if potentials is None:
-        return RT_ZERO
+        return 0, 0
     u, v = potentials
     tight = [
         [c if q == ui + vj else 0 for c, q, vj in zip(crow, qrow, v)]
         for crow, qrow, ui in zip(coeffs, cost, u)
     ]
     sign = int_det_sign(tight)
-    if sign == 0:
-        return signed_value(det(rows))
-    return RT(sign, Fraction(sum(u) + sum(v), scale))
+    if sign:
+        return sign, sum(u) + sum(v)
+    f = det(rows)
+    return (f.sign, f._ints[0][1] * (scale // f._qden)) if f._ints else (0, 0)
 
 
 class IntegerLeads:
     """The leading terms of fixed columns read once in integer form, for
     the signed values of their maximal minors.
 
-    Every leading exponent is an int over one common denominator, and
-    each column's leading coefficients are ints, the column scaled by a
-    positive factor (``_integer_leads``), which keeps every sign and the
-    sign of every det L.  ``minor(tup)`` equals
-    ``signed_det([columns[j] for j in tup])``, from the same certificate:
-    when every chosen column is constant, the sign of the int determinant
-    of their values; otherwise the assignment and one int Bareiss on the
-    tight entries, and the exact ``det`` only when the leading terms
-    cancel.
+    Every leading exponent is an int over one common denominator,
+    ``scale``, and each column's leading coefficients are ints, the
+    column scaled by a positive factor (``_integer_leads``), which keeps
+    every sign and the sign of every det L.  ``minor(tup)`` is the
+    (sign, k) certificate of ``signed_det([columns[j] for j in tup])``,
+    whose value is RT(sign, k/scale): when every chosen column is
+    constant, the sign of the int determinant of their values; otherwise
+    the assignment and one int Bareiss on the tight entries, and the
+    exact ``det`` only when the leading terms cancel.
     """
 
-    __slots__ = ("_columns", "_height", "_costs", "_coeffs", "_constant", "_scale")
+    __slots__ = ("_columns", "_height", "_costs", "_coeffs", "_constant", "scale")
 
     def __init__(self, columns: Sequence[Sequence[PuiseuxSeries]]):
         columns = self._columns = coerce_matrix(columns)
         height = self._height = len(columns[0]) if columns else 0
         check_det_size(height)
-        self._costs, self._coeffs, self._scale = _integer_leads(columns)
+        self._costs, self._coeffs, self.scale = _integer_leads(columns)
         self._constant = [all(x.is_constant for x in col) for col in columns]
 
-    def minor(self, tup: Sequence[int]) -> RT:
-        """The signed value of the minor on the columns in tup, one per
-        row of the columns."""
+    def minor(self, tup: Sequence[int]) -> tuple[int, int]:
+        """The (sign, k) pair of the minor on the columns in tup, one per
+        row of the columns: its sign and its valuation times ``scale``."""
         if len(tup) != self._height:
             raise ValueError("determinant of a non-square matrix")
         return _certified(
             [self._costs[j] for j in tup],
             [self._coeffs[j] for j in tup],
-            self._scale,
+            self.scale,
             [self._columns[j] for j in tup],
             all(self._constant[j] for j in tup),
         )

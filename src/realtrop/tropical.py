@@ -17,8 +17,9 @@ the series' integer form directly.  An embedding is at most
 ``puiseux.DET_SIZE_BOUND`` rows high, checked before its rank is.
 ``linear_space_member`` reads the circuits once as signs and valuations
 scaled to ints (``matroids.scaled_rt_vectors``), cached on the
-embedding, scales the point once to a common denominator, and runs the
-signed fold of ``hyperplane_member`` on ints.
+embedding, scales the point once to a common denominator, and folds
+each circuit's products on ints, with the rule of ``hyperplane_member``
+(``hyperfields.admits_zero``, signed) inline.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .hyperfields import INF, RT, admits_zero
+from .hyperfields import INF, RT, Val, admits_zero
 from .matroids import (
     CovectorPoset,
     GroundSet,
@@ -113,35 +114,23 @@ class LinearEmbedding(GroundSet):
         return tuple(dot(col, x) for col in self.columns)
 
 
-def hyperplane_member(y: ProjPoint, circuit) -> bool:
-    """Zero is admitted by the products y_e * C_e over the support."""
+def _product_terms(y: ProjPoint, circuit) -> list[tuple[int, Val]]:
+    """The nonzero products y_e * C_e as (sign, valuation) pairs."""
     entries = circuit.entries if isinstance(circuit, SignedCircuit) else tuple(circuit)
     if len(entries) != len(y):
         raise ValueError("point and circuit have different lengths")
-    # The signed fold of admits_zero, inline: this runs once per circuit in
-    # every membership test, and a shared fold measured about 20 % slower.
-    vstar = INF
-    signs_at_min = 0  # bitmask: 1 for plus, 2 for minus
-    for ye, ce in zip(y.coords, entries):
-        s = ye.sign * ce.sign
-        if s == 0:
-            continue
-        v = ye.val + ce.val
-        if v < vstar:
-            vstar = v
-            signs_at_min = 1 if s > 0 else 2
-        elif v == vstar:
-            signs_at_min |= 1 if s > 0 else 2
-    return signs_at_min in (0, 3)
+    pairs = zip(y.coords, entries)
+    return [(a.sign * b.sign, a.val + b.val) for a, b in pairs if a.sign and b.sign]
+
+
+def hyperplane_member(y: ProjPoint, circuit) -> bool:
+    """Zero is admitted by the products y_e * C_e over the support."""
+    return admits_zero(_product_terms(y, circuit), signed=True)
 
 
 def unsigned_hyperplane_member(y: ProjPoint, circuit) -> bool:
     """Valuation-only membership: the least product valuation repeats."""
-    entries = circuit.entries if isinstance(circuit, SignedCircuit) else tuple(circuit)
-    if len(entries) != len(y):
-        raise ValueError("point and circuit have different lengths")
-    terms = [(1, a.val + b.val) for a, b in zip(y.coords, entries) if a.sign and b.sign]
-    return admits_zero(terms, signed=False)
+    return admits_zero(_product_terms(y, circuit), signed=False)
 
 
 def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:
@@ -150,7 +139,7 @@ def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:
     ``all(hyperplane_member(y, c) for c in embedding.circuits)``, on ints:
     the point's valuations and the embedding's cached circuit valuations
     are scaled to one common denominator, the lcm of the two scales, and
-    the signed fold of ``hyperplane_member`` runs on each circuit's
+    the signed rule of ``admits_zero`` is folded on each circuit's
     support.
     """
     if len(y) != len(embedding):

@@ -92,6 +92,13 @@ def random_columns(rng: random.Random, height: int, width: int) -> list[tuple]:
     return [tuple(col) for col in cols]
 
 
+def read_pair(pair, scale: int) -> RT:
+    """The RT value of a scaled (sign, k) pair: RT(sign, k/scale), and
+    zero for sign 0."""
+    sign, k = pair
+    return RT(sign, Fraction(k, scale)) if sign else RT_ZERO
+
+
 def random_matrix_rows(rng, height, width, constant=False):
     gen = random_constant if constant else random_series
     return [[gen(rng) for _ in range(width)] for _ in range(height)]

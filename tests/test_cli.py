@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from realtrop import cli, jsonio
+from realtrop import cli, jsonio, matroids
 from realtrop.cli import main
 
 U23 = "[[1,0,1],[0,1,1]]"
@@ -105,6 +105,20 @@ def test_valuation_outside_the_grammar_is_a_structured_error(capsys):
     code, out = run_cli(["member", "+:0,-:1/0,+:2", U23], capsys)
     assert code == 1
     assert json.loads(out) == {"error": {"type": "ValueError", "message": "bad valuation '1/0'"}}
+
+
+@pytest.mark.parametrize("rank", [True, "2", 2.0])
+def test_non_int_gp_rank_is_a_structured_error(capsys, rank):
+    blob = {"rank": rank, "ground": [0, 1], "hyperfield": "S", "values": [{"tuple": [0], "value": "+"}]}
+    code, out = run_cli(["gp-check", json.dumps(blob)], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "ValueError", "message": f"rank must be an int, got {rank!r}"}
+    }
+
+
+def test_default_cap_is_the_pair_cap():
+    assert cli.build_parser().parse_args(["circuits", U23]).cap == matroids.DEFAULT_PAIR_CAP
 
 
 def test_usage_error_exits_two(capsys):

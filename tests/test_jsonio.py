@@ -4,15 +4,30 @@ from fractions import Fraction
 
 import pytest
 
-from realtrop import INF, KV, RT, RT_ZERO, TV, EnumerationCapError
+from realtrop import (
+    INF,
+    KV,
+    RT,
+    RT_ZERO,
+    TV,
+    EnumerationCapError,
+    cocircuits_from_gp,
+    covector_closure,
+    gp_from_matrix,
+    ground_from_matrix,
+)
 from realtrop.cli import main
 from realtrop.hyperfields import KV_ONE, KV_ZERO, TV_ZERO, field_of
 from realtrop.jsonio import (
+    family_from_json,
     flag_from_json,
     flag_to_json,
     gp_from_json,
+    int_from_json,
     parse_point_literal,
     point_from_json,
+    poset_from_json,
+    poset_to_json,
     seminorm_from_json,
     val_from_json,
     value_from_json,
@@ -86,6 +101,69 @@ def test_gp_check_rejects_keys_outside_the_ground_set(capsys, key):
     assert json.loads(capsys.readouterr().out) == {
         "error": {"type": "ValueError", "message": f"value key {tuple(key)} is outside the ground set"}
     }
+
+
+# -- integer fields are read exactly -------------------------------------------
+
+NOT_INTS = [True, False, 1.0, 1.9, "1", None, [1]]
+
+
+@pytest.mark.parametrize("given", NOT_INTS, ids=repr)
+def test_int_reader_takes_exactly_an_int(given):
+    assert int_from_json(-3, "rank") == -3
+    with pytest.raises(ValueError, match=f"^rank must be an int, got {re.escape(repr(given))}$"):
+        int_from_json(given, "rank")
+
+
+@pytest.mark.parametrize("rank", [True, "2", 2.0])
+def test_gp_rank_is_read_exactly(rank):
+    # a truthy rank would run as rank 1, and "2" would fail inside a comparison
+    with pytest.raises(ValueError, match=f"^rank must be an int, got {re.escape(repr(rank))}$"):
+        gp_from_json(dict(gp_blob("S", "+", "-"), rank=rank))
+
+
+@pytest.mark.parametrize("entry", [True, 0.0, "0"])
+def test_gp_tuple_entries_are_read_exactly(entry):
+    # a lenient reader would take [true] as element 1 and [0.0] as element 0
+    blob = gp_blob("S", "+")
+    blob["values"][0]["tuple"] = [entry]
+    with pytest.raises(ValueError, match=f"^tuple entry must be an int, got {re.escape(repr(entry))}$"):
+        gp_from_json(blob)
+
+
+FAMILY = {
+    "members": [
+        {"embedding": [["1", "0"], ["0", "1"]], "point": "+:0,+:0"},
+        {"embedding": [["0", "1"], ["1", "0"]], "point": "+:0,+:0"},
+    ],
+    "morphisms": [{"src": 0, "dst": 1, "map": [1, 0]}],
+}
+
+
+def test_family_indices_read_ints():
+    fam, probes = family_from_json(FAMILY)
+    assert [(m.src, m.dst, m.index_map) for m in fam.morphisms] == [(0, 1, (1, 0))]
+    assert probes == []
+
+
+@pytest.mark.parametrize("bad", [1.9, "1", True], ids=repr)
+@pytest.mark.parametrize("key, name", [("src", "src"), ("dst", "dst"), ("map", "map entry")])
+def test_family_indices_are_read_exactly(key, name, bad):
+    # int() would read each of these as the index 1
+    morphism = dict(FAMILY["morphisms"][0], **{key: [bad, 0] if key == "map" else bad})
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+        family_from_json(dict(FAMILY, morphisms=[morphism]))
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, "1", True], ids=repr)
+def test_poset_cover_indices_are_read_exactly(bad):
+    gp = gp_from_matrix(ground_from_matrix([[1, 0, 1], [0, 1, 1]]), target="S")
+    obj = poset_to_json(covector_closure(cocircuits_from_gp(gp)))
+    covers = [list(c) for c in obj["covers"]]
+    i, j = next((i, j) for i, c in enumerate(covers) for j, x in enumerate(c) if x == 1)
+    covers[i][j] = bad  # int() would read each of these as the index 1
+    with pytest.raises(ValueError, match=f"^cover index must be an int, got {re.escape(repr(bad))}$"):
+        poset_from_json(dict(obj, covers=covers))
 
 
 # -- the one codec for signs, valuations and elements ------------------------

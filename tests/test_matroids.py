@@ -31,10 +31,10 @@ from realtrop import (
     rt_cocircuits_from_gp,
 )
 from realtrop import hyperfields, matroids
-from realtrop.hyperfields import is_zero, zero_of
+from realtrop.hyperfields import from_sign_val, is_zero, zero_of
 from realtrop.puiseux import IntegerLeads, as_series, signed_det
 
-from helpers import random_columns, random_embedding, random_full_rank_ground
+from helpers import random_columns, random_embedding, random_full_rank_ground, read_pair
 from oracles import (
     circuit_axioms_by_hypersums,
     circuits_by_rt_vectors,
@@ -117,6 +117,12 @@ def test_gp_rank_deficient_rejected():
         gp_from_matrix(ground_from_matrix([[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize("rank", [True, 2.0, "2"])
+def test_gp_rank_must_be_an_int(rank):
+    with pytest.raises(ValueError, match=f"^rank must be an int, got {re.escape(repr(rank))}$"):
+        GrassmannPlucker(rank, (0, 1, 2), "S", {(0, 1): 1})
+
+
 @pytest.mark.parametrize("key", [(0, 5), (-1, 0)])
 def test_gp_keys_outside_the_ground_set_rejected(key):
     with pytest.raises(ValueError, match=re.escape(f"value key {key} is outside the ground set")):
@@ -126,7 +132,9 @@ def test_gp_keys_outside_the_ground_set_rejected(key):
 def test_gp_pushes_into_every_field_from_the_one_table():
     emb = random_embedding(random.Random(7), 2, 4)
     table = gp_from_matrix(emb.ground()).values
-    assert all(v is emb.minor_table[t] for t, v in table.items())
+    pairs, scale = emb.minor_table
+    assert table == {t: read_pair(p, scale) for t, p in pairs.items()}
+    assert table == {t: signed_det([emb.columns[j] for j in t]) for t in pairs}
     for target, hom in (("T", "abs"), ("S", "sgn"), ("K", "to-krasner")):
         pushed = gp_from_matrix(emb.ground(), target=target).values
         assert pushed == {t: pushmap(hom, v) for t, v in table.items()}
@@ -157,12 +165,13 @@ def test_minor_table_equals_signed_det_per_subset():
     for _ in range(200):
         height = rng.randint(1, 4)
         cols = random_columns(rng, height, rng.randint(height, 6))
-        table = GroundSet(tuple(cols)).minor_table
-        assert table == {
+        table, scale = GroundSet(tuple(cols)).minor_table
+        assert {tup: read_pair(p, scale) for tup, p in table.items()} == {
             tup: signed_det([cols[j] for j in tup])
             for tup in itertools.combinations(range(len(cols)), height)
         }
-        kinds.add(all(v.sign == 0 for v in table.values()))
+        assert all(p[0] or p == (0, 0) for p in table.values())
+        kinds.add(not any(s for s, _ in table.values()))
     assert kinds == {True, False}  # rank-deficient sets were among them
 
 
@@ -360,7 +369,7 @@ def test_max_independent_reports_rank():
 def _spanning_columns(rng, height, width):
     while True:
         cols = random_columns(rng, height, width)
-        if any(v.sign for v in GroundSet(tuple(cols)).minor_table.values()):
+        if any(s for s, _ in GroundSet(tuple(cols)).minor_table[0].values()):
             return GroundSet(tuple(cols))
 
 
@@ -383,7 +392,8 @@ def test_circuits_equal_the_rt_vector_loop():
 
 def _random_gp(rng, field):
     """A value table on random rank-subsets, not always a GP function:
-    RT valuations with denominators 3 and 5, zeros included."""
+    valuations with denominators 3 and 5, zeros included, each value the
+    image in ``field`` of a random RT value."""
     m = rng.randint(1, 6)
     r = rng.randint(1, m)
     values = {}
@@ -392,9 +402,9 @@ def _random_gp(rng, field):
             continue
         sign = rng.choice([1, -1])
         val = Fraction(rng.randint(-4, 4), rng.choice([1, 3, 5]))
-        values[tup] = sign if field == "S" else RT(sign, val)
+        values[tup] = from_sign_val(field, sign, val)
     if not values:
-        values[tuple(range(r))] = 1 if field == "S" else RT(1, 0)
+        values[tuple(range(r))] = from_sign_val(field, 1, Fraction(0))
     return GrassmannPlucker(r, tuple(range(m)), field, values)
 
 
@@ -415,6 +425,44 @@ def test_cocircuits_equal_the_value_on_loops():
             assert all(type(x) is RT for c in cocircuits for x in c.entries)
             dens.update(x.val.denominator for c in cocircuits for x in c.entries if x.sign)
     assert {3, 5} <= dens
+
+
+def test_random_tables_relations_match_hypersum_oracle():
+    # tables that are mostly not GP functions, in all four hyperfields,
+    # with valuation denominators 3 and 5: orthogonality of the circuit
+    # and cocircuit rows decides each relation as the hypersum fold does
+    rng = random.Random(1519)
+    outcomes = {}
+    dens = set()
+    for _ in range(400):
+        gp = _random_gp(rng, rng.choice(["RT", "T", "S", "K"]))
+        report = check_gp_relations(gp)
+        assert report == gp_relations_by_hypersums(gp), (gp.hyperfield, gp.values)
+        outcomes.setdefault(gp.hyperfield, set()).add(report.ok)
+        if gp.hyperfield in ("RT", "T") and not report.ok:
+            dens.update(v.val.denominator for v in gp.values.values() if not is_zero(v))
+    assert outcomes == {f: {True, False} for f in ("RT", "T", "S", "K")}
+    assert {3, 5} <= dens
+
+
+def test_gp_values_are_read_into_pairs_once(monkeypatch):
+    real = matroids.sign_val
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(matroids, "sign_val", counting)
+    gp = gp_from_matrix(FOUR)
+    assert check_gp_relations(gp).ok
+    assert cocircuits_from_gp(gp) and rt_cocircuits_from_gp(gp)
+    assert check_gp_relations(gp).ok
+    assert len(calls) == len(gp.values) == 6
+    # a function made by dataclasses.replace reads its own values
+    bad = dataclasses.replace(gp, values={**gp.values, (2, 3): -gp.values[(2, 3)]})
+    assert not check_gp_relations(bad).ok
+    assert len(calls) == 12
 
 
 def test_normalize_rt_vector_equals_scaling_by_the_lead():

@@ -29,7 +29,7 @@ from realtrop import puiseux
 from realtrop.puiseux import DET_SIZE_BOUND, IntegerLeads
 from realtrop.linalg import int_det_sign
 
-from helpers import random_columns, random_constant, random_series
+from helpers import random_columns, random_constant, random_series, read_pair
 from oracles import (
     add_by_terms,
     det_by_fraction_laplace,
@@ -541,8 +541,9 @@ def test_signed_det_rejects_input_like_det(monkeypatch, rows):
 
 
 def test_integer_leads_minor_equals_signed_det(monkeypatch):
-    # every maximal minor of one view against signed_det of its columns,
-    # with the exact fallback counted on both sides: the same minors expand
+    # every maximal minor of one view, a (sign, k) pair read over the
+    # view's scale, against signed_det of its columns, with the exact
+    # fallback counted on both sides: the same minors expand
     exact = puiseux.det
     fallbacks = []
 
@@ -562,10 +563,11 @@ def test_integer_leads_minor_equals_signed_det(monkeypatch):
             fallbacks.clear()
             got = leads.minor(tup)
             once = len(fallbacks)
-            assert got == signed_det([cols[j] for j in tup]), (cols, tup)
+            assert read_pair(got, leads.scale) == signed_det([cols[j] for j in tup]), (cols, tup)
             assert len(fallbacks) == 2 * once, (cols, tup)
+            assert got[0] or got == (0, 0)
             fell_back += once
-            seen["zero" if got.sign == 0 else "nonzero"] += 1
+            seen["zero" if got[0] == 0 else "nonzero"] += 1
     assert fell_back and all(seen.values())
 
 
@@ -577,10 +579,11 @@ def test_integer_leads_check_their_input():
     leads = IntegerLeads([["1", "t"], ["t", "1"], ["0", "2"]])
     with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
         leads.minor((0, 1, 2))
-    assert leads.minor((0, 1)) == RT(1, 0)
-    assert leads.minor((1, 0)) == RT(-1, 0)
-    assert leads.minor((0, 2)) == RT(1, 0)
-    assert IntegerLeads([]).minor(()) == RT(1, 0)
+    assert read_pair(leads.minor((0, 1)), leads.scale) == RT(1, 0)
+    assert read_pair(leads.minor((1, 0)), leads.scale) == RT(-1, 0)
+    assert read_pair(leads.minor((0, 2)), leads.scale) == RT(1, 0)
+    empty = IntegerLeads([])
+    assert read_pair(empty.minor(()), empty.scale) == RT(1, 0)
 
 
 @pytest.mark.parametrize("text", ["0.25", "1e3", "1_0", "1/0", "1/2/3", "", "t"])
