@@ -35,15 +35,13 @@ Val = Union[Fraction, float]
 
 
 def as_val(x) -> Val:
-    """Coerce ints/strings/Fractions to a valuation value; every infinite
-    input becomes the module's ``INF`` object."""
+    """Coerce ints (not bools), strings and Fractions to a valuation; every
+    infinite input becomes the module's ``INF`` object."""
     if type(x) is Fraction:
         return x
     if x == INF:
         return INF
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return parse_val(x)

@@ -228,22 +228,13 @@ def _spanning_minor_table(ground: GroundSet, tuple_cap: int) -> tuple[dict, int]
     r, m = ground.height, len(ground)
     if r > m:
         raise RankDeficientError("fewer columns than rows, matroid cannot have full rank")
-    count = _ncr(m, r)
+    count = math.comb(m, r)
     if count > tuple_cap:
         raise EnumerationCapError(count, tuple_cap, "minor enumeration")
     table, scale = ground.minor_table
     if not any(s for s, _ in table.values()):
         raise RankDeficientError("columns do not span, matroid is rank deficient")
     return table, scale
-
-
-def _ncr(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def check_gp_relations(
@@ -263,7 +254,7 @@ def check_gp_relations(
     term, which does not change whether the sum admits zero.
     """
     m, r = len(gp), gp.rank
-    npairs = _ncr(m, r + 1) * _ncr(m, r - 1)
+    npairs = math.comb(m, r + 1) * math.comb(m, r - 1)
     if npairs > pair_cap:
         raise EnumerationCapError(npairs, pair_cap, "relation enumeration")
     table, _ = gp.scaled_table
@@ -360,7 +351,7 @@ def circuits_from_matrix(
     int pairs; only the kept ones become RT values.
     """
     m, r = len(ground), ground.height
-    count = _ncr(m, r + 1)
+    count = math.comb(m, r + 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "circuit enumeration")
     try:
@@ -549,7 +540,7 @@ def cocircuits_from_gp(
     if gp.hyperfield not in ("S", "RT"):
         raise ValueError("cocircuits need a sign or real tropical chirotope")
     m, r = len(gp), gp.rank
-    count = _ncr(m, r - 1)
+    count = math.comb(m, r - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
     table, _ = gp.scaled_table
@@ -572,7 +563,7 @@ def rt_cocircuits_from_gp(
     if gp.hyperfield != "RT":
         raise ValueError("expected a real tropical chirotope")
     m, r = len(gp), gp.rank
-    count = _ncr(m, r - 1)
+    count = math.comb(m, r - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
     table, scale = gp.scaled_table

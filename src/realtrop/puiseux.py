@@ -19,8 +19,8 @@ built on first read.  Sums and products share one integer kernel: a sum
 of signed products sum(+-a*b) brings every exponent to one common
 denominator and each side's coefficients to one, adds int numerators
 keyed by int exponent, and reduces the survivors by gcd.  ``*``, ``+``,
-``-``, ``dot`` and each step of ``det`` (division-free Laplace expansion
-with subset memoization, O(n 2^n) products) are one call to it.
+``-`` and ``dot`` are one call to it; ``det`` and ``column_rank`` share
+one exact fraction-free elimination (Bareiss), O(n^3) ring operations.
 
 ``signed_det`` certifies the leading term of det instead: an optimal
 assignment on the leading exponents (Hungarian method) gives the
@@ -38,7 +38,6 @@ Bareiss (just the Bareiss on constant columns), kept as such a pair.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ from .hyperfields import INF, RT, RT_ZERO, Val, format_val
 from .linalg import int_det_sign, rational
 
 DEFAULT_MAX_EXP_DENOMINATOR = 10**9
-DET_SIZE_BOUND = 12  # the exact expansion is O(n 2^n)
+DET_SIZE_BOUND = 12  # exact elimination entries grow to n x n minors
 
 
 class PuiseuxParseError(ValueError):
@@ -501,7 +500,7 @@ def format_series(f: PuiseuxSeries) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Determinants and column independence in the ring
+# Determinants and ranks in the ring
 
 Matrix = Sequence[Sequence[PuiseuxSeries]]
 
@@ -520,8 +519,7 @@ def check_det_size(n: int) -> None:
 
 
 def _square_matrix(rows: Matrix) -> tuple[tuple[PuiseuxSeries, ...], ...]:
-    """The coerced rows, once they form a square matrix of size at most
-    ``DET_SIZE_BOUND``."""
+    """The coerced rows, once they form a square matrix within ``DET_SIZE_BOUND``."""
     rows = coerce_matrix(rows)
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -531,31 +529,71 @@ def _square_matrix(rows: Matrix) -> tuple[tuple[PuiseuxSeries, ...], ...]:
 
 
 def det(rows: Matrix) -> PuiseuxSeries:
-    """Determinant by division-free expansion with subset memoization."""
+    """Determinant: the last pivot of ``_eliminate``, or zero below full rank."""
     rows = _square_matrix(rows)
-    n = len(rows)
-    if n == 0:
-        return _ONE
+    rank, sign, last, cden, qden = _eliminate(rows)
+    if rank < len(rows):
+        return _ZERO
+    return _collect({k: sign * n for k, n in last.items()}, cden ** len(rows), qden)
 
-    cache: dict[tuple[int, ...], PuiseuxSeries] = {}
 
-    def minor(cols: tuple[int, ...]) -> PuiseuxSeries:
-        if len(cols) == 1:
-            return rows[n - 1][cols[0]]
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        row = rows[n - len(cols)]
-        got = cache[cols] = _sum_of_products(
-            [
-                (-1 if j % 2 else 1, row[c], minor(cols[:j] + cols[j + 1 :]))
-                for j, c in enumerate(cols)
-                if row[c]._ints
-            ]
-        )
-        return got
+def column_rank(cols: Sequence[Sequence[PuiseuxSeries]]) -> int:
+    """Rank of column vectors: the pivot count of ``_eliminate`` on them as rows."""
+    return _eliminate(coerce_matrix(cols))[0]
 
-    return minor(tuple(range(n)))
+
+def _eliminate(rows) -> tuple[int, int, dict[int, int], int, int]:
+    """Fraction-free elimination (Bareiss 1968) of a matrix of series to
+    row echelon form: the rank, the sign of the row swaps, the last pivot
+    and the lcms cden and qden of the entries' two denominators.
+
+    The entries are read once as int Laurent polynomials in t^(1/qden)
+    over cden, {exponent: coefficient} dicts.  An entry updated below a
+    pivot is the minor on the pivot rows and columns and its own (Sylvester's
+    identity), so its division by the previous pivot is exact.  At full
+    rank the last pivot of a square matrix, times the sign, is cden^n det.
+    """
+    qden = math.lcm(*[x._qden for row in rows for x in row])
+    cden = math.lcm(*[x._cden for row in rows for x in row])
+    work = [
+        [{k * (qden // x._qden): n * (cden // x._cden) for n, k in x._ints} for x in row]
+        for row in rows
+    ]
+    rank, sign, prev = 0, 1, {0: 1}
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        top = work[rank]
+        for row in work[rank + 1 :]:
+            for j in range(col + 1, len(top)):
+                # (top[col] * row[j] - row[col] * top[j]) / prev
+                acc: dict[int, int] = {}
+                for s, a, b in ((1, top[col], row[j]), (-1, row[col], top[j])):
+                    for ka, na in a.items():
+                        for kb, nb in b.items():
+                            acc[ka + kb] = acc.get(ka + kb, 0) + s * na * nb
+                row[j] = _exact_quotient({k: n for k, n in acc.items() if n}, prev)
+        prev = top[col]
+        rank += 1
+    return rank, sign, prev, cden, qden
+
+
+def _exact_quotient(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a / b, b dividing a, by long division from the lowest term; a is consumed."""
+    low, quotient = min(b), {}
+    while a:
+        k = min(a)
+        n = quotient[k - low] = a[k] // b[low]
+        for kb, nb in b.items():
+            e = kb + k - low
+            a[e] = a.get(e, 0) - n * nb
+            if not a[e]:
+                del a[e]
+    return quotient
 
 
 def signed_det(rows: Matrix) -> RT:
@@ -568,7 +606,7 @@ def signed_det(rows: Matrix) -> RT:
     det has valuation at least that, and the coefficient of
     t^(sum(u) + sum(v)) in det is det L, where L keeps the leading
     coefficients of the tight entries (q_ij == u_i + v_j) and zeros the
-    rest.  Only when det L vanishes is det expanded exactly, at any size.
+    rest.  Only when det L vanishes is the exact ``det`` taken, at any size.
     Input is checked as in ``det``, against the same ``DET_SIZE_BOUND``,
     before any work.  Transposing changes neither det, nor the optimal
     assignment, nor det L, so the result, and whether the exact fallback
@@ -609,7 +647,7 @@ def _certified(cost, coeffs, scale: int, rows, constant: bool) -> tuple[int, int
     Scaling a row of coefficients by a positive factor keeps the sign of
     det L.  A constant matrix is its own L.  Otherwise the tight entries
     form L, whose sign is one int Bareiss; only when det L vanishes is
-    det(rows) expanded exactly; its exponents are multiples of 1/scale,
+    the exact det(rows) taken; its exponents are multiples of 1/scale,
     as sums of the entries' exponents.
     """
     if constant:
@@ -725,33 +763,3 @@ def dot(u: Sequence[PuiseuxSeries], v: Sequence[PuiseuxSeries]) -> PuiseuxSeries
     if len(u) != len(v):
         raise ValueError("dot product length mismatch")
     return _sum_of_products([(1, a, b) for a, b in zip(u, v)])
-
-
-def columns_independent(cols: Sequence[Sequence[PuiseuxSeries]]) -> bool:
-    """True when the column vectors are linearly independent.
-
-    A k-subset of columns is independent exactly when some k x k
-    row-submatrix has nonzero determinant; heights here are small enough
-    for direct enumeration.
-    """
-    cols = [tuple(as_series(x) for x in c) for c in cols]
-    k = len(cols)
-    if k == 0:
-        return True
-    height = len(cols[0])
-    if k > height:
-        return False
-    for rowsel in itertools.combinations(range(height), k):
-        sub = [[cols[j][i] for j in range(k)] for i in rowsel]
-        if signed_det(sub).sign != 0:
-            return True
-    return False
-
-
-def column_rank(cols: Sequence[Sequence[PuiseuxSeries]]) -> int:
-    """Greedy matroid rank of a list of column vectors."""
-    basis: list = []
-    for c in cols:
-        if columns_independent(basis + [c]):
-            basis.append(c)
-    return len(basis)

@@ -14,7 +14,8 @@ over all circuits of the embedding's matroid.
 
 ``apply`` evaluates each functional as one ``puiseux.dot``, which reads
 the series' integer form directly.  An embedding is at most
-``puiseux.DET_SIZE_BOUND`` rows high, checked before its rank is.
+``puiseux.DET_SIZE_BOUND`` rows high, as its minors need, checked before
+its rank, one elimination (``puiseux.column_rank``) that takes no minor.
 ``linear_space_member`` reads the circuits once as signs and valuations
 scaled to ints (``matroids.scaled_rt_vectors``), cached on the
 embedding, scales the point once to a common denominator, and folds

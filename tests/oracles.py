@@ -51,7 +51,11 @@ The ``*_by_terms`` Puiseux-series operations and
 its integer kernel: every product of two terms is a pair of Fractions,
 summed in a dict keyed by Fraction exponent (``from_terms_by_fractions``),
 and the Laplace expansion adds one signed product at a time.  They share
-no arithmetic with the library beyond negation.
+no arithmetic with the library beyond negation.  The library's ``det``
+and ``column_rank`` are one fraction-free elimination; the rank it took
+before is ``column_rank_by_greedy_minors``, a greedy search that keeps a
+column when ``columns_independent`` finds a nonzero ``signed_det`` among
+the row subsets of the kept columns and it.
 ``max_independent_by_subsets`` tries every subset, largest first, for
 the greedy rank witness of the library.  ``maximal_cones_by_scan`` tests
 every vector of the poset against every cone with ``leq_sv``; the library
@@ -61,6 +65,7 @@ uses position bitsets.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from realtrop import (
@@ -94,7 +99,6 @@ from realtrop.hyperfields import (
 from realtrop.matroids import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_PAIR_CAP,
-    _ncr,
     compose_sv,
     leq_sv,
     separation_set,
@@ -106,8 +110,8 @@ from realtrop.puiseux import PuiseuxSeries, as_series, det, signed_det, signed_v
 def bases_by_subset_search(cols) -> tuple[tuple[int, ...], ...]:
     """Every independent subset of len(cols[0]) columns, lexicographically.
 
-    Independence is tested with the exact Laplace ``det``, not the
-    library's ``signed_det``, so the oracle does not share its fast path.
+    Independence is tested with the exact ``det``, not the library's
+    ``signed_det``, so the oracle does not share its certificate path.
     """
     height = len(cols[0])
     return tuple(
@@ -452,7 +456,7 @@ def gp_relations_by_hypersums(gp, pair_cap: int = DEFAULT_PAIR_CAP) -> Report:
     ``hyper_sum_by_cases`` from ``value_on`` products; stops at the first
     failure."""
     m, r = len(gp), gp.rank
-    npairs = _ncr(m, r + 1) * _ncr(m, r - 1)
+    npairs = math.comb(m, r + 1) * math.comb(m, r - 1)
     if npairs > pair_cap:
         raise EnumerationCapError(npairs, pair_cap, "relation enumeration")
     for x in itertools.combinations(range(m), r + 1):
@@ -818,3 +822,33 @@ def det_by_fraction_laplace(rows) -> PuiseuxSeries:
         return acc
 
     return minor(tuple(range(n)))
+
+
+def columns_independent(cols) -> bool:
+    """True when the column vectors are linearly independent.
+
+    A k-subset of columns is independent exactly when some k x k
+    row-submatrix has nonzero determinant; heights here are small enough
+    for direct enumeration.
+    """
+    cols = [tuple(as_series(x) for x in c) for c in cols]
+    k = len(cols)
+    if k == 0:
+        return True
+    height = len(cols[0])
+    if k > height:
+        return False
+    for rowsel in itertools.combinations(range(height), k):
+        sub = [[cols[j][i] for j in range(k)] for i in rowsel]
+        if signed_det(sub).sign != 0:
+            return True
+    return False
+
+
+def column_rank_by_greedy_minors(cols) -> int:
+    """Greedy matroid rank of a list of column vectors."""
+    basis: list = []
+    for c in cols:
+        if columns_independent(basis + [c]):
+            basis.append(c)
+    return len(basis)

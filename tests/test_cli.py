@@ -80,6 +80,24 @@ def test_circuits_obey_the_cap(capsys, cap, stage, required):
     assert code == 0 and len(json.loads(out)["circuits"]) == 4
 
 
+@pytest.mark.parametrize("cap, stage, required", [(1, "minor enumeration", 3), (0, "circuit enumeration", 1)])
+def test_member_obeys_the_cap(capsys, cap, stage, required):
+    # membership reads the one circuit of U23: three 2 x 2 minors
+    code, out = run_cli(["--cap", str(cap), "member", "+:0,+:0,-:0", U23], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "type": "EnumerationCapError",
+            "message": f"{stage} needs {required} steps, cap is {cap}",
+            "required": required,
+            "cap": cap,
+            "stage": stage,
+        }
+    }
+    code, out = run_cli(["--cap", "3", "member", "+:0,+:0,-:0", U23], capsys)
+    assert code == 0 and json.loads(out) == {"member": False}
+
+
 def test_gp_check_counts_the_tuples_of_a_gp_json_against_the_cap(capsys):
     # 26 labels, rank 6: C(26, 6) value tuples; the unread value is malformed
     blob = {

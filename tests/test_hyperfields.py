@@ -234,7 +234,7 @@ def test_valuations_accepted(given, expected):
             RT(0, given)
 
 
-@pytest.mark.parametrize("given", [1.5, 0.0, -math.inf, None])
+@pytest.mark.parametrize("given", [1.5, 0.0, -math.inf, None, True, False])
 def test_valuations_rejected(given):
     message = f"^cannot interpret {given!r} as a valuation$"
     for build in (as_val, TV, lambda x: RT(1, x), lambda x: RT(0, x)):

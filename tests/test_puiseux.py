@@ -11,6 +11,7 @@ from realtrop import (
     INF,
     RT_ZERO,
     FineValue,
+    LinearEmbedding,
     PuiseuxParseError,
     PuiseuxSeries,
     RT,
@@ -32,6 +33,7 @@ from realtrop.linalg import int_det_sign
 from helpers import random_columns, random_constant, random_series, read_pair
 from oracles import (
     add_by_terms,
+    column_rank_by_greedy_minors,
     det_by_fraction_laplace,
     dot_by_terms,
     from_terms_by_fractions,
@@ -453,8 +455,9 @@ def test_integer_form_is_canonical_like_the_terms():
 
 def test_det_matches_per_term_fraction_laplace():
     rng = random.Random(3333)
-    sizes = rng.choices(range(7), weights=(1, 2, 4, 8, 6, 3, 1), k=200)
-    assert set(sizes) == set(range(7))
+    # a few draws at n = 7 and 8, where the reference is slow
+    sizes = rng.choices(range(7), weights=(1, 2, 4, 8, 6, 3, 1), k=200) + [8, 7, 7]
+    assert set(sizes) == set(range(9))
     vanished = 0
     for n in sizes:
         rows = _wide_matrix(rng, n)
@@ -483,10 +486,10 @@ def test_one_accumulation_per_operation(monkeypatch):
     puiseux.dot(u, u)
     assert len(calls) == 2
     calls.clear()
-    det(rows)
-    # the 4 x 4 minor, four 3 x 3 and six 2 x 2 ones; 1 x 1 minors are entries
-    assert len(calls) == 1 + 4 + 6
-    assert sorted(len(products) for products in calls) == [2] * 6 + [3] * 4 + [4]
+    got = det(rows)
+    # det is one fraction-free elimination on int polynomials, not kernel calls
+    assert not calls
+    assert got == det_by_fraction_laplace(rows)
 
 
 @pytest.mark.parametrize(
@@ -594,19 +597,53 @@ def test_rational_strings_outside_the_grammar_are_not_ring_scalars(text):
             build(text)
 
 
-def test_columns_independent_matches_laplace_minors():
+def test_column_rank_matches_greedy_minors():
+    # tall and wide column sets, some rank deficient by construction,
+    # against the greedy search over row-subset minors
     rng = random.Random(77)
+    deficient = tall = wide = 0
     for _ in range(150):
-        height, k = rng.randint(1, 4), rng.randint(1, 4)
-        cols = [[rng.choice(CANCELLATION + [PuiseuxSeries.zero()]) for _ in range(height)]
-                for _ in range(k)]
+        height, k = rng.randint(1, 6), rng.randint(1, 6)
+        wide_series = rng.random() < 0.5
+
+        def entry():
+            if wide_series:
+                return _wide_series(rng, max_terms=2)
+            return rng.choice(CANCELLATION + [PuiseuxSeries.zero()])
+
+        cols = [[entry() for _ in range(height)] for _ in range(k)]
         if rng.random() < 0.3:
-            cols[-1] = [t(1) * x for x in cols[0]]
-        expected = k <= height and any(
-            not det([[cols[j][i] for j in range(k)] for i in rowsel]).is_zero
-            for rowsel in itertools.combinations(range(height), k)
-        )
-        assert puiseux.columns_independent(cols) == expected
+            # the last column a combination of two others
+            a, b, f, g = rng.choice(cols), rng.choice(cols), entry(), entry()
+            cols[-1] = [f * x + g * y for x, y in zip(a, b)]
+        expected = column_rank_by_greedy_minors(cols)
+        assert puiseux.column_rank(cols) == expected, cols
+        deficient += expected < min(height, k)
+        tall += height > k
+        wide += height < k
+    assert deficient and tall and wide
+
+
+def test_column_rank_of_a_tall_deficient_matrix_takes_no_determinant(monkeypatch):
+    # 27 columns of height 12 and rank 6, from a 12 x 6 times a 6 x 27
+    # factor, each of rank 6 by a nonzero minor; a greedy search over
+    # row-subset minors takes C(12, 7) of them per dependent column
+    rng = random.Random(1227)
+    left = [[random_series(rng, sparse=False) for _ in range(6)] for _ in range(12)]
+    right = [[random_series(rng, sparse=False) for _ in range(27)] for _ in range(6)]
+    assert signed_det(left[:6]) != RT_ZERO
+    assert signed_det([row[:6] for row in right]) != RT_ZERO
+    cols = [[puiseux.dot(row, [r[j] for r in right]) for row in left] for j in range(27)]
+
+    def no_det(*args):
+        raise AssertionError("a determinant taken for a rank")
+
+    for name in ("det", "signed_det"):
+        monkeypatch.setattr(puiseux, name, no_det)
+    monkeypatch.setattr(IntegerLeads, "minor", no_det)
+    assert puiseux.column_rank(cols) == 6
+    with pytest.raises(ValueError, match="^columns do not span the dual space$"):
+        LinearEmbedding(cols)
 
 
 def test_int_det_sign_examples():

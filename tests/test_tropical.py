@@ -265,8 +265,8 @@ def test_embedding_errors(columns, message):
 
 
 def test_embedding_height_is_checked_before_its_rank(monkeypatch):
-    # 13 rows can never give a minor table; the rank loop over C(13, k)
-    # row subsets must not run first
+    # 13 rows can never give a minor table, and the spanning check is a
+    # statement about the minors, so the height is checked before the rank
     def no_rank(cols):
         raise AssertionError("column rank of an embedding over the size bound")
 
