@@ -119,8 +119,8 @@ def _cmd_tropicalize(args) -> dict:
 def _cmd_member(args) -> dict:
     emb = LinearEmbedding.from_matrix(_load_matrix(args.matrix))
     pt = _load_point(args.point)
-    # membership reads every circuit: enumerate them within --cap first
-    circuits_from_matrix(emb, cap=args.cap)
+    # membership reads every circuit: enumerate them within --cap, once
+    emb.enumerate_circuits(args.cap)
     return {"member": linear_space_member(pt, emb)}
 
 

@@ -13,11 +13,13 @@ Sign-hyperfield elements are plain ints in {-1, 0, +1}; tropical and
 Krasner elements are the wrapper types ``TV`` and ``KV``.  T, S and K are
 the images of RT under ``abs``, ``sgn`` and ``to-krasner``, so every
 element reads as an RT pair (``sign_val``) and every pair maps back into
-a field (``from_sign_val``).  Products, quotients, negation, hypersums,
+a field (``from_sign_val``), keeping the pair ``kept_pair`` gives.  Products, quotients, negation, hypersums,
 hyperset membership and the homomorphisms are each the one RT rule on
 pairs, and ``admits_zero`` is the one rule for a hypersum containing zero.
-This module is algebra and text only; the JSON forms of these values
-live in ``jsonio``.
+``RT(...)`` checks its pair; ``unchecked_rt`` builds the same value
+without the checks, for library code whose pairs are valid by
+construction.  This module is algebra and text only; the JSON forms of
+these values live in ``jsonio``.
 """
 
 from __future__ import annotations
@@ -94,13 +96,27 @@ class RT:
         return self.sign == 0
 
     def __neg__(self) -> "RT":
-        return RT(-self.sign, self.val)
+        return unchecked_rt(-self.sign, self.val)
 
     def __repr__(self):
         if self.sign == 0:
             return "RT(0)"
         s = "+" if self.sign > 0 else "-"
         return f"RT({s}, {format_val(self.val)})"
+
+
+_new_object = object.__new__
+
+
+def unchecked_rt(sign: int, val: Val) -> RT:
+    """``RT(sign, val)`` without its checks, for library code that already
+    holds a valid pair: sign +-1 with a Fraction valuation, or (0, INF).
+    Everything read from a caller goes through ``RT(...)``, which checks."""
+    x = _new_object(RT)
+    fields = x.__dict__
+    fields["sign"] = sign
+    fields["val"] = val
+    return x
 
 
 RT_ZERO = RT(0, INF)
@@ -178,7 +194,8 @@ def sign_val(x: Elem) -> tuple[int, Val]:
 
     T, S and K are the images of RT under ``abs``, ``sgn`` and
     ``to-krasner``, so each element reads as the pair it keeps: RT as is,
-    T as (1, v), S as (s, 0) and K as (1, 0); zero is (0, INF).
+    T as (1, v), S as (s, 0) and K as (1, 0); zero is (0, INF).  On a pair
+    that has no element yet, ``kept_pair`` gives the same reading.
     """
     field = field_of(x)
     if field == "RT":
@@ -201,6 +218,18 @@ def from_sign_val(field: str, sign: int, val: Val) -> Elem:
     if field == "T":
         return TV(val)
     return sign if field == "S" else KV_ONE
+
+
+def kept_pair(field: str, sign: int, val):
+    """What ``field`` keeps of the RT pair (sign, val), as a pair: all of it
+    in RT, (1, val) in T, (sign, 0) in S and (1, 0) in K; a zero pair as it
+    is.  This is ``sign_val(from_sign_val(field, sign, val))``, read without
+    making the element, and val may be a scaled int."""
+    if not sign or field == "RT":
+        return sign, val
+    if field == "T":
+        return 1, val
+    return (sign if field == "S" else 1), 0
 
 
 def is_zero(x: Elem) -> bool:

@@ -14,11 +14,16 @@ cocircuits are the two row families of a table (``_circuit_rows``,
 the exchange relations are their orthogonality (``check_gp_relations``).
 Vectors are normalized, deduplicated and sorted as int pairs, and RT
 values are made only for the distinct vectors returned.  The axiom
-checkers build no hyperfield values.  ``check_circuit_axioms`` holds
-each circuit as int pairs too (``scaled_rt_vectors``, which also serves
+checkers build no hyperfield values.  A ``GrassmannPlucker`` made by
+``gp_from_matrix`` is handed the minor table's pairs as its
+``scaled_table`` and never reads its values back.
+``check_circuit_axioms`` holds each circuit as int pairs too
+(``scaled_rt_vectors``, which also serves
 ``tropical.linear_space_member``), with its support as a tuple of
 positions and a bitmask, and finds elimination candidates as ANDs of
-per-coordinate bitsets over circuit positions.
+per-coordinate bitsets over circuit positions.  Its C3 check builds one
+sum table per unordered circuit pair and shared element, which decides
+both orders and reports each violation under its ordered pair.
 
 Covectors are stored as (plus, minus) pairs of int bitmasks, and sets of
 them as int bitsets over positions.  A ``CovectorPoset`` holds only its
@@ -48,9 +53,11 @@ from .hyperfields import (
     from_sign_val,
     hyper_neg,
     is_zero,
+    kept_pair,
     pushmap,
     pushmap_target,
     sign_val,
+    unchecked_rt,
     zero_of,
 )
 from .puiseux import IntegerLeads, PuiseuxSeries, as_series
@@ -204,9 +211,12 @@ class GrassmannPlucker:
 
     @cached_property
     def scaled_table(self) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
-        """The values read once as RT pairs (``sign_val``), each valuation
-        scaled to an int by the lcm of their denominators, and that lcm;
-        zero is (0, 0).  The exchange relations and cocircuits read this."""
+        """The values as RT pairs with each valuation scaled to an int over
+        one common denominator, and that denominator; zero is (0, 0).  The
+        values are read once (``sign_val``) over the lcm of their
+        denominators, unless ``gp_from_matrix`` handed over the minor
+        table's pairs and scale, which may be a larger common denominator.
+        The exchange relations and cocircuits read this."""
         pairs = {t: sign_val(v) for t, v in self.values.items()}
         scale = math.lcm(1, *(v.denominator for s, v in pairs.values() if s))
         table = {t: (s, _scaled(v, scale)) if s else (0, 0) for t, (s, v) in pairs.items()}
@@ -216,10 +226,19 @@ class GrassmannPlucker:
 def gp_from_matrix(
     ground: GroundSet, target: str = "RT", tuple_cap: int = DEFAULT_PAIR_CAP
 ) -> GrassmannPlucker:
-    """Signed valuations of maximal minors, pushed into the target hyperfield."""
+    """Signed valuations of maximal minors, pushed into the target hyperfield.
+
+    The minor table's pairs, pushed the same way, become the function's
+    ``scaled_table``, so its values are never read back into pairs.
+    """
     table, scale = _spanning_minor_table(ground, tuple_cap)
-    values = {t: from_sign_val(target, s, Fraction(k, scale)) for t, (s, k) in table.items()}
-    return GrassmannPlucker(ground.height, ground.labels, target, values)
+    values, pairs = {}, {}
+    for t, (s, k) in table.items():
+        values[t] = from_sign_val(target, s, Fraction(k, scale))
+        pairs[t] = kept_pair(target, s, k)
+    gp = GrassmannPlucker(ground.height, ground.labels, target, values)
+    object.__setattr__(gp, "scaled_table", (pairs, scale))  # fills the cached property
+    return gp
 
 
 def _spanning_minor_table(ground: GroundSet, tuple_cap: int) -> tuple[dict, int]:
@@ -296,16 +315,18 @@ def pushforward_gp(
 
 def normalize_rt_vector(entries) -> tuple[RT, ...]:
     """Scale so the smallest-index nonzero entry becomes (+, 0).  A tuple
-    of RT values that is already normalized is returned as it is."""
+    of RT values that is already normalized is returned as it is.  Only
+    entries that are all RT, and so checked, are scaled without a check."""
     entries = tuple(entries)
     lead = next((x for x in entries if x.sign != 0), None)
     if lead is None:
         raise ValueError("cannot normalize the zero vector")
-    if lead.sign == 1 and lead.val == 0 and all(type(x) is RT for x in entries):
+    checked = all(type(x) is RT for x in entries)
+    if checked and lead.sign == 1 and lead.val == 0:
         return entries
+    make = unchecked_rt if checked else RT
     return tuple(
-        RT_ZERO if x.sign == 0 else RT(x.sign * lead.sign, x.val - lead.val)
-        for x in entries
+        RT_ZERO if x.sign == 0 else make(x.sign * lead.sign, x.val - lead.val) for x in entries
     )
 
 
@@ -393,7 +414,7 @@ def _normalized(pairs) -> tuple[tuple[int, int], ...] | None:
 
 def _rt_vector(pairs, scale: int) -> tuple[RT, ...]:
     """The RT values of scaled (sign, val) pairs."""
-    return tuple(RT(s, Fraction(v, scale)) if s else RT_ZERO for s, v in pairs)
+    return tuple(unchecked_rt(s, Fraction(v, scale)) if s else RT_ZERO for s, v in pairs)
 
 
 def check_circuit_axioms(circuits) -> Report:
@@ -410,12 +431,13 @@ def check_circuit_axioms(circuits) -> Report:
     ints by the lcm of all denominators, and its support, both as a tuple
     of positions, computed once, and as a bitmask; sets of circuits are
     int bitsets over list positions, nonzero_at[g] holding the circuits
-    nonzero at g.  C3 takes each ordered pair (A, C) and shared element
-    e, rescales C to C' with C'_e = -A_e, and tabulates A_g + C'_g once
-    per coordinate: its least valuation, and the sign when it is a
-    singleton.  For each f with val A_f < val C'_f the candidates D are
-    zero at e and nonzero at f; D rescaled to agree with A at f must lie
-    in A_g + C'_g at every g, which only needs a test on the support of D.
+    nonzero at g.  C3 rescales C to C' with C'_e = -A_e for each pair
+    (A, C) and shared element e, and tabulates A_g + C'_g once per
+    coordinate: its least valuation, and the sign when it is a singleton.
+    For each f with val A_f < val C'_f the candidates D are zero at e and
+    nonzero at f; D rescaled to agree with A at f must lie in A_g + C'_g at
+    every g, which only needs a test on the support of D.  One table per
+    unordered pair decides both orders (``_elimination_failures``).
     """
     circuits = tuple(circuits)
     if not circuits:
@@ -444,29 +466,7 @@ def check_circuit_axioms(circuits) -> Report:
             if signs[i] != signs[j] or vals[i] != vals[j]:
                 violations.append({"axiom": "C2", "pair": [i, j]})
 
-    for i, j in itertools.permutations(range(len(circuits)), 2):
-        sa, va, ma = signs[i], vals[i], supports[i]
-        sc, vc, mc = signs[j], vals[j], supports[j]
-        outside = ~(ma | mc)
-        for e in _bits(ma & mc):
-            beta_sign, beta_val = -sa[e] * sc[e], va[e] - vc[e]
-            # C'_g = (beta_sign * sc[g], vc[g] + beta_val) on the support of C
-            thr, sgn = list(va), list(sa)
-            for g in positions[j]:
-                cs, cv = beta_sign * sc[g], vc[g] + beta_val
-                if not sa[g] or cv < va[g]:
-                    thr[g], sgn[g] = cv, cs
-                elif cv == va[g] and cs != sa[g]:
-                    sgn[g] = 0
-            for f in positions[i]:
-                if mc >> f & 1 and va[f] >= vc[f] + beta_val:
-                    continue
-                if not any(
-                    _eliminates(signs[d], vals[d], positions[d], sa[f], va[f], f, thr, sgn)
-                    for d in _bits(nonzero_at[f] & ~nonzero_at[e])
-                    if not supports[d] & outside
-                ):
-                    violations.append({"axiom": "C3", "pair": [i, j], "e": e, "f": f})
+    violations.extend(_elimination_failures(signs, vals, positions, supports, nonzero_at))
 
     max_ind = _max_independent(m, supports, exhaustive=bool(violations))
     return Report(
@@ -474,6 +474,76 @@ def check_circuit_axioms(circuits) -> Report:
         violations=tuple(violations),
         info={"max_independent": max_ind},
     )
+
+
+def _elimination_failures(signs, vals, positions, supports, nonzero_at) -> list[dict]:
+    """The C3 violations, in the order of ordered pair (A, C), shared
+    element e and f.
+
+    For (A, C) and e, C' = beta C with C'_e = -A_e, and every f with val
+    A_f < val C'_f needs a circuit D, zero at e, nonzero at f and supported
+    in supp A | supp C, that lies in A + C' once rescaled to agree with A
+    at f.  The sum table of (C, A) at e is beta^-1 (A + C'), and its f are
+    those with val C'_f < val A_f; scaling by beta keeps every comparison.
+    So one table per unordered pair {A, C} and e decides both orders: at
+    each f where A + C' is a singleton reached strictly by one side, D is
+    rescaled to that singleton, and a failure belongs to the order that
+    side comes first in.
+    """
+    width = len(nonzero_at)
+    failures = []
+    for i, (sa, va, ma) in enumerate(zip(signs, vals, supports)):
+        for j in range(i + 1, len(signs)):
+            sc, vc, mc = signs[j], vals[j], supports[j]
+            if not ma & mc:
+                continue
+            union = [g for g in range(width) if (ma | mc) >> g & 1]
+            inside = _supported_in(ma | mc, nonzero_at)
+            for e in _bits(ma & mc):
+                thr, sgn, shift = _sum_table(sa, va, sc, vc, positions[j], e)
+                among = inside & ~nonzero_at[e]
+                for f in union:
+                    if sa[f] and sc[f] and va[f] == vc[f] + shift:
+                        continue  # both sides reach the least valuation
+                    candidates = nonzero_at[f] & among
+                    while candidates:
+                        low = candidates & -candidates
+                        candidates ^= low
+                        d = low.bit_length() - 1
+                        if _eliminates(
+                            signs[d], vals[d], positions[d], sgn[f], thr[f], f, thr, sgn
+                        ):
+                            break
+                    else:
+                        a_first = sa[f] and (not sc[f] or va[f] < vc[f] + shift)
+                        pair = [i, j] if a_first else [j, i]
+                        failures.append({"axiom": "C3", "pair": pair, "e": e, "f": f})
+    failures.sort(key=lambda v: (*v["pair"], v["e"], v["f"]))
+    return failures
+
+
+def _supported_in(mask: int, nonzero_at) -> int:
+    """The bitset of the circuits that are zero at every g outside mask."""
+    blocked = 0
+    for g, at in enumerate(nonzero_at):
+        if not mask >> g & 1:
+            blocked |= at
+    return ~blocked
+
+
+def _sum_table(sa, va, sc, vc, c_positions, e: int) -> tuple[list[int], list[int], int]:
+    """A + C' for C' = beta C with C'_e = -A_e, per coordinate: its least
+    valuation and its sign, 0 for a ball; and the shift, val C'_g =
+    val C_g + shift.  c_positions is the support of C."""
+    beta_sign, shift = -sa[e] * sc[e], va[e] - vc[e]
+    thr, sgn = list(va), list(sa)
+    for g in c_positions:
+        cs, cv = beta_sign * sc[g], vc[g] + shift
+        if not sa[g] or cv < va[g]:
+            thr[g], sgn[g] = cv, cs
+        elif cv == va[g] and cs != sa[g]:
+            sgn[g] = 0
+    return thr, sgn, shift
 
 
 def scaled_rt_vectors(vectors) -> tuple[list[list[int]], list[list[int]], int]:

@@ -15,12 +15,13 @@ over one positive denominator and int exponent numerators over another,
 both the least that work, so the form is unique.  Equality, hashing,
 sign, valuation and every computation here read those ints; ``terms``,
 the Fraction pairs that printing, JSON and ``leading`` use, is a view
-built on first read.  Sums and products share one integer kernel: a sum
+built on first read; ``leading_sign_exponent`` gives other modules the
+leading term as ints.  Sums and products share one integer kernel: a sum
 of signed products sum(+-a*b) brings every exponent to one common
 denominator and each side's coefficients to one, adds int numerators
 keyed by int exponent, and reduces the survivors by gcd.  ``*``, ``+``,
-``-`` and ``dot`` are one call to it; ``det`` and ``column_rank`` share
-one exact fraction-free elimination (Bareiss), O(n^3) ring operations.
+``-`` and ``dot`` are one call to it.  ``det`` is one exact
+fraction-free elimination (Bareiss), O(n^3) ring operations.
 
 ``signed_det`` certifies the leading term of det instead: an optimal
 assignment on the leading exponents (Hungarian method) gives the
@@ -33,6 +34,9 @@ pair (sign, k), the valuation being k/scale for the lcm scale of the
 exponent denominators.  ``IntegerLeads`` reads the leading terms of a
 ground set's columns once, so each maximal minor is that assignment and
 Bareiss (just the Bareiss on constant columns), kept as such a pair.
+``column_rank`` certifies full rank the same way: the assignment matches
+every line of the shorter side, and a nonzero det L on the matched lines
+gives rank min(h, m); only otherwise does the elimination count pivots.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hyperfields import INF, RT, RT_ZERO, Val, format_val
+from .hyperfields import INF, RT, RT_ZERO, Val, format_val, unchecked_rt
 from .linalg import int_det_sign, rational
 
 DEFAULT_MAX_EXP_DENOMINATOR = 10**9
@@ -254,24 +258,35 @@ def _sum_of_products(products) -> PuiseuxSeries:
     lcm of every exponent denominator, and coefficients on the a side
     (the b side) to the lcm of that side's denominators, so each product
     of terms is an int added to a dict keyed by its int exponent, and
-    ``_collect`` reduces the sum.
+    ``_collect`` reduces the sum.  Each lcm grows only when a denominator
+    does not divide it, and each term of b is scaled once per product, with
+    the a side's coefficient factor folded in.
     """
-    products = [p for p in products if p[1]._ints and p[2]._ints]
-    if not products:
+    live = []
+    qden = aden = bden = 1
+    for p in products:
+        _, a, b = p
+        if a._ints and b._ints:
+            live.append(p)
+            if qden % a._qden:
+                qden = math.lcm(qden, a._qden)
+            if qden % b._qden:
+                qden = math.lcm(qden, b._qden)
+            if aden % a._cden:
+                aden = math.lcm(aden, a._cden)
+            if bden % b._cden:
+                bden = math.lcm(bden, b._cden)
+    if not live:
         return _ZERO
-    qden = math.lcm(*[x._qden for _, a, b in products for x in (a, b)])
-    aden = math.lcm(*[a._cden for _, a, _ in products])
-    bden = math.lcm(*[b._cden for _, _, b in products])
     acc: dict[int, int] = {}
     get = acc.get
-    for s, a, b in products:
-        fa, ea = s * (aden // a._cden), qden // a._qden
-        fb, eb = bden // b._cden, qden // b._qden
-        scaled = [(n * fa, k * ea) for n, k in a._ints]
+    for s, a, b in live:
+        fab, ea = s * (aden // a._cden) * (bden // b._cden), qden // a._qden
+        eb = qden // b._qden
         for nb, kb in b._ints:
-            nb, kb = nb * fb, kb * eb
-            for na, ka in scaled:
-                k = ka + kb
+            nb, kb = nb * fab, kb * eb
+            for na, ka in a._ints:
+                k = ka * ea + kb
                 acc[k] = get(k, 0) + na * nb
     return _collect(acc, aden * bden, qden)
 
@@ -310,12 +325,20 @@ def compare(f: PuiseuxSeries, g: PuiseuxSeries) -> int:
     return (f - g).sign
 
 
+def leading_sign_exponent(f: PuiseuxSeries) -> tuple[int, int, int]:
+    """(sign, k, q) for the leading term of f, whose exponent is k/q in the
+    series' own exponent denominator q; (0, 0, 1) for zero."""
+    ints = f._ints
+    if not ints:
+        return 0, 0, 1
+    n, k = ints[0]
+    return (1 if n > 0 else -1), k, f._qden
+
+
 def signed_value(f: PuiseuxSeries) -> RT:
     """Sign of the leading coefficient together with the leading exponent."""
-    if not f._ints:
-        return RT_ZERO
-    n, k = f._ints[0]
-    return RT(1 if n > 0 else -1, Fraction(k, f._qden))
+    sign, k, q = leading_sign_exponent(f)
+    return unchecked_rt(sign, Fraction(k, q)) if sign else RT_ZERO
 
 
 @dataclass(frozen=True)
@@ -538,8 +561,29 @@ def det(rows: Matrix) -> PuiseuxSeries:
 
 
 def column_rank(cols: Sequence[Sequence[PuiseuxSeries]]) -> int:
-    """Rank of column vectors: the pivot count of ``_eliminate`` on them as rows."""
-    return _eliminate(coerce_matrix(cols))[0]
+    """Rank of column vectors, from the leading terms when they decide it.
+
+    The shorter side's lines are read once (``_integer_leads``) and every
+    one of them is matched to a line of the other side by an optimal
+    assignment on the leading exponents.  The matched lines form a square
+    submatrix for which the potentials are optimal, so when its tight
+    coefficient matrix L has det L != 0, that submatrix has a nonzero
+    determinant and the rank is full, min(h, m).  Otherwise, with no such
+    matching or det L = 0, the rank is the pivot count of ``_eliminate``
+    on the columns as rows.
+    """
+    cols = coerce_matrix(cols)
+    height = len(cols[0]) if cols else 0
+    lines = cols if len(cols) <= height else tuple(zip(*cols))
+    if not lines or not lines[0]:
+        return 0
+    cost, coeffs, _ = _integer_leads(lines)
+    found = _assignment_potentials(cost)
+    if found is not None:
+        u, v, match = found
+        if int_det_sign(_tight(coeffs, cost, u, v, sorted(match))):
+            return len(lines)
+    return _eliminate(cols)[0]
 
 
 def _eliminate(rows) -> tuple[int, int, dict[int, int], int, int]:
@@ -618,7 +662,7 @@ def signed_det(rows: Matrix) -> RT:
     constant = all(x.is_constant for row in rows for x in row)
     cost, coeffs, scale = _integer_leads(rows)
     sign, k = _certified(cost, coeffs, scale, rows, constant)
-    return RT(sign, Fraction(k, scale)) if sign else RT_ZERO
+    return unchecked_rt(sign, Fraction(k, scale)) if sign else RT_ZERO
 
 
 def _integer_leads(lines) -> tuple[list[list], list[list[int]], int]:
@@ -655,16 +699,21 @@ def _certified(cost, coeffs, scale: int, rows, constant: bool) -> tuple[int, int
     potentials = _assignment_potentials(cost)
     if potentials is None:
         return 0, 0
-    u, v = potentials
-    tight = [
-        [c if q == ui + vj else 0 for c, q, vj in zip(crow, qrow, v)]
-        for crow, qrow, ui in zip(coeffs, cost, u)
-    ]
-    sign = int_det_sign(tight)
+    u, v, _ = potentials
+    sign = int_det_sign(_tight(coeffs, cost, u, v, range(len(v))))
     if sign:
         return sign, sum(u) + sum(v)
     f = det(rows)
     return (f.sign, f._ints[0][1] * (scale // f._qden)) if f._ints else (0, 0)
+
+
+def _tight(coeffs, cost, u, v, columns) -> list[list[int]]:
+    """L on the given columns: the leading coefficient of each entry that
+    is tight under the potentials (cost_ij == u_i + v_j), zero elsewhere."""
+    return [
+        [crow[j] if qrow[j] == ui + v[j] else 0 for j in columns]
+        for crow, qrow, ui in zip(coeffs, cost, u)
+    ]
 
 
 class IntegerLeads:
@@ -705,32 +754,35 @@ class IntegerLeads:
         )
 
 
-def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:
-    """Dual potentials of a min-cost perfect matching (Hungarian method).
+def _assignment_potentials(cost) -> tuple[list[int], list[int], list[int]] | None:
+    """Dual potentials of a min-cost matching of every row (Hungarian method).
 
-    ``cost`` is a square table of ints, None where no edge exists.  The
-    rows are matched one at a time along shortest augmenting paths
-    (Kuhn 1955, in the O(n^3) form with potentials), which keeps
+    ``cost`` is an n x m table of ints, n <= m, None where no edge exists.
+    The rows are matched one at a time along shortest augmenting paths
+    (Kuhn 1955, in the O(n^2 m) form with potentials), which keeps
     u_i + v_j <= cost_ij on every edge, with equality on the matching.
-    Returns (u, v), or None when there is no perfect matching.
+    Returns (u, v, match), match[i] the column of row i, or None when no
+    matching covers every row.  On the square table that the matching
+    makes of the matched columns, (u, v) are optimal potentials and
+    sum(u) + sum(v over them) is its tropical determinant.
     """
-    n = len(cost)
+    n, m = len(cost), len(cost[0]) if cost else 0
     u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j]: row (1-based) matched to column j
-    way = [0] * (n + 1)
+    v = [0] * (m + 1)
+    match = [0] * (m + 1)  # match[j]: row (1-based) matched to column j
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        slack = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        slack = [INF] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
             row = cost[i0 - 1]
             ui0 = u[i0]
             delta, j1 = INF, 0
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
                 c = row[j - 1]
@@ -743,7 +795,7 @@ def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:
                     delta, j1 = slack[j], j
             if not j1:
                 return None
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[match[j]] += delta
                     v[j] -= delta
@@ -756,7 +808,11 @@ def _assignment_potentials(cost) -> tuple[list[int], list[int]] | None:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return u[1:], v[1:]
+    rows = [0] * n
+    for j in range(1, m + 1):
+        if match[j]:
+            rows[match[j] - 1] = j - 1
+    return u[1:], v[1:], rows
 
 
 def dot(u: Sequence[PuiseuxSeries], v: Sequence[PuiseuxSeries]) -> PuiseuxSeries:

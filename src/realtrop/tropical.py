@@ -7,6 +7,9 @@ one minor table that the ground set caches.
 
 Projective points carry one sign-and-valuation coordinate per ground
 element, normalized so the smallest-index nonzero coordinate is (+, 0).
+``trop_r_point`` reads each image coordinate's leading term as ints
+(``puiseux.leading_sign_exponent``), normalizes on those ints and builds
+each RT once, unchecked (``hyperfields.unchecked_rt``).
 A point lies on the hyperplane of a circuit when the coordinatewise
 products admit zero, i.e. the least product valuation is reached with
 both signs (or everything vanishes); a linear space is the intersection
@@ -15,7 +18,9 @@ over all circuits of the embedding's matroid.
 ``apply`` evaluates each functional as one ``puiseux.dot``, which reads
 the series' integer form directly.  An embedding is at most
 ``puiseux.DET_SIZE_BOUND`` rows high, as its minors need, checked before
-its rank, one elimination (``puiseux.column_rank``) that takes no minor.
+its rank (``puiseux.column_rank``: one assignment on the leading terms,
+and one elimination only when that leaves the rank open).  The CLI
+enumerates the circuits once within its cap (``enumerate_circuits``).
 ``linear_space_member`` reads the circuits once as signs and valuations
 scaled to ints (``matroids.scaled_rt_vectors``), cached on the
 embedding, scales the point once to a common denominator, and folds
@@ -27,9 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-from .hyperfields import INF, RT, Val, admits_zero
+from .hyperfields import INF, RT, RT_ZERO, Val, admits_zero, unchecked_rt
 from .matroids import (
     CovectorPoset,
     GroundSet,
@@ -39,7 +45,14 @@ from .matroids import (
     normalize_rt_vector,
     scaled_rt_vectors,
 )
-from .puiseux import PuiseuxSeries, as_series, check_det_size, column_rank, dot, signed_value
+from .puiseux import (
+    PuiseuxSeries,
+    as_series,
+    check_det_size,
+    column_rank,
+    dot,
+    leading_sign_exponent,
+)
 
 
 @dataclass(frozen=True)
@@ -68,11 +81,24 @@ class ProjPoint:
 
 
 def trop_r_point(coords) -> ProjPoint:
-    """Componentwise signed value of a vector of ring elements."""
-    series = [as_series(x) for x in coords]
-    if all(s.is_zero for s in series):
+    """Componentwise signed value of a vector of ring elements, normalized.
+
+    ``ProjPoint(tuple(signed_value(s) for s in coords))``, read on ints:
+    each leading term as (sign, k, q), exponent k/q, from
+    ``puiseux.leading_sign_exponent``, divided by the first nonzero one
+    (s0, k0, q0) as (s * s0, (k q0 - k0 q) / (q q0)), so each coordinate
+    is one valid RT built once."""
+    leads = [leading_sign_exponent(as_series(x)) for x in coords]
+    first = next((lead for lead in leads if lead[0]), None)
+    if first is None:
         raise ValueError("cannot tropicalize the zero vector")
-    return ProjPoint(tuple(signed_value(s) for s in series))
+    s0, k0, q0 = first
+    return ProjPoint(
+        tuple(
+            unchecked_rt(s * s0, Fraction(k * q0 - k0 * q, q * q0)) if s else RT_ZERO
+            for s, k, q in leads
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -95,6 +121,14 @@ class LinearEmbedding(GroundSet):
     @cached_property
     def circuits(self) -> tuple[SignedCircuit, ...]:
         return circuits_from_matrix(self)
+
+    def enumerate_circuits(self, cap: int) -> tuple[SignedCircuit, ...]:
+        """``circuits``, enumerated within ``cap`` (``circuits_from_matrix``)
+        and kept as ``circuits``, so membership reads these and enumerates
+        nothing again."""
+        circuits = circuits_from_matrix(self, cap=cap)
+        object.__setattr__(self, "circuits", circuits)
+        return circuits
 
     @cached_property
     def _scaled_circuits(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:

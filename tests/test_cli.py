@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from realtrop import cli, jsonio, matroids
+from realtrop import cli, jsonio, matroids, tropical
 from realtrop.cli import main
 
 U23 = "[[1,0,1],[0,1,1]]"
@@ -96,6 +96,29 @@ def test_member_obeys_the_cap(capsys, cap, stage, required):
     }
     code, out = run_cli(["--cap", "3", "member", "+:0,+:0,-:0", U23], capsys)
     assert code == 0 and json.loads(out) == {"member": False}
+
+
+def test_member_enumerates_the_circuits_once(capsys, monkeypatch):
+    runs = []
+
+    def counting(ground, cap=matroids.DEFAULT_PAIR_CAP):
+        runs.append(cap)
+        return matroids.circuits_from_matrix(ground, cap=cap)
+
+    for module in (cli, tropical):
+        monkeypatch.setattr(module, "circuits_from_matrix", counting)
+    code, out = run_cli(["member", "+:0,+:0,-:0", U23], capsys)
+    assert code == 0 and json.loads(out) == {"member": False}
+    assert runs == [matroids.DEFAULT_PAIR_CAP]
+    # the circuits enumerated under --cap are the ones membership reads
+    runs.clear()
+    code, out = run_cli(["--cap", "3", "member", "+:0,+:0,+:0", U23], capsys)
+    assert code == 0 and json.loads(out) == {"member": True}
+    assert runs == [3]
+    runs.clear()
+    code, out = run_cli(["--cap", "0", "member", "+:0,+:0,+:0", U23], capsys)
+    assert code == 1 and json.loads(out)["error"]["stage"] == "circuit enumeration"
+    assert runs == [0]
 
 
 def test_gp_check_counts_the_tuples_of_a_gp_json_against_the_cap(capsys):

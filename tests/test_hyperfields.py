@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -31,8 +32,10 @@ from realtrop.hyperfields import (
     display_rt,
     field_of,
     from_sign_val,
+    kept_pair,
     pushmap_set,
     sign_val,
+    unchecked_rt,
 )
 from realtrop.jsonio import sign_from_json, value_from_json, value_to_json
 
@@ -344,6 +347,19 @@ def test_pairs_round_trip_in_every_field():
     assert not admits_zero([(1, 0), (1, 0)], signed=True)
 
 
+def test_kept_pair_is_the_pair_read_back_from_the_pushed_element():
+    pairs = [(0, INF)] + [(s, Fraction(k, 3)) for s in (1, -1) for k in (-4, 0, 2)]
+    for field in ("RT", "T", "S", "K"):
+        for s, v in pairs:
+            kept = kept_pair(field, s, v)
+            assert kept == sign_val(from_sign_val(field, s, v)), (field, s, v)
+            # on a valuation scaled to an int it keeps the same parts
+            if s:
+                k = int(v * 3)
+                assert kept_pair(field, s, k) == (kept[0], int(kept[1] * 3))
+        assert kept_pair(field, 0, 0) == (0, 0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -397,3 +413,20 @@ def test_rt_from_json_rejects_bad_signs(obj):
 def test_rt_from_json_accepts_int_signs():
     assert value_from_json([-1, "1/2"], "RT") == RT(-1, Fraction(1, 2))
     assert value_from_json({"sign": 0, "val": "inf"}, "RT") == RT_ZERO
+
+
+def test_unchecked_rt_equals_the_checked_constructor():
+    vals = [Fraction(k, d) for k in (-3, 0, 1, 7) for d in (1, 2, 3)]
+    for sign in (-1, 1):
+        for val in vals:
+            x, y = unchecked_rt(sign, val), RT(sign, val)
+            assert type(x) is RT and x == y and hash(x) == hash(y) and repr(x) == repr(y)
+            assert (x.sign, x.val) == (y.sign, y.val) and type(x.val) is Fraction
+            assert -x == RT(-sign, val)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                x.sign = -sign
+    assert unchecked_rt(0, INF) == RT_ZERO and unchecked_rt(0, INF).is_zero
+    # the public constructor still checks
+    for sign, val in ((2, 0), (0, 1), (1, INF), (True, 0), (1, 0.5)):
+        with pytest.raises((ValueError, TypeError)):
+            RT(sign, val)

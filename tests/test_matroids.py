@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -32,9 +33,15 @@ from realtrop import (
 )
 from realtrop import hyperfields, matroids
 from realtrop.hyperfields import from_sign_val, is_zero, zero_of
-from realtrop.puiseux import IntegerLeads, as_series, signed_det
+from realtrop.puiseux import IntegerLeads, as_series, column_rank, signed_det
 
-from helpers import random_columns, random_embedding, random_full_rank_ground, read_pair
+from helpers import (
+    CANCELLATION,
+    random_columns,
+    random_embedding,
+    random_full_rank_ground,
+    read_pair,
+)
 from oracles import (
     circuit_axioms_by_hypersums,
     circuits_by_rt_vectors,
@@ -458,11 +465,30 @@ def test_gp_values_are_read_into_pairs_once(monkeypatch):
     assert check_gp_relations(gp).ok
     assert cocircuits_from_gp(gp) and rt_cocircuits_from_gp(gp)
     assert check_gp_relations(gp).ok
-    assert len(calls) == len(gp.values) == 6
-    # a function made by dataclasses.replace reads its own values
+    # a function from a matrix holds the minor table's pairs: no value is read
+    assert calls == [] and len(gp.values) == 6
+    # a function made by dataclasses.replace reads its own values, once
     bad = dataclasses.replace(gp, values={**gp.values, (2, 3): -gp.values[(2, 3)]})
     assert not check_gp_relations(bad).ok
-    assert len(calls) == 12
+    assert not check_gp_relations(bad).ok
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("target", ["RT", "T", "S", "K"])
+def test_gp_from_a_matrix_holds_the_pairs_its_values_read_as(target):
+    # the table handed over from the minors against the values read back,
+    # pair by pair over the valuations they stand for
+    rng = random.Random(4401)
+    for _ in range(40):
+        h = rng.randint(1, 4)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=rng.random() < 0.3)
+        gp = gp_from_matrix(g, target=target)
+        table, scale = gp.scaled_table
+        read, read_scale = GrassmannPlucker.scaled_table.func(gp)
+        assert table.keys() == read.keys() == gp.values.keys()
+        for t, (s, k) in table.items():
+            rs, rk = read[t]
+            assert (s, Fraction(k, scale)) == (rs, Fraction(rk, read_scale)), (target, t)
 
 
 def test_normalize_rt_vector_equals_scaling_by_the_lead():
@@ -488,6 +514,19 @@ def test_normalize_rt_vector_equals_scaling_by_the_lead():
             leads["negative" if lead.sign < 0 else "unnormalized"] += 1
         assert normalize_rt_vector(got) is got
     assert all(leads.values())
+
+
+def test_normalize_rt_vector_checks_entries_that_are_not_rt():
+    # pairs that are not RT values are scaled through RT(...), which checks
+    # the sign and reads the valuation as a Fraction
+    pair = collections.namedtuple("pair", "sign val")
+    got = normalize_rt_vector([pair(-1, 1), pair(0, hyperfields.INF), pair(1, 3)])
+    assert got == (RT(1, 0), RT_ZERO, RT(-1, 2))
+    assert all(type(x) is RT and type(x.val) is Fraction for x in got if x.sign)
+    with pytest.raises(ValueError, match="^sign must be -1, 0 or \\+1, got 2$"):
+        normalize_rt_vector([pair(1, 0), pair(2, 1)])
+    with pytest.raises(ValueError, match="^sign must be -1, 0 or \\+1, got -2$"):
+        SignedCircuit((RT(1, 0), pair(-2, 1)))
 
 
 # -- cocircuits -----------------------------------------------------------------------------
@@ -564,6 +603,20 @@ def _raw_circuit(entries):
     return c
 
 
+def _corruptions(rng, circuits):
+    """circuits with one dropped, one sign flipped, one valuation shifted,
+    and one repeated."""
+    k = rng.randrange(len(circuits))
+    c = circuits[k]
+    e = rng.choice(c.support)
+    x = c.entries[e]
+    shift = rng.choice([Fraction(1, 2), Fraction(-1), Fraction(1, 3)])
+    yield circuits[:k] + circuits[k + 1 :]
+    yield circuits[:k] + (_rebuilt(c, e, -x),) + circuits[k + 1 :]
+    yield circuits[:k] + (_rebuilt(c, e, RT(x.sign, x.val + shift)),) + circuits[k + 1 :]
+    yield circuits + (c,)
+
+
 def _circuit_lists(rng, grounds):
     """Circuit lists of seeded grounds, each also with a dropped circuit, a
     flipped sign, a shifted valuation and a repeated circuit; then lists
@@ -573,17 +626,8 @@ def _circuit_lists(rng, grounds):
         g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=trial % 2 == 1)
         circuits = circuits_from_matrix(g)
         yield circuits
-        if not circuits:
-            continue
-        k = rng.randrange(len(circuits))
-        c = circuits[k]
-        e = rng.choice(c.support)
-        x = c.entries[e]
-        shift = rng.choice([Fraction(1, 2), Fraction(-1), Fraction(1, 3)])
-        yield circuits[:k] + circuits[k + 1 :]
-        yield circuits[:k] + (_rebuilt(c, e, -x),) + circuits[k + 1 :]
-        yield circuits[:k] + (_rebuilt(c, e, RT(x.sign, x.val + shift)),) + circuits[k + 1 :]
-        yield circuits + (c,)
+        if circuits:
+            yield from _corruptions(rng, circuits)
     u = (rt(1, 0), rt(1, 0), rt(-1, 0))
     yield (_raw_circuit((RT_ZERO,) * 3), SignedCircuit(u))
     yield (SignedCircuit(u), _raw_circuit((rt(-1, 0), rt(-1, 0), rt(1, 0))))
@@ -611,6 +655,35 @@ def test_circuit_axioms_match_hypersum_oracle():
         kinds.update(v["axiom"] for v in report.violations)
     assert failing >= 80 and passing >= 150
     assert kinds == {"C0", "C1", "C2", "C3"}
+
+
+def _cancellation_ground(rng, height, width):
+    """A spanning ground set drawn from the cancellation alphabet."""
+    alphabet = [as_series(x) for x in CANCELLATION]
+    while True:
+        ground = ground_from_matrix(
+            [[rng.choice(alphabet) for _ in range(width)] for _ in range(height)]
+        )
+        if column_rank(ground.columns) == height:
+            return ground
+
+
+def test_circuit_axiom_reports_match_the_oracle_on_cancellation_grounds():
+    # whole Reports against the ordered elimination loop of the oracle, on
+    # cancellation-alphabet grounds and their corruptions: one table per
+    # unordered pair reports each C3 violation under its ordered pair
+    rng = random.Random(2020)
+    c3_lists, orders = 0, set()
+    for _ in range(25):
+        h = rng.randint(1, 4)
+        circuits = circuits_from_matrix(_cancellation_ground(rng, h, rng.randint(h + 1, 6)))
+        for listed in (circuits, *_corruptions(rng, circuits)):
+            report = check_circuit_axioms(listed)
+            assert report == circuit_axioms_by_hypersums(listed), listed
+            c3 = [v["pair"] for v in report.violations if v["axiom"] == "C3"]
+            c3_lists += bool(c3)
+            orders.update(i < j for i, j in c3)
+    assert c3_lists >= 30 and orders == {True, False}
 
 
 def test_greedy_rank_witness_matches_subset_search():

@@ -235,7 +235,7 @@ def _differential_matrix(rng, n):
     return rows
 
 
-def test_signed_det_matches_laplace(monkeypatch):
+def test_signed_det_matches_elimination(monkeypatch):
     exact = puiseux.det
     assignment = puiseux._assignment_potentials
     fallbacks, unmatched = [], []
@@ -254,7 +254,7 @@ def test_signed_det_matches_laplace(monkeypatch):
     monkeypatch.setattr(puiseux, "det", counting_det)
     monkeypatch.setattr(puiseux, "_assignment_potentials", counting_assignment)
     rng = random.Random(2024)
-    # the Laplace reference grows like n 2^n, so large n are drawn less often
+    # the exact elimination's entries grow with n, so large n are drawn less often
     sizes = rng.choices(range(7), weights=(1, 1, 2, 10, 10, 3, 1), k=2000)
     assert set(sizes) == set(range(7))
     for n in sizes:
@@ -310,10 +310,10 @@ def test_small_signed_det_expands_only_when_leading_terms_cancel(monkeypatch):
     exact = puiseux.det
     cancelling = [["1+t", "1"], ["1", "1-t"]]  # det = -t^2
 
-    def no_laplace(rows):
-        raise AssertionError("Laplace expansion of a certified matrix")
+    def no_elimination(rows):
+        raise AssertionError("exact elimination of a certified matrix")
 
-    monkeypatch.setattr(puiseux, "det", no_laplace)
+    monkeypatch.setattr(puiseux, "det", no_elimination)
     assert signed_det([]) == RT(1, 0)
     assert signed_det([["0"]]) == RT_ZERO
     assert signed_det([["-2*t^(1/3)+t"]]) == RT(-1, Fraction(1, 3))
@@ -622,6 +622,88 @@ def test_column_rank_matches_greedy_minors():
         tall += height > k
         wide += height < k
     assert deficient and tall and wide
+
+
+def _unmatched_columns(rng, height, width):
+    """Columns where k lines of the shorter side vanish outside k - 1 lines
+    of the other: no matching covers the shorter side."""
+    cols = random_columns(rng, height, width)
+    short, long = min(height, width), max(height, width)
+    k = rng.randint(1, short)
+    for i in range(k):
+        for j in range(long - k + 1):
+            # line i of the shorter side, entry j of the longer side
+            row, col = (i, j) if height <= width else (j, i)
+            cols[col] = cols[col][:row] + (PuiseuxSeries.zero(),) + cols[col][row + 1 :]
+    return cols
+
+
+def test_column_rank_matches_elimination_and_greedy_minors(monkeypatch):
+    # the assignment certificate against the pivot count of the exact
+    # elimination and the greedy search over row-subset minors, on the
+    # seeded column sets of tests/helpers.py (cancellation alphabet
+    # included): tall, wide, rank deficient and unmatched
+    eliminate = puiseux._eliminate
+    fallbacks = []
+
+    def counting(rows):
+        fallbacks.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(puiseux, "_eliminate", counting)
+    rng = random.Random(3131)
+    seen = {"certified": 0, "fell back": 0, "deficient": 0, "tall": 0, "wide": 0}
+    for trial in range(400):
+        height, width = rng.randint(1, 5), rng.randint(1, 7)
+        if trial % 4 == 3:
+            cols = _unmatched_columns(rng, height, width)
+        else:
+            cols = random_columns(rng, height, width)
+        fallbacks.clear()
+        got = puiseux.column_rank(cols)
+        seen["fell back" if fallbacks else "certified"] += 1
+        expected = column_rank_by_greedy_minors(cols)
+        assert got == expected == eliminate(puiseux.coerce_matrix(cols))[0], cols
+        seen["deficient"] += expected < min(height, width)
+        seen["tall"] += height > width
+        seen["wide"] += height < width
+    assert all(seen.values()), seen
+    assert puiseux.column_rank([]) == puiseux.column_rank([(), ()]) == 0
+
+
+def test_rectangular_assignment_potentials_are_feasible_tight_and_optimal():
+    # n <= m cost tables with missing edges: the potentials bound every
+    # edge, are tight on the matching, and the matching costs the least
+    # over all ways to match every row; None exactly when there is none
+    rng = random.Random(3232)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        m = rng.randint(n, 6)
+        density = rng.choice((0.3, 0.6, 1.0))
+        cost = [
+            [rng.randint(-4, 6) if rng.random() < density else None for _ in range(m)]
+            for _ in range(n)
+        ]
+        costs = [
+            sum(cost[i][j] for i, j in enumerate(cols))
+            for cols in itertools.permutations(range(m), n)
+            if all(cost[i][j] is not None for i, j in enumerate(cols))
+        ]
+        found = puiseux._assignment_potentials(cost)
+        outcomes.add(found is None)
+        if found is None:
+            assert not costs, cost
+            continue
+        u, v, match = found
+        assert len(u) == n and len(v) == m and len(set(match)) == n, cost
+        for i in range(n):
+            for j in range(m):
+                if cost[i][j] is not None:
+                    assert u[i] + v[j] <= cost[i][j], (cost, i, j)
+            assert cost[i][match[i]] == u[i] + v[match[i]], (cost, i)
+        assert sum(cost[i][j] for i, j in enumerate(match)) == min(costs), cost
+    assert outcomes == {True, False}
 
 
 def test_column_rank_of_a_tall_deficient_matrix_takes_no_determinant(monkeypatch):

@@ -9,6 +9,7 @@ from realtrop import (
     RT_ZERO,
     TV,
     BergmanFan,
+    EnumerationCapError,
     GroundSet,
     LinearEmbedding,
     ProjPoint,
@@ -27,14 +28,16 @@ from realtrop import (
 )
 from realtrop import tropical
 from realtrop.matroids import CovectorPoset, circuits_from_matrix
-from realtrop.puiseux import as_series, dot
+from realtrop.puiseux import as_series, dot, signed_value
 
 from helpers import (
+    CANCELLATION,
     normalized_grid,
     random_constant,
     random_embedding,
     random_full_rank_ground,
     random_series,
+    random_thirds_and_fifths,
 )
 from oracles import (
     contains_zero_by_cases,
@@ -72,6 +75,44 @@ def test_trop_point_normalization():
 def test_trop_point_rejects_zero():
     with pytest.raises(ValueError):
         trop_r_point(("0", "0"))
+
+
+def test_trop_point_equals_the_normalized_signed_values():
+    # the int normalization against ProjPoint of the signed values, on
+    # the cancellation alphabet, sparse series and exponents over 3 and 5
+    rng = random.Random(6060)
+    alphabet = [as_series(x) for x in CANCELLATION] + [as_series(0)]
+    makers = [
+        lambda: rng.choice(alphabet),
+        lambda: random_series(rng),
+        lambda: random_thirds_and_fifths(rng),
+    ]
+    rejected = 0
+    for _ in range(600):
+        make = rng.choice(makers)
+        coords = [make() for _ in range(rng.randint(1, 6))]
+        if all(x.is_zero for x in coords):
+            with pytest.raises(ValueError, match="^cannot tropicalize the zero vector$"):
+                trop_r_point(coords)
+            rejected += 1
+            continue
+        got = trop_r_point(coords)
+        assert got == ProjPoint(tuple(signed_value(x) for x in coords)), coords
+        assert all(type(x.val) is Fraction for x in got.coords if x.sign)
+    assert rejected
+    assert trop_r_point([1, Fraction(-1, 2), "t^(1/3) - t", 0]) == trop_r_point(
+        [as_series(x) for x in ("1", "-1/2", "t^(1/3) - t", "0")]
+    )
+
+
+def test_enumerate_circuits_runs_under_its_cap_every_time():
+    emb = LinearEmbedding.from_matrix([[1, 0, 1], [0, 1, 1]])
+    held = emb.circuits
+    # circuits held already are enumerated again, and the cap is checked
+    with pytest.raises(EnumerationCapError, match="circuit enumeration"):
+        emb.enumerate_circuits(0)
+    got = emb.enumerate_circuits(3)
+    assert got == held and emb.circuits is got
 
 
 # -- hyperplane membership ------------------------------------------------------
