@@ -27,10 +27,16 @@ both orders and reports each violation under its ordered pair.
 
 Covectors are stored as (plus, minus) pairs of int bitmasks, and sets of
 them as int bitsets over positions.  A ``CovectorPoset`` holds only its
-vectors and indexes them once, on first use, as masks, per-coordinate
-position bitsets and strictly-above bitsets; its covers, chains,
-membership, axiom check and maximal chains all read that one index.
-Sign-vector tuples are made only for the public API.
+vectors and indexes them once, on first use: their masks (handed over by
+``covector_closure``, which found them, and otherwise read from the
+vectors), the positions of each distinct vector (``mask_index``),
+per-coordinate position bitsets, per-vector coordinate lists, and the
+strictly-above bitsets with their position lists.  Its covers, chains,
+maximal chains, axiom check and ``tropical.bergman_member`` all read that
+one index.  Cov3 is decided by counting, per vector, the distinct
+restrictions to its zero set against the distinct vectors above it, and
+Cov4 per support class.  Sign-vector tuples are made only for the public
+API.
 """
 
 from __future__ import annotations
@@ -705,47 +711,60 @@ def _mask_pairs(vectors) -> tuple[int, list[tuple[int, int]]]:
     return width, [_masks(v) for v in vectors]
 
 
-def _bits(x: int):
+def _bits(x: int) -> list[int]:
     """Positions of the set bits of x, ascending."""
+    positions = []
     while x:
         low = x & -x
-        yield low.bit_length() - 1
+        positions.append(low.bit_length() - 1)
         x ^= low
+    return positions
 
 
-def _positions(masks, width: int) -> tuple[list[int], list[int], list[int]]:
+def _coordinate_index(masks, width: int):
     """Per coordinate, the bitsets of the positions of the vectors that are
-    +, - and 0 there."""
+    +, - and 0 there; per vector, the ascending lists of its + and of its -
+    coordinates."""
     plus_at = [0] * width
     minus_at = [0] * width
+    plus_of = []
+    minus_of = []
     for i, (p, m) in enumerate(masks):
-        for e in _bits(p):
-            plus_at[e] |= 1 << i
-        for e in _bits(m):
-            minus_at[e] |= 1 << i
+        bit = 1 << i
+        plus = _bits(p)
+        minus = _bits(m)
+        for e in plus:
+            plus_at[e] |= bit
+        for e in minus:
+            minus_at[e] |= bit
+        plus_of.append(plus)
+        minus_of.append(minus)
     every = (1 << len(masks)) - 1
     zero_at = [every & ~(plus_at[e] | minus_at[e]) for e in range(width)]
-    return plus_at, minus_at, zero_at
-
-
-def _agreeing(at, among: int, plus: int, minus: int) -> int:
-    """The positions in among whose vectors are + on plus and - on minus;
-    at is the result of _positions."""
-    plus_at, minus_at, _ = at
-    for e in _bits(plus):
-        among &= plus_at[e]
-    for e in _bits(minus):
-        among &= minus_at[e]
-    return among
+    return plus_at, minus_at, zero_at, plus_of, minus_of
 
 
 @dataclass(frozen=True)
 class CovectorPoset:
     """Equally long sign vectors, ordered by ``leq_sv``, repeats allowed.
-    All else is derived from the vectors once and cached; a vector is
-    never strictly above its copies."""
+    All else is derived once and cached, from the vectors or from the
+    masks that ``covector_closure`` hands over; a vector is never strictly
+    above its copies."""
 
     vectors: tuple[SignVector, ...]
+
+    @classmethod
+    def _from_masks(cls, width: int, masks) -> CovectorPoset:
+        """The poset of distinct (plus, minus) masks of the given width, its
+        vectors sorted, holding the masks in the same order so that they
+        are not read back from the vectors."""
+        coords = range(width)
+        rows = sorted(
+            (tuple([(p >> e & 1) - (m >> e & 1) for e in coords]), (p, m)) for p, m in masks
+        )
+        poset = cls(tuple(v for v, _ in rows))
+        poset.__dict__["_pairs"] = [pm for _, pm in rows]
+        return poset
 
     def __len__(self):
         return len(self.vectors)
@@ -766,23 +785,41 @@ class CovectorPoset:
         return _mask_pairs(self.vectors)[1]
 
     @cached_property
-    def _copies(self) -> dict[tuple[int, int], int]:
-        """Per (plus, minus) pair, the bitset of the positions holding it."""
+    def mask_index(self) -> dict[tuple[int, int], int]:
+        """Per distinct vector, as its (plus, minus) pair of bitmasks, the
+        bitset of the positions holding it."""
         copies: dict[tuple[int, int], int] = {}
         for i, pm in enumerate(self._pairs):
             copies[pm] = copies.get(pm, 0) | 1 << i
         return copies
 
     @cached_property
-    def _at(self) -> tuple[list[int], list[int], list[int]]:
-        return _positions(self._pairs, self.width)
+    def _at(self):
+        """The result of ``_coordinate_index`` on the vectors."""
+        return _coordinate_index(self._pairs, self.width)
 
     @cached_property
     def _above(self) -> list[int]:
         """Per position, the bitset of the positions whose vectors lie
-        strictly above its vector."""
+        strictly above its vector: + on its + coordinates, - on its -
+        coordinates, and not a copy."""
+        plus_at, minus_at, _, plus_of, minus_of = self._at
+        copies = self.mask_index
         every = (1 << len(self.vectors)) - 1
-        return [_agreeing(self._at, every & ~self._copies[pm], *pm) for pm in self._pairs]
+        above = []
+        for pm, plus, minus in zip(self._pairs, plus_of, minus_of):
+            up = every & ~copies[pm]
+            for e in plus:
+                up &= plus_at[e]
+            for e in minus:
+                up &= minus_at[e]
+            above.append(up)
+        return above
+
+    @cached_property
+    def _above_lists(self) -> list[list[int]]:
+        """Per position, the positions strictly above it, ascending."""
+        return [_bits(up) for up in self._above]
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -790,11 +827,11 @@ class CovectorPoset:
         vectors[i]: j is above i but above no other position above i."""
         up = self._above
         covers = []
-        for i, above in enumerate(up):
+        for i, above in enumerate(self._above_lists):
             beyond = 0
-            for k in _bits(above):
+            for k in above:
                 beyond |= up[k]
-            covers.extend((i, j) for j in _bits(above & ~beyond))
+            covers += [(i, j) for j in above if not beyond >> j & 1]
         return tuple(covers)
 
     def chains(self) -> tuple[tuple[int, ...], ...]:
@@ -805,7 +842,7 @@ class CovectorPoset:
         positions above its last element in increasing order, so every
         level comes out sorted.
         """
-        above = [list(_bits(up)) for up in self._above]
+        above = self._above_lists
         out: list[tuple[int, ...]] = []
         level = [(i,) for i, (p, m) in enumerate(self._pairs) if p | m]
         while level:
@@ -813,23 +850,18 @@ class CovectorPoset:
             level = [c + (j,) for c in level for j in above[c[-1]]]
         return tuple(out)
 
-    def max_chain_length(self) -> int:
-        return max((len(c) for c in self.chains()), default=0)
-
     def maximal_chains(self, chains) -> tuple[tuple[int, ...], ...]:
         """The given chains, increasing index tuples of nonzero vectors, that
         no other nonzero vector extends below the first element, above the
         last or between two neighbours.  above[i] is the strictly-above
         bitset plus the copies of vector i, below is its transpose; a chain
         is strictly increasing, so its own positions never qualify."""
-        copies = self._copies
-        above = [
-            up | copies[pm] & ~(1 << i)
-            for i, (up, pm) in enumerate(zip(self._above, self._pairs))
-        ]
-        below = [0] * len(above)
-        for i, up in enumerate(above):
-            for j in _bits(up):
+        copies = self.mask_index
+        others = [copies[pm] & ~(1 << i) for i, pm in enumerate(self._pairs)]
+        above = [up | same for up, same in zip(self._above, others)]
+        below = others[:]
+        for i, js in enumerate(self._above_lists):
+            for j in js:
                 below[j] |= 1 << i
         nonzero = sum(1 << i for i, (p, m) in enumerate(self._pairs) if p | m)
 
@@ -853,31 +885,36 @@ def covector_closure(
     left to right, each step of such a product composes a vector already
     found with one generator.  So the breadth-first search composes each
     new vector X only with the generators, as X o g, never with the other
-    vectors found.  The cap is checked each time a vector is added.  Any
-    list of equally long sign vectors may serve as the generators.
+    vectors found.  X o g is X plus g restricted to the zero set of X, so
+    the distinct restrictions of the generators are taken once per zero
+    set, and those that are zero are skipped: a g whose support lies
+    inside that of X gives X o g = X.  The cap is checked each time a
+    vector is added.  Any list of equally long sign vectors may serve as
+    the generators.  The poset returned holds the masks found as its index.
     """
     width, gens = _mask_pairs([tuple(c) for c in cocircuits])
     gens = list(dict.fromkeys(gens))
+    full = (1 << width) - 1
     current = {(0, 0), *gens}
     frontier = gens
+    restrictions: dict[int, set[tuple[int, int]]] = {}
     while frontier:
         fresh = []
         for p1, m1 in frontier:
-            for p2, m2 in gens:
-                Z = (p1 | p2 & ~m1, m1 | m2 & ~p1)
+            zero = full & ~(p1 | m1)
+            found = restrictions.get(zero)
+            if found is None:
+                found = restrictions[zero] = {(p2 & zero, m2 & zero) for p2, m2 in gens}
+                found.discard((0, 0))
+            for p2, m2 in found:
+                Z = (p1 | p2, m1 | m2)
                 if Z not in current:
                     current.add(Z)
                     fresh.append(Z)
                     if len(current) > cap:
                         raise EnumerationCapError(len(current), cap, "covector closure")
         frontier = fresh
-    vectors = tuple(
-        sorted(
-            tuple(1 if p >> e & 1 else -1 if m >> e & 1 else 0 for e in range(width))
-            for p, m in current
-        )
-    )
-    return CovectorPoset(vectors)
+    return CovectorPoset._from_masks(width, current)
 
 
 def check_covector_axioms(poset) -> Report:
@@ -885,12 +922,19 @@ def check_covector_axioms(poset) -> Report:
 
     Takes a poset or any list of equally long sign vectors, repeats
     allowed; violations are reported in the order of that list.  The work
-    on a valid set is per support class, not per pair of vectors.
+    on a valid set is per vector and per support class, not per pair of
+    vectors.
 
     Composition (Cov3): X o Y is X plus Y restricted to the zero set z of
-    X, so X passes iff X + r is a vector for every distinct restriction r
-    of the vectors to z.  The restrictions are built once per distinct z,
-    and only the X that fail are scanned pair by pair.
+    X, and X o Y is in the list for every Y exactly when the number of
+    distinct restrictions of the vectors to z equals the number of
+    distinct vectors V at or above X.  Every such V equals X o V, and
+    V -> V restricted to z is injective on them, as V is X plus that
+    restriction; so the restrictions reached this way are at most as many
+    as all restrictions, and equally many iff every X + r, r a
+    restriction, is a vector.  The count above X is one plus the distinct
+    vectors in its strictly-above bitset, and the restrictions are counted
+    once per distinct z.  Only the X that fail are scanned pair by pair.
 
     Elimination (Cov4): for each e separating X and Y, some vector is 0 at
     e and agrees with T = X o Y off the separation set S = S(X, Y).  The
@@ -904,17 +948,18 @@ def check_covector_axioms(poset) -> Report:
       signs, so S(U, V) is nonempty, U o V = U and V o U = V, and U and V
       agree off S(U, V): their pair has the key (U off S(U, V), S(U, V)),
       whichever of them comes first in the list.
-    So if Cov3 holds and every equal-support key passes, Cov4 holds.
-    Otherwise the loop over the pairs of the list decides, and it alone
-    writes Cov4 violations.
+    So if Cov3 holds and every equal-support key passes, Cov4 holds.  The
+    keys of one support class start from the vectors that are 0 off that
+    support, and read only the coordinates of U.  Otherwise the loop over
+    the pairs of the list decides, and it alone writes Cov4 violations.
     """
     if not isinstance(poset, CovectorPoset):
         poset = CovectorPoset(tuple(poset))
     if not poset.vectors:
         return Report(ok=False, violations=({"axiom": "Cov1"},))
-    masks, vecset = poset._pairs, poset._copies
+    masks, vecset = poset._pairs, poset.mask_index
     unsymmetric = [i for i, (p, m) in enumerate(masks) if (m, p) not in vecset]
-    uncomposable = _uncomposable(vecset, (1 << poset.width) - 1)
+    uncomposable = _uncomposable(poset)
     certified = not uncomposable and _eliminations_certified(poset)
     if (0, 0) in vecset and not unsymmetric and certified:
         return Report(ok=True)
@@ -934,41 +979,56 @@ def check_covector_axioms(poset) -> Report:
     return Report(ok=not violations, violations=tuple(violations))
 
 
-def _uncomposable(pairs, full: int) -> set[tuple[int, int]]:
-    """The (plus, minus) pairs X among pairs for which some X o Y, Y among
-    pairs, is not among pairs; full is the mask of every coordinate."""
-    restrictions: dict[int, set[tuple[int, int]]] = {}
+def _uncomposable(poset) -> set[tuple[int, int]]:
+    """The (plus, minus) pairs X of the poset's vectors for which some
+    X o Y is not a vector: those where the distinct restrictions of the
+    vectors to the zero set of X outnumber the distinct vectors at or above
+    X (see ``check_covector_axioms``)."""
+    width, copies, above = poset.width, poset.mask_index, poset._above
+    keys = [p << width | m for p, m in copies]
+    firsts = 0
+    for c in copies.values():
+        firsts |= c & -c
+    full = (1 << width) - 1
+    restrictions: dict[int, int] = {}
     failing = set()
-    for p1, m1 in pairs:
-        zero = full & ~(p1 | m1)
-        found = restrictions.get(zero)
-        if found is None:
-            found = restrictions[zero] = {(p2 & zero, m2 & zero) for p2, m2 in pairs}
-        for p2, m2 in found:
-            if (p1 | p2, m1 | m2) not in pairs:
-                failing.add((p1, m1))
-                break
+    for (p, m), c in copies.items():
+        zero = full & ~(p | m)
+        count = restrictions.get(zero)
+        if count is None:
+            both = zero << width | zero
+            count = restrictions[zero] = len({k & both for k in keys})
+        if (above[(c & -c).bit_length() - 1] & firsts).bit_count() + 1 != count:
+            failing.add((p, m))
     return failing
+
+
+def _zero_off(zero_at, every: int, support: int) -> int:
+    """The positions among every whose vectors are 0 off support."""
+    for g, zero in enumerate(zero_at):
+        if not support >> g & 1:
+            every &= zero
+    return every
 
 
 def _eliminations_certified(poset) -> bool:
     """Whether every elimination key of a pair of distinct vectors with
-    equal support passes; each distinct key is evaluated once."""
-    by_support: dict[int, list[tuple[int, int]]] = {}
-    for p, m in poset._copies:
-        by_support.setdefault(p | m, []).append((p, m))
-    at, every, width = poset._at, (1 << len(poset)) - 1, poset.width
-    seen = set()
-    for group in by_support.values():
-        for i, (p1, m1) in enumerate(group):
-            for p2, m2 in group[i + 1 :]:
-                sep = p1 & m2 | m1 & p2
-                key = (p1 & ~sep, m1 & ~sep, sep)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if _elimination_gaps(at, every, width, *key):
-                    return False
+    equal support passes; each distinct key is evaluated once.  Within a
+    support class, two vectors U, V are opposite on S(U, V) and equal off
+    it, so their key is fixed by the support, U off S as the plus mask of
+    U & V, and S as that of U ^ V."""
+    classes: dict[int, list[int]] = {}
+    for p, m in poset.mask_index:
+        classes.setdefault(p | m, []).append(p)
+    at, every = poset._at, (1 << len(poset)) - 1
+    for support, pluses in classes.items():
+        if len(pluses) < 2:
+            continue
+        start = _zero_off(at[2], every, support)
+        coords = _bits(support)
+        for plus, sep in {(a & b, a ^ b) for a, b in itertools.combinations(pluses, 2)}:
+            if _elimination_gaps(at, start, coords, plus, sep):
+                return False
     return True
 
 
@@ -977,7 +1037,7 @@ def _elimination_violations(poset, names) -> list[dict]:
     Y o X off S, so unordered pairs suffice, and the outcome depends only on
     the key (T off S, S), which many pairs share."""
     masks, at = poset._pairs, poset._at
-    every, width = (1 << len(masks)) - 1, poset.width
+    every = (1 << len(masks)) - 1
     unmet: dict[tuple[int, int, int], list[int]] = {}
     violations = []
     for xi, (p1, m1) in enumerate(masks):
@@ -986,32 +1046,38 @@ def _elimination_violations(poset, names) -> list[dict]:
             sep = p1 & m2 | m1 & p2
             if not sep:
                 continue
-            key = ((p1 | p2 & ~m1) & ~sep, (m1 | m2 & ~p1) & ~sep, sep)
+            plus, minus = p1 | p2 & ~m1, m1 | m2 & ~p1
+            key = (plus & ~sep, minus & ~sep, sep)
             missing = unmet.get(key)
             if missing is None:
-                missing = unmet[key] = _elimination_gaps(at, every, width, *key)
+                support = plus | minus
+                start = _zero_off(at[2], every, support)
+                missing = unmet[key] = _elimination_gaps(at, start, _bits(support), plus, sep)
             for e in missing:
                 violations.append({"axiom": "Cov4", "pair": [names[xi], names[yi]], "e": e})
     return violations
 
 
-def _elimination_gaps(at, every: int, width: int, plus: int, minus: int, sep: int) -> list[int]:
-    """The e in sep for which no vector is 0 at e and + on plus, - on minus
-    and 0 off plus, minus and sep; at is the result of _positions and every
-    the bitset of all positions."""
-    plus_at, minus_at, zero_at = at
-    agree = every
+def _elimination_gaps(at, agree: int, coords, plus: int, sep: int) -> list[int]:
+    """The e in sep, ascending, for which no vector among the positions
+    agree is 0 at e and, at each coordinate of coords outside sep, + where
+    plus is set and - where it is not.  coords is the ascending list of a
+    support that holds sep, agree the positions of the vectors that are 0
+    off that support, and at the result of ``_coordinate_index``."""
+    plus_at, minus_at, zero_at = at[0], at[1], at[2]
     separated = []
-    for g in range(width):
-        if sep >> g & 1:
-            separated.append(g)
-        elif plus >> g & 1:
-            agree &= plus_at[g]
-        elif minus >> g & 1:
-            agree &= minus_at[g]
+    for e in coords:
+        if sep >> e & 1:
+            separated.append(e)
+        elif plus >> e & 1:
+            agree &= plus_at[e]
         else:
-            agree &= zero_at[g]
-    return [e for e in separated if not agree & zero_at[e]]
+            agree &= minus_at[e]
+    gaps = []  # a plain loop: a comprehension would add a call per key
+    for e in separated:
+        if not agree & zero_at[e]:
+            gaps.append(e)
+    return gaps
 
 
 def covector_zero_flat(X: SignVector, gp: GrassmannPlucker) -> tuple[int, ...]:

@@ -26,6 +26,10 @@ scaled to ints (``matroids.scaled_rt_vectors``), cached on the
 embedding, scales the point once to a common denominator, and folds
 each circuit's products on ints, with the rule of ``hyperplane_member``
 (``hyperfields.admits_zero``, signed) inline.
+
+A real Bergman fan is the chains of nonzero covectors of a
+``matroids.CovectorPoset``; ``bergman_member`` reads the poset's
+``mask_index`` only.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .hyperfields import INF, RT, RT_ZERO, Val, admits_zero, unchecked_rt
+from .hyperfields import RT, RT_ZERO, Val, admits_zero, unchecked_rt
 from .matroids import (
     CovectorPoset,
     GroundSet,
@@ -235,15 +239,20 @@ def bergman_member(y: ProjPoint, fan: BergmanFan) -> bool:
     Reveal the coordinates in increasing valuation order; at each level
     the signs revealed so far must form a covector.  The revealed
     vectors are nested, so they automatically make a chain and the point
-    lies in the cone that chain spans.
+    lies in the cone that chain spans.  The nonzero coordinates are
+    sorted once, and each level's vector is a (plus, minus) pair of
+    bitmasks looked up in the poset's ``mask_index``.
     """
     if len(y) != fan.poset.width:
         raise ValueError("point and fan have different lengths")
-    levels = sorted({x.val for x in y.coords if x.val != INF})
-    for v in levels:
-        revealed = tuple(
-            x.sign if x.val <= v else 0 for x in y.coords
-        )
-        if revealed not in fan.poset:
+    index = fan.poset.mask_index
+    revealed = sorted((x.val, e, x.sign) for e, x in enumerate(y.coords) if x.sign)
+    plus = minus = 0
+    for k, (v, e, s) in enumerate(revealed, 1):
+        if s > 0:
+            plus |= 1 << e
+        else:
+            minus |= 1 << e
+        if (k == len(revealed) or revealed[k][0] != v) and (plus, minus) not in index:
             return False
     return True

@@ -23,6 +23,12 @@ so far, ``covers_by_triples`` tests every triple for an element strictly
 between, ``chains_by_recursion`` grows chains depth first, and
 ``covector_axioms_by_tuples`` checks elimination with Python sets.  The
 library does the same on (plus, minus) bitmask pairs.
+``uncomposable_by_restrictions`` is the composition test the library ran
+before it counted: it builds the distinct restrictions of the vectors to
+each zero set and composes X with every one of them.
+``bergman_member_by_levels`` builds the sign vector revealed at each
+valuation level as a tuple and looks it up in the poset; the library
+sorts the coordinates once and looks up (plus, minus) masks.
 
 ``diagonalize_by_span_tests`` inverts every leaf afresh, orders the
 functionals by a stable sort on weight, keeps each one whose rank test
@@ -325,6 +331,35 @@ def covector_axioms_by_tuples(vectors) -> Report:
                         {"axiom": "Cov4", "pair": [sign_vector_str(X), sign_vector_str(Y)], "e": e}
                     )
     return Report(ok=not violations, violations=tuple(violations))
+
+
+def uncomposable_by_restrictions(pairs, full: int) -> set[tuple[int, int]]:
+    """The (plus, minus) pairs X among pairs for which some X o Y, Y among
+    pairs, is not among pairs; full is the mask of every coordinate."""
+    restrictions: dict[int, set[tuple[int, int]]] = {}
+    failing = set()
+    for p1, m1 in pairs:
+        zero = full & ~(p1 | m1)
+        found = restrictions.get(zero)
+        if found is None:
+            found = restrictions[zero] = {(p2 & zero, m2 & zero) for p2, m2 in pairs}
+        for p2, m2 in found:
+            if (p1 | p2, m1 | m2) not in pairs:
+                failing.add((p1, m1))
+                break
+    return failing
+
+
+def bergman_member_by_levels(y, fan) -> bool:
+    """At each finite valuation v of the point, the signs of the
+    coordinates of valuation at most v form a vector of the fan's poset."""
+    if len(y) != fan.poset.width:
+        raise ValueError("point and fan have different lengths")
+    for v in sorted({x.val for x in y.coords if x.val != INF}):
+        revealed = tuple(x.sign if x.val <= v else 0 for x in y.coords)
+        if revealed not in fan.poset:
+            return False
+    return True
 
 
 def nullspace(rows) -> tuple[tuple[Fraction, ...], ...]:

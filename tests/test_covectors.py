@@ -27,6 +27,7 @@ from oracles import (
     closure_by_all_pairs,
     covector_axioms_by_tuples,
     covers_by_triples,
+    uncomposable_by_restrictions,
 )
 
 U23 = ground_from_matrix([[1, 0, 1], [0, 1, 1]])
@@ -93,14 +94,14 @@ def test_cover_relations_are_tight():
 
 
 def test_one_index_serves_covers_chains_axioms_and_maximal_cones(monkeypatch):
-    real = matroids._positions
+    real = matroids._coordinate_index
     calls = []
 
     def counting(masks, width):
         calls.append(len(masks))
         return real(masks, width)
 
-    monkeypatch.setattr(matroids, "_positions", counting)
+    monkeypatch.setattr(matroids, "_coordinate_index", counting)
     poset = u23_poset()
     assert len(poset.covers) == 18
     assert len(poset.chains()) == 24
@@ -135,7 +136,7 @@ def test_chain_lengths_bounded_by_rank():
         g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
         gp = gp_from_matrix(g, target="S")
         poset = covector_closure(cocircuits_from_gp(gp))
-        assert poset.max_chain_length() == h
+        assert bergman_fan(poset).rank == h
         assert check_covector_axioms(poset).ok
 
 
@@ -313,6 +314,56 @@ def test_mask_closure_and_axioms_match_tuple_oracles(checked_against_oracle):
     assert min(paths[p] for p in ("certified", "keys failed", "Cov3 failed")) >= 20, paths
 
 
+def test_cov3_count_matches_restriction_oracle():
+    # lists with repeats and in shuffled order, with a vector dropped and
+    # with an entry changed: only the first copy of a vector is counted
+    rng = random.Random(409)
+    seen: collections.Counter = collections.Counter()
+    for _ in range(25):
+        for gens in _generator_sets(rng):
+            vectors = covector_closure(gens).vectors
+            for listed in (vectors, gens, gens + gens[:2], *_damaged(rng, vectors)):
+                poset = CovectorPoset(tuple(listed))
+                width, pairs = matroids._mask_pairs(poset.vectors)
+                want = uncomposable_by_restrictions(set(pairs), (1 << width) - 1)
+                assert matroids._uncomposable(poset) == want, listed
+                repeats = len(set(listed)) < len(listed)
+                seen[repeats, bool(want)] += 1
+    assert min(seen[key] for key in itertools.product((False, True), repeat=2)) >= 20, seen
+
+
+def test_closure_hands_its_masks_to_the_poset(monkeypatch):
+    real = matroids._masks
+    calls = []
+
+    def counting(X):
+        calls.append(X)
+        return real(X)
+
+    monkeypatch.setattr(matroids, "_masks", counting)
+    rng = random.Random(419)
+    failing = 0
+    for _ in range(12):
+        for gens in _generator_sets(rng):
+            poset = covector_closure(gens)
+            calls.clear()
+            fan = bergman_fan(poset)
+            report = check_covector_axioms(poset)
+            derived = (poset.covers, fan.cones, fan.maximal_cones(), report)
+            assert calls == []
+            assert poset._pairs == matroids._mask_pairs(poset.vectors)[1]
+            # a poset read from JSON is given no masks and reads them back
+            calls.clear()
+            again = poset_from_json(poset_to_json(poset))
+            assert again == poset and len(calls) == len(poset)
+            fan_again = bergman_fan(again)
+            assert derived == (
+                again.covers, fan_again.cones, fan_again.maximal_cones(), check_covector_axioms(again)
+            ), gens
+            failing += not report.ok
+    assert failing >= 5
+
+
 def test_valid_closure_is_certified_per_support_class(monkeypatch):
     # U(3, 6): every 3 of these columns are independent
     ground = ground_from_matrix([[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 4, 9]])
@@ -324,9 +375,9 @@ def test_valid_closure_is_certified_per_support_class(monkeypatch):
     real = matroids._elimination_gaps
     keys = []
 
-    def counting(*args):
-        keys.append(args[3:])
-        return real(*args)
+    def counting(at, agree, coords, plus, sep):
+        keys.append((tuple(coords), plus & ~sep, sep))
+        return real(at, agree, coords, plus, sep)
 
     def pair_loop(*args):
         raise AssertionError("the pair loop ran on a valid closure")

@@ -40,6 +40,7 @@ from helpers import (
     random_thirds_and_fifths,
 )
 from oracles import (
+    bergman_member_by_levels,
     contains_zero_by_cases,
     hyper_mul_by_cases,
     hyper_sum_by_cases,
@@ -446,6 +447,42 @@ def test_fan_membership_checks_lengths():
     y = ProjPoint((rt(1, 0),) * (fan.poset.width + 1))
     with pytest.raises(ValueError, match="^point and fan have different lengths$"):
         bergman_member(y, fan)
+
+
+def test_fan_membership_matches_level_oracle():
+    # points read off a chain of the fan, the coordinates first nonzero in
+    # its i-th vector from the bottom at a valuation that grows with i,
+    # and random points with few valuations, mostly off the fan; both
+    # have tied valuations and zero coordinates
+    rng = random.Random(421)
+    states = [RT_ZERO] + [RT(s, v) for s in (1, -1) for v in (0, Fraction(1, 2), 1)]
+    seen = {"in": 0, "out": 0, "tied": 0, "zero": 0}
+    for _ in range(8):
+        h = rng.randint(1, 3)
+        g = random_full_rank_ground(rng, h, rng.randint(h + 1, 6), constant=True)
+        fan = bergman_fan(covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S"))))
+        m = fan.poset.width
+        for _ in range(25):
+            coords = [RT_ZERO] * m
+            for level, i in enumerate(reversed(rng.choice(fan.cones))):
+                for e, s in enumerate(fan.poset.vectors[i]):
+                    if s:
+                        coords[e] = RT(s, Fraction(-level, 2))
+            first = rng.randrange(m)
+            random_point = (RT_ZERO,) * first + (RT(1, 0),) + tuple(rng.choices(states, k=m - first - 1))
+            for y in (ProjPoint(tuple(coords)), ProjPoint(random_point)):
+                member = bergman_member(y, fan)
+                assert member == bergman_member_by_levels(y, fan), y
+                seen["in" if member else "out"] += 1
+                vals = [x.val for x in y.coords if x.sign]
+                seen["tied"] += len(set(vals)) < len(vals)
+                seen["zero"] += len(vals) < m
+        for k in (m - 1, m + 1):
+            y = ProjPoint((RT(1, 0),) * k)
+            for member in (bergman_member, bergman_member_by_levels):
+                with pytest.raises(ValueError, match="^point and fan have different lengths$"):
+                    member(y, fan)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_sign_pattern_outside_covectors_rejected():
