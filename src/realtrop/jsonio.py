@@ -277,14 +277,41 @@ def seminorm_to_json(s: SeminormExpr) -> dict:
     }
 
 
-def seminorm_from_json(obj) -> SeminormExpr:
+def _expect(obj, kind: type, path: str):
+    """obj when it is a JSON object (``kind`` dict) or list (``kind``
+    list); otherwise a ValueError naming its path."""
+    if not isinstance(obj, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{path}: expected {name}, got {obj!r}")
+    return obj
+
+
+def _member(obj: dict, key: str, path: str):
+    """obj[key]; a missing key is a ValueError naming the path."""
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return obj[key]
+
+
+def seminorm_from_json(obj, path: str = "seminorm") -> SeminormExpr:
+    """A leaf {"kind": "leaf", "basis": [column, ...], "c": [weight, ...]}
+    or a composition {"kind": "compose", "left": ..., "right": ...}.  A
+    value of the wrong shape or a missing key is a ValueError naming its
+    path, such as ``seminorm.left.basis[1]``."""
+    _expect(obj, dict, path)
     kind = obj.get("kind")
     if kind == "leaf":
-        basis = tuple(tuple(as_series(x) for x in col) for col in obj["basis"])
-        weights = tuple(val_from_json(w) for w in obj["c"])
-        return DiagonalSeminorm(basis, weights)
+        columns = _expect(_member(obj, "basis", path), list, f"{path}.basis")
+        basis = tuple(
+            tuple(as_series(x) for x in _expect(col, list, f"{path}.basis[{j}]"))
+            for j, col in enumerate(columns)
+        )
+        weights = _expect(_member(obj, "c", path), list, f"{path}.c")
+        return DiagonalSeminorm(basis, tuple(val_from_json(w) for w in weights))
     if kind == "compose":
-        return compose(seminorm_from_json(obj["left"]), seminorm_from_json(obj["right"]))
+        left = seminorm_from_json(_member(obj, "left", path), f"{path}.left")
+        right = seminorm_from_json(_member(obj, "right", path), f"{path}.right")
+        return compose(left, right)
     raise ValueError(f"unknown seminorm kind {kind!r}")
 
 

@@ -5,13 +5,17 @@ serves the constant-coefficient case, where field division is available:
 ``rref`` picks the pivots that diagonalize a seminorm composition,
 ``inverse`` dualizes bases and functionals, ``rank``, ``span_eq`` and
 ``solve`` compare signed flags.  ``int_det_sign`` gives the sign of the
-determinant that certifies the leading term of a series determinant.
+determinant that certifies the leading term of a series determinant, and
+``int_functionals`` also the int functionals that certify the leading
+terms of the coordinates of a vector in a series basis.
 
-Both eliminate fraction free on integers: ``clear_denominators`` scales
+The eliminations run fraction free on integers: ``clear_denominators`` scales
 each row to primitive ints by a positive factor, which keeps every sign
 and the row space.  ``int_det_sign`` is Bareiss's elimination, where
 every division is exact; the leading-term certificates of ``puiseux``
-call it on rows they hold as ints.  ``rref`` runs Gauss-Jordan on integer rows,
+call it on rows they hold as ints.  ``int_functionals`` is the same
+division in a Gauss-Jordan elimination of [A^T | I], which ends in
+[d I | d A^-T].  ``rref`` runs Gauss-Jordan on integer rows,
 dividing each updated row by the gcd of its entries, and builds one
 ``Fraction`` per nonzero output entry, the entry over its row's pivot.
 
@@ -188,6 +192,42 @@ def int_det_sign(rows) -> int:
                 row[j] = (akk * row[j] - aik * top[j]) // prev
         prev = akk
     return sign if prev > 0 else -sign
+
+
+def int_functionals(rows) -> tuple[int, list[list[int]] | None]:
+    """For a square int matrix A: the sign of det A, and int rows F with
+    each F_k a positive multiple of row k of A^-T, or None when det A = 0.
+
+    If x A = c for a row vector x, then x_k = (row k of A^-T) . c, so
+    F_k . c has the sign of x_k.  One fraction-free Gauss-Jordan
+    elimination of [A^T | I] (Bareiss's division by the previous pivot,
+    exact for the rows above the pivot as for those below) ends in
+    [d I | d A^-T], d the last pivot, +-det A.  Columns left of the
+    pivot are never read again and are not updated.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    work = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*rows))]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        top = work[k]
+        akk = top[k]
+        tail = top[k + 1 :]
+        for i, row in enumerate(work):
+            if i != k:
+                aik = row[k]
+                row[k + 1 :] = [(akk * x - aik * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = akk
+    if prev < 0:
+        return -sign, [[-x for x in row[n:]] for row in work]
+    return sign, [row[n:] for row in work]
 
 
 def span_basis(vectors: Iterable[Sequence]) -> Mat:

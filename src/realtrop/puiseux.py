@@ -37,6 +37,12 @@ Bareiss (just the Bareiss on constant columns), kept as such a pair.
 ``column_rank`` certifies full rank the same way: the assignment matches
 every line of the shorter side, and a nonzero det L on the matched lines
 gives rank min(h, m); only otherwise does the elimination count pivots.
+``BasisCertificate`` keeps that certificate for a basis: one
+fraction-free Gauss-Jordan elimination of L (``linalg.int_functionals``)
+gives sign det L and int functionals, and the leading term of each
+coordinate of a vector in the basis is then one int dot product with a
+functional, unless the leading terms cancel.  Entries that are series
+already pass through ``coerce_matrix`` as they are.
 """
 
 from __future__ import annotations
@@ -46,10 +52,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .hyperfields import INF, RT, RT_ZERO, Val, format_val, unchecked_rt
-from .linalg import int_det_sign, rational
+from .linalg import int_det_sign, int_functionals, rational
 
 DEFAULT_MAX_EXP_DENOMINATOR = 10**9
 DET_SIZE_BOUND = 12  # exact elimination entries grow to n x n minors
@@ -296,28 +303,13 @@ def as_series(x) -> PuiseuxSeries:
     and floats are rejected."""
     if isinstance(x, PuiseuxSeries):
         return x
+    if type(x) is int:
+        return _make(((x, 0),), 1, 1) if x else _ZERO
     if isinstance(x, str):
         return parse_puiseux(x)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return PuiseuxSeries.constant(x)
     raise TypeError(f"cannot interpret {x!r} as a Puiseux series")
-
-
-def constant_values(xs) -> list | None:
-    """The rational values of ints, Fractions and constant series; None
-    at the first other entry.  Bools are not ints here."""
-    values = []
-    for x in xs:
-        if type(x) is PuiseuxSeries:
-            ints = x._ints
-            if len(ints) > 1 or (ints and ints[0][1]):
-                return None
-            values.append(x.terms[0][0] if ints else 0)
-        elif type(x) is int or type(x) is Fraction:
-            values.append(x)
-        else:
-            return None
-    return values
 
 
 def compare(f: PuiseuxSeries, g: PuiseuxSeries) -> int:
@@ -529,7 +521,11 @@ Matrix = Sequence[Sequence[PuiseuxSeries]]
 
 
 def coerce_matrix(rows) -> tuple[tuple[PuiseuxSeries, ...], ...]:
-    out = tuple(tuple(as_series(x) for x in row) for row in rows)
+    """The rows as tuples of series; entries that are series already are
+    kept as they are, the others go through ``as_series``."""
+    out = tuple(
+        tuple(x if type(x) is PuiseuxSeries else as_series(x) for x in row) for row in rows
+    )
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
@@ -752,6 +748,122 @@ class IntegerLeads:
             [self._columns[j] for j in tup],
             all(self._constant[j] for j in tup),
         )
+
+
+class BasisCertificate:
+    """The leading-term certificate of a square matrix whose rows b_k are
+    a basis, for the signed values of the coordinates x_k of vectors
+    f = sum(x_k b_k), and for the signed value of its determinant.
+
+    It is built once: the leading terms read as ints (``_integer_leads``),
+    potentials (u, v) of an optimal assignment on the leading exponents
+    (u_k for row k, v_i for entry i; both zero for a constant matrix,
+    which is its own L), the tight int matrix L of ``_tight``, and one
+    fraction-free Gauss-Jordan elimination of L (``linalg.int_functionals``),
+    which gives sign det L and int functionals F, F_k a positive multiple
+    of row k of L^-T.  ``det`` is RT(sign det L, (sum(u) + sum(v))/scale),
+    as in ``signed_det``; when det L = 0 there are no functionals and the
+    exact ``det`` decides it.
+
+    With the matrix written t^u (L' + higher terms) t^v, L' = L up to
+    positive row factors, the coordinates are y = t^u x with
+    (L'^T + higher terms) y = t^-v f.  So if f_i has leading exponent
+    q_i and m = min(q_i - v_i), and c holds the leading coefficients of
+    the f_i that attain m, then no term of x_k lies below t^(m - u_k),
+    and its coefficient there is a positive multiple of F_k . c: when
+    that is nonzero it gives the sign of x_k and the valuation
+    (m - u_k)/scale, and otherwise val x_k > (m - u_k)/scale.  ``solve``
+    reads that from f.
+    """
+
+    __slots__ = ("constant", "det", "scale", "_u", "_v", "_functionals")
+
+    def __init__(self, rows: Matrix):
+        rows = _square_matrix(rows)
+        n = len(rows)
+        self.constant = all(x.is_constant for row in rows for x in row)
+        cost, coeffs, self.scale = _integer_leads(rows)
+        if self.constant:
+            potentials = [0] * n, [0] * n, None
+        else:
+            potentials = _assignment_potentials(cost)
+        if potentials is None:
+            self._u = self._v = [0] * n
+            self._functionals = None
+            self.det = RT_ZERO
+            return
+        u, v, _ = potentials
+        self._u, self._v = u, v
+        tight = coeffs if self.constant else _tight(coeffs, cost, u, v, range(n))
+        sign, self._functionals = int_functionals(tight)
+        if sign:
+            self.det = unchecked_rt(sign, Fraction(sum(u) + sum(v), self.scale))
+        else:
+            self.det = signed_value(det(rows))
+
+    def solve(self, f: Sequence) -> tuple[Iterable[int], list[int], int, bool] | None:
+        """The leading terms of the coordinates of f, one entry per row,
+        each an int, Fraction or series (other entries go through
+        ``as_series``); None when f is zero.
+
+        Returns (y, e, den, exact): x_k has the sign of y_k and the
+        valuation e_k/den whenever y_k != 0, den being the lcm of ``scale``
+        and the exponent denominators of f.  A zero y_k leaves x_k open:
+        its leading terms cancel, so val x_k > e_k/den, or x_k is zero; but
+        when ``exact``, the matrix and f are constant, L is the matrix
+        itself, every e_k is 0 and y_k = 0 means x_k = 0.  y is computed
+        lazily, one int dot product per coordinate.  With no functionals
+        (det L = 0) nothing is certified, not even a bound, and y and e
+        are None.
+        """
+        dim = len(self._u)
+        if len(f) != dim:
+            raise ValueError("vector has the wrong dimension")
+        leads = []
+        constant = True
+        den = self.scale
+        for i, x in enumerate(f):
+            kind = type(x)
+            if kind is int:
+                if x:
+                    leads.append((i, x, 1, 0, 1))
+                continue
+            if kind is Fraction:
+                n, cden = x.as_integer_ratio()
+                if n:
+                    leads.append((i, n, cden, 0, 1))
+                continue
+            if kind is not PuiseuxSeries:
+                x = as_series(x)
+            ints = x._ints
+            if ints:
+                n, k = ints[0]
+                qden = x._qden
+                if k or len(ints) > 1:
+                    constant = False
+                    if den % qden:
+                        den = math.lcm(den, qden)
+                leads.append((i, n, x._cden, k, qden))
+        if not leads:
+            return None
+        funcs = self._functionals
+        if funcs is None:
+            return None, None, den, False
+        exact = constant and self.constant
+        if exact:
+            exps = [0] * dim
+        else:
+            r = den // self.scale
+            v = self._v
+            levels = [k * (den // qden) - v[i] * r for i, _, _, k, qden in leads]
+            m = min(levels)
+            leads = [lead for lead, e in zip(leads, levels) if e == m]
+            exps = [m - uk * r for uk in self._u]
+        common = math.lcm(*[cden for _, _, cden, _, _ in leads])
+        c = [0] * dim
+        for i, n, cden, _, _ in leads:
+            c[i] = n * (common // cden)
+        return (sum(map(mul, row, c)) for row in funcs), exps, den, exact
 
 
 def _assignment_potentials(cost) -> tuple[list[int], list[int], list[int]] | None:

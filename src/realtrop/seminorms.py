@@ -5,11 +5,19 @@ seminorm from a compatible family of projections.
 
 A diagonal seminorm is an ordered invertible basis together with
 nondecreasing weight valuations, one per basis vector; evaluating at f
-solves f in the basis by Cramer's rule, keeps only signs and valuations
-of the coordinates, and picks the first coordinate of least level
-(coordinate valuation plus weight).  A constant leaf caches the rows of
-its inverse basis scaled to ints, its sign functionals, so a constant f
-costs one int dot product per coordinate.  The composition of two seminorms
+solves f in the basis, keeps only signs and valuations of the
+coordinates, and picks the first coordinate of least level (coordinate
+valuation plus weight).  Each leaf builds one leading-term certificate
+of its basis (``puiseux.BasisCertificate``): an optimal assignment on
+the leading exponents and one int Gauss-Jordan elimination of the tight
+leading coefficients, which give the basis determinant and int
+functionals.  A vector then costs one int dot product per coordinate;
+only a coordinate whose leading terms cancel, on a series leaf or for a
+series vector, is a Cramer quotient of ``signed_det``s, and ``value``
+takes it only when its certified lower bound could still win.  Levels
+compare as ints.  The pieces of ``scaled_cocircuit_decomposition``
+remember their leaf, so ``decomposition_value`` reads each leaf's
+coordinates once per vector.  The composition of two seminorms
 evaluates both branches and keeps the one of larger magnitude, the left
 branch on ties.
 """
@@ -17,16 +25,16 @@ branch on ties.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Sequence, Union
 
 from . import linalg
-from .hyperfields import INF, RT, RT_ONE, RT_ZERO, TV, Val, as_val, hyper_div, hyper_mul
+from .hyperfields import INF, RT, RT_ZERO, TV, Val, as_val, hyper_div, hyper_mul, unchecked_rt
 from .matroids import DEFAULT_PAIR_CAP, EnumerationCapError
-from .puiseux import PuiseuxSeries, as_series, constant_values, signed_det
+from .puiseux import BasisCertificate, PuiseuxSeries, as_series, signed_det
 from .tropical import LinearEmbedding, ProjPoint
 
 
@@ -54,7 +62,7 @@ class NoApplicableEmbeddingError(FamilyError):
 # Seminorm expressions
 
 
-_BY_SIGN = (RT_ZERO, RT_ONE, RT(-1, 0))  # indexed by the sign -1, 0 or 1
+_FRACTION_ZERO = Fraction(0)
 
 
 def _sign(x: int) -> int:
@@ -86,10 +94,18 @@ class DiagonalSeminorm:
         for a, b in zip(weights, weights[1:]):
             if b < a:
                 raise ValueError("weights must be nondecreasing valuations")
-        d = signed_det(cols)
-        if d.sign == 0:
+        cert = BasisCertificate(cols)
+        if cert.det.sign == 0:
             raise SingularBasisError("basis vectors are dependent")
-        object.__setattr__(self, "_det", d)
+        object.__setattr__(self, "_cert", cert)
+        # the finite weights lead; as ints over one denominator for value
+        finite = weights[: n - weights.count(INF)]
+        wden = math.lcm(*[w.denominator for w in finite])
+        object.__setattr__(self, "_finite_weights", finite)
+        object.__setattr__(self, "_weight_den", wden)
+        object.__setattr__(
+            self, "_weight_ints", [w.numerator * (wden // w.denominator) for w in finite]
+        )
 
     @property
     def dim(self) -> int:
@@ -101,10 +117,17 @@ class DiagonalSeminorm:
 
     @property
     def has_constant_basis(self) -> bool:
-        return all(x.is_constant for c in self.basis for x in c)
+        return self._cert.constant
+
+    @property
+    def _det(self) -> RT:
+        """Signed value of the basis determinant, from the certificate."""
+        return self._cert.det
 
     @cached_property
     def _const_inverse(self):
+        """The rows of the inverse basis as Fractions, the coordinate
+        functionals ``diagonalize`` merges; None for a series basis."""
         if not self.has_constant_basis:
             return None
         rows = tuple(
@@ -113,50 +136,85 @@ class DiagonalSeminorm:
         )
         return linalg.inverse(rows)
 
-    @cached_property
-    def _sign_functionals(self):
-        """Rows of ``_const_inverse`` scaled to ints by positive factors:
-        each keeps the sign of its coordinate."""
-        inv = self._const_inverse
-        return None if inv is None else tuple(linalg.clear_denominators(r) for r in inv)
+    def _cramer(self, series: tuple[PuiseuxSeries, ...], k: int) -> RT:
+        """The k-th coordinate of a series vector as a Cramer quotient."""
+        num = signed_det([series if j == k else col for j, col in enumerate(self.basis)])
+        return hyper_div(num, self._det) if num.sign else RT_ZERO
 
     def coordinates(self, f) -> tuple[RT, ...]:
         """Signed values of the basis coordinates of f.
 
-        On a constant basis, a constant f is scaled to ints and each
-        coordinate is the sign of an int dot product with a sign
-        functional; otherwise each coordinate is a Cramer quotient.
+        The leaf's ``BasisCertificate`` gives each coordinate's sign and
+        valuation from one int dot product with its functional.  Only a
+        coordinate whose leading terms it leaves open, on a series leaf
+        or for a series f, is a Cramer quotient of ``signed_det``s.
         """
         f = tuple(f)
-        funcs = self._sign_functionals
-        values = None if funcs is None else constant_values(f)
-        if values is None:
-            f = tuple(as_series(x) for x in f)
-            if funcs is not None:
-                values = constant_values(f)
-        if len(f) != self.dim:
-            raise ValueError("vector has the wrong dimension")
-        if values is not None:
-            scaled = linalg.clear_denominators(values)
-            return tuple(_BY_SIGN[_sign(sum(map(mul, row, scaled)))] for row in funcs)
-        den = self._det
-        n = self.dim
+        lead = self._cert.solve(f)
+        if lead is None:
+            return (RT_ZERO,) * self.dim
+        y, exps, den, exact = lead
+        if y is None:
+            y = exps = (0,) * self.dim
+        series = None
         out = []
-        for j in range(n):
-            num = signed_det([f if k == j else self.basis[k] for k in range(n)])
-            out.append(RT_ZERO if num.sign == 0 else hyper_div(num, den))
+        for k, (yk, e) in enumerate(zip(y, exps)):
+            if yk:
+                out.append(unchecked_rt(_sign(yk), Fraction(e, den) if e else _FRACTION_ZERO))
+            elif exact:
+                out.append(RT_ZERO)
+            else:
+                if series is None:
+                    series = tuple(map(as_series, f))
+                out.append(self._cramer(series, k))
         return tuple(out)
 
     def value(self, f) -> RT:
-        best_sign = 0
-        best_level: Val = INF
-        for lam, c in zip(self.coordinates(f), self.weights):
-            if lam.sign == 0 or c == INF:
+        """The sign and level of the first coordinate of least level,
+        val x_k + w_k; levels compare as ints over one denominator.
+
+        On a constant leaf and a constant f every valuation is 0 and the
+        weights are nondecreasing, so the first nonzero coordinate of
+        finite weight decides.  Otherwise a coordinate the certificate
+        leaves open has a level above its certified bound, and takes its
+        Cramer quotient only while that bound is below the best level.
+        """
+        f = tuple(f)
+        lead = self._cert.solve(f)
+        if lead is None:
+            return RT_ZERO
+        y, exps, den, exact = lead
+        if exact:
+            for yk, w in zip(y, self._finite_weights):
+                if yk:
+                    return unchecked_rt(_sign(yk), w)
+            return RT_ZERO
+        wden = self._weight_den
+        best = None  # (level, k, sign)
+        if y is None:  # det L = 0: no certified level and no bound
+            open_ = [(k, None) for k in range(len(self._weight_ints))]
+        else:
+            open_ = []
+            for k, (w, yk, e) in enumerate(zip(self._weight_ints, y, exps)):
+                level = e * wden + w * den
+                if not yk:
+                    open_.append((k, level))
+                elif best is None or level < best[0]:
+                    best = level, k, _sign(yk)
+        series = None
+        for k, bound in open_:
+            if bound is not None and best is not None and bound >= best[0]:
                 continue
-            level = lam.val + c
-            if level < best_level:
-                best_level, best_sign = level, lam.sign
-        return RT(best_sign, best_level) if best_sign else RT_ZERO
+            if series is None:
+                series = tuple(map(as_series, f))
+            x = self._cramer(series, k)
+            if x.sign:
+                level = (x.val * den).numerator * wden + self._weight_ints[k] * den
+                if best is None or (level, k) < best[:2]:
+                    best = level, k, x.sign
+        if best is None:
+            return RT_ZERO
+        return unchecked_rt(best[2], Fraction(best[0], den * wden))
 
     def normalized(self) -> "DiagonalSeminorm":
         """Homothety representative with first finite weight zero."""
@@ -636,9 +694,19 @@ def cocircuit_value(mu_columns, f) -> RT:
     return signed_det([f, *mu])
 
 
-def scaled_cocircuit_decomposition(
-    s: DiagonalSeminorm,
-) -> tuple[tuple[tuple, RT], ...]:
+class LeafPiece(tuple):
+    """A (mu, scale) piece of ``scaled_cocircuit_decomposition`` that
+    remembers its leaf and basis index; it equals, and unpacks like, the
+    plain (mu, scale) tuple."""
+
+    def __new__(cls, mu, scale: RT, leaf: DiagonalSeminorm, index: int):
+        piece = super().__new__(cls, (mu, scale))
+        piece.leaf = leaf
+        piece.index = index
+        return piece
+
+
+def scaled_cocircuit_decomposition(s: DiagonalSeminorm) -> tuple[LeafPiece, ...]:
     """Pieces (mu_i, scale_i), one per finite-weight basis vector, whose
     weight-ordered composition reproduces the seminorm: mu_i drops the
     i-th basis vector and the scale matches levels and signs.  Moving b_i
@@ -650,16 +718,35 @@ def scaled_cocircuit_decomposition(
             continue
         mu = tuple(s.basis[:i] + s.basis[i + 1 :])
         lead = -s._det if i % 2 else s._det
-        scale = hyper_div(RT(1, w), lead)
-        pieces.append((mu, scale))
+        pieces.append(LeafPiece(mu, hyper_div(RT(1, w), lead), s, i))
     return tuple(pieces)
 
 
 def decomposition_value(pieces, f) -> RT:
-    """Evaluate a weight-ordered list of scaled minor seminorms at f."""
+    """Evaluate a weight-ordered list of scaled minor seminorms at f.
+
+    By Cramer's rule cocircuit_value(mu_i, f) = (-1)^i x_i det B for the
+    i-th coordinate x_i of f in the leaf's basis B, so a ``LeafPiece``
+    is scale_i * cocircuit_value(mu_i, f) = RT(sign x_i, w_i + val x_i),
+    and each leaf's coordinates are read once per f.  Any other
+    (mu, scale) pair takes ``cocircuit_value``.
+    """
+    f = tuple(f)
+    coordinates = {}
     best = RT_ZERO
-    for mu, scale in pieces:
-        v = hyper_mul(scale, cocircuit_value(mu, f))
+    for piece in pieces:
+        if isinstance(piece, LeafPiece):
+            leaf = piece.leaf
+            xs = coordinates.get(id(leaf))
+            if xs is None:
+                xs = coordinates[id(leaf)] = leaf.coordinates(f)
+            x = xs[piece.index]
+            if not x.sign:
+                continue
+            v = unchecked_rt(x.sign, x.val + leaf.weights[piece.index])
+        else:
+            mu, scale = piece
+            v = hyper_mul(scale, cocircuit_value(mu, f))
         if v.val < best.val:
             best = v
     return best

@@ -43,7 +43,10 @@ arithmetic, dividing each pivot row by its pivot; the library eliminates
 fraction free on integer rows.  ``const_coordinates_by_fractions``
 evaluates a constant leaf by Fraction dot products with the rows of the
 inverse basis; the library takes the sign of int dot products with
-integer-scaled rows.
+integer-scaled rows.  ``cramer_coordinates`` takes one ``signed_det`` per
+coordinate of any leaf, and ``value_by_levels`` applies the leaf's level
+rule to them in Fractions; the library reads the coordinates from one
+leading-term certificate per leaf and compares levels as ints.
 
 The ``*_by_cases`` hyperfield operations branch on the element type, one
 case per hyperfield; the library reads every element as an RT pair and
@@ -423,6 +426,34 @@ def const_coordinates_by_fractions(leaf, f) -> tuple[RT, ...]:
         lam = sum((a * b for a, b in zip(row[d:], values)), Fraction(0))
         out.append(RT_ZERO if lam == 0 else RT(1 if lam > 0 else -1, 0))
     return tuple(out)
+
+
+def cramer_coordinates(leaf, f) -> tuple[RT, ...]:
+    """Signed coordinates of f in the leaf's basis by Cramer's rule: one
+    ``signed_det`` per coordinate, with f in place of that basis vector,
+    over the ``signed_det`` of the basis."""
+    f = tuple(as_series(x) for x in f)
+    basis = leaf.basis
+    den = signed_det(basis)
+    out = []
+    for j in range(len(basis)):
+        num = signed_det([f if k == j else basis[k] for k in range(len(basis))])
+        out.append(RT_ZERO if num.sign == 0 else RT(num.sign * den.sign, num.val - den.val))
+    return tuple(out)
+
+
+def value_by_levels(leaf, coordinates) -> RT:
+    """The seminorm's rule on given coordinates: among those nonzero with a
+    finite weight, the first of least level val + weight, in Fractions."""
+    levels = [
+        (x.val + w, j, x.sign)
+        for j, (x, w) in enumerate(zip(coordinates, leaf.weights))
+        if x.sign and w != INF
+    ]
+    if not levels:
+        return RT_ZERO
+    level, _, sign = min(levels)
+    return RT(sign, level)
 
 
 def _functionals_by_sort(expr) -> list:

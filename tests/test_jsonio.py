@@ -328,3 +328,31 @@ def test_repeated_ground_labels_are_rejected():
 def test_gp_check_reports_repeated_input(capsys, blob, message):
     assert main(["gp-check", json.dumps(blob)]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": {"type": "ValueError", "message": message}}
+
+
+# -- the shape of seminorm input ------------------------------------------------
+
+MALFORMED_SEMINORMS = {
+    "string": ("abc", "seminorm: expected an object, got 'abc'"),
+    "list": ([1], "seminorm: expected an object, got [1]"),
+    "leaf-without-c": ({"kind": "leaf", "basis": LEAF["basis"]}, "seminorm: missing key 'c'"),
+    "compose-without-right": ({"kind": "compose", "left": LEAF}, "seminorm: missing key 'right'"),
+    "c-false": (dict(LEAF, c=False), "seminorm.c: expected a list, got False"),
+    "basis-string": (dict(LEAF, basis="ab"), "seminorm.basis: expected a list, got 'ab'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SEMINORMS)
+def test_malformed_seminorm_is_a_value_error_naming_the_path(case, capsys):
+    blob, message = MALFORMED_SEMINORMS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        seminorm_from_json(blob)
+    argument = blob if isinstance(blob, str) else json.dumps(blob)
+    assert main(["seminorm", "eval", argument, "0,1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": "ValueError", "message": message}}
+
+
+def test_seminorm_paths_reach_into_compositions():
+    inner = {"kind": "compose", "left": LEAF, "right": dict(LEAF, basis=[["1", "0"], "01"])}
+    with pytest.raises(ValueError, match=r"^seminorm\.right\.right\.basis\[1\]: expected a list, got '01'$"):
+        seminorm_from_json({"kind": "compose", "left": LEAF, "right": inner})

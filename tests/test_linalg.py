@@ -93,3 +93,38 @@ def test_vectors_reject_bools_and_floats(bad):
         SignedFlag(((bad, 1),), (FlagStep((0, 1), 0, 1),))
     with pytest.raises(TypeError):
         UnsignedFlag((), ((((1, 0), (bad, 1)), 0),))
+
+
+def test_int_functionals_are_positive_multiples_of_the_inverse_transpose():
+    # row k of F against column k of the rational inverse, the sign against
+    # int_det_sign, and no functionals for a singular matrix
+    rng = random.Random(409)
+    singular = 0
+    for _ in range(1500):
+        n = rng.randint(0, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5, 7)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[rng.randrange(n)] = [2 * x for x in rows[rng.randrange(n)]]
+        sign, F = linalg.int_functionals(rows)
+        assert sign == linalg.int_det_sign([list(r) for r in rows])
+        if sign == 0:
+            assert F is None
+            singular += 1
+            continue
+        inverse = linalg.inverse(rows)
+        for k in range(n):
+            column = [inverse[i][k] for i in range(n)]
+            assert all(type(x) is int for x in F[k])
+            assert [x == 0 for x in F[k]] == [x == 0 for x in column]
+            ratios = {Fraction(x) / c for x, c in zip(F[k], column) if c}
+            assert len(ratios) == 1 and ratios.pop() > 0
+    assert singular > 100
+
+
+def test_int_functionals_examples():
+    assert linalg.int_functionals([]) == (1, [])
+    assert linalg.int_functionals([[-2]]) == (-1, [[-1]])
+    assert linalg.int_functionals([[0, 1], [1, 0]]) == (-1, [[0, 1], [1, 0]])
+    assert linalg.int_functionals([[1, 2], [2, 4]]) == (0, None)
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.int_functionals([[1, 2]])

@@ -296,16 +296,6 @@ def test_signed_det_examples():
     assert signed_det([["t", "1", "0"], ["0", "0", "2"], ["0", "0", "3"]]) == RT_ZERO
 
 
-def test_constant_values_read_ints_fractions_and_constant_series():
-    C = PuiseuxSeries.constant
-    values = puiseux.constant_values([3, Fraction(-1, 2), C(Fraction(5, 3)), C(0)])
-    assert values == [3, Fraction(-1, 2), Fraction(5, 3), 0]
-    for other in (t(1), C(1) + t(2), t(0, 0) + t(Fraction(1, 2)), True, 0.5, "1", None):
-        assert puiseux.constant_values([1, other, 2]) is None
-    assert puiseux.constant_values(iter([1, C(2)])) == [1, 2]
-    assert puiseux.constant_values([]) == []
-
-
 def test_small_signed_det_expands_only_when_leading_terms_cancel(monkeypatch):
     exact = puiseux.det
     cancelling = [["1+t", "1"], ["1", "1-t"]]  # det = -t^2

@@ -44,11 +44,13 @@ from realtrop import linalg, puiseux, seminorms
 from realtrop.jsonio import seminorm_to_json
 from realtrop.linalg import rank as q_rank
 from realtrop.matroids import DEFAULT_PAIR_CAP
-from realtrop.puiseux import PuiseuxSeries, as_series, signed_det
+from realtrop.puiseux import BasisCertificate, PuiseuxSeries, as_series, parse_puiseux, signed_det
 from realtrop.seminorms import leaves
 
 from helpers import (
+    CANCELLATION,
     random_coeff,
+    random_columns,
     random_diagonal,
     random_expression,
     random_full_rank_ground,
@@ -59,8 +61,10 @@ from helpers import (
 )
 from oracles import (
     const_coordinates_by_fractions,
+    cramer_coordinates,
     diagonalize_by_span_tests,
     flags_equivalent_by_chains,
+    value_by_levels,
 )
 
 E = PuiseuxSeries.constant
@@ -97,17 +101,6 @@ def test_level_selection_example():
     ]
     best = min(levels)
     assert s.value(f) == RT(best[2], best[0])
-
-
-def _cramer_coordinates(leaf, f):
-    f = tuple(as_series(x) for x in f)
-    n = leaf.dim
-    den = signed_det(leaf.basis)
-    out = []
-    for j in range(n):
-        num = signed_det([f if k == j else leaf.basis[k] for k in range(n)])
-        out.append(RT_ZERO if num.sign == 0 else hyper_div(num, den))
-    return tuple(out)
 
 
 def _constant_leaf(rng, dim):
@@ -148,11 +141,177 @@ def test_constant_coordinates_match_cramer():
             f = [E(v) for v in vals]
         else:
             f = (v for v in vals)
-        want = _cramer_coordinates(leaf, vals)
+        want = cramer_coordinates(leaf, vals)
         assert leaf.coordinates(f) == want
         assert const_coordinates_by_fractions(leaf, vals) == want
         zeros += RT_ZERO in want
     assert min(forms.values()) > 80 and zeros > 50
+
+
+def _series_leaf(rng, dim):
+    """A leaf on columns of ``random_columns``, cancellation alphabet
+    included, with random weights; None when the columns are dependent."""
+    try:
+        return DiagonalSeminorm(tuple(random_columns(rng, dim, dim)), random_weights(rng, dim))
+    except SingularBasisError:
+        return None
+
+
+def _probe_vectors(rng, leaf):
+    """Vectors for a leaf: a column of its kind's generator, a combination
+    of some of its basis vectors with cancelling coefficients (the other
+    coordinates are zero, and leading terms cancel), the zero vector, the
+    combination with its constant entries as ints or Fractions, and the
+    combination with a term in t^(1/7) added, an exponent denominator the
+    basis does not have."""
+    d = leaf.dim
+    alphabet = [parse_puiseux(x) for x in CANCELLATION]
+    combo = [PuiseuxSeries.zero()] * d
+    for j in rng.sample(range(d), rng.randint(1, d)):
+        c = rng.choice(alphabet)
+        combo = [a + c * b for a, b in zip(combo, leaf.basis[j])]
+    plain = [x.constant_value() if x.is_constant else x for x in combo]
+    plain = [int(x) if type(x) is Fraction and x.denominator == 1 else x for x in plain]
+    sevenths = list(combo)
+    sevenths[rng.randrange(d)] += PuiseuxSeries.t_power(Fraction(rng.randint(-3, 3), 7))
+    return [random_columns(rng, d, 1)[0], combo, [PuiseuxSeries.zero()] * d, plain, sevenths]
+
+
+def test_series_coordinates_and_values_match_cramer():
+    # the certificate against per-column Cramer and the level rule, on
+    # leaves whose leading terms cancel, leaves with det L = 0 and the
+    # zero vector
+    rng = random.Random(223)
+    seen = {"leaves": 0, "singular_L": 0, "open": 0, "certified": 0, "zero_vector": 0, "exact": 0}
+    while seen["leaves"] < 700:
+        leaf = _series_leaf(rng, rng.randint(1, 5))
+        if leaf is None:
+            continue
+        seen["leaves"] += 1
+        cert = BasisCertificate(leaf.basis)
+        for f in _probe_vectors(rng, leaf):
+            want = cramer_coordinates(leaf, f)
+            assert leaf.coordinates(f) == want
+            assert leaf.value(f) == value_by_levels(leaf, want)
+            lead = cert.solve(f)
+            if lead is None:
+                seen["zero_vector"] += 1
+                assert want == (RT_ZERO,) * leaf.dim
+            elif lead[0] is None:
+                seen["singular_L"] += 1
+            else:
+                y, exps, den, exact = list(lead[0]), *lead[1:]
+                for yk, e, x in zip(y, exps, want):
+                    if yk:
+                        assert x == RT(1 if yk > 0 else -1, Fraction(e, den))
+                    elif exact:
+                        assert x == RT_ZERO
+                    else:  # the leading terms cancel: a strict lower bound
+                        assert x.val > Fraction(e, den)
+                seen["open"] += y.count(0)
+                seen["certified"] += len(y) - y.count(0)
+                seen["exact"] += exact
+    singular = seen.pop("singular_L")
+    assert singular > 20 and min(seen.values()) > 150, (singular, seen)
+
+
+def test_singular_leading_matrix_falls_back_to_cramer():
+    # the leading coefficients of (1, 1) and (1, 1 + t) are dependent, but
+    # the basis is not: det = t
+    leaf = DiagonalSeminorm(((1, 1), (1, "1+t")), (0, 1))
+    assert BasisCertificate(leaf.basis).solve((1, 0))[0] is None
+    assert leaf._det == rt(1, 1)
+    for f in [(1, 0), (0, 1), ("t", "-1"), (1, 1), ("1+t", "1+t")]:
+        want = cramer_coordinates(leaf, f)
+        assert leaf.coordinates(f) == want
+        assert leaf.value(f) == value_by_levels(leaf, want)
+    assert leaf.coordinates((1, 0)) == (rt(1, -1), rt(-1, -1))
+    assert leaf.coordinates((0, 0)) == (RT_ZERO, RT_ZERO)
+
+
+def test_leaf_pieces_match_plain_pieces():
+    # a piece that remembers its leaf gives the scaled cocircuit value of
+    # its plain (mu, scale) tuple, alone and in any list of pieces
+    rng = random.Random(227)
+    checked = 0
+    while checked < 150:
+        leaf = _series_leaf(rng, rng.randint(2, 4)) if checked % 2 else random_diagonal(rng, 3)
+        if leaf is None:
+            continue
+        checked += 1
+        pieces = scaled_cocircuit_decomposition(leaf)
+        plain = tuple((mu, scale) for mu, scale in pieces)
+        assert pieces == plain and all(type(p) is tuple for p in plain)
+        other = scaled_cocircuit_decomposition(random_diagonal(rng, leaf.dim))
+        mixed = list(pieces) + list(other)
+        rng.shuffle(mixed)
+        for f in _probe_vectors(rng, leaf):
+            assert decomposition_value(pieces, f) == decomposition_value(plain, f) == leaf.value(f)
+            assert decomposition_value(mixed, f) == decomposition_value(
+                [(mu, scale) for mu, scale in mixed], f
+            )
+            for piece, (mu, scale) in zip(pieces, plain):
+                assert decomposition_value([piece], f) == hyper_mul(scale, cocircuit_value(mu, f))
+
+
+def test_certificate_reach(monkeypatch):
+    # after construction a constant leaf evaluates constant vectors with no
+    # determinant and no inverse, a series leaf takes a determinant only
+    # for the coordinates its certificate leaves open, and value only for
+    # those whose bound is below the best level; leaf pieces take no
+    # cocircuit_value
+    rng = random.Random(229)
+    constant = [random_diagonal(rng, rng.randint(1, 5)) for _ in range(40)]
+    series = []
+    while len(series) < 200:
+        leaf = _series_leaf(rng, rng.randint(2, 5))
+        if leaf is not None:
+            series.append(leaf)
+    probes = [(leaf, f) for leaf in series for f in _probe_vectors(rng, leaf)]
+    dets = []
+    real_det = seminorms.signed_det
+
+    def counting_det(rows):
+        dets.append(len(rows))
+        return real_det(rows)
+
+    def refuse(*args):
+        raise AssertionError("called after the leaf was built")
+
+    monkeypatch.setattr(seminorms, "signed_det", counting_det)
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    monkeypatch.setattr(seminorms, "cocircuit_value", refuse)
+    for leaf in constant:
+        pieces = scaled_cocircuit_decomposition(leaf)
+        for _ in range(5):
+            vals = [random_coeff(rng) for _ in range(leaf.dim)]
+            ints = linalg.clear_denominators(vals)
+            for f in (vals, [E(v) for v in vals], [str(v) for v in vals], ints):
+                leaf.coordinates(f)
+                leaf.value(f)
+                decomposition_value(pieces, f)
+    assert dets == []
+    opened = valued = 0
+    for leaf, f in probes:
+        lead = BasisCertificate(leaf.basis).solve(f)
+        if lead is None:
+            expected = 0
+        elif lead[0] is None:
+            expected = leaf.dim
+        else:
+            expected = 0 if lead[3] else list(lead[0]).count(0)
+        dets.clear()
+        leaf.coordinates(f)
+        assert len(dets) == expected
+        dets.clear()
+        decomposition_value(scaled_cocircuit_decomposition(leaf), f)
+        assert len(dets) == expected
+        dets.clear()
+        leaf.value(f)
+        assert len(dets) <= expected
+        opened += expected
+        valued += len(dets)
+    assert 0 < valued < opened
 
 
 @pytest.mark.parametrize("f", [[True, 0, 1], [0.5, 1, 0], [1, 0, 1.0]])
@@ -411,7 +570,7 @@ def test_diagonalize_takes_one_elimination_and_one_inverse(monkeypatch):
     rng = random.Random(191)
     expr = random_expression(rng, 4, 3)
     for leaf in leaves(expr):
-        leaf._const_inverse  # cached on the leaf once, as evaluation does
+        leaf._const_inverse  # cached on the leaf, so only diagonalize's own calls count
     real_rref, real_inverse = linalg.rref, linalg.inverse
     calls = {"rref": 0, "inverse": 0}
 
