@@ -15,7 +15,7 @@ the images of RT under ``abs``, ``sgn`` and ``to-krasner``, so every
 element reads as an RT pair (``sign_val``) and every pair maps back into
 a field (``from_sign_val``), keeping the pair ``kept_pair`` gives.  Products, quotients, negation, hypersums,
 hyperset membership and the homomorphisms are each the one RT rule on
-pairs, and ``admits_zero`` is the one rule for a hypersum containing zero.
+pairs; ``admits_zero``, one pass over any pairs, decides if a hypersum holds zero.
 ``RT(...)`` checks its pair; ``unchecked_rt`` builds the same value
 without the checks, for library code whose pairs are valid by
 construction.  This module is algebra and text only; the JSON forms of
@@ -330,12 +330,17 @@ def hyperset_contains(s: HyperSet, x: Elem) -> bool:
 def admits_zero(terms, signed: bool) -> bool:
     """Whether the hypersum of nonzero (sign, valuation) terms contains
     zero: there are none, or the least valuation is reached with both
-    signs (signed) or by two terms (unsigned)."""
-    if not terms:
-        return True
-    vstar = min(v for _, v in terms)
-    at_min = [s for s, v in terms if v == vstar]
-    return len(set(at_min)) == 2 if signed else len(at_min) > 1
+    signs (signed) or by two terms (unsigned).  One pass over any iterable,
+    keeping the least valuation, int or Fraction, and the signs there as a
+    bitmask, 1 for plus and 2 for minus (signed), or their count."""
+    vstar = seen = 0
+    for s, v in terms:
+        mark = (1 if s > 0 else 2) if signed else 1
+        if not seen or v < vstar:
+            vstar, seen = v, mark
+        elif v == vstar:
+            seen = seen | mark if signed else seen + 1
+    return seen in (0, 3) if signed else seen != 1
 
 
 def hyper_sum(xs: Sequence[Elem]) -> HyperSet:

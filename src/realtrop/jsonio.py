@@ -208,27 +208,30 @@ def gp_to_json(gp: GrassmannPlucker) -> dict:
 
 
 def gp_from_json(obj, cap: int = DEFAULT_PAIR_CAP) -> GrassmannPlucker:
-    """Repeated ground labels and repeated tuples are rejected.  The
-    function has a value on each of the C(m, rank) rank-subsets of the m
-    labels; that count is checked against ``cap`` before any value is
-    read."""
-    field = obj["hyperfield"]
+    """A wrong shape or a missing key is a ValueError naming its path, such
+    as ``gp.values[1]``; repeated ground labels and tuples are rejected.
+    The C(m, rank) rank-subsets of the m labels are counted against ``cap``
+    before any value is read."""
+    field = _member(_expect(obj, dict, "gp"), "hyperfield", "gp")
     if field not in ("RT", "T", "S", "K"):
         raise ValueError(f"unknown hyperfield {field!r}")
-    labels = tuple(obj["ground"])
+    labels = tuple(_expect(_member(obj, "ground", "gp"), list, "gp.ground"))
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"repeated ground label {label!r}")
-    rank = int_from_json(obj["rank"], "rank")
+    rank = int_from_json(_member(obj, "rank", "gp"), "rank")
     count = math.comb(len(labels), rank) if rank >= 0 else 0
     if count > cap:
         raise EnumerationCapError(count, cap, "tuple enumeration")
     values = {}
-    for item in obj["values"]:
-        tup = tuple(int_from_json(e, "tuple entry") for e in item["tuple"])
+    for i, item in enumerate(_expect(_member(obj, "values", "gp"), list, "gp.values")):
+        path = f"gp.values[{i}]"
+        item = _expect(item, dict, path)
+        entries = _expect(_member(item, "tuple", path), list, f"{path}.tuple")
+        tup = tuple(int_from_json(e, "tuple entry") for e in entries)
         if tup in values:
             raise ValueError(f"repeated tuple {tup}")
-        values[tup] = value_from_json(item["value"], field)
+        values[tup] = value_from_json(_member(item, "value", path), field)
     return GrassmannPlucker(rank, labels, field, values)
 
 

@@ -9,9 +9,9 @@ scale.  The minor table of a ground set, certified in that form by one
 leading-term view of its columns (``puiseux.IntegerLeads``) and cached,
 is the one source for a realizable matroid; a ``GrassmannPlucker`` reads
 its values into that form once (``scaled_table``).  Circuits and
-cocircuits are the two row families of a table (``_circuit_rows``,
-``_cocircuit_rows``, the only loops over (rank+-1)-subsets here), and
-the exchange relations are their orthogonality (``check_gp_relations``).
+cocircuits are the two row families of a table (``_circuit_rows``, and
+``cocircuit_rows``, cached on the function), the only loops over
+(rank+-1)-subsets here; ``check_gp_relations`` is their orthogonality.
 Vectors are normalized, deduplicated and sorted as int pairs, and RT
 values are made only for the distinct vectors returned.  The axiom
 checkers build no hyperfield values.  A ``GrassmannPlucker`` made by
@@ -228,6 +228,27 @@ class GrassmannPlucker:
         table = {t: (s, _scaled(v, scale)) if s else (0, 0) for t, (s, v) in pairs.items()}
         return table, scale
 
+    @cached_property
+    def cocircuit_rows(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+        """Per (rank-1)-subset mu, in lexicographic order, mu and the scaled
+        pairs of e -> phi(mu + (e,)) from ``scaled_table``: phi at mu with e
+        inserted at its sorted position p, times (-1)^(rank-1-p).  Tuples,
+        built once and shared by the exchange relations and both readers."""
+        table, _ = self.scaled_table
+        m, r = len(self.labels), self.rank
+        rows = []
+        for mu in itertools.combinations(range(m), r - 1):
+            row = []
+            for e in range(m):
+                p = bisect.bisect_left(mu, e)
+                if p < len(mu) and mu[p] == e:
+                    row.append((0, 0))
+                    continue
+                s, v = table[mu[:p] + (e,) + mu[p:]]
+                row.append((-s if (r - 1 - p) % 2 else s, v))
+            rows.append((mu, tuple(row)))
+        return tuple(rows)
+
 
 def gp_from_matrix(
     ground: GroundSet, target: str = "RT", tuple_cap: int = DEFAULT_PAIR_CAP
@@ -284,11 +305,10 @@ def check_gp_relations(
         raise EnumerationCapError(npairs, pair_cap, "relation enumeration")
     table, _ = gp.scaled_table
     signed = gp.hyperfield in ("RT", "S")
-    cocircuits = list(_cocircuit_rows(table, m, r))
     for x, row in _circuit_rows(table, m, r):
         support = [(e, s, v) for e, (s, v) in enumerate(row) if s]
-        for y, co in cocircuits:
-            terms = [(s * co[e][0], v + co[e][1]) for e, s, v in support if co[e][0]]
+        for y, co in gp.cocircuit_rows:
+            terms = ((s * co[e][0], v + co[e][1]) for e, s, v in support if co[e][0])
             if not admits_zero(terms, signed):
                 return Report(
                     ok=False,
@@ -615,13 +635,11 @@ def cocircuits_from_gp(
     closed under negation, with zero vectors removed."""
     if gp.hyperfield not in ("S", "RT"):
         raise ValueError("cocircuits need a sign or real tropical chirotope")
-    m, r = len(gp), gp.rank
-    count = math.comb(m, r - 1)
+    count = math.comb(len(gp), gp.rank - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
-    table, _ = gp.scaled_table
     seen: set[SignVector] = set()
-    for _, row in _cocircuit_rows(table, m, r):
+    for _, row in gp.cocircuit_rows:
         X = tuple(s for s, _ in row)
         if any(X):
             seen.add(X)
@@ -638,32 +656,14 @@ def rt_cocircuits_from_gp(
     scaled pairs; only the distinct ones become RT values."""
     if gp.hyperfield != "RT":
         raise ValueError("expected a real tropical chirotope")
-    m, r = len(gp), gp.rank
-    count = math.comb(m, r - 1)
+    count = math.comb(len(gp), gp.rank - 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "cocircuit enumeration")
-    table, scale = gp.scaled_table
-    seen = {_normalized(row) for _, row in _cocircuit_rows(table, m, r)}
+    seen = {_normalized(row) for _, row in gp.cocircuit_rows}
     seen.discard(None)
     # a zero entry is (0, 0) here and (0, inf) as RT: it only ever ties
     # with another zero entry, so both orders agree
-    return tuple(SignedCircuit(_rt_vector(v, scale)) for v in sorted(seen))
-
-
-def _cocircuit_rows(table, m: int, r: int):
-    """Per (r-1)-subset mu, in lexicographic order, mu and the scaled
-    pairs of e -> phi(mu + (e,)): phi at mu with e inserted at its sorted
-    position p, times (-1)^(r-1-p)."""
-    for mu in itertools.combinations(range(m), r - 1):
-        row = []
-        for e in range(m):
-            p = bisect.bisect_left(mu, e)
-            if p < len(mu) and mu[p] == e:
-                row.append((0, 0))
-                continue
-            s, v = table[mu[:p] + (e,) + mu[p:]]
-            row.append((-s if (r - 1 - p) % 2 else s, v))
-        yield mu, row
+    return tuple(SignedCircuit(_rt_vector(v, gp.scaled_table[1])) for v in sorted(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,9 @@ class CompatibleFamily:
     morphisms: tuple[Morphism, ...] = ()
 
     def __post_init__(self):
+        for i, (emb, pt) in enumerate(self.members):
+            if len(pt) != len(emb):
+                raise FamilyError(f"member {i}: point length {len(pt)}, embedding length {len(emb)}")
         for mor in self.morphisms:
             if not (0 <= mor.src < len(self.members)) or not (
                 0 <= mor.dst < len(self.members)

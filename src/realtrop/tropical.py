@@ -23,9 +23,9 @@ and one elimination only when that leaves the rank open).  The CLI
 enumerates the circuits once within its cap (``enumerate_circuits``).
 ``linear_space_member`` reads the circuits once as signs and valuations
 scaled to ints (``matroids.scaled_rt_vectors``), cached on the
-embedding, scales the point once to a common denominator, and folds
-each circuit's products on ints, with the rule of ``hyperplane_member``
-(``hyperfields.admits_zero``, signed) inline.
+embedding, scales the point once to a common denominator, and hands
+each circuit's products, as ints, to the rule of ``hyperplane_member``
+(``hyperfields.admits_zero``, signed).
 
 A real Bergman fan is the chains of nonzero covectors of a
 ``matroids.CovectorPoset``; ``bergman_member`` reads the poset's
@@ -178,8 +178,7 @@ def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:
     ``all(hyperplane_member(y, c) for c in embedding.circuits)``, on ints:
     the point's valuations and the embedding's cached circuit valuations
     are scaled to one common denominator, the lcm of the two scales, and
-    the signed rule of ``admits_zero`` is folded on each circuit's
-    support.
+    each circuit's products on its support go to ``admits_zero`` as ints.
     """
     if len(y) != len(embedding):
         raise ValueError("point and embedding have different lengths")
@@ -192,19 +191,8 @@ def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:
         factor = scale // circuit_scale
         circuits = [tuple((e, s, v * factor) for e, s, v in c) for c in circuits]
     for circuit in circuits:
-        vstar = 0
-        signs_at_min = 0  # bitmask: 1 for plus, 2 for minus
-        for e, cs, cv in circuit:
-            s = ysigns[e] * cs
-            if not s:
-                continue
-            v = yvals[e] + cv
-            if not signs_at_min or v < vstar:
-                vstar = v
-                signs_at_min = 1 if s > 0 else 2
-            elif v == vstar:
-                signs_at_min |= 1 if s > 0 else 2
-        if signs_at_min == 1 or signs_at_min == 2:
+        terms = ((ysigns[e] * cs, yvals[e] + cv) for e, cs, cv in circuit if ysigns[e])
+        if not admits_zero(terms, signed=True):
             return False
     return True
 

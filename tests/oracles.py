@@ -50,7 +50,9 @@ leading-term certificate per leaf and compares levels as ints.
 
 The ``*_by_cases`` hyperfield operations branch on the element type, one
 case per hyperfield; the library reads every element as an RT pair and
-applies the one RT rule.  ``circuit_axioms_by_hypersums`` and
+applies the one RT rule.  ``admits_zero_by_lists`` decides whether a
+hypersum of (sign, valuation) terms contains zero from a ``min``, a list
+and a set; the library folds the terms in one pass.  ``circuit_axioms_by_hypersums`` and
 ``gp_relations_by_hypersums`` check the circuit axioms and the exchange
 relations with those per-field operations, building every rescaled vector
 and every hypersum; the library compares (sign, int) pairs and bitmasks
@@ -633,6 +635,18 @@ def maximal_cones_by_scan(fan) -> tuple[tuple[int, ...], ...]:
 
 # ---------------------------------------------------------------------------
 # Hyperfield operations, one case per hyperfield
+
+
+def admits_zero_by_lists(terms, signed: bool) -> bool:
+    """Whether the hypersum of nonzero (sign, valuation) terms contains
+    zero, read off lists: the least valuation by ``min``, the signs that
+    reach it as a list and then a set."""
+    terms = list(terms)
+    if not terms:
+        return True
+    vstar = min(v for _, v in terms)
+    at_min = [s for s, v in terms if v == vstar]
+    return len(set(at_min)) == 2 if signed else len(at_min) > 1
 
 
 def is_zero_by_cases(x: Elem) -> bool:

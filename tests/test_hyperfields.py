@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -345,6 +346,38 @@ def test_pairs_round_trip_in_every_field():
     assert sign_val(TV(2)) == (1, 2) and sign_val(-1) == (-1, 0) and sign_val(KV(1)) == (1, 0)
     assert admits_zero([], signed=True) and admits_zero([(1, 0), (1, 0)], signed=False)
     assert not admits_zero([(1, 0), (1, 0)], signed=True)
+
+
+def test_admits_zero_fold_equals_the_list_oracle():
+    # seeded term lists: empty, single terms, ties at the least valuation,
+    # int and Fraction valuations, each read as a list and as a generator
+    rng = random.Random(2311)
+    vals = {
+        "int": [-3, -1, 0, 0, 2, 5],
+        "fraction": [Fraction(-1, 2), Fraction(1, 3), Fraction(0), Fraction(2, 3), Fraction(5, 7)],
+    }
+    seen = collections.Counter()
+    for _ in range(3000):
+        kind = rng.choice(list(vals))
+        n = rng.choice([0, 1, 2, 2, 3, 4, 6])
+        pool = rng.sample(vals[kind], rng.randint(1, 2))  # few values: many ties
+        terms = [(rng.choice((1, -1)), rng.choice(pool)) for _ in range(n)]
+        for signed in (True, False):
+            want = oracles.admits_zero_by_lists(terms, signed)
+            assert admits_zero(terms, signed) == want, (terms, signed)
+            assert admits_zero((t for t in terms), signed) == want, (terms, signed)
+            if terms:
+                least = min(v for _, v in terms)
+                ties = sum(v == least for _, v in terms)
+                seen[kind, signed, min(n, 2), ties > 1, want] += 1
+            else:
+                assert want
+    for kind in vals:
+        for signed in (True, False):
+            assert seen[kind, signed, 1, False, False]
+            assert seen[kind, signed, 2, True, True] and seen[kind, signed, 2, False, False]
+        # a tie of one sign admits zero unsigned only
+        assert seen[kind, True, 2, True, False]
 
 
 def test_kept_pair_is_the_pair_read_back_from_the_pushed_element():

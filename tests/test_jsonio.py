@@ -330,6 +330,43 @@ def test_gp_check_reports_repeated_input(capsys, blob, message):
     assert json.loads(capsys.readouterr().out) == {"error": {"type": "ValueError", "message": message}}
 
 
+# -- the shape of Grassmann-Plucker input ---------------------------------------
+
+GP = gp_blob("S", "+", "-")
+MALFORMED_GPS = {
+    "no-hyperfield": ({k: v for k, v in GP.items() if k != "hyperfield"}, "gp: missing key 'hyperfield'"),
+    "no-ground": ({k: v for k, v in GP.items() if k != "ground"}, "gp: missing key 'ground'"),
+    "no-rank": ({k: v for k, v in GP.items() if k != "rank"}, "gp: missing key 'rank'"),
+    "no-values": ({k: v for k, v in GP.items() if k != "values"}, "gp: missing key 'values'"),
+    # a string ground would be read per character
+    "ground-string": (dict(GP, ground="ab"), "gp.ground: expected a list, got 'ab'"),
+    "values-object": (dict(GP, values={"0": "+"}), "gp.values: expected a list, got {'0': '+'}"),
+    "value-pair": (dict(GP, values=[[[0], "+"]]), "gp.values[0]: expected an object, got [[0], '+']"),
+    "tuple-int": (
+        dict(GP, values=[{"tuple": 0, "value": "+"}]),
+        "gp.values[0].tuple: expected a list, got 0",
+    ),
+    "no-value": (
+        dict(GP, values=[GP["values"][0], {"tuple": [1]}]),
+        "gp.values[1]: missing key 'value'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GPS)
+def test_malformed_gp_is_a_value_error_naming_the_path(case, capsys):
+    blob, message = MALFORMED_GPS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gp_from_json(blob)
+    assert main(["gp-check", json.dumps(blob)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": "ValueError", "message": message}}
+
+
+def test_gp_reader_expects_an_object():
+    with pytest.raises(ValueError, match=r"^gp: expected an object, got \['S'\]$"):
+        gp_from_json(["S"])
+
+
 # -- the shape of seminorm input ------------------------------------------------
 
 MALFORMED_SEMINORMS = {

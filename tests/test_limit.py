@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from realtrop import (
     rt,
     standard_leaf,
 )
+from realtrop.cli import main
 
 from helpers import random_diagonal, random_embedding
 
@@ -176,3 +179,22 @@ def test_mismatched_point_in_morphism_is_rejected():
     )
     with pytest.raises(FamilyError):
         CompatibleFamily(good_members, (Morphism(0, 1, (2, 0)),))
+
+
+FAMILY_FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "cli" / "fixtures" / "family.json"
+
+
+@pytest.mark.parametrize("length", [2, 5])
+def test_member_point_of_the_wrong_length_is_rejected(capsys, length):
+    # member 1 has four columns; a cut point once indexed out of range and
+    # a padded one was accepted
+    blob = json.loads(FAMILY_FIXTURE.read_text(encoding="utf-8"))
+    coords = blob["members"][1]["point"]["coords"]
+    coords = (coords + [{"sign": "+", "val": "1"}])[:length]
+    blob["members"][1]["point"] = {"coords": coords}
+    message = f"member 1: point length {length}, embedding length 4"
+    assert main(["limit", "check", json.dumps(blob)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": "FamilyError", "message": message}}
+    emb, pt = make_family(standard_leaf(2), PROBES)[0].members[0]
+    with pytest.raises(FamilyError, match=f"^member 0: point length 2, embedding length {len(emb)}$"):
+        CompatibleFamily(((emb, ProjPoint(pt.coords[:2])),))

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import random
 import re
@@ -474,6 +475,46 @@ def test_gp_values_are_read_into_pairs_once(monkeypatch):
     assert len(calls) == 6
 
 
+def _count_cocircuit_rows(monkeypatch) -> list:
+    """Wrap the cached ``cocircuit_rows`` so that each build is recorded."""
+    real = GrassmannPlucker.cocircuit_rows.func
+    built = []
+
+    def counting(gp):
+        built.append(gp)
+        return real(gp)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(GrassmannPlucker, "cocircuit_rows")
+    monkeypatch.setattr(GrassmannPlucker, "cocircuit_rows", prop)
+    return built
+
+
+def test_cocircuit_rows_are_built_once_per_function(monkeypatch):
+    built = _count_cocircuit_rows(monkeypatch)
+    gp = gp_from_matrix(FOUR)
+    assert check_gp_relations(gp).ok
+    assert cocircuits_from_gp(gp) == cocircuits_by_value_on(gp)
+    assert rt_cocircuits_from_gp(gp) == rt_cocircuits_by_value_on(gp)
+    assert check_gp_relations(gp).ok and cocircuits_from_gp(gp)
+    assert built == [gp]
+
+
+@pytest.mark.parametrize(
+    "read, cap",
+    [(cocircuits_from_gp, 1), (rt_cocircuits_from_gp, 1), (check_gp_relations, 5)],
+    ids=["cocircuits", "rt-cocircuits", "relations"],
+)
+def test_cocircuit_rows_are_capped_before_any_is_built(monkeypatch, read, cap):
+    built = _count_cocircuit_rows(monkeypatch)
+    gp = gp_from_matrix(FOUR)
+    with pytest.raises(EnumerationCapError):
+        read(gp, cap)
+    assert built == []
+    read(gp)
+    assert built == [gp]
+
+
 @pytest.mark.parametrize("target", ["RT", "T", "S", "K"])
 def test_gp_from_a_matrix_holds_the_pairs_its_values_read_as(target):
     # the table handed over from the minors against the values read back,
@@ -489,6 +530,16 @@ def test_gp_from_a_matrix_holds_the_pairs_its_values_read_as(target):
         for t, (s, k) in table.items():
             rs, rk = read[t]
             assert (s, Fraction(k, scale)) == (rs, Fraction(rk, read_scale)), (target, t)
+        # a function made by dataclasses.replace reads its own table and rows
+        key = rng.choice(sorted(gp.bases()))
+        replaced = dataclasses.replace(gp, values={**gp.values, key: hyper_neg(gp.values[key])})
+        assert replaced.scaled_table == GrassmannPlucker.scaled_table.func(replaced)
+        for (mu, row), (rmu, rrow) in zip(gp.cocircuit_rows, replaced.cocircuit_rows, strict=True):
+            assert mu == rmu
+            for e, ((s, k), (rs, rk)) in enumerate(zip(row, rrow, strict=True)):
+                flipped = target in ("RT", "S") and tuple(sorted(mu + (e,))) == key
+                assert rs == (-s if flipped else s), (target, mu, e)
+                assert Fraction(k, scale) == Fraction(rk, replaced.scaled_table[1]), (target, mu, e)
 
 
 def test_normalize_rt_vector_equals_scaling_by_the_lead():
