@@ -96,12 +96,12 @@ def value_to_json(x):
     return SIGN_CHARS[sign] if field == "S" else sign
 
 
-def value_from_json(obj, field: str):
+def value_from_json(obj, field: str, path: str = "value"):
     """The element of ``field`` that ``value_to_json`` wrote as ``obj``;
-    RT also reads the pair [sign, val]."""
+    RT also reads the pair [sign, val].  Errors name ``path``."""
     if field == "RT":
         if isinstance(obj, dict):
-            obj = obj["sign"], obj["val"]
+            obj = _member(obj, "sign", path), _member(obj, "val", path)
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError(f"cannot read RT value from {obj!r}")
         return RT(sign_from_json(obj[0]), val_from_json(obj[1]))
@@ -174,14 +174,18 @@ def point_to_json(pt: ProjPoint, convention: str = "mult") -> dict:
     }
 
 
-def point_from_json(obj) -> ProjPoint:
+def point_from_json(obj, path: str = "point") -> ProjPoint:
+    """A sign:valuation literal, or a list of RT values, bare or as
+    {"coords": list}; errors name the path, as ``point.coords[0]``."""
     if isinstance(obj, str):
         pt = parse_point_literal(obj)
         if not isinstance(pt, ProjPoint):
             raise ValueError("point literal must use sign:valuation pairs")
         return pt
-    coords = obj["coords"] if isinstance(obj, dict) else obj
-    return ProjPoint(tuple(value_from_json(c, "RT") for c in coords))
+    if isinstance(obj, dict):
+        obj, path = _member(obj, "coords", path), f"{path}.coords"
+    coords = _expect(obj, list, path)
+    return ProjPoint(tuple(value_from_json(c, "RT", f"{path}[{i}]") for i, c in enumerate(coords)))
 
 
 # -- circuits ------------------------------------------------------------------
@@ -231,7 +235,7 @@ def gp_from_json(obj, cap: int = DEFAULT_PAIR_CAP) -> GrassmannPlucker:
         tup = tuple(int_from_json(e, "tuple entry") for e in entries)
         if tup in values:
             raise ValueError(f"repeated tuple {tup}")
-        values[tup] = value_from_json(_member(item, "value", path), field)
+        values[tup] = value_from_json(_member(item, "value", path), field, f"{path}.value")
     return GrassmannPlucker(rank, labels, field, values)
 
 
@@ -374,22 +378,28 @@ def unsigned_flag_to_json(flag: UnsignedFlag) -> dict:
 # -- families --------------------------------------------------------------------
 
 
-def family_from_json(obj) -> tuple[CompatibleFamily, list]:
+def family_from_json(obj, path: str = "family") -> tuple[CompatibleFamily, list]:
+    """{"members": [{"embedding", "point"}], "morphisms": [{"src", "dst",
+    "map"}], "probes": [vector]}, the last two optional; errors name the
+    path, as ``family.members[0]``."""
+    _expect(obj, dict, path)
     members = []
-    for m in obj["members"]:
-        emb = embedding_from_json(m["embedding"])
-        pt = point_from_json(m["point"])
+    for i, m in enumerate(_expect(_member(obj, "members", path), list, f"{path}.members")):
+        mpath = f"{path}.members[{i}]"
+        _expect(m, dict, mpath)
+        emb = embedding_from_json(_member(m, "embedding", mpath))
+        pt = point_from_json(_member(m, "point", mpath), f"{mpath}.point")
         members.append((emb, pt))
-    morphisms = tuple(
-        Morphism(
-            int_from_json(m["src"], "src"),
-            int_from_json(m["dst"], "dst"),
-            tuple(int_from_json(i, "map entry") for i in m["map"]),
-        )
-        for m in obj.get("morphisms", [])
-    )
-    fam = CompatibleFamily(tuple(members), morphisms)
-    probes = [vector_from_json(p) for p in obj.get("probes", [])]
+    morphisms = []
+    for i, m in enumerate(_expect(obj.get("morphisms", []), list, f"{path}.morphisms")):
+        mpath = f"{path}.morphisms[{i}]"
+        _expect(m, dict, mpath)
+        src = int_from_json(_member(m, "src", mpath), "src")
+        dst = int_from_json(_member(m, "dst", mpath), "dst")
+        index_map = _expect(_member(m, "map", mpath), list, f"{mpath}.map")
+        morphisms.append(Morphism(src, dst, tuple(int_from_json(x, "map entry") for x in index_map)))
+    fam = CompatibleFamily(tuple(members), tuple(morphisms))
+    probes = [vector_from_json(p) for p in _expect(obj.get("probes", []), list, f"{path}.probes")]
     return fam, probes
 
 

@@ -1,23 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  It
-serves the constant-coefficient case, where field division is available:
-``rref`` picks the pivots that diagonalize a seminorm composition,
-``inverse`` dualizes bases and functionals, ``rank``, ``span_eq`` and
-``solve`` compare signed flags.  ``int_det_sign`` gives the sign of the
-determinant that certifies the leading term of a series determinant, and
-``int_functionals`` also the int functionals that certify the leading
-terms of the coordinates of a vector in a series basis.
+serves the constant-coefficient case: ``rref`` diagonalizes a seminorm
+composition and compares signed flags, ``inverse`` dualizes bases, and
+``rank`` and ``span_basis`` check flags.  ``int_det_sign`` gives the sign
+of the determinant that certifies the leading term of a series
+determinant, and ``int_functionals`` also the int functionals that
+certify the leading terms of the coordinates of a vector in a series
+basis.
 
-The eliminations run fraction free on integers: ``clear_denominators`` scales
-each row to primitive ints by a positive factor, which keeps every sign
-and the row space.  ``int_det_sign`` is Bareiss's elimination, where
-every division is exact; the leading-term certificates of ``puiseux``
-call it on rows they hold as ints.  ``int_functionals`` is the same
-division in a Gauss-Jordan elimination of [A^T | I], which ends in
-[d I | d A^-T].  ``rref`` runs Gauss-Jordan on integer rows,
-dividing each updated row by the gcd of its entries, and builds one
-``Fraction`` per nonzero output entry, the entry over its row's pivot.
+One fraction-free Gauss-Jordan loop, ``_gauss_jordan``, with Bareiss's
+exact division, serves ``rref`` (on rows scaled to primitive ints by
+``clear_denominators``, a positive factor that keeps every sign and the
+row space), ``inverse`` (``rref`` of [A | I]) and ``int_functionals`` (on
+[A^T | I], which ends in [d I | d A^-T]).  ``int_det_sign`` is Bareiss's
+forward elimination; the certificates of ``puiseux`` call it on rows
+they hold as ints.
 
 ``rational`` is the one reader of rational scalars: ints, Fractions, and
 strings in the ``"p/q"`` grammar of ``parse_rational`` (an optional sign,
@@ -88,71 +86,67 @@ def clear_denominators(row: Sequence) -> list[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (zero rows dropped).
+def _gauss_jordan(work: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of int rows in place, with
+    pivots sought in the first ``ncols`` columns.  Clearing column c with
+    the pivot row ``top`` takes ``row = (pv * row - row[c] * top) // prev``
+    for every other row, prev the previous pivot (1 at first); every entry
+    is a minor of the input (Sylvester's identity), so the division is
+    exact.  While every column so far holds a pivot, that leading block is
+    not updated; it is written at the end, d at each pivot and zero
+    elsewhere.  Returns the pivot columns, the sign of the row swaps and
+    the last pivot d; the pivot rows come first and end as d times the
+    reduced rows."""
+    pivots: list[int] = []
+    sign, prev, lo = 1, 1, 0
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            sign = -sign
+        if lo == c:
+            lo += 1
+        top = work[r]
+        pv = top[c]
+        tail = top[lo:]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[c]
+                row[lo:] = [(pv * x - f * y) // prev for x, y in zip(row[lo:], tail)]
+        pivots.append(c)
+        prev = pv
+        if r + 1 == len(work):
+            break
+    block = [0] * lo
+    for i, row in enumerate(work):
+        row[:lo] = block
+        if i < lo:
+            row[i] = prev
+    return pivots, sign, prev
 
-    Rows are scaled to primitive ints and eliminated fraction free:
-    clearing column c takes ``row = pv * row - row[c] * top`` and divides
-    the row by the gcd of its entries.  Each integer row stays a nonzero
-    multiple of the matching row of the rational elimination, so each row
-    over its pivot is the reduced form, which is unique.
-    """
+
+def rref(rows: Iterable[Sequence]) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns (zero rows dropped): the
+    rows scaled to primitive ints and eliminated by ``_gauss_jordan``, each
+    pivot row over the last pivot, which is the unique reduced form."""
     work = [clear_denominators(vec(r)) for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
     if any(len(r) != ncols for r in work):
         raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
-        pv = top[c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if i != r and f:
-                row = [pv * x - f * y for x, y in zip(row, top)]
-                g = math.gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
+    pivots, _, d = _gauss_jordan(work, ncols)
     return (
-        tuple(
-            tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
-            for row, c in zip(work, pivots)
-        ),
+        tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in work[: len(pivots)]),
         tuple(pivots),
     )
 
 
 def rank(rows) -> int:
     return len(rref(rows)[0])
-
-
-def solve(rows, b: Sequence) -> Vec | None:
-    """One solution of A x = b, or None when inconsistent."""
-    rows = mat(rows)
-    b = vec(b)
-    if len(rows) != len(b):
-        raise ValueError("right-hand side length does not match the rows")
-    aug = [r + (bb,) for r, bb in zip(rows, b)]
-    R, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    for row in R:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = R[r][-1]
-    return tuple(x)
 
 
 def inverse(rows) -> Mat:
@@ -162,7 +156,7 @@ def inverse(rows) -> Mat:
         raise ValueError("inverse of a non-square matrix")
     aug = [rows[i] + tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
     R, pivots = rref(aug)
-    if len(R) < n or pivots != tuple(range(n)):
+    if pivots != tuple(range(n)):
         raise ValueError("singular matrix")
     return tuple(r[n:] for r in R)
 
@@ -199,33 +193,17 @@ def int_functionals(rows) -> tuple[int, list[list[int]] | None]:
     each F_k a positive multiple of row k of A^-T, or None when det A = 0.
 
     If x A = c for a row vector x, then x_k = (row k of A^-T) . c, so
-    F_k . c has the sign of x_k.  One fraction-free Gauss-Jordan
-    elimination of [A^T | I] (Bareiss's division by the previous pivot,
-    exact for the rows above the pivot as for those below) ends in
-    [d I | d A^-T], d the last pivot, +-det A.  Columns left of the
-    pivot are never read again and are not updated.
+    F_k . c has the sign of x_k.  ``_gauss_jordan`` on [A^T | I] ends in
+    [d I | d A^-T], d the last pivot, +-det A; F is |det A| A^-T.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
     work = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*rows))]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if work[i][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        top = work[k]
-        akk = top[k]
-        tail = top[k + 1 :]
-        for i, row in enumerate(work):
-            if i != k:
-                aik = row[k]
-                row[k + 1 :] = [(akk * x - aik * y) // prev for x, y in zip(row[k + 1 :], tail)]
-        prev = akk
-    if prev < 0:
+    pivots, sign, d = _gauss_jordan(work, n)
+    if len(pivots) < n:
+        return 0, None
+    if d < 0:
         return -sign, [[-x for x in row[n:]] for row in work]
     return sign, [row[n:] for row in work]
 
@@ -233,8 +211,4 @@ def int_functionals(rows) -> tuple[int, list[list[int]] | None]:
 def span_basis(vectors: Iterable[Sequence]) -> Mat:
     """Canonical (rref) basis of the span of the given vectors."""
     return rref(list(vectors))[0]
-
-
-def span_eq(vs: Iterable[Sequence], ws: Iterable[Sequence]) -> bool:
-    return span_basis(vs) == span_basis(ws)
 

@@ -770,15 +770,17 @@ class CovectorPoset:
         return len(self.vectors)
 
     def __contains__(self, X: SignVector) -> bool:
-        return X in self._index
+        """By masks in ``mask_index``; a tuple of another length, or with
+        an entry outside -1, 0 and 1, is no member and raises nothing."""
+        index = self.mask_index
+        try:
+            return len(X) == self.width and _masks(X) in index
+        except ValueError:
+            return False
 
     @property
     def width(self) -> int:
         return len(self.vectors[0]) if self.vectors else 0
-
-    @cached_property
-    def _index(self) -> dict[SignVector, int]:
-        return {v: i for i, v in enumerate(self.vectors)}
 
     @cached_property
     def _pairs(self) -> list[tuple[int, int]]:

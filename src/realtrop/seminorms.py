@@ -20,6 +20,10 @@ remember their leaf, so ``decomposition_value`` reads each leaf's
 coordinates once per vector.  The composition of two seminorms
 evaluates both branches and keeps the one of larger magnitude, the left
 branch on ties.
+
+Over constant coefficients, ``diagonalize`` and ``flags_equivalent`` each
+run one ``linalg.rref``, and ``flag_of`` and ``phi_abs`` read the weights
+of the normalized seminorm without building it.
 """
 
 from __future__ import annotations
@@ -216,16 +220,19 @@ class DiagonalSeminorm:
             return RT_ZERO
         return unchecked_rt(best[2], Fraction(best[0], den * wden))
 
-    def normalized(self) -> "DiagonalSeminorm":
-        """Homothety representative with first finite weight zero."""
+    def _normalized_weights(self) -> tuple[Val, ...]:
+        """The weights less the first finite one, which becomes zero."""
         shift = next((w for w in self.weights if w != INF), None)
         if shift is None:
             raise ValueError("the zero seminorm has no normalized representative")
         if shift == 0:
-            return self
-        return DiagonalSeminorm(
-            self.basis, tuple(w - shift if w != INF else INF for w in self.weights)
-        )
+            return self.weights
+        return tuple(w - shift if w != INF else INF for w in self.weights)
+
+    def normalized(self) -> "DiagonalSeminorm":
+        """Homothety representative with first finite weight zero."""
+        weights = self._normalized_weights()
+        return self if weights is self.weights else DiagonalSeminorm(self.basis, weights)
 
     def __repr__(self):
         from .hyperfields import format_val
@@ -295,7 +302,8 @@ def standard_leaf(dim: int, weights=None) -> DiagonalSeminorm:
 # unit vectors of infinite weight complete the rest to a dual basis.  One
 # elimination over the columns [phi_1 .. phi_L, e_1 .. e_d] does both: its
 # pivot columns are the kept functionals, then the completing unit
-# vectors.  The inverse of that dual basis is the diagonal basis.
+# vectors.  The reduced form is E M, E the inverse of M's pivot columns, so
+# its unit columns hold E, whose rows are the columns of the diagonal basis.
 
 
 def _leaf_functionals(leaf: DiagonalSeminorm) -> list[tuple[linalg.Vec, Val]]:
@@ -331,13 +339,9 @@ def diagonalize(expr: SeminormExpr) -> DiagonalSeminorm:
         raise DiagonalizationError("diagonalization needs constant basis entries")
     d = expr.dim
     merged = _flatten(expr)
-    units = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    vectors = [phi for phi, _ in merged] + units
-    _, pivots = linalg.rref([[v[i] for v in vectors] for i in range(d)])
-    dual = linalg.inverse([vectors[p] for p in pivots])
-    cols = tuple(
-        tuple(PuiseuxSeries.constant(dual[i][j]) for i in range(d)) for j in range(d)
-    )
+    rows = [[phi[i] for phi, _ in merged] + [int(i == j) for j in range(d)] for i in range(d)]
+    reduced, pivots = linalg.rref(rows)
+    cols = tuple(tuple(map(PuiseuxSeries.constant, row[len(merged) :])) for row in reduced)
     weights = tuple(merged[p][1] if p < len(merged) else INF for p in pivots)
     return DiagonalSeminorm(cols, weights)
 
@@ -396,20 +400,25 @@ class SignedFlag:
         return linalg.span_basis(vecs)
 
 
+def _normalized_columns(s: DiagonalSeminorm):
+    """The constant basis columns, the kernel (the columns of infinite
+    weight) and the weights of ``s.normalized()``, which is not built."""
+    weights = s._normalized_weights()
+    cols = [tuple(x.constant_value() for x in c) for c in s.basis]
+    kernel = tuple(c for c, w in zip(cols, weights) if w == INF)
+    return cols, kernel, weights
+
+
 def flag_of(s: DiagonalSeminorm) -> SignedFlag:
     """Flag of a diagonal seminorm: kernel from infinite weights, then
     basis vectors in decreasing weight order, each choosing its own side."""
     if not s.has_constant_basis:
         raise ValueError("flags require constant basis entries")
-    s = s.normalized()
-    cols = [
-        tuple(x.constant_value() for x in c) for c in s.basis
-    ]
-    kernel = tuple(cols[j] for j, w in enumerate(s.weights) if w == INF)
+    cols, kernel, weights = _normalized_columns(s)
     steps = tuple(
-        FlagStep(cols[j], s.weights[j], 1)
+        FlagStep(cols[j], weights[j], 1)
         for j in range(s.dim - 1, -1, -1)
-        if s.weights[j] != INF
+        if weights[j] != INF
     )
     return SignedFlag(kernel, steps)
 
@@ -432,28 +441,27 @@ def seminorm_from_flag(flag: SignedFlag) -> DiagonalSeminorm:
 def flags_equivalent(F: SignedFlag, G: SignedFlag) -> bool:
     """Same subspace chain and weights, regions equal up to a global flip.
 
-    With equal kernels, each signed G step is solved against the signed F
-    step and the F subspace below it.  A solution at every step puts
-    span(K, G_1..G_i) inside span(K, F_1..F_i), by induction on i; both
-    have dimension dim K + i, so the chains agree without being compared.
+    F's kernel and steps form a basis; one ``rref`` of [F | G] writes G's
+    vectors in it.  G's kernel is F's when it is zero on every F step, and
+    G's step i keeps the chain when it is zero on the later F steps and
+    not on F_i (the dimensions are equal).  That coordinate's sign times
+    both regions must be the same at every step.
     """
     if F.dim != G.dim or len(F.steps) != len(G.steps):
         return False
-    if not linalg.span_eq(F.kernel, G.kernel):
-        return False
     if any(a.weight != b.weight for a, b in zip(F.steps, G.steps)):
         return False
+    k = len(F.kernel)
+    vectors = [*F.kernel, *(s.vector for s in F.steps), *G.kernel, *(s.vector for s in G.steps)]
+    reduced, _ = linalg.rref([[v[r] for v in vectors] for r in range(F.dim)])
+    coords = list(zip(*reduced))[F.dim :]  # G's vectors in F's basis
+    if any(any(c[k:]) for c in coords[:k]):
+        return False
     flips = set()
-    for i, (fs, gs) in enumerate(zip(F.steps, G.steps)):
-        below = list(F.kernel) + [s.vector for s in F.steps[:i]]
-        cols = [linalg.vec_scale(fs.region, fs.vector)] + below
-        rows = tuple(
-            tuple(col[r] for col in cols) for r in range(F.dim)
-        )
-        sol = linalg.solve(rows, linalg.vec_scale(gs.region, gs.vector))
-        if sol is None or sol[0] == 0:
+    for i, (fs, gs, c) in enumerate(zip(F.steps, G.steps, coords[k:]), k):
+        if not c[i] or any(c[i + 1 :]):
             return False
-        flips.add(1 if sol[0] > 0 else -1)
+        flips.add(fs.region * gs.region * (1 if c[i] > 0 else -1))
     return len(flips) == 1
 
 
@@ -499,13 +507,11 @@ def phi_abs(expr: SeminormExpr) -> PhiImage:
     if expr.has_constant_basis and not (
         isinstance(expr, DiagonalSeminorm) and expr.is_zero_seminorm
     ):
-        diag = diagonalize(expr).normalized()
-        cols = [tuple(x.constant_value() for x in c) for c in diag.basis]
-        kernel = tuple(cols[j] for j, w in enumerate(diag.weights) if w == INF)
+        cols, kernel, weights = _normalized_columns(diagonalize(expr))
         groups: dict[Val, list[linalg.Vec]] = {}
-        for j, w in enumerate(diag.weights):
+        for c, w in zip(cols, weights):
             if w != INF:
-                groups.setdefault(w, []).append(cols[j])
+                groups.setdefault(w, []).append(c)
         steps = tuple(
             (tuple(groups[w]), w) for w in sorted(groups, reverse=True)
         )

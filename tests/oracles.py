@@ -35,12 +35,13 @@ functionals by a stable sort on weight, keeps each one whose rank test
 against the kept ones succeeds and completes them with unit vectors one
 rank test at a time; the library picks the same vectors as the pivots of
 one elimination.  ``flags_equivalent_by_chains`` compares every subspace
-prefix of the two flags before solving for the regions, a comparison the
-library leaves to the per-step solve.  ``nullspace`` is the rational
-kernel of a matrix, by back substitution from the reduced row echelon
-form.  ``rref_by_fractions`` is Gauss-Jordan elimination in Fraction
-arithmetic, dividing each pivot row by its pivot; the library eliminates
-fraction free on integer rows.  ``const_coordinates_by_fractions``
+prefix of the two flags with ``span_eq``, then ``solve``s each signed G
+step against the signed F step and the F subspace below it; the library
+reads G's vectors in F's basis from one elimination.  ``nullspace`` is
+the rational kernel of a matrix, by back substitution from the reduced
+row echelon form.  ``rref_by_fractions`` is Gauss-Jordan elimination in
+Fraction arithmetic, dividing each pivot row by its pivot; the library
+eliminates fraction free on integer rows.  ``const_coordinates_by_fractions``
 evaluates a constant leaf by Fraction dot products with the rows of the
 inverse basis; the library takes the sign of int dot products with
 integer-scaled rows.  ``cramer_coordinates`` takes one ``signed_det`` per
@@ -494,13 +495,30 @@ def diagonalize_by_span_tests(expr) -> DiagonalSeminorm:
     return DiagonalSeminorm(cols, tuple(weights))
 
 
+def solve(rows, b) -> tuple[Fraction, ...] | None:
+    """One solution of A x = b, or None when inconsistent."""
+    rows = linalg.mat(rows)
+    R, pivots = linalg.rref([r + (bb,) for r, bb in zip(rows, linalg.vec(b))])
+    ncols = len(rows[0]) if rows else 0
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        x[pc] = R[r][-1]
+    return tuple(x)
+
+
+def span_eq(vs, ws) -> bool:
+    return linalg.span_basis(vs) == linalg.span_basis(ws)
+
+
 def flags_equivalent_by_chains(F, G) -> bool:
     """Same kernel, same subspace after every step, same weights, and every
     signed G step a positive (or every one a negative) multiple of the
     signed F step modulo the subspace below."""
     if F.dim != G.dim or len(F.steps) != len(G.steps):
         return False
-    if not linalg.span_eq(F.kernel, G.kernel):
+    if not span_eq(F.kernel, G.kernel):
         return False
     for i in range(1, len(F.steps) + 1):
         if F.subspace_at(i) != G.subspace_at(i):
@@ -512,7 +530,7 @@ def flags_equivalent_by_chains(F, G) -> bool:
         below = list(F.kernel) + [s.vector for s in F.steps[:i]]
         cols = [linalg.vec_scale(fs.region, fs.vector)] + below
         rows = tuple(tuple(col[r] for col in cols) for r in range(F.dim))
-        sol = linalg.solve(rows, linalg.vec_scale(gs.region, gs.vector))
+        sol = solve(rows, linalg.vec_scale(gs.region, gs.vector))
         if sol is None or sol[0] == 0:
             return False
         flips.add(1 if sol[0] > 0 else -1)

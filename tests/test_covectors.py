@@ -46,6 +46,33 @@ def test_u23_closure_has_thirteen_covectors():
     assert len(rays) == 6 and len(sectors) == 6
 
 
+def test_membership_matches_a_set_of_the_vectors():
+    # membership reads the mask index; a tuple of another length, or with
+    # an entry outside -1, 0 and 1, is not a member and raises nothing
+    rng = random.Random(211)
+    posets = [CovectorPoset(()), covector_closure([])]
+    for _ in range(30):
+        h = rng.randint(1, 3)
+        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        closed = covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S")))
+        repeats = CovectorPoset(tuple(rng.choice(closed.vectors) for _ in range(6)))
+        posets += [closed, repeats]
+    tested = collections.Counter()
+    for poset in posets:
+        vectors = set(poset.vectors)
+        width = poset.width
+        probes = [tuple(rng.choice((-1, 0, 1)) for _ in range(width)) for _ in range(20)]
+        probes += [(), (0,) * (width + 1), (1,) * max(width - 1, 0)]
+        for v in poset.vectors[:4]:
+            bad = rng.choice((2, -2, None, "+", 0.5))
+            probes += [v, v + (0,), v[:-1], (bad,) + v[1:] if v else (bad,)]
+        for X in probes:
+            got = X in poset
+            assert got == (X in vectors), (poset.vectors, X)
+            tested[got, len(X) == width] += 1
+    assert min(tested[True, True], tested[False, True], tested[False, False]) > 100, tested
+
+
 def test_closure_of_nothing_is_zero():
     poset = covector_closure([])
     assert poset.vectors == ((),) or poset.vectors == ()

@@ -393,3 +393,62 @@ def test_seminorm_paths_reach_into_compositions():
     inner = {"kind": "compose", "left": LEAF, "right": dict(LEAF, basis=[["1", "0"], "01"])}
     with pytest.raises(ValueError, match=r"^seminorm\.right\.right\.basis\[1\]: expected a list, got '01'$"):
         seminorm_from_json({"kind": "compose", "left": LEAF, "right": inner})
+
+
+# -- the shape of values, points and families -------------------------------------
+
+MALFORMED_INPUTS = {
+    "gp-value-without-val": (
+        gp_from_json, ["gp-check"], gp_blob("RT", {"sign": "+", "val": "0"}, {"sign": "+"}),
+        "gp.values[1].value: missing key 'val'",
+    ),
+    "point-coord-without-sign": (
+        point_from_json, ["tropicalize"], {"coords": [{"val": "0"}]},
+        "point.coords[0]: missing key 'sign'",
+    ),
+    "point-coords-int": (
+        point_from_json, ["tropicalize"], {"coords": 5}, "point.coords: expected a list, got 5",
+    ),
+    "point-without-coords": (
+        point_from_json, ["tropicalize"], {"coord": []}, "point: missing key 'coords'",
+    ),
+    "family-members-string": (
+        family_from_json, ["limit", "check"], dict(FAMILY, members="ab"),
+        "family.members: expected a list, got 'ab'",
+    ),
+    "family-member-without-point": (
+        family_from_json, ["limit", "check"],
+        dict(FAMILY, members=[{"embedding": FAMILY["members"][0]["embedding"]}]),
+        "family.members[0]: missing key 'point'",
+    ),
+    "family-member-coord-without-val": (
+        family_from_json, ["limit", "check"],
+        dict(FAMILY, members=[dict(FAMILY["members"][0], point=[{"sign": "+"}, ["+", "0"]])]),
+        "family.members[0].point[0]: missing key 'val'",
+    ),
+    "family-morphism-without-dst": (
+        family_from_json, ["limit", "check"],
+        dict(FAMILY, morphisms=[{"src": 0, "map": [1, 0]}]),
+        "family.morphisms[0]: missing key 'dst'",
+    ),
+    "family-morphism-map-string": (
+        family_from_json, ["limit", "check"],
+        dict(FAMILY, morphisms=[{"src": 0, "dst": 1, "map": "10"}]),
+        "family.morphisms[0].map: expected a list, got '10'",
+    ),
+    "family-list": (
+        family_from_json, ["limit", "check"], [FAMILY], "family: expected an object, got [",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_is_a_value_error_naming_the_path(case, capsys):
+    # in-process and through the command line, the same message
+    read, command, blob, message = MALFORMED_INPUTS[case]
+    with pytest.raises(ValueError) as info:
+        read(blob)
+    assert str(info.value).startswith(message)
+    assert main([*command, json.dumps(blob)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError" and error["message"] == str(info.value)

@@ -95,9 +95,27 @@ def test_vectors_reject_bools_and_floats(bad):
         UnsignedFlag((), ((((1, 0), (bad, 1)), 0),))
 
 
+def _det_by_fractions(rows) -> Fraction:
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(work)):
+        pivot = next((i for i in range(k, len(work)) if work[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            det = -det
+        top = work[k]
+        det *= top[k]
+        for row in work[k + 1 :]:
+            f = row[k] / top[k]
+            row[:] = [x - f * y for x, y in zip(row, top)]
+    return det
+
+
 def test_int_functionals_are_positive_multiples_of_the_inverse_transpose():
-    # row k of F against column k of the rational inverse, the sign against
-    # int_det_sign, and no functionals for a singular matrix
+    # F is exactly |det A| A^-T, in ints; the sign agrees with int_det_sign,
+    # and a singular matrix has no functionals
     rng = random.Random(409)
     singular = 0
     for _ in range(1500):
@@ -106,18 +124,15 @@ def test_int_functionals_are_positive_multiples_of_the_inverse_transpose():
         if n > 1 and rng.random() < 0.2:
             rows[rng.randrange(n)] = [2 * x for x in rows[rng.randrange(n)]]
         sign, F = linalg.int_functionals(rows)
-        assert sign == linalg.int_det_sign([list(r) for r in rows])
+        det = _det_by_fractions(rows)
+        assert sign == linalg.int_det_sign([list(r) for r in rows]) == (det > 0) - (det < 0)
         if sign == 0:
             assert F is None
             singular += 1
             continue
         inverse = linalg.inverse(rows)
-        for k in range(n):
-            column = [inverse[i][k] for i in range(n)]
-            assert all(type(x) is int for x in F[k])
-            assert [x == 0 for x in F[k]] == [x == 0 for x in column]
-            ratios = {Fraction(x) / c for x, c in zip(F[k], column) if c}
-            assert len(ratios) == 1 and ratios.pop() > 0
+        assert all(type(x) is int for row in F for x in row)
+        assert F == [[abs(det) * inverse[i][k] for i in range(n)] for k in range(n)]
     assert singular > 100
 
 

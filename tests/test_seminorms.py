@@ -566,7 +566,7 @@ def test_diagonalize_matches_span_test_oracle():
     assert dropped > 500 and completed > 50 and zero > 10
 
 
-def test_diagonalize_takes_one_elimination_and_one_inverse(monkeypatch):
+def test_diagonalize_takes_one_elimination_and_no_inverse(monkeypatch):
     rng = random.Random(191)
     expr = random_expression(rng, 4, 3)
     for leaf in leaves(expr):
@@ -585,7 +585,40 @@ def test_diagonalize_takes_one_elimination_and_one_inverse(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(linalg, "inverse", counting_inverse)
     diagonalize(expr)
-    assert calls == {"rref": 2, "inverse": 1}  # the pivots, then inside inverse
+    assert calls == {"rref": 1, "inverse": 0}  # the pivots and the inverse at once
+
+
+def test_flag_of_and_phi_abs_build_no_normalized_leaf(monkeypatch):
+    # every finite weight raised by one gives the same flags, with no
+    # certificate built by flag_of and only diagonalize's own by phi_abs
+    rng = random.Random(197)
+    cases = []
+    for _ in range(20):
+        dim = rng.randint(1, 4)
+        low = [random_diagonal(rng, dim) for _ in range(rng.randint(1, 3))]
+        high = [DiagonalSeminorm(leaf.basis, tuple(w + 1 for w in leaf.weights)) for leaf in low]
+        low_expr, expr = low[0], high[0]
+        for a, b in zip(low[1:], high[1:]):
+            low_expr, expr = compose(low_expr, a), compose(expr, b)
+        cases.append((high[0], flag_of(low[0]), expr, phi_abs(low_expr).flag))
+    real = seminorms.BasisCertificate
+    built = []
+
+    def counting(cols):
+        built.append(cols)
+        return real(cols)
+
+    def refuse(self):
+        raise AssertionError("normalized() called")
+
+    monkeypatch.setattr(seminorms, "BasisCertificate", counting)
+    monkeypatch.setattr(DiagonalSeminorm, "normalized", refuse)
+    for leaf, want_flag, expr, want_phi in cases:
+        assert flag_of(leaf) == want_flag
+        assert built == []
+        assert phi_abs(expr).flag == want_phi
+        assert len(built) == 1
+        built.clear()
 
 
 # -- flags ------------------------------------------------------------------------------
@@ -641,15 +674,6 @@ def test_flag_with_ragged_vectors_rejected(order):
         SignedFlag((), (FlagStep(a, 1, 1), FlagStep(b, 0, 1)))
 
 
-@pytest.mark.parametrize(
-    "rows, b", [([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5])], ids=["short-b", "long-b"]
-)
-def test_solve_rejects_a_right_hand_side_of_the_wrong_length(rows, b):
-    with pytest.raises(ValueError, match="right-hand side length"):
-        linalg.solve(rows, b)
-    assert linalg.solve(rows, [1] * len(rows)) is not None
-
-
 def _combination(rng, vectors, dim):
     out = [Fraction(0)] * dim
     for v in vectors:
@@ -701,7 +725,8 @@ def _variant_pair(rng, variant):
 
 
 def test_flags_equivalent_matches_chain_oracle():
-    # the per-step solves decide the subspace chain on their own
+    # G's coordinates in F's basis, from one elimination, decide the
+    # subspace chain and the regions without comparing the chains
     rng = random.Random(193)
     outcomes = {}
     for variant in ("rebase", "flip", "swap", "kernel"):
@@ -712,6 +737,23 @@ def test_flags_equivalent_matches_chain_oracle():
             assert got == flags_equivalent(G, F)
             outcomes.setdefault(variant, set()).add(got)
     assert outcomes == {v: {True, False} for v in ("rebase", "flip", "swap", "kernel")}
+
+
+def test_flags_equivalent_takes_one_elimination(monkeypatch):
+    rng = random.Random(199)
+    pairs = [_variant_pair(rng, variant) for variant in ("rebase", "flip", "swap", "kernel")]
+    real = linalg.rref
+    calls = []
+
+    def counting_rref(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    for F, G in pairs:
+        flags_equivalent(F, G)
+        assert len(calls) == 1
+        calls.clear()
 
 
 # -- the magnitude map and its fibers ---------------------------------------------------
