@@ -300,19 +300,29 @@ def _member(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _series_list(obj, path: str) -> tuple[PuiseuxSeries, ...]:
+    """A JSON list of Puiseux series; a value of the wrong shape or an
+    entry ``as_series`` cannot read is a ValueError naming its path."""
+    out = []
+    for i, x in enumerate(_expect(obj, list, path)):
+        try:
+            out.append(as_series(x))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}[{i}]: {exc}") from None
+    return tuple(out)
+
+
 def seminorm_from_json(obj, path: str = "seminorm") -> SeminormExpr:
     """A leaf {"kind": "leaf", "basis": [column, ...], "c": [weight, ...]}
     or a composition {"kind": "compose", "left": ..., "right": ...}.  A
-    value of the wrong shape or a missing key is a ValueError naming its
-    path, such as ``seminorm.left.basis[1]``."""
+    value of the wrong shape, a missing key or a basis entry that is no
+    Puiseux series is a ValueError naming its path, such as
+    ``seminorm.left.basis[1]`` or ``seminorm.basis[0][1]``."""
     _expect(obj, dict, path)
     kind = obj.get("kind")
     if kind == "leaf":
         columns = _expect(_member(obj, "basis", path), list, f"{path}.basis")
-        basis = tuple(
-            tuple(as_series(x) for x in _expect(col, list, f"{path}.basis[{j}]"))
-            for j, col in enumerate(columns)
-        )
+        basis = tuple(_series_list(col, f"{path}.basis[{j}]") for j, col in enumerate(columns))
         weights = _expect(_member(obj, "c", path), list, f"{path}.c")
         return DiagonalSeminorm(basis, tuple(val_from_json(w) for w in weights))
     if kind == "compose":

@@ -2,8 +2,9 @@
 
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  It
 serves the constant-coefficient case: ``rref`` diagonalizes a seminorm
-composition and compares signed flags, ``inverse`` dualizes bases, and
-``rank`` and ``span_basis`` check flags.  ``int_det_sign`` gives the sign
+composition and compares signed flags, and ``rank`` and ``span_basis``
+check flags.  ``inverse`` serves the test oracles and the benchmark
+tracer; no module of the library calls it.  ``int_det_sign`` gives the sign
 of the determinant that certifies the leading term of a series
 determinant, and ``int_functionals`` also the int functionals that
 certify the leading terms of the coordinates of a vector in a series

@@ -760,10 +760,12 @@ class BasisCertificate:
     (u_k for row k, v_i for entry i; both zero for a constant matrix,
     which is its own L), the tight int matrix L of ``_tight``, and one
     fraction-free Gauss-Jordan elimination of L (``linalg.int_functionals``),
-    which gives sign det L and int functionals F, F_k a positive multiple
-    of row k of L^-T.  ``det`` is RT(sign det L, (sum(u) + sum(v))/scale),
-    as in ``signed_det``; when det L = 0 there are no functionals and the
-    exact ``det`` decides it.
+    which gives sign det L and the int ``functionals`` F = |det L| L^-T
+    (None when det L = 0; then the exact ``det`` decides it).  ``det`` is
+    RT(sign det L, (sum(u) + sum(v))/scale), as in ``signed_det``.  On a
+    constant matrix L is each row b_k scaled by a positive factor, so F_k
+    is a positive multiple of g_k, row k of the inverse basis, and as
+    g_k . b_k = 1, g_k = F_k / (F_k . b_k).
 
     With the matrix written t^u (L' + higher terms) t^v, L' = L up to
     positive row factors, the coordinates are y = t^u x with
@@ -776,7 +778,7 @@ class BasisCertificate:
     reads that from f.
     """
 
-    __slots__ = ("constant", "det", "scale", "_u", "_v", "_functionals")
+    __slots__ = ("constant", "det", "scale", "functionals", "_u", "_v")
 
     def __init__(self, rows: Matrix):
         rows = _square_matrix(rows)
@@ -789,13 +791,13 @@ class BasisCertificate:
             potentials = _assignment_potentials(cost)
         if potentials is None:
             self._u = self._v = [0] * n
-            self._functionals = None
+            self.functionals = None
             self.det = RT_ZERO
             return
         u, v, _ = potentials
         self._u, self._v = u, v
         tight = coeffs if self.constant else _tight(coeffs, cost, u, v, range(n))
-        sign, self._functionals = int_functionals(tight)
+        sign, self.functionals = int_functionals(tight)
         if sign:
             self.det = unchecked_rt(sign, Fraction(sum(u) + sum(v), self.scale))
         else:
@@ -846,7 +848,7 @@ class BasisCertificate:
                 leads.append((i, n, x._cden, k, qden))
         if not leads:
             return None
-        funcs = self._functionals
+        funcs = self.functionals
         if funcs is None:
             return None, None, den, False
         exact = constant and self.constant

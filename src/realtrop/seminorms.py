@@ -21,9 +21,11 @@ coordinates once per vector.  The composition of two seminorms
 evaluates both branches and keeps the one of larger magnitude, the left
 branch on ties.
 
-Over constant coefficients, ``diagonalize`` and ``flags_equivalent`` each
-run one ``linalg.rref``, and ``flag_of`` and ``phi_abs`` read the weights
-of the normalized seminorm without building it.
+Over constant coefficients, the rows of a leaf's inverse basis, which
+``diagonalize`` merges, come from its certificate with no second
+elimination; ``diagonalize`` and ``flags_equivalent`` each run one
+``linalg.rref``, and ``flag_of`` and ``phi_abs`` read the weights of the
+normalized seminorm without building it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import mul
 from typing import Sequence, Union
 
 from . import linalg
@@ -127,18 +129,6 @@ class DiagonalSeminorm:
     def _det(self) -> RT:
         """Signed value of the basis determinant, from the certificate."""
         return self._cert.det
-
-    @cached_property
-    def _const_inverse(self):
-        """The rows of the inverse basis as Fractions, the coordinate
-        functionals ``diagonalize`` merges; None for a series basis."""
-        if not self.has_constant_basis:
-            return None
-        rows = tuple(
-            tuple(self.basis[j][i].constant_value() for j in range(self.dim))
-            for i in range(self.dim)
-        )
-        return linalg.inverse(rows)
 
     def _cramer(self, series: tuple[PuiseuxSeries, ...], k: int) -> RT:
         """The k-th coordinate of a series vector as a Cramer quotient."""
@@ -296,8 +286,9 @@ def standard_leaf(dim: int, weights=None) -> DiagonalSeminorm:
 #
 # Over constant coefficients a diagonal leaf is the rule "the first nonzero
 # basis coordinate in weight order decides"; its coordinate functionals
-# are the rows of the inverse basis matrix.  A composition merges the two
-# ordered functional lists by weight, left branch first on ties.  A
+# are the rows g_k of the inverse basis matrix, g_k = F_k / (F_k . b_k) for
+# the int functionals F_k of the leaf's certificate.  A composition merges
+# the two ordered functional lists by weight, left branch first on ties.  A
 # functional in the span of earlier ones never decides and is dropped, and
 # unit vectors of infinite weight complete the rest to a dual basis.  One
 # elimination over the columns [phi_1 .. phi_L, e_1 .. e_d] does both: its
@@ -307,8 +298,11 @@ def standard_leaf(dim: int, weights=None) -> DiagonalSeminorm:
 
 
 def _leaf_functionals(leaf: DiagonalSeminorm) -> list[tuple[linalg.Vec, Val]]:
-    inv = leaf._const_inverse
-    return [(inv[j], w) for j, w in enumerate(leaf.weights) if w != INF]
+    out = []
+    for F, b, w in zip(leaf._cert.functionals, leaf.basis, leaf._finite_weights):
+        p, q = sum(map(mul, F, [x.constant_value() for x in b])).as_integer_ratio()
+        out.append((tuple(Fraction(x * q, p) for x in F), w))
+    return out
 
 
 def _flatten(expr: SeminormExpr) -> list[tuple[linalg.Vec, Val]]:
@@ -424,18 +418,10 @@ def flag_of(s: DiagonalSeminorm) -> SignedFlag:
 
 
 def seminorm_from_flag(flag: SignedFlag) -> DiagonalSeminorm:
-    cols = []
-    weights: list[Val] = []
-    for step in reversed(flag.steps):
-        cols.append(linalg.vec_scale(step.region, step.vector))
-        weights.append(step.weight)
-    for v in flag.kernel:
-        cols.append(v)
-        weights.append(INF)
-    basis = tuple(
-        tuple(PuiseuxSeries.constant(x) for x in c) for c in cols
-    )
-    return DiagonalSeminorm(basis, tuple(weights))
+    steps = flag.steps[::-1]
+    cols = [linalg.vec_scale(s.region, s.vector) for s in steps] + list(flag.kernel)
+    basis = tuple(tuple(map(PuiseuxSeries.constant, c)) for c in cols)
+    return DiagonalSeminorm(basis, tuple(s.weight for s in steps) + (INF,) * len(flag.kernel))
 
 
 def flags_equivalent(F: SignedFlag, G: SignedFlag) -> bool:
@@ -531,12 +517,8 @@ def phi_fiber(flag: UnsignedFlag) -> tuple[SignedFlag, ...]:
         raise EnumerationCapError(count, DEFAULT_PAIR_CAP, "flag fiber")
     out = []
     for bits in itertools.product((1, -1), repeat=l - 1):
-        regions = tuple(bits) + (1,)
-        steps = tuple(
-            FlagStep(vs[0], w, r)
-            for (vs, w), r in zip(flag.steps, regions)
-        )
-        out.append(SignedFlag(flag.kernel, steps))
+        steps = (FlagStep(vs[0], w, r) for (vs, w), r in zip(flag.steps, (*bits, 1)))
+        out.append(SignedFlag(flag.kernel, tuple(steps)))
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
-"""Deterministic random generators shared across the test modules."""
+"""Deterministic random generators shared across the test modules, and a
+counter of eliminations."""
 
 from __future__ import annotations
 
@@ -17,7 +18,9 @@ from realtrop import (
     PuiseuxSeries,
     compose,
     ground_from_matrix,
+    linalg,
     parse_puiseux,
+    puiseux,
 )
 from realtrop.puiseux import column_rank
 
@@ -197,3 +200,19 @@ def normalized_grid(width, vals=(0, 1)):
         head = (RT_ZERO,) * first + (RT(1, 0),)
         for rest in itertools.product(states, repeat=width - first - 1):
             yield ProjPoint(head + rest)
+
+
+def count_eliminations(monkeypatch) -> dict:
+    """Counts of the calls to ``puiseux.int_functionals`` (one per
+    ``BasisCertificate``), ``linalg.rref`` and ``linalg.inverse``, by
+    name, from now until the test ends."""
+    calls = {}
+    for module, name in [(puiseux, "int_functionals"), (linalg, "rref"), (linalg, "inverse")]:
+        calls[name] = 0
+
+        def counting(*args, name=name, real=getattr(module, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls

@@ -8,6 +8,8 @@ import pytest
 from realtrop import cli, jsonio, matroids, tropical
 from realtrop.cli import main
 
+from helpers import count_eliminations
+
 U23 = "[[1,0,1],[0,1,1]]"
 
 
@@ -358,3 +360,22 @@ def test_output_matches_the_golden_bytes(case, capsys):
     assert main(argv) == 0
     golden = (BENCH_CLI / "golden" / f"{case['name']}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+# one certificate per leaf read or returned, one rref per diagonalize and
+# one for the basis check of the signed flag, and no inverse
+CASE_ELIMINATIONS = {
+    "seminorm-diagonalize": {"int_functionals": 3, "rref": 1, "inverse": 0},
+    "seminorm-flags": {"int_functionals": 3, "rref": 2, "inverse": 0},
+    "seminorm-phi": {"int_functionals": 2, "rref": 1, "inverse": 0},
+}
+
+
+@pytest.mark.parametrize("name", CASE_ELIMINATIONS)
+def test_seminorm_cases_take_one_elimination_per_computation(name, capsys, monkeypatch):
+    case = next(c for c in GOLDEN_CASES if c["name"] == name)
+    argv = [str(BENCH_CLI / "fixtures" / a[1:]) if a.startswith("@") else a for a in case["argv"]]
+    calls = count_eliminations(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == CASE_ELIMINATIONS[name]

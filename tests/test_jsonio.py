@@ -439,6 +439,15 @@ MALFORMED_INPUTS = {
     "family-list": (
         family_from_json, ["limit", "check"], [FAMILY], "family: expected an object, got [",
     ),
+    "seminorm-basis-entry-bool": (
+        seminorm_from_json, ["seminorm", "diagonalize"], dict(LEAF, basis=[[1, False], [0, 1]]),
+        "seminorm.basis[0][1]: cannot interpret False as a Puiseux series",
+    ),
+    "seminorm-nested-basis-entry-zero-denominator": (
+        seminorm_from_json, ["seminorm", "diagonalize"],
+        {"kind": "compose", "left": LEAF, "right": dict(LEAF, basis=[["1", "0"], ["0", "1/0"]])},
+        "seminorm.right.basis[1][1]: zero denominator (at position 3)",
+    ),
 }
 
 

@@ -49,6 +49,7 @@ from realtrop.seminorms import leaves
 
 from helpers import (
     CANCELLATION,
+    count_eliminations,
     random_coeff,
     random_columns,
     random_diagonal,
@@ -103,12 +104,12 @@ def test_level_selection_example():
     assert s.value(f) == RT(best[2], best[0])
 
 
-def _constant_leaf(rng, dim):
+def _constant_leaf(rng, dim, weights=None):
     while True:
         cols = [tuple(E(random_coeff(rng) if rng.random() < 0.7 else 0) for _ in range(dim))
                 for _ in range(dim)]
         if signed_det(cols).sign:
-            return DiagonalSeminorm(tuple(cols), random_weights(rng, dim))
+            return DiagonalSeminorm(tuple(cols), weights or random_weights(rng, dim))
 
 
 def test_constant_coordinates_match_cramer():
@@ -566,26 +567,79 @@ def test_diagonalize_matches_span_test_oracle():
     assert dropped > 500 and completed > 50 and zero > 10
 
 
+def _fractional_leaf(rng, dim):
+    """A constant leaf with ``random_coeff`` entries (denominators 1 and
+    2), so the certificate scales its rows to ints; one to all of its
+    weights are infinite at times."""
+    weights = list(random_weights(rng, dim, allow_inf=False))
+    if rng.random() < 0.4:
+        k = rng.randint(1, dim)
+        weights[dim - k :] = [INF] * k
+    return _constant_leaf(rng, dim, tuple(weights))
+
+
+def test_leaf_functionals_are_the_inverse_basis_rows():
+    # g_k = F_k / (F_k . b_k) from the certificate against the inverse of
+    # the basis by a Fraction elimination, on scaled fractional rows
+    rng = random.Random(193)
+    scaled = infinite = 0
+    for _ in range(500):
+        leaf = _fractional_leaf(rng, rng.randint(1, 7))
+        d = leaf.dim
+        rows = [[leaf.basis[j][i].constant_value() for j in range(d)] for i in range(d)]
+        inv = linalg.inverse(rows)
+        want = [(inv[j], w) for j, w in enumerate(leaf.weights) if w != INF]
+        got = seminorms._leaf_functionals(leaf)
+        assert got == want
+        assert all(type(x) is Fraction for phi, _ in got for x in phi)
+        scaled += any(x.constant_value().denominator > 1 for col in leaf.basis for x in col)
+        infinite += INF in leaf.weights
+    assert scaled > 300 and infinite > 150
+
+
+def test_diagonalize_matches_span_test_oracle_on_fractional_leaves():
+    rng = random.Random(195)
+    dropped = completed = 0
+    for _ in range(300):
+        dim = rng.randint(1, 7)
+        exprs = [_fractional_leaf(rng, dim) for _ in range(rng.randint(1, 3))]
+        finite = sum(w != INF for leaf in exprs for w in leaf.weights)
+        while len(exprs) > 1:
+            i = rng.randrange(len(exprs) - 1)
+            exprs[i] = compose(exprs[i], exprs.pop(i + 1))
+        got = diagonalize(exprs[0])
+        want = diagonalize_by_span_tests(exprs[0])
+        assert (got.basis, got.weights) == (want.basis, want.weights)
+        dropped += finite > sum(w != INF for w in got.weights)
+        completed += INF in got.weights
+    assert dropped > 120 and completed > 35
+
+
+def _rebuilt(expr):
+    """The same expression with every leaf built anew."""
+    if isinstance(expr, DiagonalSeminorm):
+        return DiagonalSeminorm(expr.basis, expr.weights)
+    return compose(_rebuilt(expr.left), _rebuilt(expr.right))
+
+
 def test_diagonalize_takes_one_elimination_and_no_inverse(monkeypatch):
+    # a constant leaf's one elimination is its certificate: building the
+    # leaves, their values and coordinates, and diagonalize with the leaf
+    # it returns take one int_functionals per leaf and one rref in all
     rng = random.Random(191)
-    expr = random_expression(rng, 4, 3)
-    for leaf in leaves(expr):
-        leaf._const_inverse  # cached on the leaf, so only diagonalize's own calls count
-    real_rref, real_inverse = linalg.rref, linalg.inverse
-    calls = {"rref": 0, "inverse": 0}
-
-    def counting_rref(rows):
-        calls["rref"] += 1
-        return real_rref(rows)
-
-    def counting_inverse(rows):
-        calls["inverse"] += 1
-        return real_inverse(rows)
-
-    monkeypatch.setattr(linalg, "rref", counting_rref)
-    monkeypatch.setattr(linalg, "inverse", counting_inverse)
-    diagonalize(expr)
-    assert calls == {"rref": 1, "inverse": 0}  # the pivots and the inverse at once
+    template = random_expression(rng, 4, 3)
+    vectors = [random_rational_vector(rng, 4) for _ in range(20)]
+    calls = count_eliminations(monkeypatch)
+    expr = _rebuilt(template)
+    for f in vectors:
+        expr.value(f)
+        for leaf in leaves(expr):
+            leaf.coordinates(f)
+    diag = diagonalize(expr)
+    for f in vectors:
+        assert diag.value(f) == expr.value(f)
+    n = sum(1 for _ in leaves(expr))
+    assert calls == {"int_functionals": n + 1, "rref": 1, "inverse": 0}
 
 
 def test_flag_of_and_phi_abs_build_no_normalized_leaf(monkeypatch):
