@@ -5,9 +5,10 @@ real tropical hyperfield RT.
 Magnitudes are stored additively, as valuations: a nonzero element of
 magnitude m corresponds to the valuation v = -log m, so a *larger*
 magnitude means a *smaller* valuation.  Valuations are exact rationals,
-with ``INF`` standing in for the valuation of zero.  Every comparison in
-the multiplicative language is translated once, here, into the valuation
-convention; the rest of the package never converts back to floats.
+and the valuation of zero is ``INF``, one object above every rational,
+compared by identity; no valuation is a float.  Every comparison in the
+multiplicative language is translated once, here, into the valuation
+convention.
 
 Sign-hyperfield elements are plain ints in {-1, 0, +1}; tropical and
 Krasner elements are the wrapper types ``TV`` and ``KV``.  T, S and K are
@@ -24,24 +25,84 @@ these values live in ``jsonio``.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .linalg import parse_rational
 
-INF = float("inf")
 
-#: A rational valuation, or INF for the valuation of zero.
-Val = Union[Fraction, float]
+class _Infinity:
+    """The valuation of zero, the top of the valuation order: above every
+    int and Fraction and equal only to itself, so code compares it with
+    ``is``.  It prints as "inf" and hashes as the float infinity.  It
+    absorbs a rational added to it or subtracted from it, and itself
+    added (the valuation of a product with a zero factor); a rational
+    less it, itself less it and its negation are not valuations and
+    raise TypeError.  Copies and pickles are the one ``INF``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other is self or isinstance(other, (int, Fraction)):
+            return False
+        return NotImplemented
+
+    def __le__(self, other):
+        if other is self:
+            return True
+        if isinstance(other, (int, Fraction)):
+            return False
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other is self:
+            return False
+        if isinstance(other, (int, Fraction)):
+            return True
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other is self or isinstance(other, (int, Fraction)):
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return sys.hash_info.inf
+
+    def __add__(self, other):
+        if other is self or isinstance(other, (int, Fraction)):
+            return self
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self
+        return NotImplemented
+
+    def __repr__(self):
+        return "inf"
+
+    def __reduce__(self):
+        return "INF"
+
+
+INF = _Infinity()
+
+#: A valuation: a Fraction, or ``INF``, the valuation of zero.
+Val = Union[Fraction, _Infinity]
 
 
 def as_val(x) -> Val:
-    """Coerce ints (not bools), strings and Fractions to a valuation; every
-    infinite input becomes the module's ``INF`` object."""
+    """Coerce ints (not bools), strings and Fractions to a valuation; the
+    float +inf becomes ``INF``, and every other float is rejected."""
     if type(x) is Fraction:
         return x
-    if x == INF:
+    if x is INF or (type(x) is float and x == math.inf):
         return INF
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
@@ -65,7 +126,8 @@ def parse_val(text: str) -> Val:
 
 
 def format_val(v: Val) -> str:
-    return "inf" if v == INF else str(v)
+    """A valuation as the text ``parse_val`` reads: "p/q" or "inf"."""
+    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +201,7 @@ class TV:
 
     @property
     def is_zero(self) -> bool:
-        return self.val == INF
+        return self.val is INF
 
     def __repr__(self):
         return f"TV({format_val(self.val)})"
@@ -313,11 +375,6 @@ def ball(field: str, threshold: Val = 0) -> HyperSet:
     return HyperSet("ball", field, threshold=threshold)
 
 
-def contains_zero(s: HyperSet) -> bool:
-    """Zero lies in every ball and in the zero singleton."""
-    return s.kind == "ball" or is_zero(s.element)
-
-
 def hyperset_contains(s: HyperSet, x: Elem) -> bool:
     if field_of(x) != s.field:
         raise TypeError("element from a different hyperfield")
@@ -414,34 +471,8 @@ def pushmap_target(name: str) -> str:
     return _TARGETS[name]
 
 
-def pushmap_set(name: str, s: HyperSet) -> HyperSet:
-    """Image of a hyperset under a named homomorphism."""
-    if s.kind == "singleton":
-        return singleton(pushmap(name, s.element))
-    return ball(pushmap_target(name), s.threshold)
-
-
 # ---------------------------------------------------------------------------
-# Orders and display
-
-
-def rt_cmp(a: RT, b: RT) -> int:
-    """Total order of RT in the signed multiplicative reading.
-
-    All negatives < 0 < all positives; among positives a smaller
-    valuation is the larger element, among negatives the smaller
-    valuation is the more negative one.
-    """
-    if a.sign != b.sign:
-        return -1 if a.sign < b.sign else 1
-    if a.sign == 0:
-        return 0
-    if a.val == b.val:
-        return 0
-    bigger_mag = a.val < b.val
-    if a.sign > 0:
-        return 1 if bigger_mag else -1
-    return -1 if bigger_mag else 1
+# Display
 
 
 SIGN_CHARS = {1: "+", 0: "0", -1: "-"}

@@ -2,14 +2,13 @@
 one home of the JSON forms of signs, valuations and hyperfield elements.
 A sign is "+", "-", "0" or exactly the int -1, 0 or 1; a valuation is a
 string read by ``parse_val`` ("p/q", "inf") or exactly an int; a rank,
-tuple entry, morphism index or cover index is exactly an int
+tuple entry or morphism index is exactly an int
 (``int_from_json``); bools and floats are rejected.  RT values are
 {"sign", "val"} (decoders also read [sign, val]; sign 0 pairs only with
 "inf"), T values valuation strings, S values sign characters and K
 values the ints 0 and 1.  Matrices and vectors are lists of series
-literals; circuit entries are pairs.  Flag vectors are lists of ints and
-rational strings in the same "p/q" grammar as valuations
-(``linalg.rational``).
+literals; circuit entries are pairs.  Flag vectors are written as lists
+of rational strings in the "p/q" grammar of valuations.
 """
 
 from __future__ import annotations
@@ -30,20 +29,17 @@ from .hyperfields import (
     parse_val,
     sign_val,
 )
-from .linalg import rational
 from .matroids import (
     DEFAULT_PAIR_CAP,
     CovectorPoset,
     EnumerationCapError,
     GrassmannPlucker,
-    parse_sign_vector,
     sign_vector_str,
 )
-from .puiseux import PuiseuxSeries, as_series, format_series, parse_puiseux
+from .puiseux import PuiseuxSeries, as_series, format_series
 from .seminorms import (
     CompatibleFamily,
     DiagonalSeminorm,
-    FlagStep,
     Morphism,
     SeminormExpr,
     SignedFlag,
@@ -122,31 +118,32 @@ def displayed_to_json(x: RT, convention: str = "mult") -> dict:
 # -- matrices and vectors ----------------------------------------------------
 
 
-def matrix_from_json(obj) -> list[list[PuiseuxSeries]]:
+def matrix_from_json(obj, path: str = "matrix") -> list[tuple[PuiseuxSeries, ...]]:
+    """A row-major list of rows of literals; a value of the wrong shape or
+    an entry that is no Puiseux series is a ValueError naming its path,
+    such as ``matrix[1][0]``."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ValueError("expected a row-major matrix as a list of lists")
-    return [[as_series(x) for x in row] for row in obj]
+        raise ValueError(f"{path}: expected a row-major matrix as a list of lists")
+    return [_series_list(row, f"{path}[{i}]") for i, row in enumerate(obj)]
 
 
-def vector_from_json(obj) -> tuple[PuiseuxSeries, ...]:
-    """A list of literals, or one comma-separated string ("1,t,-1+t")."""
+def vector_from_json(obj, path: str = "vector") -> tuple[PuiseuxSeries, ...]:
+    """A list of literals, or one comma-separated string ("1,t,-1+t"); a
+    value of the wrong shape or an entry that is no Puiseux series is a
+    ValueError naming its path, such as ``vector[2]``."""
     if isinstance(obj, str):
-        return tuple(parse_puiseux(chunk) for chunk in obj.split(","))
-    if not isinstance(obj, list):
-        raise ValueError("expected a vector as a list of literals")
-    return tuple(as_series(x) for x in obj)
+        obj = obj.split(",")
+    elif not isinstance(obj, list):
+        raise ValueError(f"{path}: expected a vector as a list of literals")
+    return _series_list(obj, path)
 
 
 def vector_to_json(vec) -> list:
     return [format_series(as_series(x)) for x in vec]
 
 
-def embedding_from_json(obj) -> LinearEmbedding:
-    return LinearEmbedding.from_matrix(matrix_from_json(obj))
-
-
-def embedding_to_json(emb: LinearEmbedding) -> list:
-    return [[format_series(col[i]) for col in emb.columns] for i in range(emb.height)]
+def embedding_from_json(obj, path: str = "matrix") -> LinearEmbedding:
+    return LinearEmbedding.from_matrix(matrix_from_json(obj, path))
 
 
 # -- points -------------------------------------------------------------------
@@ -199,18 +196,6 @@ def circuits_to_json(circuits) -> list:
 # -- Grassmann-Plucker functions ------------------------------------------------
 
 
-def gp_to_json(gp: GrassmannPlucker) -> dict:
-    return {
-        "rank": gp.rank,
-        "ground": list(gp.labels),
-        "hyperfield": gp.hyperfield,
-        "values": [
-            {"tuple": list(t), "value": value_to_json(v)}
-            for t, v in sorted(gp.values.items())
-        ],
-    }
-
-
 def gp_from_json(obj, cap: int = DEFAULT_PAIR_CAP) -> GrassmannPlucker:
     """A wrong shape or a missing key is a ValueError naming its path, such
     as ``gp.values[1]``; repeated ground labels and tuples are rejected.
@@ -247,16 +232,6 @@ def poset_to_json(poset: CovectorPoset) -> dict:
         "vectors": [sign_vector_str(v) for v in poset.vectors],
         "covers": [list(c) for c in poset.covers],
     }
-
-
-def poset_from_json(obj) -> CovectorPoset:
-    """The poset of the vectors; given covers must be the derived ones."""
-    poset = CovectorPoset(tuple(parse_sign_vector(s) for s in obj["vectors"]))
-    derived = poset.covers  # also rejects vectors of unequal length
-    covers = obj.get("covers", derived)
-    if tuple(tuple(int_from_json(i, "cover index") for i in c) for c in covers) != derived:
-        raise ValueError("covers do not match the vectors")
-    return poset
 
 
 def fan_to_json(fan: BergmanFan) -> dict:
@@ -339,15 +314,6 @@ def _frac_vec_to_json(v) -> list:
     return [str(x) for x in v]
 
 
-def _frac_vec_from_json(obj):
-    """A rational vector read from JSON ints and "p/q" strings
-    (``linalg.rational``); bools and floats are rejected."""
-    for x in obj:
-        if isinstance(x, (bool, float)):
-            raise ValueError(f"bad rational coordinate {x!r}")
-    return tuple(rational(x) for x in obj)
-
-
 def flag_to_json(flag: SignedFlag) -> dict:
     return {
         "kernel": [_frac_vec_to_json(v) for v in flag.kernel],
@@ -360,19 +326,6 @@ def flag_to_json(flag: SignedFlag) -> dict:
             for s in flag.steps
         ],
     }
-
-
-def flag_from_json(obj) -> SignedFlag:
-    kernel = tuple(_frac_vec_from_json(v) for v in obj["kernel"])
-    steps = tuple(
-        FlagStep(
-            _frac_vec_from_json(s["vector"]),
-            val_from_json(s["weight"]),
-            sign_from_json(s["region"]),
-        )
-        for s in obj["steps"]
-    )
-    return SignedFlag(kernel, steps)
 
 
 def unsigned_flag_to_json(flag: UnsignedFlag) -> dict:
@@ -397,7 +350,7 @@ def family_from_json(obj, path: str = "family") -> tuple[CompatibleFamily, list]
     for i, m in enumerate(_expect(_member(obj, "members", path), list, f"{path}.members")):
         mpath = f"{path}.members[{i}]"
         _expect(m, dict, mpath)
-        emb = embedding_from_json(_member(m, "embedding", mpath))
+        emb = embedding_from_json(_member(m, "embedding", mpath), f"{mpath}.embedding")
         pt = point_from_json(_member(m, "point", mpath), f"{mpath}.point")
         members.append((emb, pt))
     morphisms = []
@@ -409,18 +362,6 @@ def family_from_json(obj, path: str = "family") -> tuple[CompatibleFamily, list]
         index_map = _expect(_member(m, "map", mpath), list, f"{mpath}.map")
         morphisms.append(Morphism(src, dst, tuple(int_from_json(x, "map entry") for x in index_map)))
     fam = CompatibleFamily(tuple(members), tuple(morphisms))
-    probes = [vector_from_json(p) for p in _expect(obj.get("probes", []), list, f"{path}.probes")]
+    probes = _expect(obj.get("probes", []), list, f"{path}.probes")
+    probes = [vector_from_json(p, f"{path}.probes[{i}]") for i, p in enumerate(probes)]
     return fam, probes
-
-
-def family_to_json(fam: CompatibleFamily, probes=()) -> dict:
-    return {
-        "members": [
-            {"embedding": embedding_to_json(emb), "point": point_to_json(pt)}
-            for emb, pt in fam.members
-        ],
-        "morphisms": [
-            {"src": m.src, "dst": m.dst, "map": list(m.index_map)} for m in fam.morphisms
-        ],
-        "probes": [vector_to_json(p) for p in probes],
-    }

@@ -2,13 +2,13 @@
 
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  It
 serves the constant-coefficient case: ``rref`` diagonalizes a seminorm
-composition and compares signed flags, and ``rank`` and ``span_basis``
-check flags.  ``inverse`` serves the test oracles and the benchmark
-tracer; no module of the library calls it.  ``int_det_sign`` gives the sign
-of the determinant that certifies the leading term of a series
-determinant, and ``int_functionals`` also the int functionals that
-certify the leading terms of the coordinates of a vector in a series
-basis.
+composition and compares signed flags, and ``rank`` checks that a
+signed flag's vectors form a basis.  ``inverse`` serves the test oracles
+and the benchmark tracer; no module of the library calls it.
+``int_det_sign`` gives the sign of the determinant that certifies the
+leading term of a series determinant, and ``int_functionals`` also the
+int functionals that certify the leading terms of the coordinates of a
+vector in a series basis.
 
 One fraction-free Gauss-Jordan loop, ``_gauss_jordan``, with Bareiss's
 exact division, serves ``rref`` (on rows scaled to primitive ints by
@@ -208,8 +208,4 @@ def int_functionals(rows) -> tuple[int, list[list[int]] | None]:
         return -sign, [[-x for x in row[n:]] for row in work]
     return sign, [row[n:] for row in work]
 
-
-def span_basis(vectors: Iterable[Sequence]) -> Mat:
-    """Canonical (rref) basis of the span of the given vectors."""
-    return rref(list(vectors))[0]
 

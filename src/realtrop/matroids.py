@@ -51,13 +51,10 @@ from functools import cached_property
 from .hyperfields import (
     RT,
     RT_ZERO,
-    CHAR_SIGNS,
     SIGN_CHARS,
-    Elem,
     admits_zero,
     field_of,
     from_sign_val,
-    hyper_neg,
     is_zero,
     kept_pair,
     pushmap,
@@ -155,13 +152,6 @@ def ground_from_matrix(rows) -> GroundSet:
 # Grassmann-Plucker functions
 
 
-def _perm_sign_and_sorted(tup: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if len(set(tup)) != len(tup):
-        return 0, tup
-    inversions = sum(a > b for a, b in itertools.combinations(tup, 2))
-    return (-1) ** inversions, tuple(sorted(tup))
-
-
 @dataclass(frozen=True)
 class GrassmannPlucker:
     """Alternating rank-tuple function with values in one hyperfield.
@@ -203,14 +193,6 @@ class GrassmannPlucker:
 
     def __len__(self):
         return len(self.labels)
-
-    def value_on(self, tup) -> Elem:
-        """Value on an arbitrary tuple via the alternating rule."""
-        sgn, key = _perm_sign_and_sorted(tuple(tup))
-        if sgn == 0:
-            return zero_of(self.hyperfield)
-        v = self.values[key]
-        return v if sgn > 0 else hyper_neg(v)
 
     def bases(self) -> tuple[tuple[int, ...], ...]:
         return tuple(t for t, v in sorted(self.values.items()) if not is_zero(v))
@@ -368,9 +350,6 @@ class SignedCircuit:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.entries) if x.sign != 0)
-
-    def sign_vector(self) -> SignVector:
-        return tuple(x.sign for x in self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -678,19 +657,6 @@ def rt_cocircuits_from_gp(
 # Tuples appear only at the API edge.
 
 
-def compose_sv(X: SignVector, Y: SignVector) -> SignVector:
-    return tuple(x if x != 0 else y for x, y in zip(X, Y))
-
-
-def leq_sv(X: SignVector, Y: SignVector) -> bool:
-    """X below Y: Y keeps every sign of X and may fill in zeros."""
-    return all(x == 0 or x == y for x, y in zip(X, Y))
-
-
-def separation_set(X: SignVector, Y: SignVector) -> tuple[int, ...]:
-    return tuple(e for e, (x, y) in enumerate(zip(X, Y)) if x != 0 and x == -y)
-
-
 def _masks(X: SignVector) -> tuple[int, int]:
     plus = minus = 0
     for e, x in enumerate(X):
@@ -746,7 +712,8 @@ def _coordinate_index(masks, width: int):
 
 @dataclass(frozen=True)
 class CovectorPoset:
-    """Equally long sign vectors, ordered by ``leq_sv``, repeats allowed.
+    """Equally long sign vectors, repeats allowed, ordered conformally: X
+    is below Y when Y keeps every sign of X and may fill in zeros.
     All else is derived once and cached, from the vectors or from the
     masks that ``covector_closure`` hands over; a vector is never strictly
     above its copies."""
@@ -1103,9 +1070,3 @@ def covector_zero_flat(X: SignVector, gp: GrassmannPlucker) -> tuple[int, ...]:
 def sign_vector_str(X: SignVector) -> str:
     return "".join(SIGN_CHARS[x] for x in X)
 
-
-def parse_sign_vector(s: str) -> SignVector:
-    try:
-        return tuple(CHAR_SIGNS[ch] for ch in s.strip())
-    except KeyError as exc:
-        raise ValueError(f"bad sign vector {s!r}") from exc

@@ -130,10 +130,6 @@ class PuiseuxSeries:
         return _ZERO
 
     @staticmethod
-    def one() -> "PuiseuxSeries":
-        return _ONE
-
-    @staticmethod
     def constant(c) -> "PuiseuxSeries":
         return PuiseuxSeries.t_power(_FRACTION_ZERO, c)
 
@@ -341,7 +337,7 @@ class FineValue:
     val: Val
 
     def __post_init__(self):
-        if (self.coeff is None) != (self.val == INF):
+        if (self.coeff is None) != (self.val is INF):
             raise ValueError("zero fine value must be (None, inf)")
 
     @property
@@ -888,32 +884,33 @@ def _assignment_potentials(cost) -> tuple[list[int], list[int], list[int]] | Non
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        slack = [INF] * (m + 1)
+        slack = [None] * (m + 1)  # None: no edge to column j reached yet
         used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
             row = cost[i0 - 1]
             ui0 = u[i0]
-            delta, j1 = INF, 0
+            delta, j1 = None, 0
             for j in range(1, m + 1):
                 if used[j]:
                     continue
                 c = row[j - 1]
+                s = slack[j]
                 if c is not None:
                     cur = c - ui0 - v[j]
-                    if cur < slack[j]:
-                        slack[j] = cur
+                    if s is None or cur < s:
+                        slack[j] = s = cur
                         way[j] = j0
-                if slack[j] < delta:
-                    delta, j1 = slack[j], j
+                if s is not None and (delta is None or s < delta):
+                    delta, j1 = s, j
             if not j1:
                 return None
             for j in range(m + 1):
                 if used[j]:
                     u[match[j]] += delta
                     v[j] -= delta
-                else:
+                elif slack[j] is not None:
                     slack[j] -= delta
             j0 = j1
             if match[j0] == 0:

@@ -105,7 +105,7 @@ class DiagonalSeminorm:
             raise SingularBasisError("basis vectors are dependent")
         object.__setattr__(self, "_cert", cert)
         # the finite weights lead; as ints over one denominator for value
-        finite = weights[: n - weights.count(INF)]
+        finite = tuple(w for w in weights if w is not INF)
         wden = math.lcm(*[w.denominator for w in finite])
         object.__setattr__(self, "_finite_weights", finite)
         object.__setattr__(self, "_weight_den", wden)
@@ -119,7 +119,7 @@ class DiagonalSeminorm:
 
     @property
     def is_zero_seminorm(self) -> bool:
-        return all(w == INF for w in self.weights)
+        return all(w is INF for w in self.weights)
 
     @property
     def has_constant_basis(self) -> bool:
@@ -212,12 +212,12 @@ class DiagonalSeminorm:
 
     def _normalized_weights(self) -> tuple[Val, ...]:
         """The weights less the first finite one, which becomes zero."""
-        shift = next((w for w in self.weights if w != INF), None)
+        shift = next((w for w in self.weights if w is not INF), None)
         if shift is None:
             raise ValueError("the zero seminorm has no normalized representative")
         if shift == 0:
             return self.weights
-        return tuple(w - shift if w != INF else INF for w in self.weights)
+        return tuple(w - shift for w in self.weights)
 
     def normalized(self) -> "DiagonalSeminorm":
         """Homothety representative with first finite weight zero."""
@@ -261,14 +261,6 @@ SeminormExpr = Union[DiagonalSeminorm, Composition]
 
 def compose(a: SeminormExpr, b: SeminormExpr) -> Composition:
     return Composition(a, b)
-
-
-def leaves(expr: SeminormExpr):
-    if isinstance(expr, DiagonalSeminorm):
-        yield expr
-    else:
-        yield from leaves(expr.left)
-        yield from leaves(expr.right)
 
 
 def standard_leaf(dim: int, weights=None) -> DiagonalSeminorm:
@@ -355,7 +347,7 @@ class FlagStep:
         object.__setattr__(self, "weight", as_val(self.weight))
         if self.region not in (1, -1):
             raise ValueError("region choice must be +1 or -1")
-        if self.weight == INF:
+        if self.weight is INF:
             raise ValueError("flag step weights are finite")
 
 
@@ -388,18 +380,13 @@ class SignedFlag:
     def dim(self) -> int:
         return len(self.steps[0].vector)
 
-    def subspace_at(self, level: int) -> linalg.Mat:
-        """Canonical basis of the subspace after the first `level` steps."""
-        vecs = list(self.kernel) + [s.vector for s in self.steps[:level]]
-        return linalg.span_basis(vecs)
-
 
 def _normalized_columns(s: DiagonalSeminorm):
     """The constant basis columns, the kernel (the columns of infinite
     weight) and the weights of ``s.normalized()``, which is not built."""
     weights = s._normalized_weights()
     cols = [tuple(x.constant_value() for x in c) for c in s.basis]
-    kernel = tuple(c for c, w in zip(cols, weights) if w == INF)
+    kernel = tuple(c for c, w in zip(cols, weights) if w is INF)
     return cols, kernel, weights
 
 
@@ -412,7 +399,7 @@ def flag_of(s: DiagonalSeminorm) -> SignedFlag:
     steps = tuple(
         FlagStep(cols[j], weights[j], 1)
         for j in range(s.dim - 1, -1, -1)
-        if weights[j] != INF
+        if weights[j] is not INF
     )
     return SignedFlag(kernel, steps)
 
@@ -496,7 +483,7 @@ def phi_abs(expr: SeminormExpr) -> PhiImage:
         cols, kernel, weights = _normalized_columns(diagonalize(expr))
         groups: dict[Val, list[linalg.Vec]] = {}
         for c, w in zip(cols, weights):
-            if w != INF:
+            if w is not INF:
                 groups.setdefault(w, []).append(c)
         steps = tuple(
             (tuple(groups[w]), w) for w in sorted(groups, reverse=True)
@@ -508,17 +495,25 @@ def phi_abs(expr: SeminormExpr) -> PhiImage:
 def phi_fiber(flag: UnsignedFlag) -> tuple[SignedFlag, ...]:
     """All sign choices over a complete strict-weight flag, one
     representative per global-flip class (top step fixed positive).
-    The 2^(l-1) flags are counted against ``DEFAULT_PAIR_CAP`` first."""
+    The 2^(l-1) flags are counted against ``DEFAULT_PAIR_CAP`` first.
+    The flags differ only in their regions, so the first one is checked
+    and the others share its kernel and step vectors unchecked."""
     if any(len(vs) != 1 for vs, _ in flag.steps):
         raise ValueError("fiber is infinite: some step adds more than one direction")
     l = len(flag.steps)
     count = 2 ** (l - 1)
     if count > DEFAULT_PAIR_CAP:
         raise EnumerationCapError(count, DEFAULT_PAIR_CAP, "flag fiber")
-    out = []
-    for bits in itertools.product((1, -1), repeat=l - 1):
-        steps = (FlagStep(vs[0], w, r) for (vs, w), r in zip(flag.steps, (*bits, 1)))
-        out.append(SignedFlag(flag.kernel, tuple(steps)))
+    choices = itertools.product((1, -1), repeat=l - 1)
+    steps = (FlagStep(vs[0], w, r) for (vs, w), r in zip(flag.steps, (*next(choices), 1)))
+    first = SignedFlag(flag.kernel, tuple(steps))
+    out = [first]
+    for bits in choices:
+        steps = tuple(FlagStep(s.vector, s.weight, r) for s, r in zip(first.steps, (*bits, 1)))
+        signed = object.__new__(SignedFlag)
+        object.__setattr__(signed, "kernel", first.kernel)
+        object.__setattr__(signed, "steps", steps)
+        out.append(signed)
     return tuple(out)
 
 
@@ -705,7 +700,7 @@ def scaled_cocircuit_decomposition(s: DiagonalSeminorm) -> tuple[LeafPiece, ...]
     cocircuit_value(mu_i, b_i) is (-1)^i det B, read off the leaf."""
     pieces = []
     for i, w in enumerate(s.weights):
-        if w == INF:
+        if w is INF:
             continue
         mu = tuple(s.basis[:i] + s.basis[i + 1 :])
         lead = -s._det if i % 2 else s._det

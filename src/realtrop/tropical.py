@@ -44,7 +44,6 @@ from .matroids import (
     CovectorPoset,
     GroundSet,
     SignedCircuit,
-    SignVector,
     circuits_from_matrix,
     normalize_rt_vector,
     scaled_rt_vectors,
@@ -76,9 +75,6 @@ class ProjPoint:
 
     def __getitem__(self, i):
         return self.coords[i]
-
-    def sign_vector(self) -> SignVector:
-        return tuple(x.sign for x in self.coords)
 
     def __repr__(self):
         return f"ProjPoint({list(self.coords)!r})"
@@ -165,11 +161,6 @@ def _product_terms(y: ProjPoint, circuit) -> list[tuple[int, Val]]:
 def hyperplane_member(y: ProjPoint, circuit) -> bool:
     """Zero is admitted by the products y_e * C_e over the support."""
     return admits_zero(_product_terms(y, circuit), signed=True)
-
-
-def unsigned_hyperplane_member(y: ProjPoint, circuit) -> bool:
-    """Valuation-only membership: the least product valuation repeats."""
-    return admits_zero(_product_terms(y, circuit), signed=False)
 
 
 def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:

@@ -1,5 +1,9 @@
-"""Deterministic random generators shared across the test modules, and a
-counter of eliminations."""
+"""Deterministic random generators shared across the test modules, a
+counter of eliminations, and the small readers, writers and predicates
+that only tests use: hyperset helpers, the signed order of RT, unsigned
+hyperplane membership, the leaves of a seminorm expression, and the JSON
+forms of GP functions, posets, flags and families that no command
+reads or writes."""
 
 from __future__ import annotations
 
@@ -11,18 +15,38 @@ from realtrop import (
     INF,
     RT,
     RT_ZERO,
+    CompatibleFamily,
+    CovectorPoset,
     DiagonalSeminorm,
+    FlagStep,
+    GrassmannPlucker,
     GroundSet,
+    HyperSet,
     LinearEmbedding,
     ProjPoint,
     PuiseuxSeries,
+    SignedFlag,
+    ball,
     compose,
     ground_from_matrix,
     linalg,
     parse_puiseux,
     puiseux,
+    pushmap,
+    singleton,
+    tropical,
 )
-from realtrop.puiseux import column_rank
+from realtrop.hyperfields import CHAR_SIGNS, admits_zero, is_zero, pushmap_target
+from realtrop.jsonio import (
+    int_from_json,
+    point_to_json,
+    sign_from_json,
+    val_from_json,
+    value_to_json,
+    vector_to_json,
+)
+from realtrop.linalg import rational
+from realtrop.puiseux import column_rank, format_series
 
 HALF_INT_EXPONENTS = [Fraction(k, 2) for k in range(0, 5)]
 
@@ -216,3 +240,126 @@ def count_eliminations(monkeypatch) -> dict:
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+# -- hyperfields, points and seminorms ----------------------------------------
+
+
+def contains_zero(s: HyperSet) -> bool:
+    """Zero lies in every ball and in the zero singleton."""
+    return s.kind == "ball" or is_zero(s.element)
+
+
+def pushmap_set(name: str, s: HyperSet) -> HyperSet:
+    """Image of a hyperset under a named homomorphism."""
+    if s.kind == "singleton":
+        return singleton(pushmap(name, s.element))
+    return ball(pushmap_target(name), s.threshold)
+
+
+def rt_cmp(a: RT, b: RT) -> int:
+    """Total order of RT in the signed multiplicative reading.
+
+    All negatives < 0 < all positives; among positives a smaller
+    valuation is the larger element, among negatives the smaller
+    valuation is the more negative one.
+    """
+    if a.sign != b.sign:
+        return -1 if a.sign < b.sign else 1
+    if a.sign == 0:
+        return 0
+    if a.val == b.val:
+        return 0
+    bigger_mag = a.val < b.val
+    if a.sign > 0:
+        return 1 if bigger_mag else -1
+    return -1 if bigger_mag else 1
+
+
+def unsigned_hyperplane_member(y: ProjPoint, circuit) -> bool:
+    """Valuation-only membership: the least product valuation repeats."""
+    return admits_zero(tropical._product_terms(y, circuit), signed=False)
+
+
+def sign_vector(circuit) -> tuple[int, ...]:
+    """The signs of a signed circuit's entries."""
+    return tuple(x.sign for x in circuit.entries)
+
+
+def leaves(expr):
+    if isinstance(expr, DiagonalSeminorm):
+        yield expr
+    else:
+        yield from leaves(expr.left)
+        yield from leaves(expr.right)
+
+
+# -- JSON forms no command reads or writes -------------------------------------
+
+
+def parse_sign_vector(s: str) -> tuple[int, ...]:
+    try:
+        return tuple(CHAR_SIGNS[ch] for ch in s.strip())
+    except KeyError as exc:
+        raise ValueError(f"bad sign vector {s!r}") from exc
+
+
+def gp_to_json(gp: GrassmannPlucker) -> dict:
+    return {
+        "rank": gp.rank,
+        "ground": list(gp.labels),
+        "hyperfield": gp.hyperfield,
+        "values": [
+            {"tuple": list(t), "value": value_to_json(v)}
+            for t, v in sorted(gp.values.items())
+        ],
+    }
+
+
+def poset_from_json(obj) -> CovectorPoset:
+    """The poset of the vectors; given covers must be the derived ones."""
+    poset = CovectorPoset(tuple(parse_sign_vector(s) for s in obj["vectors"]))
+    derived = poset.covers  # also rejects vectors of unequal length
+    covers = obj.get("covers", derived)
+    if tuple(tuple(int_from_json(i, "cover index") for i in c) for c in covers) != derived:
+        raise ValueError("covers do not match the vectors")
+    return poset
+
+
+def _frac_vec_from_json(obj):
+    """A rational vector read from JSON ints and "p/q" strings
+    (``linalg.rational``); bools and floats are rejected."""
+    for x in obj:
+        if isinstance(x, (bool, float)):
+            raise ValueError(f"bad rational coordinate {x!r}")
+    return tuple(rational(x) for x in obj)
+
+
+def flag_from_json(obj) -> SignedFlag:
+    kernel = tuple(_frac_vec_from_json(v) for v in obj["kernel"])
+    steps = tuple(
+        FlagStep(
+            _frac_vec_from_json(s["vector"]),
+            val_from_json(s["weight"]),
+            sign_from_json(s["region"]),
+        )
+        for s in obj["steps"]
+    )
+    return SignedFlag(kernel, steps)
+
+
+def embedding_to_json(emb: LinearEmbedding) -> list:
+    return [[format_series(col[i]) for col in emb.columns] for i in range(emb.height)]
+
+
+def family_to_json(fam: CompatibleFamily, probes=()) -> dict:
+    return {
+        "members": [
+            {"embedding": embedding_to_json(emb), "point": point_to_json(pt)}
+            for emb, pt in fam.members
+        ],
+        "morphisms": [
+            {"src": m.src, "dst": m.dst, "map": list(m.index_map)} for m in fam.morphisms
+        ],
+        "probes": [vector_to_json(p) for p in probes],
+    }

@@ -12,12 +12,13 @@ maximal-minor table needs) but shares no code with
 ``circuits_by_rt_vectors``, ``cocircuits_by_value_on`` and
 ``rt_cocircuits_by_value_on`` are the loops the library ran before it
 built circuits and cocircuits on scaled int pairs: one RT vector per
-subset, from ``hyper_neg`` or ``GrassmannPlucker.value_on``, normalized
+subset, from ``hyper_neg`` or ``value_on``, normalized
 by ``normalize_by_fractions`` (one Fraction subtraction per entry) and
 deduplicated as RT tuples.
 
+``value_on`` reads a GP function on any tuple by the alternating rule.
 The covector functions work on sign vectors as int tuples with the
-public helpers ``compose_sv``, ``leq_sv`` and ``separation_set``:
+helpers ``compose_sv``, ``leq_sv`` and ``separation_set``:
 ``closure_by_all_pairs`` composes every new vector with every vector found
 so far, ``covers_by_triples`` tests every triple for an element strictly
 between, ``chains_by_recursion`` grows chains depth first, and
@@ -35,7 +36,8 @@ functionals by a stable sort on weight, keeps each one whose rank test
 against the kept ones succeeds and completes them with unit vectors one
 rank test at a time; the library picks the same vectors as the pivots of
 one elimination.  ``flags_equivalent_by_chains`` compares every subspace
-prefix of the two flags with ``span_eq``, then ``solve``s each signed G
+prefix of the two flags (``subspace_at``, a ``span_basis``) with
+``span_eq``, then ``solve``s each signed G
 step against the signed F step and the F subspace below it; the library
 reads G's vectors in F's basis from one elimination.  ``nullspace`` is
 the rational kernel of a matrix, by back substitution from the reduced
@@ -68,6 +70,9 @@ and ``column_rank`` are one fraction-free elimination; the rank it took
 before is ``column_rank_by_greedy_minors``, a greedy search that keeps a
 column when ``columns_independent`` finds a nonzero ``signed_det`` among
 the row subsets of the kept columns and it.
+``assignment_potentials_by_infinite_slack`` is the Hungarian loop of
+``signed_det`` as it ran with ``math.inf`` marking a column no edge has
+reached; the library marks it with None.
 ``max_independent_by_subsets`` tries every subset, largest first, for
 the greedy rank witness of the library.  ``maximal_cones_by_scan`` tests
 every vector of the poset against every cone with ``leq_sv``; the library
@@ -107,16 +112,23 @@ from realtrop.hyperfields import (
     field_of,
     pushmap_target,
     sign_val,
+    zero_of,
 )
-from realtrop.matroids import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_PAIR_CAP,
-    compose_sv,
-    leq_sv,
-    separation_set,
-    sign_vector_str,
-)
+from realtrop.matroids import DEFAULT_CLOSURE_CAP, DEFAULT_PAIR_CAP, SignVector, sign_vector_str
 from realtrop.puiseux import PuiseuxSeries, as_series, det, signed_det, signed_value
+
+
+def compose_sv(X: SignVector, Y: SignVector) -> SignVector:
+    return tuple(x if x != 0 else y for x, y in zip(X, Y))
+
+
+def leq_sv(X: SignVector, Y: SignVector) -> bool:
+    """X below Y: Y keeps every sign of X and may fill in zeros."""
+    return all(x == 0 or x == y for x, y in zip(X, Y))
+
+
+def separation_set(X: SignVector, Y: SignVector) -> tuple[int, ...]:
+    return tuple(e for e, (x, y) in enumerate(zip(X, Y)) if x != 0 and x == -y)
 
 
 def bases_by_subset_search(cols) -> tuple[tuple[int, ...], ...]:
@@ -221,13 +233,29 @@ def circuits_by_rt_vectors(ground) -> tuple[SignedCircuit, ...]:
     return tuple(by_support[s] for s in sorted(by_support, key=lambda s: (len(s), s)))
 
 
+def _perm_sign_and_sorted(tup: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    if len(set(tup)) != len(tup):
+        return 0, tup
+    inversions = sum(a > b for a, b in itertools.combinations(tup, 2))
+    return (-1) ** inversions, tuple(sorted(tup))
+
+
+def value_on(gp, tup) -> Elem:
+    """Value on an arbitrary tuple via the alternating rule."""
+    sgn, key = _perm_sign_and_sorted(tuple(tup))
+    if sgn == 0:
+        return zero_of(gp.hyperfield)
+    v = gp.values[key]
+    return v if sgn > 0 else hyper_neg(v)
+
+
 def cocircuits_by_value_on(gp) -> tuple[tuple[int, ...], ...]:
     """Sign vectors e -> sgn phi(mu, e), each value taken by
     ``value_on``, closed under negation, zero vectors removed, sorted."""
     m = len(gp)
     seen = set()
     for mu in itertools.combinations(range(m), gp.rank - 1):
-        X = tuple(sign_val(gp.value_on(mu + (e,)))[0] for e in range(m))
+        X = tuple(sign_val(value_on(gp, mu + (e,)))[0] for e in range(m))
         if any(X):
             seen.add(X)
             seen.add(tuple(-x for x in X))
@@ -241,7 +269,7 @@ def rt_cocircuits_by_value_on(gp) -> tuple[SignedCircuit, ...]:
     m = len(gp)
     seen = {}
     for mu in itertools.combinations(range(m), gp.rank - 1):
-        entries = tuple(gp.value_on(mu + (e,)) for e in range(m))
+        entries = tuple(value_on(gp, mu + (e,)) for e in range(m))
         if any(x.sign != 0 for x in entries):
             c = SignedCircuit(normalize_by_fractions(entries))
             seen[c.entries] = c
@@ -508,8 +536,19 @@ def solve(rows, b) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
+def span_basis(vectors) -> linalg.Mat:
+    """Canonical (rref) basis of the span of the given vectors."""
+    return linalg.rref(list(vectors))[0]
+
+
 def span_eq(vs, ws) -> bool:
-    return linalg.span_basis(vs) == linalg.span_basis(ws)
+    return span_basis(vs) == span_basis(ws)
+
+
+def subspace_at(flag, level: int) -> linalg.Mat:
+    """Canonical basis of the subspace after the first `level` steps."""
+    vecs = list(flag.kernel) + [s.vector for s in flag.steps[:level]]
+    return span_basis(vecs)
 
 
 def flags_equivalent_by_chains(F, G) -> bool:
@@ -521,7 +560,7 @@ def flags_equivalent_by_chains(F, G) -> bool:
     if not span_eq(F.kernel, G.kernel):
         return False
     for i in range(1, len(F.steps) + 1):
-        if F.subspace_at(i) != G.subspace_at(i):
+        if subspace_at(F, i) != subspace_at(G, i):
             return False
     if any(a.weight != b.weight for a, b in zip(F.steps, G.steps)):
         return False
@@ -549,8 +588,8 @@ def gp_relations_by_hypersums(gp, pair_cap: int = DEFAULT_PAIR_CAP) -> Report:
         for y in itertools.combinations(range(m), r - 1):
             terms = []
             for k, xk in enumerate(x):
-                left = gp.value_on(x[:k] + x[k + 1 :])
-                right = gp.value_on((xk,) + y)
+                left = value_on(gp, x[:k] + x[k + 1 :])
+                right = value_on(gp, (xk,) + y)
                 t = hyper_mul_by_cases(left, right)
                 terms.append(hyper_neg_by_cases(t) if k % 2 else t)
             if not contains_zero_by_cases(hyper_sum_by_cases(terms)):
@@ -950,3 +989,56 @@ def column_rank_by_greedy_minors(cols) -> int:
         if columns_independent(basis + [c]):
             basis.append(c)
     return len(basis)
+
+
+def assignment_potentials_by_infinite_slack(cost):
+    """``puiseux._assignment_potentials`` as it ran with the float
+    infinity for a column that no edge has reached: the same Hungarian
+    loop, with every unreached slack ``math.inf``."""
+    n, m = len(cost), len(cost[0]) if cost else 0
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
+    match = [0] * (m + 1)
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        slack = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            row = cost[i0 - 1]
+            ui0 = u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                c = row[j - 1]
+                if c is not None:
+                    cur = c - ui0 - v[j]
+                    if cur < slack[j]:
+                        slack[j] = cur
+                        way[j] = j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            if not j1:
+                return None
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    rows = [0] * n
+    for j in range(1, m + 1):
+        if match[j]:
+            rows[match[j] - 1] = j - 1
+    return u[1:], v[1:], rows

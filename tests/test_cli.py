@@ -8,7 +8,7 @@ import pytest
 from realtrop import cli, jsonio, matroids, tropical
 from realtrop.cli import main
 
-from helpers import count_eliminations
+from helpers import count_eliminations, family_to_json, flag_from_json, gp_to_json, poset_from_json
 
 U23 = "[[1,0,1],[0,1,1]]"
 
@@ -174,7 +174,7 @@ def test_bool_matrix_entry_is_a_structured_error(capsys):
     code, out = run_cli(["circuits", "[[true, 0, 1], [0, 1, 1]]"], capsys)
     assert code == 1
     assert json.loads(out) == {
-        "error": {"type": "TypeError", "message": "cannot interpret True as a Puiseux series"}
+        "error": {"type": "ValueError", "message": "matrix[0][0]: cannot interpret True as a Puiseux series"}
     }
 
 
@@ -216,12 +216,12 @@ def test_gp_check_roundtrips_through_json(capsys):
     from realtrop import gp_from_matrix, ground_from_matrix
 
     gp = gp_from_matrix(ground_from_matrix([[1, 0, 1], [0, 1, 1]]))
-    blob = json.dumps(jsonio.gp_to_json(gp))
+    blob = json.dumps(gp_to_json(gp))
     code, out = run_cli(["gp-check", blob], capsys)
     assert code == 0
     assert json.loads(out)["ok"] is True
     # decoding what we encoded reproduces the same function
-    assert jsonio.gp_from_json(jsonio.gp_to_json(gp)).values == gp.values
+    assert jsonio.gp_from_json(gp_to_json(gp)).values == gp.values
 
 
 def test_gp_check_accepts_matrix(capsys):
@@ -232,7 +232,7 @@ def test_gp_check_accepts_matrix(capsys):
 def test_covectors_output_parses_back(capsys):
     code, out = run_cli(["covectors", U23], capsys)
     payload = json.loads(out)
-    poset = jsonio.poset_from_json(payload["poset"])
+    poset = poset_from_json(payload["poset"])
     assert len(poset) == 13
     assert payload["axioms"]["ok"] is True
 
@@ -283,7 +283,7 @@ def test_seminorm_compose_and_diagonalize_roundtrip(capsys):
 def test_seminorm_flags_and_phi(capsys):
     code, out = run_cli(["seminorm", "flags", SEMINORM], capsys)
     flag = json.loads(out)["flag"]
-    parsed = jsonio.flag_from_json(flag)
+    parsed = flag_from_json(flag)
     assert len(parsed.steps) == 2
     code, out = run_cli(["seminorm", "phi", SEMINORM], capsys)
     payload = json.loads(out)
@@ -321,7 +321,7 @@ def test_limit_check_consistent_family(capsys):
     e_id = LinearEmbedding.from_matrix([["1", "0"], ["0", "1"]])
     e_big = LinearEmbedding.from_matrix([["1", "0", "1"], ["0", "1", "1"]])
     fam = family_from_seminorm(s, [e_id, e_big])
-    blob = jsonio.family_to_json(fam, probes=[("1", "0"), ("0", "1"), ("1", "1")])
+    blob = family_to_json(fam, probes=[("1", "0"), ("0", "1"), ("1", "1")])
     code, out = run_cli(["limit", "check", json.dumps(blob)], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["ok"]

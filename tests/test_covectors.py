@@ -18,15 +18,17 @@ from realtrop import (
     pushforward_gp,
 )
 from realtrop import linalg, matroids
-from realtrop.jsonio import poset_from_json, poset_to_json
-from realtrop.matroids import compose_sv, leq_sv, parse_sign_vector, sign_vector_str
+from realtrop.jsonio import poset_to_json
+from realtrop.matroids import sign_vector_str
 
-from helpers import random_full_rank_ground
+from helpers import parse_sign_vector, poset_from_json, random_full_rank_ground
 from oracles import (
     chains_by_recursion,
     closure_by_all_pairs,
+    compose_sv,
     covector_axioms_by_tuples,
     covers_by_triples,
+    leq_sv,
     uncomposable_by_restrictions,
 )
 

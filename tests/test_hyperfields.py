@@ -1,9 +1,12 @@
 import collections
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,6 @@ from realtrop import (
     RT_ZERO,
     TV,
     ball,
-    contains_zero,
     hyper_add,
     hyper_div,
     hyper_mul,
@@ -28,19 +30,20 @@ from realtrop import (
     singleton,
 )
 from realtrop.hyperfields import (
+    TV_ZERO,
     admits_zero,
     as_val,
     display_rt,
     field_of,
     from_sign_val,
     kept_pair,
-    pushmap_set,
     sign_val,
     unchecked_rt,
 )
 from realtrop.jsonio import sign_from_json, value_from_json, value_to_json
 
 import oracles
+from helpers import contains_zero, pushmap_set
 
 GRID = [RT_ZERO] + [RT(s, v) for s in (1, -1) for v in (0, 1, 2)]
 GRID_SETS = [singleton(x) for x in GRID] + [ball("RT", v) for v in (0, 1, 2, INF)]
@@ -223,6 +226,7 @@ def test_json_roundtrip_and_display():
         (float("inf"), INF),
         (math.inf, INF),
     ],
+    ids=lambda v: "inf" if v is INF else None,
 )
 def test_valuations_accepted(given, expected):
     v = as_val(given)
@@ -238,12 +242,63 @@ def test_valuations_accepted(given, expected):
             RT(0, given)
 
 
-@pytest.mark.parametrize("given", [1.5, 0.0, -math.inf, None, True, False])
+@pytest.mark.parametrize("given", [1.5, 0.0, -math.inf, math.nan, None, True, False])
 def test_valuations_rejected(given):
     message = f"^cannot interpret {given!r} as a valuation$"
     for build in (as_val, TV, lambda x: RT(1, x), lambda x: RT(0, x)):
         with pytest.raises(TypeError, match=message):
             build(given)
+
+
+def test_inf_survives_copies_and_pickles_as_itself():
+    assert copy.copy(INF) is INF and copy.deepcopy(INF) is INF
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    assert copy.deepcopy(RT_ZERO).val is INF
+    assert pickle.loads(pickle.dumps(TV_ZERO)).val is INF
+
+
+def test_inf_prints_and_hashes_as_the_float_infinity():
+    assert type(INF) is not float
+    assert str(INF) == repr(INF) == "inf"
+    assert hash(INF) == hash(math.inf) == sys.hash_info.inf
+    assert INF != math.inf and {INF, Fraction(0)} == {Fraction(0), as_val("inf")}
+
+
+@pytest.mark.parametrize("q", [0, -7, 10**30, Fraction(-5, 2), Fraction(10**40, 3)])
+def test_inf_is_above_every_rational_from_both_sides(q):
+    assert q < INF and q <= INF and q != INF and not q > INF and not q >= INF and not q == INF
+    assert INF > q and INF >= q and INF != q and not INF < q and not INF <= q and not INF == q
+    assert min(q, INF) == q and max(INF, q) is INF and sorted([INF, q]) == [q, INF]
+
+
+def test_inf_is_equal_only_to_itself():
+    assert INF == INF and INF <= INF and INF >= INF
+    assert not INF < INF and not INF > INF and not INF != INF
+
+
+@pytest.mark.parametrize("q", [0, -3, Fraction(7, 2)])
+def test_inf_absorbs_what_is_added_to_it_or_taken_from_it(q):
+    assert INF + q is INF and q + INF is INF and INF - q is INF and INF + INF is INF
+    assert hyper_mul(RT_ZERO, RT_ZERO) is RT_ZERO and hyper_mul(TV_ZERO, TV(q)) == TV_ZERO
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: 1 - INF,
+        lambda: Fraction(1, 2) - INF,
+        lambda: INF - INF,
+        lambda: -INF,
+        lambda: INF * 2,
+        lambda: INF + 1.5,
+        lambda: INF < 1.5,
+        lambda: math.inf <= INF,
+        lambda: INF > None,
+    ],
+)
+def test_inf_outside_the_valuation_rules_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op()
 
 
 @pytest.mark.parametrize(

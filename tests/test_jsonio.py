@@ -20,13 +20,12 @@ from realtrop.cli import main
 from realtrop.hyperfields import KV_ONE, KV_ZERO, TV_ZERO, field_of
 from realtrop.jsonio import (
     family_from_json,
-    flag_from_json,
     flag_to_json,
     gp_from_json,
     int_from_json,
+    matrix_from_json,
     parse_point_literal,
     point_from_json,
-    poset_from_json,
     poset_to_json,
     seminorm_from_json,
     val_from_json,
@@ -34,6 +33,8 @@ from realtrop.jsonio import (
     value_to_json,
     vector_from_json,
 )
+
+from helpers import flag_from_json, poset_from_json
 
 FLAG = {
     "kernel": [],
@@ -189,7 +190,11 @@ def test_each_field_writes_its_own_form():
     assert [value_to_json(x) for x in (KV_ONE, KV_ZERO)] == [1, 0]
 
 
-@pytest.mark.parametrize("given, expected", [("1/2", Fraction(1, 2)), (" inf", INF), (3, Fraction(3)), (-2, Fraction(-2))])
+@pytest.mark.parametrize(
+    "given, expected",
+    [("1/2", Fraction(1, 2)), (" inf", INF), (3, Fraction(3)), (-2, Fraction(-2))],
+    ids=lambda v: "inf" if v is INF else None,
+)
 def test_valuations_read_strings_and_exact_ints(given, expected):
     assert val_from_json(given) == expected
 
@@ -209,6 +214,11 @@ def test_valuation_strings_outside_the_grammar_are_rejected(given):
 def test_vectors_read_lists_and_comma_separated_literals():
     assert vector_from_json("1,t,-1+t^(1/2)") == vector_from_json(["1", "t", "-1+t^(1/2)"])
     assert parse_point_literal("1,t") == vector_from_json("1,t")
+    for given in ("1,t^", ["1", "t^"]):
+        with pytest.raises(ValueError, match=r"^vector\[1\]: expected an integer \(at position 2\)$"):
+            vector_from_json(given)
+    with pytest.raises(ValueError, match=r"^vector\[0\]: cannot interpret None as a Puiseux series$"):
+        vector_from_json([None])
 
 
 @pytest.mark.parametrize("text, bad", [("+:1.5,-:0", "1.5"), ("+:0,-:1/0,+:2", "1/0"), ("-:1e3", "1e3")])
@@ -442,6 +452,32 @@ MALFORMED_INPUTS = {
     "seminorm-basis-entry-bool": (
         seminorm_from_json, ["seminorm", "diagonalize"], dict(LEAF, basis=[[1, False], [0, 1]]),
         "seminorm.basis[0][1]: cannot interpret False as a Puiseux series",
+    ),
+    "matrix-entry-bool": (
+        matrix_from_json, ["circuits"], [[1, 0, 1], [False, 1, 1]],
+        "matrix[1][0]: cannot interpret False as a Puiseux series",
+    ),
+    "matrix-entry-bad-literal": (
+        matrix_from_json, ["circuits"], [["1", "0", "1"], ["0", "1", "t^"]],
+        "matrix[1][2]: expected an integer (at position 2)",
+    ),
+    "family-embedding-entry-bool": (
+        family_from_json, ["limit", "check"],
+        dict(FAMILY, members=[dict(FAMILY["members"][0], embedding=[["1", True], ["0", "1"]])]),
+        "family.members[0].embedding[0][1]: cannot interpret True as a Puiseux series",
+    ),
+    "family-embedding-flat": (
+        family_from_json, ["limit", "check"],
+        dict(FAMILY, members=[dict(FAMILY["members"][0], embedding=["1", "0"])]),
+        "family.members[0].embedding: expected a row-major matrix as a list of lists",
+    ),
+    "family-probe-int": (
+        family_from_json, ["limit", "check"], dict(FAMILY, probes=[5]),
+        "family.probes[0]: expected a vector as a list of literals",
+    ),
+    "family-probe-entry-bad-literal": (
+        family_from_json, ["limit", "check"], dict(FAMILY, probes=[["1", "0"], ["1/0", "1"]]),
+        "family.probes[1][0]: zero denominator (at position 3)",
     ),
     "seminorm-nested-basis-entry-zero-denominator": (
         seminorm_from_json, ["seminorm", "diagonalize"],

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -33,6 +34,7 @@ from realtrop.linalg import int_det_sign
 from helpers import random_columns, random_constant, random_series, read_pair
 from oracles import (
     add_by_terms,
+    assignment_potentials_by_infinite_slack,
     column_rank_by_greedy_minors,
     det_by_fraction_laplace,
     dot_by_terms,
@@ -114,7 +116,7 @@ def test_ring_axioms(f, g, h):
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
     assert f + PuiseuxSeries.zero() == f
-    assert f * PuiseuxSeries.one() == f
+    assert f * PuiseuxSeries.constant(1) == f
 
 
 # -- order ---------------------------------------------------------------------
@@ -694,6 +696,28 @@ def test_rectangular_assignment_potentials_are_feasible_tight_and_optimal():
             assert cost[i][match[i]] == u[i] + v[match[i]], (cost, i)
         assert sum(cost[i][j] for i, j in enumerate(match)) == min(costs), cost
     assert outcomes == {True, False}
+
+
+def test_assignment_potentials_match_the_infinite_slack_loop():
+    # the same (u, v, match), or None, on int tables with missing edges,
+    # rows with no edge and columns with no edge
+    rng = random.Random(27)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        m = rng.randint(n, 7)
+        density = rng.choice((0.2, 0.5, 0.8, 1.0))
+        cost = [[rng.randint(-9, 9) if rng.random() < density else None for _ in range(m)] for _ in range(n)]
+        if n and rng.random() < 0.2:
+            cost[rng.randrange(n)] = [None] * m
+        if m and rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in cost:
+                row[j] = None
+        got = puiseux._assignment_potentials(cost)
+        assert got == assignment_potentials_by_infinite_slack(cost), cost
+        outcomes[got is None] += 1
+    assert min(outcomes[True], outcomes[False]) > 300
 
 
 def test_column_rank_of_a_tall_deficient_matrix_takes_no_determinant(monkeypatch):

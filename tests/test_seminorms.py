@@ -34,7 +34,6 @@ from realtrop import (
     phi_fiber,
     project_point,
     rt,
-    rt_cmp,
     scaled_cocircuit_decomposition,
     seminorm_from_flag,
     signed_value,
@@ -45,11 +44,11 @@ from realtrop.jsonio import seminorm_to_json
 from realtrop.linalg import rank as q_rank
 from realtrop.matroids import DEFAULT_PAIR_CAP
 from realtrop.puiseux import BasisCertificate, PuiseuxSeries, as_series, parse_puiseux, signed_det
-from realtrop.seminorms import leaves
 
 from helpers import (
     CANCELLATION,
     count_eliminations,
+    leaves,
     random_coeff,
     random_columns,
     random_diagonal,
@@ -59,12 +58,14 @@ from helpers import (
     random_rational_vector,
     random_series_vector,
     random_weights,
+    rt_cmp,
 )
 from oracles import (
     const_coordinates_by_fractions,
     cramer_coordinates,
     diagonalize_by_span_tests,
     flags_equivalent_by_chains,
+    subspace_at,
     value_by_levels,
 )
 
@@ -684,7 +685,7 @@ def test_flag_shape_for_proper_seminorm():
     assert list(flag.kernel) == [(0, 0, 1)]
     assert [step.weight for step in flag.steps] == [1, 0]
     # kernel, then one added direction per step
-    assert [len(flag.subspace_at(i)) for i in range(3)] == [1, 2, 3]
+    assert [len(subspace_at(flag, i)) for i in range(3)] == [1, 2, 3]
 
 
 def test_flag_roundtrip_reproduces_values():
@@ -829,6 +830,18 @@ def test_fiber_counts_for_complete_strict_flags():
         assert len(flags) == 2 ** (dim - 1)
         for a, b in itertools.combinations(flags, 2):
             assert not flags_equivalent(a, b)
+
+
+def test_fiber_checks_its_basis_once(monkeypatch):
+    flag = phi_abs(standard_leaf(6, tuple(range(6)))).flag
+    want = tuple(
+        SignedFlag(flag.kernel, tuple(FlagStep(vs[0], w, r) for (vs, w), r in zip(flag.steps, regions)))
+        for regions in itertools.product((1, -1), (1, -1), (1, -1), (1, -1), (1, -1), (1,))
+    )
+    calls = count_eliminations(monkeypatch)
+    got = phi_fiber(flag)
+    assert calls == {"int_functionals": 0, "rref": 1, "inverse": 0}
+    assert got == want and len(got) == 32
 
 
 def test_fiber_of_proper_seminorm_is_single():

@@ -24,7 +24,6 @@ from realtrop import (
     linear_space_member,
     rt,
     trop_r_point,
-    unsigned_hyperplane_member,
 )
 from realtrop import tropical
 from realtrop.matroids import CovectorPoset, circuits_from_matrix
@@ -38,6 +37,7 @@ from helpers import (
     random_full_rank_ground,
     random_series,
     random_thirds_and_fifths,
+    unsigned_hyperplane_member,
 )
 from oracles import (
     bergman_member_by_levels,
