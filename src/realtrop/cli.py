@@ -143,7 +143,7 @@ def _cmd_covectors(args) -> dict:
 
 
 def _cmd_bergman(args) -> dict:
-    return jsonio.fan_to_json(bergman_fan(_covectors_of(args)[1]))
+    return jsonio.fan_to_json(bergman_fan(_covectors_of(args)[1], cap=args.cap))
 
 
 def _cmd_seminorm(args) -> dict:

@@ -5,8 +5,8 @@ A ground set is the list of columns of a matrix, indexed 0..m-1; a linear
 embedding (``tropical.LinearEmbedding``) is a ground set whose columns
 span.  Value tables are held in one scaled form: (sign, k) int pairs,
 valuation k/scale and zero (0, 0), keyed by increasing tuples, with their
-scale.  The minor table of a ground set, certified in that form by one
-leading-term view of its columns (``puiseux.IntegerLeads``) and cached,
+scale.  The minor table of a ground set, certified in that form from the
+leading terms of its columns (``puiseux.maximal_minors``) and cached,
 is the one source for a realizable matroid; a ``GrassmannPlucker`` reads
 its values into that form once (``scaled_table``).  Circuits and
 cocircuits are the two row families of a table (``_circuit_rows``, and
@@ -32,11 +32,11 @@ vectors and indexes them once, on first use: their masks (handed over by
 vectors), the positions of each distinct vector (``mask_index``),
 per-coordinate position bitsets, per-vector coordinate lists, and the
 strictly-above bitsets with their position lists.  Its covers, chains,
-maximal chains, axiom check and ``tropical.bergman_member`` all read that
-one index.  Cov3 is decided by counting, per vector, the distinct
-restrictions to its zero set against the distinct vectors above it, and
-Cov4 per support class.  Sign-vector tuples are made only for the public
-API.
+chain count, maximal chains, axiom check and ``tropical.bergman_member``
+all read that one index.  Cov3 is decided by counting, per vector, the
+distinct restrictions to its zero set against the distinct vectors above
+it, and Cov4 per support class.  Sign-vector tuples are made only for
+the public API.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .hyperfields import (
     unchecked_rt,
     zero_of,
 )
-from .puiseux import IntegerLeads, PuiseuxSeries, as_series
+from .puiseux import PuiseuxSeries, as_series, maximal_minors
 
 SignVector = tuple[int, ...]
 
@@ -136,11 +136,9 @@ class GroundSet:
     @cached_property
     def minor_table(self) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
         """Every maximal minor as a (sign, k) pair, its valuation k/scale,
-        keyed by increasing column tuple, and that scale; computed once
-        per ground set.  Callers check their caps before the first read."""
-        leads = IntegerLeads(self.columns)
-        combos = itertools.combinations(range(len(self)), self.height)
-        return {tup: leads.minor(tup) for tup in combos}, leads.scale
+        keyed by increasing column tuple, and that scale, computed once
+        (``puiseux.maximal_minors``).  Callers check caps before reading."""
+        return maximal_minors(self.columns)
 
 
 def ground_from_matrix(rows) -> GroundSet:
@@ -818,6 +816,15 @@ class CovectorPoset:
             out.extend(level)
             level = [c + (j,) for c in level for j in above[c[-1]]]
         return tuple(out)
+
+    def chain_count(self) -> int:
+        """``len(self.chains())``: the chains from i are i and the chains from
+        each j above i, whose support is larger, so supports go largest first."""
+        above, pairs = self._above_lists, self._pairs
+        count, sizes = [0] * len(pairs), [(p | m).bit_count() for p, m in pairs]
+        for i in sorted(range(len(pairs)), key=sizes.__getitem__, reverse=True):
+            count[i] = 1 + sum(map(count.__getitem__, above[i]))
+        return sum(n for n, (p, m) in zip(count, pairs) if p | m)
 
     def maximal_chains(self, chains) -> tuple[tuple[int, ...], ...]:
         """The given chains, increasing index tuples of nonzero vectors, that

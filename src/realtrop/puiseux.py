@@ -31,9 +31,9 @@ whose determinant, the coefficient of that power of t in det, is one int
 Bareiss (``linalg.int_det_sign``) in O(n^3).  Only when it vanishes do
 the leading terms cancel and ``det`` run.  The certificate is an int
 pair (sign, k), the valuation being k/scale for the lcm scale of the
-exponent denominators.  ``IntegerLeads`` reads the leading terms of a
-ground set's columns once, so each maximal minor is that assignment and
-Bareiss (just the Bareiss on constant columns), kept as such a pair.
+exponent denominators.  ``maximal_minors`` reads the leading terms of
+fixed columns once and gets every maximal minor as such a pair from one
+Laplace expansion of the leading terms over column subsets.
 ``column_rank`` certifies full rank the same way: the assignment matches
 every line of the shorter side, and a nonzero det L on the matched lines
 gives rank min(h, m); only otherwise does the elimination count pivots.
@@ -48,6 +48,7 @@ already pass through ``coerce_matrix`` as they are.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -647,7 +648,7 @@ def signed_det(rows: Matrix) -> RT:
     before any work.  Transposing changes neither det, nor the optimal
     assignment, nor det L, so the result, and whether the exact fallback
     runs, are the same for a matrix and its transpose: callers may pass
-    columns as rows.  ``IntegerLeads`` gives the same values for the
+    columns as rows.  ``maximal_minors`` gives the same values for the
     maximal minors of fixed columns.
     """
     rows = _square_matrix(rows)
@@ -708,42 +709,50 @@ def _tight(coeffs, cost, u, v, columns) -> list[list[int]]:
     ]
 
 
-class IntegerLeads:
-    """The leading terms of fixed columns read once in integer form, for
-    the signed values of their maximal minors.
+def maximal_minors(columns: Matrix) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
+    """The (sign, k) pair of ``signed_det([columns[j] for j in tup])``,
+    valued RT(sign, k/scale), for every increasing tuple, and ``scale``.
 
-    Every leading exponent is an int over one common denominator,
-    ``scale``, and each column's leading coefficients are ints, the
-    column scaled by a positive factor (``_integer_leads``), which keeps
-    every sign and the sign of every det L.  ``minor(tup)`` is the
-    (sign, k) certificate of ``signed_det([columns[j] for j in tup])``,
-    whose value is RT(sign, k/scale): when every chosen column is
-    constant, the sign of the int determinant of their values; otherwise
-    the assignment and one int Bareiss on the tight entries, and the
-    exact ``det`` only when the leading terms cancel.
+    From the leading terms (``_integer_leads``), Laplace along coordinate
+    i over the column sets T of size i + 1 gives the least exponent sum
+    m_T = min(q_ji + m_(T-j)) over j in T, and its coefficient c_T, the
+    sum of (-1)^(pos of j in T + i) c_ji c_(T-j) over the j attaining it.
+    A permutation is optimal exactly when its entries are all tight, so
+    c_T is det L of ``_certified``, which runs only where c_T = 0 or T has
+    no bijection.  When sum(k C(w, k)) over k <= h exceeds h^2 C(w, h), as
+    on tall near-square columns, every minor is ``_certified`` instead.
     """
-
-    __slots__ = ("_columns", "_height", "_costs", "_coeffs", "_constant", "scale")
-
-    def __init__(self, columns: Sequence[Sequence[PuiseuxSeries]]):
-        columns = self._columns = coerce_matrix(columns)
-        height = self._height = len(columns[0]) if columns else 0
-        check_det_size(height)
-        self._costs, self._coeffs, self.scale = _integer_leads(columns)
-        self._constant = [all(x.is_constant for x in col) for col in columns]
-
-    def minor(self, tup: Sequence[int]) -> tuple[int, int]:
-        """The (sign, k) pair of the minor on the columns in tup, one per
-        row of the columns: its sign and its valuation times ``scale``."""
-        if len(tup) != self._height:
-            raise ValueError("determinant of a non-square matrix")
-        return _certified(
-            [self._costs[j] for j in tup],
-            [self._coeffs[j] for j in tup],
-            self.scale,
-            [self._columns[j] for j in tup],
-            all(self._constant[j] for j in tup),
-        )
+    columns = coerce_matrix(columns)
+    h, w = len(columns[0]) if columns else 0, len(columns)
+    check_det_size(h)
+    cost, coeffs, scale = _integer_leads(columns)
+    constant = [all(x.is_constant for x in col) for col in columns]
+    expand = sum(k * math.comb(w, k) for k in range(1, h + 1)) <= h * h * math.comb(w, h)
+    level = {(): (0, 1)}  # (m_T, c_T) per column set T with a bijection
+    for i in range(h if expand else 0):
+        below, level = level, {}
+        for T in itertools.combinations(range(w), i + 1):
+            least, c = None, 0
+            for p, j in enumerate(T):
+                sub = below.get(T[:p] + T[p + 1 :])
+                if sub is None or cost[j][i] is None:
+                    continue
+                m, term = cost[j][i] + sub[0], (-1) ** (p + i) * coeffs[j][i] * sub[1]
+                if least is None or m < least:
+                    least, c = m, term
+                elif m == least:
+                    c += term
+            if least is not None:
+                level[T] = least, c
+    table = {}
+    for tup in itertools.combinations(range(w), h):
+        m, c = level.get(tup, (0, 0))
+        if c:
+            table[tup] = (1 if c > 0 else -1), m
+        else:  # cancelling leading terms, no bijection, or no expansion
+            cs, ls, rows = ([line[j] for j in tup] for line in (cost, coeffs, columns))
+            table[tup] = _certified(cs, ls, scale, rows, all(constant[j] for j in tup))
+    return table, scale
 
 
 class BasisCertificate:

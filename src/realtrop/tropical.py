@@ -28,8 +28,8 @@ each circuit's products, as ints, to the rule of ``hyperplane_member``
 (``hyperfields.admits_zero``, signed).
 
 A real Bergman fan is the chains of nonzero covectors of a
-``matroids.CovectorPoset``; ``bergman_member`` reads the poset's
-``mask_index`` only.
+``matroids.CovectorPoset``, counted against a cap before they are built;
+``bergman_member`` reads the poset's ``mask_index`` only.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from functools import cached_property
 
 from .hyperfields import RT, RT_ZERO, Val, admits_zero, unchecked_rt
 from .matroids import (
+    DEFAULT_PAIR_CAP,
     CovectorPoset,
+    EnumerationCapError,
     GroundSet,
     SignedCircuit,
     circuits_from_matrix,
@@ -208,7 +210,11 @@ class BergmanFan:
         return self.poset.maximal_chains(self.cones)
 
 
-def bergman_fan(poset: CovectorPoset) -> BergmanFan:
+def bergman_fan(poset: CovectorPoset, cap: int = DEFAULT_PAIR_CAP) -> BergmanFan:
+    """The fan of every chain, once their count is within ``cap``."""
+    count = poset.chain_count()
+    if count > cap:
+        raise EnumerationCapError(count, cap, "chain enumeration")
     return BergmanFan(poset, poset.chains())
 
 

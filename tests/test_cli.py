@@ -244,6 +244,22 @@ def test_bergman_fan_output(capsys):
     assert len(payload["chains"]) == 24
 
 
+def test_bergman_obeys_the_cap(capsys):
+    code, out = run_cli(["--cap", "23", "bergman", U23], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "type": "EnumerationCapError",
+            "message": "chain enumeration needs 24 steps, cap is 23",
+            "required": 24,
+            "cap": 23,
+            "stage": "chain enumeration",
+        }
+    }
+    code, out = run_cli(["--cap", "24", "bergman", U23], capsys)
+    assert code == 0 and len(json.loads(out)["chains"]) == 24
+
+
 def test_tropicalize_file_input(tmp_path, capsys):
     path = tmp_path / "pt.txt"
     path.write_text("1,-1+t,t")

@@ -249,6 +249,33 @@ def test_sign_vector_round_trip_and_rejection():
         parse_sign_vector("+x-")
 
 
+def test_chain_count_equals_the_number_of_chains():
+    # counted in decreasing support size, against the chains themselves:
+    # closures, and generator lists with repeats and zero vectors
+    rng = random.Random(271)
+    posets = [CovectorPoset(()), CovectorPoset(((0, 0),)), u23_poset()]
+    for _ in range(40):
+        for gens in _generator_sets(rng):
+            posets += [covector_closure(gens), CovectorPoset(tuple(gens + gens[:2]))]
+    for poset in posets:
+        assert poset.chain_count() == len(poset.chains()), poset.vectors
+    assert max(len(p.chains()) for p in posets) > 1000
+
+
+def test_bergman_fan_counts_the_chains_before_building_one(monkeypatch):
+    poset = u23_poset()
+
+    def no_chains(self):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(CovectorPoset, "chains", no_chains)
+    with pytest.raises(EnumerationCapError) as info:
+        bergman_fan(poset, cap=23)
+    assert (info.value.required, info.value.cap, info.value.stage) == (24, 23, "chain enumeration")
+    monkeypatch.undo()
+    assert len(bergman_fan(poset, cap=24).cones) == 24
+
+
 def _generator_sets(rng):
     """Seeded generator lists: the cocircuits of a realizable oriented
     matroid, a random subset of them, and random sign vectors."""

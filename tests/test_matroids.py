@@ -34,7 +34,7 @@ from realtrop import (
 )
 from realtrop import hyperfields, matroids
 from realtrop.hyperfields import from_sign_val, is_zero, zero_of
-from realtrop.puiseux import IntegerLeads, as_series, column_rank, signed_det
+from realtrop.puiseux import as_series, column_rank, signed_det
 
 from helpers import (
     CANCELLATION,
@@ -152,18 +152,18 @@ def test_gp_pushes_into_every_field_from_the_one_table():
 
 def test_one_minor_table_per_embedding(monkeypatch):
     emb = random_embedding(random.Random(41), 3, 6)
-    real = IntegerLeads.minor
+    real = matroids.maximal_minors
     calls = []
 
-    def counting(self, tup):
-        calls.append(tup)
-        return real(self, tup)
+    def counting(columns):
+        calls.append(columns)
+        return real(columns)
 
-    monkeypatch.setattr(IntegerLeads, "minor", counting)
+    monkeypatch.setattr(matroids, "maximal_minors", counting)
     gp = gp_from_matrix(emb.ground())
     circuits = emb.circuits
     signs = gp_from_matrix(emb.ground(), target="S")
-    assert len(calls) == 20  # C(6, 3) maximal minors, each taken once
+    assert calls == [emb.columns]  # one table of the C(6, 3) maximal minors
     assert emb.ground() is emb.ground()
     assert circuits and check_gp_relations(signs).ok
     assert signs.values == {tup: pushmap("sgn", v) for tup, v in gp.values.items()}
@@ -300,10 +300,10 @@ def test_circuits_rank_deficient_like_the_oracle():
 
 
 def test_circuit_enumeration_cap_checked_before_any_minor(monkeypatch):
-    def no_minors(self, tup):
+    def no_minors(columns):
         raise AssertionError("a minor was computed")
 
-    monkeypatch.setattr(IntegerLeads, "minor", no_minors)
+    monkeypatch.setattr(matroids, "maximal_minors", no_minors)
     g = ground_from_matrix([[(i * 7 + j * j) % 5 for j in range(26)] for i in range(5)])
     with pytest.raises(EnumerationCapError) as info:
         circuits_from_matrix(g)

@@ -1,6 +1,7 @@
 import collections
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -27,8 +28,8 @@ from realtrop import (
     signed_det,
     signed_value,
 )
-from realtrop import puiseux
-from realtrop.puiseux import DET_SIZE_BOUND, IntegerLeads
+from realtrop import matroids, puiseux
+from realtrop.puiseux import DET_SIZE_BOUND
 from realtrop.linalg import int_det_sign
 
 from helpers import random_columns, random_constant, random_series, read_pair
@@ -535,50 +536,86 @@ def test_signed_det_rejects_input_like_det(monkeypatch, rows):
     assert str(got.value) == str(expected.value)
 
 
-def test_integer_leads_minor_equals_signed_det(monkeypatch):
-    # every maximal minor of one view, a (sign, k) pair read over the
-    # view's scale, against signed_det of its columns, with the exact
-    # fallback counted on both sides: the same minors expand
+def _alphabet_columns(rng, height, width):
+    """Columns over the cancellation alphabet and zero, with constant and
+    series columns mixed."""
+    series = CANCELLATION + [PuiseuxSeries.zero()]
+    constants = [x for x in series if x.is_constant]
+    return [
+        tuple(rng.choice(rng.choice([series, constants])) for _ in range(height))
+        for _ in range(width)
+    ]
+
+
+def test_maximal_minors_equal_signed_det(monkeypatch):
+    # every maximal minor, a (sign, k) pair read over the table's scale,
+    # against signed_det of its columns, with the rows of every exact
+    # det recorded on both sides: the same minors fall back, in the same
+    # order; the shapes lie on both sides of the expansion rule, tall
+    # near-square ones (5 x 5 up to 6 x 7) taken minor by minor
     exact = puiseux.det
     fallbacks = []
 
-    def counting_det(rows):
-        fallbacks.append(len(rows))
+    def recording_det(rows):
+        fallbacks.append(tuple(map(tuple, rows)))
         return exact(rows)
 
-    monkeypatch.setattr(puiseux, "det", counting_det)
+    monkeypatch.setattr(puiseux, "det", recording_det)
     rng = random.Random(1515)
-    seen = {"zero": 0, "nonzero": 0}
-    fell_back = 0
-    for _ in range(400):
-        height = rng.randint(0, 4)
-        cols = random_columns(rng, height, rng.randint(height, 6))
-        leads = IntegerLeads(cols)
-        for tup in itertools.combinations(range(len(cols)), height):
-            fallbacks.clear()
-            got = leads.minor(tup)
-            once = len(fallbacks)
-            assert read_pair(got, leads.scale) == signed_det([cols[j] for j in tup]), (cols, tup)
-            assert len(fallbacks) == 2 * once, (cols, tup)
-            assert got[0] or got == (0, 0)
-            fell_back += once
-            seen["zero" if got[0] == 0 else "nonzero"] += 1
-    assert fell_back and all(seen.values())
+    seen = collections.Counter()
+    for trial in range(500):
+        height = rng.randint(5, 6) if trial % 25 == 0 else rng.randint(0, 4)
+        width = rng.randint(height, height + 1 if height > 4 else 7)
+        make = random_columns if trial % 2 else _alphabet_columns
+        cols = make(rng, height, width)
+        fallbacks.clear()
+        table, scale = puiseux.maximal_minors(cols)
+        ours = fallbacks[:]
+        fallbacks.clear()
+        tuples = list(itertools.combinations(range(width), height))
+        expected = {tup: signed_det([cols[j] for j in tup]) for tup in tuples}
+        assert list(table) == tuples
+        assert {tup: read_pair(p, scale) for tup, p in table.items()} == expected, cols
+        assert ours == fallbacks, cols
+        assert all(p[0] or p == (0, 0) for p in table.values())
+        seen["fallback"] += len(ours)
+        seen["tall"] += height > 4
+        for sign, _ in table.values():
+            seen["zero" if sign == 0 else "nonzero"] += 1
+    assert min(seen.values()) > 10, seen
 
 
-def test_integer_leads_check_their_input():
+@pytest.mark.parametrize(
+    "height, width, expands",
+    [(4, 6, True), (6, 12, True), (5, 6, False), (10, 12, False), (12, 12, False)],
+)
+def test_maximal_minors_expand_when_the_subsets_are_few(monkeypatch, height, width, expands):
+    # the expansion runs when sum(k C(w, k)) <= h^2 C(w, h); otherwise
+    # each minor is certified on its own
+    rng = random.Random(height * 100 + width)
+    cols = [[const(rng.randint(-3, 3)) for _ in range(height)] for _ in range(width)]
+    real, certified = puiseux._certified, []
+
+    def counting(*args):
+        certified.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(puiseux, "_certified", counting)
+    table, scale = puiseux.maximal_minors(cols)
+    assert len(table) == math.comb(width, height) and scale == 1
+    assert len(certified) == (0 if expands else len(table))
+
+
+def test_maximal_minors_check_their_input():
     with pytest.raises(ValueError, match=f"^matrix size 13 exceeds bound {DET_SIZE_BOUND}$"):
-        IntegerLeads([[t(1)] * (DET_SIZE_BOUND + 1)] * (DET_SIZE_BOUND + 1))
+        puiseux.maximal_minors([[t(1)] * (DET_SIZE_BOUND + 1)] * (DET_SIZE_BOUND + 1))
     with pytest.raises(ValueError, match="^ragged matrix$"):
-        IntegerLeads([["1", "t"], ["1"]])
-    leads = IntegerLeads([["1", "t"], ["t", "1"], ["0", "2"]])
-    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
-        leads.minor((0, 1, 2))
-    assert read_pair(leads.minor((0, 1)), leads.scale) == RT(1, 0)
-    assert read_pair(leads.minor((1, 0)), leads.scale) == RT(-1, 0)
-    assert read_pair(leads.minor((0, 2)), leads.scale) == RT(1, 0)
-    empty = IntegerLeads([])
-    assert read_pair(empty.minor(()), empty.scale) == RT(1, 0)
+        puiseux.maximal_minors([["1", "t"], ["1"]])
+    table, scale = puiseux.maximal_minors([["1", "t"], ["t", "1"], ["0", "2"]])
+    assert {tup: read_pair(p, scale) for tup, p in table.items()} == {
+        (0, 1): RT(1, 0), (0, 2): RT(1, 0), (1, 2): RT(1, 1)
+    }
+    assert puiseux.maximal_minors([]) == ({(): (1, 0)}, 1)
 
 
 @pytest.mark.parametrize("text", ["0.25", "1e3", "1_0", "1/0", "1/2/3", "", "t"])
@@ -734,9 +771,9 @@ def test_column_rank_of_a_tall_deficient_matrix_takes_no_determinant(monkeypatch
     def no_det(*args):
         raise AssertionError("a determinant taken for a rank")
 
-    for name in ("det", "signed_det"):
+    for name in ("det", "signed_det", "maximal_minors"):
         monkeypatch.setattr(puiseux, name, no_det)
-    monkeypatch.setattr(IntegerLeads, "minor", no_det)
+    monkeypatch.setattr(matroids, "maximal_minors", no_det)
     assert puiseux.column_rank(cols) == 6
     with pytest.raises(ValueError, match="^columns do not span the dual space$"):
         LinearEmbedding(cols)
