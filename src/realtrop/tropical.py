@@ -28,13 +28,18 @@ each circuit's products, as ints, to the rule of ``hyperplane_member``
 (``hyperfields.admits_zero``, signed).
 
 A real Bergman fan is the chains of nonzero covectors of a
-``matroids.CovectorPoset``, counted against a cap before they are built;
-``bergman_member`` reads the poset's ``mask_index`` only.
+``matroids.CovectorPoset``.  ``bergman_fan`` counts them against a cap
+and keeps the poset and the count; its ``cones`` are a view whose length
+is that count and whose elements ``CovectorPoset.chains`` builds on the
+first read.  The rank is the poset's longest chain, the maximal cones are
+a depth-first search along its covers, and ``bergman_member`` reads its
+``mask_index``; none of them builds the chains.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -194,28 +199,99 @@ def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:
 # Real Bergman fans
 
 
+class _Chains(Sequence):
+    """The chains of a poset as a read-only sequence of known length.
+
+    ``len`` is the count alone; the first element read takes the tuple
+    from ``poset.chains()``, once, and every later read uses it.  It
+    equals a tuple of the same chains, and hashes as one."""
+
+    def __init__(self, poset: CovectorPoset, count: int):
+        self.poset = poset
+        self._count = count
+        self._built: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def _tuple(self) -> tuple[tuple[int, ...], ...]:
+        if self._built is None:
+            self._built = self.poset.chains(cap=self._count)
+        return self._built
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        return self._tuple[i]
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other):
+        if isinstance(other, _Chains):
+            other = other._tuple
+        return self._tuple == other
+
+    def __hash__(self):
+        return hash(self._tuple)
+
+    def __repr__(self):
+        return repr(self._tuple)
+
+
 @dataclass(frozen=True)
 class BergmanFan:
-    """Cones indexed by chains of nonzero covectors of a covector poset."""
+    """Cones indexed by chains of nonzero covectors of a covector poset.
+
+    ``bergman_fan`` gives a fan whose ``cones`` are a view of its poset's
+    chains, counted and not built until an element is read; a fan may
+    also be given its cones as a tuple.  ``rank`` and ``maximal_cones``
+    read the poset only."""
 
     poset: CovectorPoset
-    cones: tuple[tuple[int, ...], ...]
+    cones: Sequence[tuple[int, ...]]
 
     @property
     def rank(self) -> int:
-        return max((len(c) for c in self.cones), default=0)
+        return self.poset.longest_chain()
 
     def maximal_cones(self) -> tuple[tuple[int, ...], ...]:
-        """The cones whose chain no other nonzero vector can extend."""
-        return self.poset.maximal_chains(self.cones)
+        """The chains that no other nonzero vector extends, ordered by
+        length and then lexicographically: the paths along ``covers`` from a
+        nonzero vector with no nonzero vector below it to one with nothing
+        above it.  A vector with a copy is in none, as its copy lies
+        between its neighbours or beyond an end."""
+        index = self.poset.mask_index
+        zero = index.get((0, 0), 0)
+        alone = {b.bit_length() - 1 for b in index.values() if not b & b - 1}
+        up: dict[int, list[int]] = {i: [] for i in alone}
+        has_above, has_below = set(), set()
+        for i, j in self.poset.covers:
+            has_above.add(i)
+            if not zero >> i & 1:
+                has_below.add(j)
+            if i in alone and j in alone:
+                up[i].append(j)
+        cones = []
+
+        def extend(chain):
+            if chain[-1] not in has_above:
+                cones.append(chain)
+            for j in up[chain[-1]]:
+                extend(chain + (j,))
+
+        for i in sorted(alone):
+            if not zero >> i & 1 and i not in has_below:
+                extend((i,))
+        return tuple(sorted(cones, key=len))
 
 
 def bergman_fan(poset: CovectorPoset, cap: int = DEFAULT_PAIR_CAP) -> BergmanFan:
-    """The fan of every chain, once their count is within ``cap``."""
+    """The fan of every chain, once their count is within ``cap``; the
+    chains are counted here and built on the first read of one."""
     count = poset.chain_count()
     if count > cap:
         raise EnumerationCapError(count, cap, "chain enumeration")
-    return BergmanFan(poset, poset.chains())
+    return BergmanFan(poset, _Chains(poset, count))
 
 
 def bergman_member(y: ProjPoint, fan: BergmanFan) -> bool:

@@ -1,11 +1,13 @@
 import collections
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 
 from realtrop import (
+    BergmanFan,
     CovectorPoset,
     EnumerationCapError,
     bergman_fan,
@@ -18,7 +20,7 @@ from realtrop import (
     pushforward_gp,
 )
 from realtrop import linalg, matroids
-from realtrop.jsonio import poset_to_json
+from realtrop.jsonio import fan_to_json, poset_to_json
 from realtrop.matroids import sign_vector_str
 
 from helpers import parse_sign_vector, poset_from_json, random_full_rank_ground
@@ -29,6 +31,8 @@ from oracles import (
     covector_axioms_by_tuples,
     covers_by_triples,
     leq_sv,
+    maximal_chains,
+    maximal_cones_by_scan,
     uncomposable_by_restrictions,
 )
 
@@ -262,18 +266,103 @@ def test_chain_count_equals_the_number_of_chains():
     assert max(len(p.chains()) for p in posets) > 1000
 
 
+def _no_chains(self, cap=None):
+    raise AssertionError("a chain was built")
+
+
 def test_bergman_fan_counts_the_chains_before_building_one(monkeypatch):
+    # the fan, its length, rank and maximal cones read the poset, not the chains
     poset = u23_poset()
-
-    def no_chains(self):
-        raise AssertionError("a chain was built")
-
-    monkeypatch.setattr(CovectorPoset, "chains", no_chains)
+    monkeypatch.setattr(CovectorPoset, "chains", _no_chains)
     with pytest.raises(EnumerationCapError) as info:
         bergman_fan(poset, cap=23)
     assert (info.value.required, info.value.cap, info.value.stage) == (24, 23, "chain enumeration")
+    fan = bergman_fan(poset, cap=24)
+    assert (len(fan.cones), fan.rank, len(fan.maximal_cones())) == (24, 2, 12)
     monkeypatch.undo()
-    assert len(bergman_fan(poset, cap=24).cones) == 24
+    assert fan.cones == poset.chains()
+
+
+def test_chains_check_their_count_against_the_cap(monkeypatch):
+    # a count over the cap raises before the positions above are read
+    poset = u23_poset()
+    monkeypatch.setattr(CovectorPoset, "chain_count", lambda self: matroids.DEFAULT_PAIR_CAP + 1)
+    monkeypatch.setattr(CovectorPoset, "_above_lists", property(_no_chains))
+    for call, cap in ((poset.chains, matroids.DEFAULT_PAIR_CAP), (lambda: poset.chains(cap=7), 7)):
+        with pytest.raises(EnumerationCapError) as info:
+            call()
+        assert (info.value.required, info.value.cap, info.value.stage) == (
+            matroids.DEFAULT_PAIR_CAP + 1, cap, "chain enumeration"
+        )
+    monkeypatch.undo()
+    assert len(poset.chains(cap=24)) == 24
+    with pytest.raises(EnumerationCapError):
+        poset.chains(cap=23)
+
+
+def test_fan_cones_are_the_chains_built_once_on_first_read(monkeypatch):
+    real = CovectorPoset.chains
+    calls = []
+
+    def counting(self, cap=matroids.DEFAULT_PAIR_CAP):
+        calls.append(cap)
+        return real(self, cap)
+
+    monkeypatch.setattr(CovectorPoset, "chains", counting)
+    rng = random.Random(433)
+    posets = [CovectorPoset(()), CovectorPoset(((0, 0),)), u23_poset()]
+    for _ in range(10):
+        for gens in _generator_sets(rng):
+            posets += [covector_closure(gens), CovectorPoset(tuple(gens + gens[:2]))]
+    for poset in posets:
+        fan = bergman_fan(poset)
+        calls.clear()
+        count = len(fan.cones)
+        assert calls == []
+        chains = real(poset)
+        assert tuple(fan.cones) == chains == fan.cones and list(fan.cones) == list(chains)
+        assert fan.cones[1:3] == chains[1:3] and fan.cones[::-1] == chains[::-1]
+        assert all(c in fan.cones for c in chains[:5]) and fan.cones != chains + ((0,),)
+        if count:
+            assert fan.cones[0] == chains[0] and fan.cones[-1] == chains[-1]
+            assert fan != BergmanFan(poset, chains[1:])
+        assert calls == [count]
+        listed, again = BergmanFan(poset, chains), bergman_fan(poset)
+        assert fan == listed == again and hash(fan) == hash(listed) == hash(again)
+
+
+def test_maximal_cones_and_rank_read_the_poset(monkeypatch):
+    # the search along the covers against the filter of every chain, and
+    # the longest chain against the chains' lengths: closures, generator
+    # lists with repeats, and shuffled lists with repeats that are not
+    # oriented matroids; fan_to_json writes what it wrote from the chains
+    rng = random.Random(439)
+    posets = [CovectorPoset(()), CovectorPoset(((0, 0),)), u23_poset()]
+    for _ in range(25):
+        for gens in _generator_sets(rng):
+            closed = covector_closure(gens)
+            posets += [closed, CovectorPoset(tuple(gens + gens[:2]))]
+            posets += [CovectorPoset(tuple(v)) for v in _damaged(rng, closed.vectors)]
+    seen = collections.Counter()
+    for poset in posets:
+        chains = poset.chains()
+        fan = bergman_fan(poset)
+        with monkeypatch.context() as patched:
+            patched.setattr(CovectorPoset, "chains", _no_chains)
+            maximal, rank = fan.maximal_cones(), fan.rank
+        assert maximal == maximal_chains(poset, chains), poset.vectors
+        assert rank == max(map(len, chains), default=0), poset.vectors
+        if len(poset) < 40:
+            assert maximal == maximal_cones_by_scan(fan), poset.vectors
+        expected = {
+            "rank": max(map(len, chains), default=0),
+            "covectors": [sign_vector_str(v) for v in poset.vectors],
+            "chains": [list(c) for c in chains],
+        }
+        assert json.dumps(fan_to_json(fan)) == json.dumps(expected)
+        seen["repeats"] += len(set(poset.vectors)) < len(poset)
+        seen["impure"] += len({len(c) for c in maximal}) > 1
+    assert min(seen.values()) >= 20, seen
 
 
 def _generator_sets(rng):
@@ -405,7 +494,7 @@ def test_closure_hands_its_masks_to_the_poset(monkeypatch):
             calls.clear()
             fan = bergman_fan(poset)
             report = check_covector_axioms(poset)
-            derived = (poset.covers, fan.cones, fan.maximal_cones(), report)
+            derived = (poset.covers, tuple(fan.cones), fan.maximal_cones(), report)
             assert calls == []
             assert poset._pairs == matroids._mask_pairs(poset.vectors)[1]
             # a poset read from JSON is given no masks and reads them back
@@ -414,7 +503,8 @@ def test_closure_hands_its_masks_to_the_poset(monkeypatch):
             assert again == poset and len(calls) == len(poset)
             fan_again = bergman_fan(again)
             assert derived == (
-                again.covers, fan_again.cones, fan_again.maximal_cones(), check_covector_axioms(again)
+                again.covers, tuple(fan_again.cones), fan_again.maximal_cones(),
+                check_covector_axioms(again),
             ), gens
             failing += not report.ok
     assert failing >= 5
