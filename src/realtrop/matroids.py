@@ -821,32 +821,36 @@ class CovectorPoset:
             level = [c + (j,) for c in level for j in above[c[-1]]]
         return tuple(out)
 
-    def _largest_support_first(self) -> list[int]:
-        """The positions in decreasing support size: every position above
-        i comes before i."""
-        sizes = [(p | m).bit_count() for p, m in self._pairs]
-        return sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
-
     def chain_count(self) -> int:
-        """``len(self.chains())``, with no chain built, counted once."""
-        return self._chain_count
-
-    @cached_property
-    def _chain_count(self) -> int:
-        """The chains from i are i and the chains from each j above i,
-        whose support is larger, so supports go largest first."""
-        above, count = self._above_lists, [0] * len(self)
-        for i in self._largest_support_first():
+        """``len(self.chains())``: the chains from i are i and the chains from
+        each j above i, whose support is larger, so supports go largest first."""
+        above, pairs = self._above_lists, self._pairs
+        count, sizes = [0] * len(pairs), [(p | m).bit_count() for p, m in pairs]
+        for i in sorted(range(len(pairs)), key=sizes.__getitem__, reverse=True):
             count[i] = 1 + sum(map(count.__getitem__, above[i]))
-        return sum(n for n, (p, m) in zip(count, self._pairs) if p | m)
+        return sum(n for n, (p, m) in zip(count, pairs) if p | m)
 
-    def longest_chain(self) -> int:
-        """The length of a longest chain of nonzero covectors, 0 when there
-        is none: the longest chain from i is i and one from a j above i."""
-        above, height = self._above_lists, [0] * len(self)
-        for i in self._largest_support_first():
-            height[i] = 1 + max(map(height.__getitem__, above[i]), default=0)
-        return max((h for h, (p, m) in zip(height, self._pairs) if p | m), default=0)
+    def maximal_chains(self, chains) -> tuple[tuple[int, ...], ...]:
+        """The given chains, increasing index tuples of nonzero vectors, that
+        no other nonzero vector extends below the first element, above the
+        last or between two neighbours.  above[i] is the strictly-above
+        bitset plus the copies of vector i, below is its transpose; a chain
+        is strictly increasing, so its own positions never qualify."""
+        copies = self.mask_index
+        others = [copies[pm] & ~(1 << i) for i, pm in enumerate(self._pairs)]
+        above = [up | same for up, same in zip(self._above, others)]
+        below = others[:]
+        for i, js in enumerate(self._above_lists):
+            for j in js:
+                below[j] |= 1 << i
+        nonzero = sum(1 << i for i, (p, m) in enumerate(self._pairs) if p | m)
+
+        def extendable(chain):
+            if below[chain[0]] & nonzero or above[chain[-1]]:
+                return True
+            return any(above[a] & below[b] for a, b in zip(chain, chain[1:]))
+
+        return tuple(c for c in chains if not extendable(c))
 
 
 def covector_closure(

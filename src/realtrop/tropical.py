@@ -31,9 +31,7 @@ A real Bergman fan is the chains of nonzero covectors of a
 ``matroids.CovectorPoset``.  ``bergman_fan`` counts them against a cap
 and keeps the poset and the count; its ``cones`` are a view whose length
 is that count and whose elements ``CovectorPoset.chains`` builds on the
-first read.  The rank is the poset's longest chain, the maximal cones are
-a depth-first search along its covers, and ``bergman_member`` reads its
-``mask_index``; none of them builds the chains.
+first read; ``bergman_member`` reads the poset's ``mask_index`` only.
 """
 
 from __future__ import annotations
@@ -209,13 +207,10 @@ class _Chains(Sequence):
     def __init__(self, poset: CovectorPoset, count: int):
         self.poset = poset
         self._count = count
-        self._built: tuple[tuple[int, ...], ...] | None = None
 
-    @property
+    @cached_property
     def _tuple(self) -> tuple[tuple[int, ...], ...]:
-        if self._built is None:
-            self._built = self.poset.chains(cap=self._count)
-        return self._built
+        return self.poset.chains(cap=self._count)
 
     def __len__(self):
         return self._count
@@ -244,45 +239,18 @@ class BergmanFan:
 
     ``bergman_fan`` gives a fan whose ``cones`` are a view of its poset's
     chains, counted and not built until an element is read; a fan may
-    also be given its cones as a tuple.  ``rank`` and ``maximal_cones``
-    read the poset only."""
+    also be given its cones as a tuple."""
 
     poset: CovectorPoset
     cones: Sequence[tuple[int, ...]]
 
     @property
     def rank(self) -> int:
-        return self.poset.longest_chain()
+        return max((len(c) for c in self.cones), default=0)
 
     def maximal_cones(self) -> tuple[tuple[int, ...], ...]:
-        """The chains that no other nonzero vector extends, ordered by
-        length and then lexicographically: the paths along ``covers`` from a
-        nonzero vector with no nonzero vector below it to one with nothing
-        above it.  A vector with a copy is in none, as its copy lies
-        between its neighbours or beyond an end."""
-        index = self.poset.mask_index
-        zero = index.get((0, 0), 0)
-        alone = {b.bit_length() - 1 for b in index.values() if not b & b - 1}
-        up: dict[int, list[int]] = {i: [] for i in alone}
-        has_above, has_below = set(), set()
-        for i, j in self.poset.covers:
-            has_above.add(i)
-            if not zero >> i & 1:
-                has_below.add(j)
-            if i in alone and j in alone:
-                up[i].append(j)
-        cones = []
-
-        def extend(chain):
-            if chain[-1] not in has_above:
-                cones.append(chain)
-            for j in up[chain[-1]]:
-                extend(chain + (j,))
-
-        for i in sorted(alone):
-            if not zero >> i & 1 and i not in has_below:
-                extend((i,))
-        return tuple(sorted(cones, key=len))
+        """The cones whose chain no other nonzero vector can extend."""
+        return self.poset.maximal_chains(self.cones)
 
 
 def bergman_fan(poset: CovectorPoset, cap: int = DEFAULT_PAIR_CAP) -> BergmanFan:

@@ -75,10 +75,8 @@ the row subsets of the kept columns and it.
 reached; the library marks it with None.
 ``max_independent_by_subsets`` tries every subset, largest first, for
 the greedy rank witness of the library.  ``maximal_cones_by_scan`` tests
-every vector of the poset against every cone with ``leq_sv``.
-``maximal_chains`` is the filter the library ran before it searched along
-the covers: it keeps the given chains that no vector extends, read off
-position bitsets.
+every vector of the poset against every cone with ``leq_sv``; the library
+uses position bitsets.
 """
 
 from __future__ import annotations
@@ -690,29 +688,6 @@ def maximal_cones_by_scan(fan) -> tuple[tuple[int, ...], ...]:
         return False
 
     return tuple(c for c in fan.cones if not extendable(c))
-
-
-def maximal_chains(poset, chains) -> tuple[tuple[int, ...], ...]:
-    """The given chains, tuples of positions of nonzero vectors from the
-    bottom up, that no other nonzero vector extends below the first
-    element, above the last or between two neighbours.  above[i] is the strictly-above
-    bitset plus the copies of vector i, below is its transpose; a chain
-    is strictly increasing, so its own positions never qualify."""
-    copies = poset.mask_index
-    others = [copies[pm] & ~(1 << i) for i, pm in enumerate(poset._pairs)]
-    above = [up | same for up, same in zip(poset._above, others)]
-    below = others[:]
-    for i, js in enumerate(poset._above_lists):
-        for j in js:
-            below[j] |= 1 << i
-    nonzero = sum(1 << i for i, (p, m) in enumerate(poset._pairs) if p | m)
-
-    def extendable(chain):
-        if below[chain[0]] & nonzero or above[chain[-1]]:
-            return True
-        return any(above[a] & below[b] for a, b in zip(chain, chain[1:]))
-
-    return tuple(c for c in chains if not extendable(c))
 
 
 # ---------------------------------------------------------------------------
