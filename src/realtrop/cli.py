@@ -16,6 +16,7 @@ import sys
 
 from . import jsonio
 from .matroids import (
+    DEFAULT_CLOSURE_CAP,
     DEFAULT_PAIR_CAP,
     EnumerationCapError,
     check_covector_axioms,
@@ -126,11 +127,12 @@ def _cmd_member(args) -> dict:
 
 def _covectors_of(args):
     """The cocircuits of the matrix argument's sign chirotope and their
-    covector closure, every stage within ``--cap``."""
+    covector closure, every stage within ``--cap``, and the closure within
+    ``DEFAULT_CLOSURE_CAP`` too: the poset builds one bitset per covector."""
     ground = ground_from_matrix(_load_matrix(args.matrix))
     gp = gp_from_matrix(ground, target="S", tuple_cap=args.cap)
     cocircuits = cocircuits_from_gp(gp, cap=args.cap)
-    return cocircuits, covector_closure(cocircuits, cap=args.cap)
+    return cocircuits, covector_closure(cocircuits, cap=min(args.cap, DEFAULT_CLOSURE_CAP))
 
 
 def _cmd_covectors(args) -> dict:
@@ -216,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_PAIR_CAP,
-        help="bound on enumeration loops (minors, circuits, relations, closures)",
+        help="bound on enumeration loops (minors, circuits, relations, closures); "
+        f"covector closures stop at {DEFAULT_CLOSURE_CAP} whatever it is",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

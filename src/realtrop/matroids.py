@@ -11,7 +11,9 @@ is the one source for a realizable matroid; a ``GrassmannPlucker`` reads
 its values into that form once (``scaled_table``).  Circuits and
 cocircuits are the two row families of a table (``_circuit_rows``, and
 ``cocircuit_rows``, cached on the function), the only loops over
-(rank+-1)-subsets here; ``check_gp_relations`` is their orthogonality.
+(rank+-1)-subsets here; ``check_gp_relations`` is their orthogonality,
+and the supports of the cocircuit rows decide the flats of
+``covector_zero_flat``.
 Vectors are normalized, deduplicated and sorted as int pairs, and RT
 values are made only for the distinct vectors returned.  The axiom
 checkers build no hyperfield values.  A ``GrassmannPlucker`` made by
@@ -191,9 +193,6 @@ class GrassmannPlucker:
 
     def __len__(self):
         return len(self.labels)
-
-    def bases(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(t for t, v in sorted(self.values.items()) if not is_zero(v))
 
     @cached_property
     def scaled_table(self) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
@@ -426,9 +425,10 @@ def check_circuit_axioms(circuits) -> Report:
     Checks: no zero vector (C0); normalization of every representative
     (C1; the scaling axiom is then structural); incomparable supports
     between distinct classes (C2); valuated elimination between every
-    matched rescaling pair (C3); and reports the largest subset containing
-    no circuit support, which is the rank witness for the finite-rank
-    axiom.
+    matched rescaling pair (C3).  When they all hold, ``max_independent``
+    is the size of a greedy subset containing no circuit support, a basis
+    and so the rank witness for the finite-rank axiom; it is None when an
+    axiom fails, as for an empty list.
 
     Each circuit is held as a sign list, a list of valuations scaled to
     ints by the lcm of all denominators, and its support, both as a tuple
@@ -471,7 +471,7 @@ def check_circuit_axioms(circuits) -> Report:
 
     violations.extend(_elimination_failures(signs, vals, positions, supports, nonzero_at))
 
-    max_ind = _max_independent(m, supports, exhaustive=bool(violations))
+    max_ind = None if violations else _max_independent(m, supports)
     return Report(
         ok=not violations,
         violations=tuple(violations),
@@ -575,30 +575,16 @@ def _eliminates(sd, vd, support, af_sign: int, af_val: int, f: int, thr, sgn) ->
     return True
 
 
-def _max_independent(m: int, masks, exhaustive: bool) -> int:
-    """Size of a largest subset of 0..m-1 containing no mask.
-
-    When the circuit axioms hold, the masks are the circuits of a matroid,
-    so the greedy independent set is a basis and has the largest size.
-    Otherwise every subset is tried, within DEFAULT_PAIR_CAP subsets.
-    """
-    if not exhaustive:
-        chosen = 0
-        for e in range(m):
-            trial = chosen | 1 << e
-            if all(mask & trial != mask for mask in masks):
-                chosen = trial
-        return chosen.bit_count()
-    if 1 << m > DEFAULT_PAIR_CAP:
-        raise EnumerationCapError(1 << m, DEFAULT_PAIR_CAP, "independent-set search")
-    best = 0
-    for subset in range(1 << m):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        if all(mask & subset != mask for mask in masks):
-            best = size
-    return best
+def _max_independent(m: int, masks) -> int:
+    """Size of a greedy subset of 0..m-1 containing no mask.  When the
+    masks are the circuits of a matroid, that subset is a basis, so its
+    size is the rank."""
+    chosen = 0
+    for e in range(m):
+        trial = chosen | 1 << e
+        if all(mask & trial != mask for mask in masks):
+            chosen = trial
+    return chosen.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +598,7 @@ def cocircuits_from_gp(
     closed under negation, with zero vectors removed."""
     if gp.hyperfield not in ("S", "RT"):
         raise ValueError("cocircuits need a sign or real tropical chirotope")
-    count = math.comb(len(gp), gp.rank - 1)
-    if count > cap:
-        raise EnumerationCapError(count, cap, "cocircuit enumeration")
+    _check_cocircuit_cap(gp, cap)
     seen: set[SignVector] = set()
     for _, row in gp.cocircuit_rows:
         X = tuple(s for s, _ in row)
@@ -622,6 +606,14 @@ def cocircuits_from_gp(
             seen.add(X)
             seen.add(tuple(-x for x in X))
     return tuple(sorted(seen))
+
+
+def _check_cocircuit_cap(gp: GrassmannPlucker, cap: int) -> None:
+    """Raise before ``gp.cocircuit_rows`` is read when its C(m, rank-1)
+    rows exceed cap."""
+    count = math.comb(len(gp), gp.rank - 1)
+    if count > cap:
+        raise EnumerationCapError(count, cap, "cocircuit enumeration")
 
 
 def rt_cocircuits_from_gp(
@@ -633,9 +625,7 @@ def rt_cocircuits_from_gp(
     scaled pairs; only the distinct ones become RT values."""
     if gp.hyperfield != "RT":
         raise ValueError("expected a real tropical chirotope")
-    count = math.comb(len(gp), gp.rank - 1)
-    if count > cap:
-        raise EnumerationCapError(count, cap, "cocircuit enumeration")
+    _check_cocircuit_cap(gp, cap)
     seen = {_normalized(row) for _, row in gp.cocircuit_rows}
     seen.discard(None)
     # a zero entry is (0, 0) here and (0, inf) as RT: it only ever ties
@@ -822,8 +812,13 @@ class CovectorPoset:
         return tuple(out)
 
     def chain_count(self) -> int:
-        """``len(self.chains())``: the chains from i are i and the chains from
-        each j above i, whose support is larger, so supports go largest first."""
+        """``len(self.chains())``, counted once and kept."""
+        return self._chain_count
+
+    @cached_property
+    def _chain_count(self) -> int:
+        """The chains from i are i and the chains from each j above i, whose
+        support is larger, so supports go largest first."""
         above, pairs = self._above_lists, self._pairs
         count, sizes = [0] * len(pairs), [(p | m).bit_count() for p, m in pairs]
         for i in sorted(range(len(pairs)), key=sizes.__getitem__, reverse=True):
@@ -1061,21 +1056,23 @@ def _elimination_gaps(at, agree: int, coords, plus: int, sep: int) -> list[int]:
 
 
 def covector_zero_flat(X: SignVector, gp: GrassmannPlucker) -> tuple[int, ...]:
-    """Zero set of a covector, certified to be a flat of the matroid whose
-    bases are the support of gp: no other element keeps its rank."""
+    """Zero set Z of a covector, certified to be a flat of the matroid
+    whose bases are the support of gp: the closure of Z is the ground set
+    minus the support of every row of ``gp.cocircuit_rows`` that misses Z,
+    and their count is checked against ``DEFAULT_PAIR_CAP`` first."""
     if len(X) != len(gp):
         raise ValueError("covector and ground set have different lengths")
-    zset = {e for e, x in enumerate(X) if x == 0}
-    bases = [set(b) for b in gp.bases()]
-
-    def rank(s: set) -> int:
-        return max(len(s & b) for b in bases)
-
-    r = rank(zset)
-    closure = {e for e in range(len(gp)) if e in zset or rank(zset | {e}) == r}
-    if closure != zset:
-        raise ValueError(f"zero set {tuple(sorted(zset))} is not a flat; not a covector")
-    return tuple(sorted(zset))
+    _check_cocircuit_cap(gp, DEFAULT_PAIR_CAP)
+    zeros = sum(1 << e for e, x in enumerate(X) if x == 0)
+    closure = (1 << len(gp)) - 1
+    for _, row in gp.cocircuit_rows:
+        support = sum(1 << e for e, (s, _) in enumerate(row) if s)
+        if not support & zeros:
+            closure &= ~support
+    zset = tuple(_bits(zeros))
+    if closure != zeros:
+        raise ValueError(f"zero set {zset} is not a flat; not a covector")
+    return zset
 
 
 def sign_vector_str(X: SignVector) -> str:

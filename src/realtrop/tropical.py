@@ -200,20 +200,19 @@ def linear_space_member(y: ProjPoint, embedding: LinearEmbedding) -> bool:
 class _Chains(Sequence):
     """The chains of a poset as a read-only sequence of known length.
 
-    ``len`` is the count alone; the first element read takes the tuple
-    from ``poset.chains()``, once, and every later read uses it.  It
-    equals a tuple of the same chains, and hashes as one."""
+    ``len`` is the poset's chain count alone; the first element read takes
+    the tuple from ``poset.chains()``, once, and every later read uses it.
+    It equals a tuple of the same chains, and hashes as one."""
 
-    def __init__(self, poset: CovectorPoset, count: int):
+    def __init__(self, poset: CovectorPoset):
         self.poset = poset
-        self._count = count
 
     @cached_property
     def _tuple(self) -> tuple[tuple[int, ...], ...]:
-        return self.poset.chains(cap=self._count)
+        return self.poset.chains(cap=len(self))
 
     def __len__(self):
-        return self._count
+        return self.poset.chain_count()
 
     def __getitem__(self, i):
         return self._tuple[i]
@@ -259,7 +258,7 @@ def bergman_fan(poset: CovectorPoset, cap: int = DEFAULT_PAIR_CAP) -> BergmanFan
     count = poset.chain_count()
     if count > cap:
         raise EnumerationCapError(count, cap, "chain enumeration")
-    return BergmanFan(poset, _Chains(poset, count))
+    return BergmanFan(poset, _Chains(poset))
 
 
 def bergman_member(y: ProjPoint, fan: BergmanFan) -> bool:

@@ -603,8 +603,8 @@ def gp_relations_by_hypersums(gp, pair_cap: int = DEFAULT_PAIR_CAP) -> Report:
 def circuit_axioms_by_hypersums(circuits) -> Report:
     """C0-C3 with RT values: every rescaled circuit is built with
     ``hyper_div_by_cases``/``hyper_mul_by_cases`` and every entry tested
-    against their hypersum; the rank witness by
-    ``max_independent_by_subsets``."""
+    against their hypersum; when every axiom holds, the rank witness by
+    ``max_independent_by_subsets``, and None otherwise."""
     circuits = tuple(circuits)
     violations: list[dict] = []
     if not circuits:
@@ -634,7 +634,7 @@ def circuit_axioms_by_hypersums(circuits) -> Report:
                     if not _eliminate(circuits, a.entries, cprime, e, f):
                         violations.append({"axiom": "C3", "pair": [i, j], "e": e, "f": f})
 
-    max_ind = max_independent_by_subsets(m, [c.support for c in circuits])
+    max_ind = None if violations else max_independent_by_subsets(m, [c.support for c in circuits])
     return Report(ok=not violations, violations=tuple(violations), info={"max_independent": max_ind})
 
 

@@ -64,6 +64,24 @@ def test_covector_closure_cap_error(capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["covectors", "bergman"])
+def test_covector_closure_stays_within_the_library_cap(capsys, monkeypatch, command):
+    # a --cap above the closure cap does not raise it: the poset builds one
+    # bitset per covector, so its closure stops where the library's does
+    monkeypatch.setattr(cli, "DEFAULT_CLOSURE_CAP", 7)
+    code, out = run_cli(["--cap", "100", command, U23], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "type": "EnumerationCapError",
+            "message": "covector closure needs 8 steps, cap is 7",
+            "required": 8,
+            "cap": 7,
+            "stage": "covector closure",
+        }
+    }
+
+
 @pytest.mark.parametrize("cap, stage, required", [(3, "circuit enumeration", 4), (4, "minor enumeration", 6)])
 def test_circuits_obey_the_cap(capsys, cap, stage, required):
     # four 3-subsets of columns, six 2 x 2 minors

@@ -1,8 +1,10 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -10,6 +12,7 @@ from realtrop import (
     BergmanFan,
     CovectorPoset,
     EnumerationCapError,
+    GroundSet,
     bergman_fan,
     check_covector_axioms,
     cocircuits_from_gp,
@@ -211,15 +214,27 @@ def test_flat_map_is_strictly_monotone_on_poset():
 def test_zero_flats_match_rational_rank():
     # a zero set Z is a flat exactly when every column outside it raises
     # the rank of the columns in Z; ranks here are rational ranks of the
-    # constant columns, independent of the minor table
+    # constant columns, independent of the minor table.  The RT and S
+    # functions of a ground and the abs and to-krasner images of the RT
+    # one have the same flats; a zero column, a loop, lies in every flat
     rng = random.Random(337)
-    seen = {True: 0, False: 0}
-    for _ in range(30):
+    seen = collections.Counter()
+    for trial in range(30):
         h = rng.randint(1, 3)
         g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
-        und = pushforward_gp(gp_from_matrix(g), "to-krasner")
+        if trial % 3 == 0:
+            columns = list(g.columns)
+            columns.insert(rng.randint(0, len(columns)), (0,) * h)
+            g = GroundSet(tuple(columns))
+        gp = gp_from_matrix(g)
+        functions = (
+            gp, gp_from_matrix(g, target="S"), pushforward_gp(gp, "abs"),
+            pushforward_gp(gp, "to-krasner"),
+        )
+        assert [f.hyperfield for f in functions] == ["RT", "S", "T", "K"]
         cols = [[x.constant_value() for x in c] for c in g.columns]
         m = len(cols)
+        seen["loop"] += any(not any(c) for c in cols)
         for size in range(m + 1):
             for zset in itertools.combinations(range(m), size):
                 r = linalg.rank([cols[e] for e in zset])
@@ -230,12 +245,26 @@ def test_zero_flats_match_rational_rank():
                 )
                 X = tuple(0 if e in zset else 1 for e in range(m))
                 seen[flat] += 1
-                if flat:
-                    assert covector_zero_flat(X, und) == zset
-                else:
-                    with pytest.raises(ValueError, match="is not a flat"):
-                        covector_zero_flat(X, und)
-    assert seen[True] and seen[False]
+                for function in functions:
+                    if flat:
+                        assert covector_zero_flat(X, function) == zset
+                    else:
+                        message = f"^zero set {re.escape(str(zset))} is not a flat; not a covector$"
+                        with pytest.raises(ValueError, match=message):
+                            covector_zero_flat(X, function)
+    assert min(seen[True], seen[False], seen["loop"]) >= 10, seen
+
+
+def test_zero_flat_checks_the_cocircuit_count_first(monkeypatch):
+    # U(2, 3) has C(3, 1) = 3 cocircuit rows; none is built over the cap
+    gp = gp_from_matrix(U23, target="S")
+    monkeypatch.setattr(matroids, "DEFAULT_PAIR_CAP", 2)
+    with pytest.raises(EnumerationCapError) as info:
+        covector_zero_flat((0, 1, 1), gp)
+    assert (info.value.required, info.value.cap, info.value.stage) == (3, 2, "cocircuit enumeration")
+    assert "cocircuit_rows" not in gp.__dict__
+    monkeypatch.setattr(matroids, "DEFAULT_PAIR_CAP", 3)
+    assert covector_zero_flat((0, 1, 1), gp) == (0,)
 
 
 def test_composition_operator():
@@ -327,6 +356,30 @@ def test_fan_cones_are_the_chains_built_once_on_first_read(monkeypatch):
         assert calls == [count]
         listed, again = BergmanFan(poset, chains), bergman_fan(poset)
         assert fan == listed == again and hash(fan) == hash(listed) == hash(again)
+
+
+def test_chains_are_counted_once_per_poset(monkeypatch):
+    # the fan, its length, its first element read and chains() itself
+    # share the one count kept on the poset
+    real = CovectorPoset._chain_count.func
+    counted = []
+
+    def counting(self):
+        counted.append(self)
+        return real(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(CovectorPoset, "_chain_count")
+    monkeypatch.setattr(CovectorPoset, "_chain_count", prop)
+    rng = random.Random(443)
+    posets = [CovectorPoset(()), u23_poset()]
+    posets += [covector_closure(gens) for _ in range(5) for gens in _generator_sets(rng)]
+    for poset in posets:
+        fan = bergman_fan(poset)
+        assert len(fan.cones) == poset.chain_count() == real(poset)
+        assert tuple(fan.cones) == poset.chains() == poset.chains(cap=len(fan.cones))
+        assert counted == [poset]
+        counted.clear()
 
 
 def test_fan_of_the_view_reads_as_the_fan_of_the_tuple():
@@ -507,7 +560,7 @@ def test_valid_closure_is_certified_per_support_class(monkeypatch):
     # U(3, 6): every 3 of these columns are independent
     ground = ground_from_matrix([[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 4, 9]])
     gp = gp_from_matrix(ground, target="S")
-    assert len(gp.bases()) == 20
+    assert sum(v != 0 for v in gp.values.values()) == 20
     poset = covector_closure(cocircuits_from_gp(gp))
     by_support = collections.Counter(tuple(x != 0 for x in v) for v in poset.vectors)
     equal_support_pairs = sum(k * (k - 1) // 2 for k in by_support.values())

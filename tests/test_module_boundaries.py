@@ -4,7 +4,8 @@ what one module shares with another is part of its public surface.  Only
 through its public surface.  Every function, class and method in the
 library is named by other library code or exported from ``realtrop``,
 unless ``KEPT`` gives the reason it stays; code only tests use lives in
-``tests/``."""
+``tests/``.  Every ``EnumerationCapError`` the library raises names one of
+the stages in ``CAP_STAGES``, so a new exhaustive stage is listed there."""
 
 import ast
 from collections import Counter
@@ -150,3 +151,50 @@ def test_the_check_sees_defs_only_tests_could_use(tmp_path):
     )
     assert unnamed_defs(tmp_path) == ["m.K.alone", "m.recursive", "m.unused"]
 
+
+
+#: The stage of every budgeted enumeration in the library.
+CAP_STAGES = {
+    "tuple enumeration",
+    "minor enumeration",
+    "relation enumeration",
+    "circuit enumeration",
+    "cocircuit enumeration",
+    "chain enumeration",
+    "covector closure",
+    "flag fiber",
+}
+
+
+def cap_stages(src: Path) -> set[str]:
+    """The stage of each ``EnumerationCapError(required, cap, stage)`` call
+    in the modules of src, positional or by keyword; a stage that is not a
+    string literal is given as where it is."""
+    stages = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name != "EnumerationCapError":
+                continue
+            args = node.args[2:3] + [k.value for k in node.keywords if k.arg == "stage"]
+            for arg in args or [None]:
+                literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                stages.add(arg.value if literal else f"{path.name}:{node.lineno} stage")
+    return stages
+
+
+def test_every_cap_stage_is_listed():
+    assert cap_stages(SRC) == CAP_STAGES
+
+
+def test_the_check_sees_cap_stages(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "raise EnumerationCapError(n, cap, 'subset search')\n"
+        "raise matroids.EnumerationCapError(n, cap, stage='flag fiber')\n"
+        "raise EnumerationCapError(n, cap, name)\n"
+        "raise EnumerationCapError(n, cap)\n"
+        "raise OtherError(n, cap, 'other')\n"
+    )
+    assert cap_stages(tmp_path) == {"subset search", "flag fiber", "m.py:3 stage", "m.py:4 stage"}
