@@ -37,8 +37,9 @@ strictly-above bitsets with their position lists.  Its covers, chains,
 chain count, maximal chains, axiom check and ``tropical.bergman_member``
 all read that one index.  Cov3 is decided by counting, per vector, the
 distinct restrictions to its zero set against the distinct vectors above
-it, and Cov4 per support class.  Sign-vector tuples are made only for
-the public API.
+it, and Cov4 at the single sign flips within each support class and at
+the pairs no flip shortens.  Sign-vector tuples are made only for the
+public API.
 """
 
 from __future__ import annotations
@@ -897,7 +898,7 @@ def check_covector_axioms(poset) -> Report:
 
     Takes a poset or any list of equally long sign vectors, repeats
     allowed; violations are reported in the order of that list.  The work
-    on a valid set is per vector and per support class, not per pair of
+    on a valid set is per vector and per coordinate, not per pair of
     vectors.
 
     Composition (Cov3): X o Y is X plus Y restricted to the zero set z of
@@ -923,10 +924,14 @@ def check_covector_axioms(poset) -> Report:
       signs, so S(U, V) is nonempty, U o V = U and V o U = V, and U and V
       agree off S(U, V): their pair has the key (U off S(U, V), S(U, V)),
       whichever of them comes first in the list.
-    So if Cov3 holds and every equal-support key passes, Cov4 holds.  The
-    keys of one support class start from the vectors that are 0 off that
-    support, and read only the coordinates of U.  Otherwise the loop over
-    the pairs of the list decides, and it alone writes Cov4 violations.
+    So if Cov3 holds, Cov4 holds iff it holds for every pair of distinct
+    vectors with equal support.  Those pairs are not enumerated: by
+    induction on |S(U, V)|, the single sign flips inside a support class
+    (the edges of the tope graph, Bjorner, Las Vergnas, Sturmfels, White
+    and Ziegler, Oriented Matroids, ch. 4) carry elimination from pair to
+    pair, so it is checked at each flip and at the few pairs that no flip
+    shortens (``_eliminations_certified``).  Otherwise the loop over the
+    pairs of the list decides, and it alone writes Cov4 violations.
     """
     if not isinstance(poset, CovectorPoset):
         poset = CovectorPoset(tuple(poset))
@@ -987,22 +992,56 @@ def _zero_off(zero_at, every: int, support: int) -> int:
 
 
 def _eliminations_certified(poset) -> bool:
-    """Whether every elimination key of a pair of distinct vectors with
-    equal support passes; each distinct key is evaluated once.  Within a
-    support class, two vectors U, V are opposite on S(U, V) and equal off
-    it, so their key is fixed by the support, U off S as the plus mask of
-    U & V, and S as that of U ^ V."""
-    classes: dict[int, list[int]] = {}
-    for p, m in poset.mask_index:
-        classes.setdefault(p | m, []).append(p)
-    at, every = poset._at, (1 << len(poset)) - 1
-    for support, pluses in classes.items():
-        if len(pluses) < 2:
+    """Whether elimination holds for every pair of distinct vectors U, V
+    with equal support, checked per vector and per coordinate.
+
+    Such U and V are opposite on S = S(U, V) and equal off it.  If a
+    vector W of the same support has S(U, W) a nonempty proper subset of
+    S, then S(W, V) = S minus S(U, W), and a Z eliminating e in S for
+    (U, W) or for (W, V) agrees with U off S: elimination for (U, W) and
+    (W, V) gives it for (U, V).  By induction on |S|, two checks suffice
+    (the flips are the edges of the tope graph, Bjorner, Las Vergnas,
+    Sturmfels, White and Ziegler, Oriented Matroids, ch. 4):
+    - flip edges: where U with the sign at e flipped is a vector, S is
+      {e}, and the only Z is U with e zeroed, which must be a vector;
+    - the rest: a V that agrees with U at every flip coordinate e of U is
+      reached by no flip, and its key (U & V, U ^ V) within the support
+      class is checked directly, each distinct key once.
+    Any other V is separated from U at some flip coordinate e, and W = U
+    with e flipped shortens the path."""
+    width, copies, masks = poset.width, poset.mask_index, poset._pairs
+    at = poset._at
+    plus_at, minus_at = at[0], at[1]
+    # a vector as the int p << width | m: flipping e is key ^ both[e], and
+    # zeroing e is key & ~both[e]
+    keys = {p << width | m for p, m in copies}
+    both = [(1 << width | 1) << e for e in range(width)]
+    classes: dict[int, int] = {}
+    for (p, m), c in copies.items():
+        classes[p | m] = classes.get(p | m, 0) | c
+    starts: dict[int, tuple[int, list[int]]] = {}
+    checked = set()
+    for (p, m), c in copies.items():
+        support = p | m
+        rest = classes[support] & ~c
+        if not rest:
             continue
-        start = _zero_off(at[2], every, support)
-        coords = _bits(support)
-        for plus, sep in {(a & b, a ^ b) for a, b in itertools.combinations(pluses, 2)}:
-            if _elimination_gaps(at, start, coords, plus, sep):
+        key = p << width | m
+        for e, b in enumerate(both):
+            if support >> e & 1 and key ^ b in keys:
+                if key & ~b not in keys:
+                    return False
+                rest &= plus_at[e] if p >> e & 1 else minus_at[e]
+        while rest:
+            q = masks[(rest & -rest).bit_length() - 1][0]
+            rest &= ~copies[q, support & ~q]
+            plus, sep = p & q, p ^ q
+            if (support, plus, sep) in checked:
+                continue
+            checked.add((support, plus, sep))
+            if support not in starts:
+                starts[support] = _zero_off(at[2], (1 << len(masks)) - 1, support), _bits(support)
+            if _elimination_gaps(at, *starts[support], plus, sep):
                 return False
     return True
 

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
 import re
 
@@ -557,13 +558,6 @@ def test_closure_hands_its_masks_to_the_poset(monkeypatch):
 
 
 def test_valid_closure_is_certified_per_support_class(monkeypatch):
-    # U(3, 6): every 3 of these columns are independent
-    ground = ground_from_matrix([[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 4, 9]])
-    gp = gp_from_matrix(ground, target="S")
-    assert sum(v != 0 for v in gp.values.values()) == 20
-    poset = covector_closure(cocircuits_from_gp(gp))
-    by_support = collections.Counter(tuple(x != 0 for x in v) for v in poset.vectors)
-    equal_support_pairs = sum(k * (k - 1) // 2 for k in by_support.values())
     real = matroids._elimination_gaps
     keys = []
 
@@ -576,9 +570,61 @@ def test_valid_closure_is_certified_per_support_class(monkeypatch):
 
     monkeypatch.setattr(matroids, "_elimination_gaps", counting)
     monkeypatch.setattr(matroids, "_elimination_violations", pair_loop)
-    assert check_covector_axioms(poset).ok
-    assert 0 < len(keys) <= equal_support_pairs < len(poset) * (len(poset) - 1) // 2
-    assert len(set(keys)) == len(keys)
+
+    def certified_keys(gp):
+        """The keys that reach _elimination_gaps on the closure of gp's
+        cocircuits, and the expected ones: only the +-X cocircuit pairs
+        are joined by no single flip, each with the key (support of X,
+        no plus outside it, all of it separated)."""
+        cocircuits = cocircuits_from_gp(gp)
+        poset = covector_closure(cocircuits)
+        keys.clear()
+        assert check_covector_axioms(poset).ok
+        assert len(set(keys)) == len(keys)
+        supports = {tuple(e for e, x in enumerate(X) if x) for X in cocircuits}
+        return poset, set(keys), {(s, 0, sum(1 << e for e in s)) for s in supports}
+
+    # U(3, 6): every 3 of these columns are independent
+    ground = ground_from_matrix([[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 4, 9]])
+    gp = gp_from_matrix(ground, target="S")
+    assert sum(v != 0 for v in gp.values.values()) == 20
+    poset, got, want = certified_keys(gp)
+    by_support = collections.Counter(tuple(x != 0 for x in v) for v in poset.vectors)
+    equal_support_pairs = sum(k * (k - 1) // 2 for k in by_support.values())
+    assert (len(poset), equal_support_pairs, len(got)) == (123, 781, 15)
+    assert got == want
+    # seeded uniform closures of the benchmark's shapes: C(w, h - 1) keys
+    rng = random.Random(563)
+    for h, w in ((4, 5), (3, 6), (2, 7)):
+        while True:
+            rows = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(w)] for _ in range(h)]
+            gp = gp_from_matrix(ground_from_matrix(rows), target="S")
+            if all(v != 0 for v in gp.values.values()):
+                break
+        _, got, want = certified_keys(gp)
+        assert len(got) == math.comb(w, h - 1) and got == want, (h, w)
+
+
+@pytest.mark.parametrize(
+    "listed, ok",
+    [
+        # Cov4 fails at (++++, ++--, e=2); the four full vectors are
+        # pairwise two or four flips apart, so only the direct keys see it
+        (["0000", "++++", "++--", "----", "--++"], False),
+        # ++ and +- are one flip apart, and +0 is missing
+        (["00", "++", "+-", "-+", "--"], False),
+        # +++ and -++ are one flip apart, and 0++ is missing
+        (["000", "+++", "+--", "-++", "---"], False),
+        # rank 1 on two parallel elements: no flip, one direct key
+        (["00", "++", "--"], True),
+    ],
+)
+def test_elimination_certificate_on_hand_built_lists(listed, ok, checked_against_oracle):
+    vectors = [parse_sign_vector(v) for v in listed]
+    poset = CovectorPoset(tuple(vectors))
+    assert not matroids._uncomposable(poset)
+    assert matroids._eliminations_certified(poset) is ok
+    assert checked_against_oracle(vectors).ok is ok
 
 
 def test_closure_cap_counts_the_first_added_vector():
