@@ -1,11 +1,17 @@
 """Grassmann-Plucker functions over hyperfields, their axiom checkers,
 circuits of realizable matroids, cocircuits, and covector posets.
 
-A ground set is the list of columns of a matrix, indexed 0..m-1; a linear
-embedding (``tropical.LinearEmbedding``) is a ground set whose columns
-span.  Value tables are held in one scaled form: (sign, k) int pairs,
+A linear embedding (``LinearEmbedding``) is the columns of a matrix, the
+ground elements 0..m-1, and they must span.  Construction checks that
+once: equal heights, at least one column, at most
+``puiseux.DET_SIZE_BOUND`` rows (as the minors need), and then the rank
+(``puiseux.column_rank``: one assignment on the leading terms, and one
+elimination only when that leaves the rank open), which must be the
+height, or else it raises ``RankDeficientError``.  ``apply``
+evaluates each functional as one ``puiseux.dot``.
+Value tables are held in one scaled form: (sign, k) int pairs,
 valuation k/scale and zero (0, 0), keyed by increasing tuples, with their
-scale.  The minor table of a ground set, certified in that form from the
+scale.  The minor table of an embedding, certified in that form from the
 leading terms of its columns (``puiseux.maximal_minors``) and cached,
 is the one source for a realizable matroid; a ``GrassmannPlucker`` reads
 its values into that form once (``scaled_table``).  Circuits and
@@ -66,7 +72,14 @@ from .hyperfields import (
     unchecked_rt,
     zero_of,
 )
-from .puiseux import PuiseuxSeries, as_series, maximal_minors
+from .puiseux import (
+    PuiseuxSeries,
+    as_series,
+    check_det_size,
+    column_rank,
+    dot,
+    maximal_minors,
+)
 
 SignVector = tuple[int, ...]
 
@@ -98,21 +111,27 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# Ground sets
+# Linear embeddings
 
 
 @dataclass(frozen=True)
-class GroundSet:
-    """The columns of a matrix as the ground elements 0..m-1."""
+class LinearEmbedding:
+    """The columns of a matrix, the functionals of a linear embedding, as
+    the ground elements 0..m-1.  They span the dual space, so the maximal
+    minors they cache (``minor_table``) give a realizable matroid."""
 
     columns: tuple[tuple[PuiseuxSeries, ...], ...]
 
     def __post_init__(self):
         cols = tuple(tuple(as_series(x) for x in c) for c in self.columns)
         object.__setattr__(self, "columns", cols)
-        heights = {len(c) for c in cols}
-        if len(heights) > 1:
+        if len({len(c) for c in cols}) > 1:
             raise ValueError("columns of unequal height")
+        if not cols:
+            raise ValueError("embedding needs at least one column")
+        check_det_size(self.height)
+        if column_rank(cols) != self.height:
+            raise RankDeficientError("columns do not span")
 
     @classmethod
     def from_matrix(cls, rows):
@@ -134,7 +153,13 @@ class GroundSet:
 
     @property
     def height(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return len(self.columns[0])
+
+    def ground(self) -> LinearEmbedding:
+        """The embedding itself.  Kept because ``bench/workloads.py`` calls
+        ``gp_from_matrix(emb.ground())``; it goes once the benchmark passes
+        the embedding."""
+        return self
 
     @cached_property
     def minor_table(self) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
@@ -143,10 +168,40 @@ class GroundSet:
         (``puiseux.maximal_minors``).  Callers check caps before reading."""
         return maximal_minors(self.columns)
 
+    @cached_property
+    def circuits(self) -> tuple[SignedCircuit, ...]:
+        return circuits_from_matrix(self)
 
-def ground_from_matrix(rows) -> GroundSet:
-    """Interpret a row-major matrix as a ground set of column vectors."""
-    return GroundSet.from_matrix(rows)
+    def enumerate_circuits(self, cap: int) -> tuple[SignedCircuit, ...]:
+        """``circuits``, enumerated within ``cap`` (``circuits_from_matrix``)
+        and kept as ``circuits``, so membership reads these and enumerates
+        nothing again."""
+        circuits = circuits_from_matrix(self, cap=cap)
+        object.__setattr__(self, "circuits", circuits)
+        return circuits
+
+    @cached_property
+    def _scaled_circuits(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
+        """The circuits' scale and, per circuit, its support as
+        (element, sign, scaled valuation) triples (``scaled_rt_vectors``)."""
+        signs, vals, scale = scaled_rt_vectors(c.entries for c in self.circuits)
+        supports = [
+            tuple((e, s, v) for e, (s, v) in enumerate(zip(sg, vs)) if s)
+            for sg, vs in zip(signs, vals)
+        ]
+        return scale, supports
+
+    def apply(self, x) -> tuple[PuiseuxSeries, ...]:
+        """Evaluate every functional at the coordinate vector x."""
+        x = tuple(as_series(v) for v in x)
+        if len(x) != self.height:
+            raise ValueError("point has the wrong dimension")
+        return tuple(dot(col, x) for col in self.columns)
+
+
+def ground_from_matrix(rows) -> LinearEmbedding:
+    """Interpret a row-major matrix as the embedding of its columns."""
+    return LinearEmbedding.from_matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +286,7 @@ class GrassmannPlucker:
 
 
 def gp_from_matrix(
-    ground: GroundSet, target: str = "RT", tuple_cap: int = DEFAULT_PAIR_CAP
+    ground: LinearEmbedding, target: str = "RT", tuple_cap: int = DEFAULT_PAIR_CAP
 ) -> GrassmannPlucker:
     """Signed valuations of maximal minors, pushed into the target hyperfield.
 
@@ -248,19 +303,13 @@ def gp_from_matrix(
     return gp
 
 
-def _spanning_minor_table(ground: GroundSet, tuple_cap: int) -> tuple[dict, int]:
-    """The ground set's minor table and scale, after the rank and cap
-    checks that come before any minor is taken."""
-    r, m = ground.height, len(ground)
-    if r > m:
-        raise RankDeficientError("fewer columns than rows, matroid cannot have full rank")
-    count = math.comb(m, r)
+def _spanning_minor_table(ground: LinearEmbedding, tuple_cap: int) -> tuple[dict, int]:
+    """The embedding's minor table and scale, after the cap check that
+    comes before any minor is taken."""
+    count = math.comb(len(ground), ground.height)
     if count > tuple_cap:
         raise EnumerationCapError(count, tuple_cap, "minor enumeration")
-    table, scale = ground.minor_table
-    if not any(s for s, _ in table.values()):
-        raise RankDeficientError("columns do not span, matroid is rank deficient")
-    return table, scale
+    return ground.minor_table
 
 
 def check_gp_relations(
@@ -357,7 +406,7 @@ class SignedCircuit:
 
 
 def circuits_from_matrix(
-    ground: GroundSet, cap: int = DEFAULT_PAIR_CAP
+    ground: LinearEmbedding, cap: int = DEFAULT_PAIR_CAP
 ) -> tuple[SignedCircuit, ...]:
     """One normalized circuit per minimal dependent set of columns.
 
@@ -378,10 +427,7 @@ def circuits_from_matrix(
     count = math.comb(m, r + 1)
     if count > cap:
         raise EnumerationCapError(count, cap, "circuit enumeration")
-    try:
-        table, scale = _spanning_minor_table(ground, cap)
-    except RankDeficientError:
-        raise RankDeficientError("columns do not span") from None
+    table, scale = _spanning_minor_table(ground, cap)
     by_support = {}
     for tau, row in _circuit_rows(table, m, r):
         normal = _normalized(row)

@@ -1,9 +1,9 @@
 """Real tropicalization of points and linear embeddings, membership tests
 for real tropical hyperplanes and linear spaces, and real Bergman fans.
 
-A linear embedding is a ground set (``matroids.GroundSet``) whose
-columns, the functionals, span the dual space; its circuits come from the
-one minor table that the ground set caches.
+A linear embedding (``matroids.LinearEmbedding``) is the columns of a
+matrix, the functionals, which span the dual space; its circuits come
+from the one minor table it caches.
 
 Projective points carry one sign-and-valuation coordinate per ground
 element, normalized so the smallest-index nonzero coordinate is (+, 0).
@@ -15,12 +15,8 @@ products admit zero, i.e. the least product valuation is reached with
 both signs (or everything vanishes); a linear space is the intersection
 over all circuits of the embedding's matroid.
 
-``apply`` evaluates each functional as one ``puiseux.dot``, which reads
-the series' integer form directly.  An embedding is at most
-``puiseux.DET_SIZE_BOUND`` rows high, as its minors need, checked before
-its rank (``puiseux.column_rank``: one assignment on the leading terms,
-and one elimination only when that leaves the rank open).  The CLI
-enumerates the circuits once within its cap (``enumerate_circuits``).
+The CLI enumerates the circuits once within its cap
+(``LinearEmbedding.enumerate_circuits``).
 ``linear_space_member`` reads the circuits once as signs and valuations
 scaled to ints (``matroids.scaled_rt_vectors``), cached on the
 embedding, scales the point once to a common denominator, and hands
@@ -47,20 +43,12 @@ from .matroids import (
     DEFAULT_PAIR_CAP,
     CovectorPoset,
     EnumerationCapError,
-    GroundSet,
+    LinearEmbedding,
     SignedCircuit,
-    circuits_from_matrix,
     normalize_rt_vector,
     scaled_rt_vectors,
 )
-from .puiseux import (
-    PuiseuxSeries,
-    as_series,
-    check_det_size,
-    column_rank,
-    dot,
-    leading_sign_exponent,
-)
+from .puiseux import as_series, leading_sign_exponent
 
 
 @dataclass(frozen=True)
@@ -104,54 +92,6 @@ def trop_r_point(coords) -> ProjPoint:
             for s, k, q in leads
         )
     )
-
-
-@dataclass(frozen=True)
-class LinearEmbedding(GroundSet):
-    """A ground set whose columns span: the functionals of a linear
-    embedding.  Its matroid is read off the ground set's minor table."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.columns:
-            raise ValueError("embedding needs at least one column")
-        check_det_size(self.height)
-        if column_rank(self.columns) != self.height:
-            raise ValueError("columns do not span the dual space")
-
-    def ground(self) -> GroundSet:
-        """The embedding itself, as the ground set that caches its minors."""
-        return self
-
-    @cached_property
-    def circuits(self) -> tuple[SignedCircuit, ...]:
-        return circuits_from_matrix(self)
-
-    def enumerate_circuits(self, cap: int) -> tuple[SignedCircuit, ...]:
-        """``circuits``, enumerated within ``cap`` (``circuits_from_matrix``)
-        and kept as ``circuits``, so membership reads these and enumerates
-        nothing again."""
-        circuits = circuits_from_matrix(self, cap=cap)
-        object.__setattr__(self, "circuits", circuits)
-        return circuits
-
-    @cached_property
-    def _scaled_circuits(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
-        """The circuits' scale and, per circuit, its support as
-        (element, sign, scaled valuation) triples (``scaled_rt_vectors``)."""
-        signs, vals, scale = scaled_rt_vectors(c.entries for c in self.circuits)
-        supports = [
-            tuple((e, s, v) for e, (s, v) in enumerate(zip(sg, vs)) if s)
-            for sg, vs in zip(signs, vals)
-        ]
-        return scale, supports
-
-    def apply(self, x) -> tuple[PuiseuxSeries, ...]:
-        """Evaluate every functional at the coordinate vector x."""
-        x = tuple(as_series(v) for v in x)
-        if len(x) != self.height:
-            raise ValueError("point has the wrong dimension")
-        return tuple(dot(col, x) for col in self.columns)
 
 
 def _product_terms(y: ProjPoint, circuit) -> list[tuple[int, Val]]:

@@ -20,15 +20,14 @@ from realtrop import (
     DiagonalSeminorm,
     FlagStep,
     GrassmannPlucker,
-    GroundSet,
     HyperSet,
     LinearEmbedding,
     ProjPoint,
     PuiseuxSeries,
+    RankDeficientError,
     SignedFlag,
     ball,
     compose,
-    ground_from_matrix,
     linalg,
     parse_puiseux,
     puiseux,
@@ -46,7 +45,7 @@ from realtrop.jsonio import (
     vector_to_json,
 )
 from realtrop.linalg import rational
-from realtrop.puiseux import column_rank, format_series
+from realtrop.puiseux import format_series
 
 HALF_INT_EXPONENTS = [Fraction(k, 2) for k in range(0, 5)]
 
@@ -131,18 +130,15 @@ def random_matrix_rows(rng, height, width, constant=False):
     return [[gen(rng) for _ in range(width)] for _ in range(height)]
 
 
-def random_full_rank_ground(rng, height, width, constant=False) -> GroundSet:
-    """Spanning column set; regenerates until the columns span."""
-    while True:
-        rows = random_matrix_rows(rng, height, width, constant=constant)
-        cols = [tuple(rows[i][j] for i in range(height)) for j in range(width)]
-        if column_rank(cols) == height:
-            return ground_from_matrix(rows)
-
-
 def random_embedding(rng, height, width, constant=False) -> LinearEmbedding:
-    g = random_full_rank_ground(rng, height, width, constant=constant)
-    return LinearEmbedding(g.columns)
+    """Spanning columns; regenerates until the columns span."""
+    while True:
+        try:
+            return LinearEmbedding.from_matrix(
+                random_matrix_rows(rng, height, width, constant=constant)
+            )
+        except RankDeficientError:
+            pass
 
 
 def random_invertible_constant_basis(rng, dim):

@@ -214,7 +214,8 @@ def circuits_by_rt_vectors(ground) -> tuple[SignedCircuit, ...]:
     giving the RT vector (-1)^k phi(tau minus tau_k) at tau_k; the first
     vector found on a support is kept, and circuits are sorted by support
     size, then support.  The minors come from ``signed_det``."""
-    cols, m, r = ground.columns, len(ground), ground.height
+    cols, r = ground.columns, ground.height
+    m = len(cols)
     phi = {
         tup: signed_det([cols[j] for j in tup])
         for tup in itertools.combinations(range(m), r)

@@ -56,7 +56,7 @@ from helpers import (
     normalized_grid,
     random_diagonal,
     random_expression,
-    random_full_rank_ground,
+    random_embedding,
     random_rational_vector,
 )
 
@@ -119,7 +119,7 @@ def test_criterion_03_axiom_suites_with_corruption():
     for i in range(n_matrices):
         h = rng.choice([2, 2, 3, 3, 3, 4])
         w = rng.randint(h, min(7, h + 3))
-        g = random_full_rank_ground(rng, h, w)
+        g = random_embedding(rng, h, w)
         gp = gp_from_matrix(g)
         assert check_gp_relations(gp).ok, (i, h, w)
         assert check_circuit_axioms(circuits_from_matrix(g)).ok, (i, h, w)
@@ -162,10 +162,9 @@ def test_criterion_04_fan_equals_circuit_membership():
     for _ in range(n_matroids):
         h = rng.randint(2, 3)
         w = rng.randint(h, 6)
-        g = random_full_rank_ground(rng, h, w, constant=True)
-        emb = LinearEmbedding(g.columns)
+        emb = random_embedding(rng, h, w, constant=True)
         fan = bergman_fan(
-            covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S")))
+            covector_closure(cocircuits_from_gp(gp_from_matrix(emb, target="S")))
         )
         for y in normalized_grid(w, vals=(0, 1)):
             assert bergman_member(y, fan) == linear_space_member(y, emb)
@@ -189,8 +188,7 @@ def test_criterion_05_image_points_are_members():
     for _ in range(n_embeddings):
         h = rng.randint(2, 4)
         w = rng.randint(h, 8)
-        g = random_full_rank_ground(rng, h, w)
-        emb = LinearEmbedding(g.columns)
+        emb = random_embedding(rng, h, w)
         count = 0
         while count < 200:
             if rng.random() < 0.5:
@@ -263,22 +261,21 @@ def test_criterion_07_projections_restrict_consistently():
         dim = rng.randint(2, 4)
         width = rng.randint(dim, min(8, dim + 4))
         s = random_diagonal(rng, dim)
-        g = random_full_rank_ground(rng, dim, width, constant=True)
-        emb = LinearEmbedding(g.columns)
-        if all(s.value(c).sign == 0 for c in g.columns):
+        emb = random_embedding(rng, dim, width, constant=True)
+        if all(s.value(c).sign == 0 for c in emb.columns):
             continue
         # every circuit condition holds for the projected values
         y = project_point(s, emb)
         assert linear_space_member(y, emb)
         # the sign part is a covector of the restriction
         poset = covector_closure(
-            cocircuits_from_gp(gp_from_matrix(g, target="S"))
+            cocircuits_from_gp(gp_from_matrix(emb, target="S"))
         )
-        signs = tuple(s.value(c).sign for c in g.columns)
+        signs = tuple(s.value(c).sign for c in emb.columns)
         assert signs in poset
         # the seminorm decomposes into scaled minor seminorms on E'
         pieces = scaled_cocircuit_decomposition(s)
-        for f in g.columns:
+        for f in emb.columns:
             assert decomposition_value(pieces, f) == s.value(f)
         runs += 1
     assert runs >= 6

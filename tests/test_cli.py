@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from realtrop import cli, jsonio, matroids, tropical
+from realtrop import cli, jsonio, matroids
 from realtrop.cli import main
 
 from helpers import count_eliminations, family_to_json, flag_from_json, gp_to_json, poset_from_json
@@ -40,14 +40,6 @@ def test_tropicalize_zero_rejected(capsys):
     code, out = run_cli(["tropicalize", "0"], capsys)
     assert code == 1
     assert "error" in json.loads(out)
-
-
-def test_circuits_rank_deficient_error(capsys):
-    code, out = run_cli(["circuits", "[[1,2],[2,4]]"], capsys)
-    assert code == 1
-    assert json.loads(out) == {
-        "error": {"type": "RankDeficientError", "message": "columns do not span"}
-    }
 
 
 def test_covector_closure_cap_error(capsys):
@@ -120,12 +112,13 @@ def test_member_obeys_the_cap(capsys, cap, stage, required):
 
 def test_member_enumerates_the_circuits_once(capsys, monkeypatch):
     runs = []
+    real = matroids.circuits_from_matrix
 
     def counting(ground, cap=matroids.DEFAULT_PAIR_CAP):
         runs.append(cap)
-        return matroids.circuits_from_matrix(ground, cap=cap)
+        return real(ground, cap=cap)
 
-    for module in (cli, tropical):
+    for module in (cli, matroids):
         monkeypatch.setattr(module, "circuits_from_matrix", counting)
     code, out = run_cli(["member", "+:0,+:0,-:0", U23], capsys)
     assert code == 0 and json.loads(out) == {"member": False}
@@ -329,6 +322,31 @@ def test_seminorm_project(capsys):
     code, out = run_cli(["seminorm", "project", SEMINORM, U23], capsys)
     payload = json.loads(out)
     assert payload["point"]["coords"][0] == {"sign": "+", "val": "0"}
+
+
+@pytest.mark.parametrize(
+    "matrix", ["[[1,2,3],[2,4,6]]", "[[1],[2]]"], ids=["dependent-rows", "one-column"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["circuits"],
+        ["gp-check"],
+        ["member", "+:0"],
+        ["covectors"],
+        ["bergman"],
+        ["seminorm", "project", SEMINORM],
+    ],
+    ids=["circuits", "gp-check", "member", "covectors", "bergman", "seminorm-project"],
+)
+def test_circuits_rank_deficient_error(capsys, command, matrix):
+    # every command that reads a matrix as an embedding reports columns that
+    # do not span with the one error its construction raises
+    code, out = run_cli(command + [matrix], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "RankDeficientError", "message": "columns do not span"}
+    }
 
 
 def test_limit_check(capsys):

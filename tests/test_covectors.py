@@ -13,7 +13,7 @@ from realtrop import (
     BergmanFan,
     CovectorPoset,
     EnumerationCapError,
-    GroundSet,
+    LinearEmbedding,
     bergman_fan,
     check_covector_axioms,
     cocircuits_from_gp,
@@ -27,7 +27,7 @@ from realtrop import linalg, matroids
 from realtrop.jsonio import fan_to_json, poset_to_json
 from realtrop.matroids import sign_vector_str
 
-from helpers import parse_sign_vector, poset_from_json, random_full_rank_ground
+from helpers import parse_sign_vector, poset_from_json, random_embedding
 from oracles import (
     chains_by_recursion,
     closure_by_all_pairs,
@@ -61,7 +61,7 @@ def test_membership_matches_a_set_of_the_vectors():
     posets = [CovectorPoset(()), covector_closure([])]
     for _ in range(30):
         h = rng.randint(1, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        g = random_embedding(rng, h, rng.randint(h, 5), constant=True)
         closed = covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S")))
         repeats = CovectorPoset(tuple(rng.choice(closed.vectors) for _ in range(6)))
         posets += [closed, repeats]
@@ -168,7 +168,7 @@ def test_chain_lengths_bounded_by_rank():
     rng = random.Random(47)
     for _ in range(4):
         h = rng.randint(2, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        g = random_embedding(rng, h, rng.randint(h, 5), constant=True)
         gp = gp_from_matrix(g, target="S")
         poset = covector_closure(cocircuits_from_gp(gp))
         assert bergman_fan(poset).rank == h
@@ -222,11 +222,11 @@ def test_zero_flats_match_rational_rank():
     seen = collections.Counter()
     for trial in range(30):
         h = rng.randint(1, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        g = random_embedding(rng, h, rng.randint(h, 5), constant=True)
         if trial % 3 == 0:
             columns = list(g.columns)
             columns.insert(rng.randint(0, len(columns)), (0,) * h)
-            g = GroundSet(tuple(columns))
+            g = LinearEmbedding(tuple(columns))
         gp = gp_from_matrix(g)
         functions = (
             gp, gp_from_matrix(g, target="S"), pushforward_gp(gp, "abs"),
@@ -416,7 +416,7 @@ def _generator_sets(rng):
     """Seeded generator lists: the cocircuits of a realizable oriented
     matroid, a random subset of them, and random sign vectors."""
     h = rng.randint(1, 4)
-    g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=True)
+    g = random_embedding(rng, h, rng.randint(h, 6), constant=True)
     cocircuits = list(cocircuits_from_gp(gp_from_matrix(g, target="S")))
     yield cocircuits
     yield rng.sample(cocircuits, rng.randint(1, len(cocircuits)))

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from realtrop import (
     RT_ZERO,
     TV,
     GrassmannPlucker,
-    GroundSet,
     LinearEmbedding,
     RankDeficientError,
     SignedCircuit,
@@ -34,13 +34,12 @@ from realtrop import (
 )
 from realtrop import hyperfields, matroids
 from realtrop.hyperfields import from_sign_val, is_zero, zero_of
-from realtrop.puiseux import as_series, column_rank, signed_det
+from realtrop.puiseux import as_series, maximal_minors, signed_det
 
 from helpers import (
     CANCELLATION,
     random_columns,
     random_embedding,
-    random_full_rank_ground,
     read_pair,
     sign_vector,
 )
@@ -65,11 +64,11 @@ FOUR = ground_from_matrix([[1, 0, 1, 1], [0, 1, 1, -1]])
 
 
 def test_ground_set_is_its_columns():
-    assert [f.name for f in dataclasses.fields(GroundSet)] == ["columns"]
+    assert [f.name for f in dataclasses.fields(LinearEmbedding)] == ["columns"]
     g = ground_from_matrix([["1", "0", "t"], ["0", "1", "1"]])
-    assert type(g) is GroundSet
-    assert g == GroundSet.from_matrix([[1, 0, "t"], [0, 1, 1]])
-    assert g == GroundSet(((1, 0), (0, 1), ("t", 1)))
+    assert type(g) is LinearEmbedding and g.ground() is g
+    assert g == LinearEmbedding.from_matrix([[1, 0, "t"], [0, 1, 1]])
+    assert g == LinearEmbedding(((1, 0), (0, 1), ("t", 1)))
     assert g.columns[2] == (as_series("t"), as_series(1))
     assert (g.labels, len(g), g.height) == ((0, 1, 2), 3, 2)
     assert gp_from_matrix(g).labels == (0, 1, 2)
@@ -84,20 +83,20 @@ def test_malformed_matrices_rejected(rows, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build(rows)
     with pytest.raises(ValueError, match="^columns of unequal height$"):
-        GroundSet(((1, 0), (1,)))
+        LinearEmbedding(((1, 0), (1,)))
 
 
-def test_rank_deficient_ground_set_constructs_but_has_no_matroid():
-    g = ground_from_matrix([[1, 2], [2, 4]])
-    assert (len(g), g.height) == (2, 2)
-    with pytest.raises(
-        RankDeficientError, match="^columns do not span, matroid is rank deficient$"
-    ):
-        gp_from_matrix(g)
-    with pytest.raises(
-        RankDeficientError, match="^fewer columns than rows, matroid cannot have full rank$"
-    ):
-        gp_from_matrix(ground_from_matrix([[1], [2]]))
+def test_rank_deficient_ground_set_does_not_construct(monkeypatch):
+    # dependent rows and fewer columns than rows fail the one spanning
+    # check of the construction, with one message and no minor taken
+    def no_minors(columns):
+        raise AssertionError("a minor was computed")
+
+    monkeypatch.setattr(matroids, "maximal_minors", no_minors)
+    for rows in ([[1, 2], [2, 4]], [[1], [2]], [[1, 2, 3], [2, 4, 6]]):
+        for build in (ground_from_matrix, lambda rows: LinearEmbedding(tuple(zip(*rows)))):
+            with pytest.raises(RankDeficientError, match="^columns do not span$"):
+                build(rows)
 
 
 # -- gp_from_matrix --------------------------------------------------------------
@@ -141,12 +140,12 @@ def test_gp_keys_outside_the_ground_set_rejected(key):
 
 def test_gp_pushes_into_every_field_from_the_one_table():
     emb = random_embedding(random.Random(7), 2, 4)
-    table = gp_from_matrix(emb.ground()).values
+    table = gp_from_matrix(emb).values
     pairs, scale = emb.minor_table
     assert table == {t: read_pair(p, scale) for t, p in pairs.items()}
     assert table == {t: signed_det([emb.columns[j] for j in t]) for t in pairs}
     for target, hom in (("T", "abs"), ("S", "sgn"), ("K", "to-krasner")):
-        pushed = gp_from_matrix(emb.ground(), target=target).values
+        pushed = gp_from_matrix(emb, target=target).values
         assert pushed == {t: pushmap(hom, v) for t, v in table.items()}
 
 
@@ -160,11 +159,10 @@ def test_one_minor_table_per_embedding(monkeypatch):
         return real(columns)
 
     monkeypatch.setattr(matroids, "maximal_minors", counting)
-    gp = gp_from_matrix(emb.ground())
+    gp = gp_from_matrix(emb)
     circuits = emb.circuits
-    signs = gp_from_matrix(emb.ground(), target="S")
+    signs = gp_from_matrix(emb, target="S")
     assert calls == [emb.columns]  # one table of the C(6, 3) maximal minors
-    assert emb.ground() is emb.ground()
     assert circuits and check_gp_relations(signs).ok
     assert signs.values == {tup: pushmap("sgn", v) for tup, v in gp.values.items()}
 
@@ -175,7 +173,7 @@ def test_minor_table_equals_signed_det_per_subset():
     for _ in range(200):
         height = rng.randint(1, 4)
         cols = random_columns(rng, height, rng.randint(height, 6))
-        table, scale = GroundSet(tuple(cols)).minor_table
+        table, scale = maximal_minors(cols)
         assert {tup: read_pair(p, scale) for tup, p in table.items()} == {
             tup: signed_det([cols[j] for j in tup])
             for tup in itertools.combinations(range(len(cols)), height)
@@ -193,7 +191,7 @@ def test_relations_hold_for_random_realizable():
     for _ in range(8):
         h = rng.randint(2, 3)
         w = rng.randint(h, 6)
-        gp = gp_from_matrix(random_full_rank_ground(rng, h, w))
+        gp = gp_from_matrix(random_embedding(rng, h, w))
         assert check_gp_relations(gp).ok
 
 
@@ -227,7 +225,7 @@ def test_relations_detect_corrupted_valuation():
 
 def test_pushforward_abs_matches_direct_tropical_gp():
     rng = random.Random(23)
-    g = random_full_rank_ground(rng, 3, 5)
+    g = random_embedding(rng, 3, 5)
     via_push = pushforward_gp(gp_from_matrix(g), "abs")
     direct = gp_from_matrix(g, target="T")
     assert via_push.values == direct.values
@@ -282,7 +280,7 @@ def test_circuit_supports_are_exactly_the_minimal_dependent_sets():
     support_sizes = set()
     for trial in range(40):
         h = rng.randint(1, 4)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 7), constant=trial % 2 == 1)
+        g = random_embedding(rng, h, rng.randint(h, 7), constant=trial % 2 == 1)
         circuits = circuits_from_matrix(g)
         assert [c.entries for c in circuits] == [
             c.entries for c in circuits_by_subset_search(g)
@@ -291,12 +289,21 @@ def test_circuit_supports_are_exactly_the_minimal_dependent_sets():
     assert {1, 2} <= support_sizes  # loops and parallel pairs were seen
 
 
+def _unchecked_columns(rows):
+    """The columns of rows as the oracles read them, with no spanning check."""
+    columns = tuple(tuple(as_series(x) for x in c) for c in zip(*rows))
+    return types.SimpleNamespace(columns=columns, height=len(rows))
+
+
 def test_circuits_rank_deficient_like_the_oracle():
+    # the library refuses the columns when it builds them, the oracles when
+    # they find no basis: both with the one message
     for rows in ([[1, 2], [2, 4]], [[1], [2]], [[0, 0, 0], [1, 1, 0]]):
-        g = ground_from_matrix(rows)
-        for build in (circuits_from_matrix, circuits_by_subset_search):
+        with pytest.raises(RankDeficientError, match="^columns do not span$"):
+            ground_from_matrix(rows)
+        for oracle in (circuits_by_subset_search, circuits_by_rt_vectors):
             with pytest.raises(RankDeficientError, match="^columns do not span$"):
-                build(g)
+                oracle(_unchecked_columns(rows))
 
 
 def test_circuit_enumeration_cap_checked_before_any_minor(monkeypatch):
@@ -304,7 +311,8 @@ def test_circuit_enumeration_cap_checked_before_any_minor(monkeypatch):
         raise AssertionError("a minor was computed")
 
     monkeypatch.setattr(matroids, "maximal_minors", no_minors)
-    g = ground_from_matrix([[(i * 7 + j * j) % 5 for j in range(26)] for i in range(5)])
+    # a 5 x 26 Vandermonde matrix: distinct nodes, so its columns span
+    g = ground_from_matrix([[(j + 1) ** i for j in range(26)] for i in range(5)])
     with pytest.raises(EnumerationCapError) as info:
         circuits_from_matrix(g)
     assert info.value.required == 230230
@@ -317,7 +325,7 @@ def test_circuit_enumeration_cap_checked_before_any_minor(monkeypatch):
 def test_axioms_hold_for_random_realizable():
     rng = random.Random(31)
     for _ in range(6):
-        g = random_full_rank_ground(rng, rng.randint(2, 3), rng.randint(3, 6))
+        g = random_embedding(rng, rng.randint(2, 3), rng.randint(3, 6))
         assert check_circuit_axioms(circuits_from_matrix(g)).ok
 
 
@@ -367,16 +375,17 @@ def test_max_independent_reports_rank():
     rng = random.Random(37)
     for _ in range(5):
         h = rng.randint(2, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h + 1, 6))
+        g = random_embedding(rng, h, rng.randint(h + 1, 6))
         report = check_circuit_axioms(circuits_from_matrix(g))
         assert report.info["max_independent"] == h
 
 
 def _spanning_columns(rng, height, width):
     while True:
-        cols = random_columns(rng, height, width)
-        if any(s for s, _ in GroundSet(tuple(cols)).minor_table[0].values()):
-            return GroundSet(tuple(cols))
+        try:
+            return LinearEmbedding(tuple(random_columns(rng, height, width)))
+        except RankDeficientError:
+            pass
 
 
 def test_circuits_equal_the_rt_vector_loop():
@@ -390,10 +399,10 @@ def test_circuits_equal_the_rt_vector_loop():
         assert all(type(x) is RT for c in circuits for x in c.entries)
         dens.update(x.val.denominator for c in circuits for x in c.entries if x.sign)
     assert {3, 5} <= dens
-    g = GroundSet(((1, 2), (2, 4)))
-    for build in (circuits_from_matrix, circuits_by_rt_vectors):
-        with pytest.raises(RankDeficientError, match="^columns do not span$"):
-            build(g)
+    with pytest.raises(RankDeficientError, match="^columns do not span$"):
+        LinearEmbedding(((1, 2), (2, 4)))
+    with pytest.raises(RankDeficientError, match="^columns do not span$"):
+        circuits_by_rt_vectors(_unchecked_columns([[1, 2], [2, 4]]))
 
 
 def _random_gp(rng, field):
@@ -520,7 +529,7 @@ def test_gp_from_a_matrix_holds_the_pairs_its_values_read_as(target):
     rng = random.Random(4401)
     for _ in range(40):
         h = rng.randint(1, 4)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=rng.random() < 0.3)
+        g = random_embedding(rng, h, rng.randint(h, 6), constant=rng.random() < 0.3)
         gp = gp_from_matrix(g, target=target)
         table, scale = gp.scaled_table
         read, read_scale = GrassmannPlucker.scaled_table.func(gp)
@@ -599,14 +608,14 @@ def test_rank_one_cocircuits():
 def test_no_zero_cocircuits():
     rng = random.Random(41)
     for _ in range(5):
-        gp = gp_from_matrix(random_full_rank_ground(rng, 2, 5), target="S")
+        gp = gp_from_matrix(random_embedding(rng, 2, 5), target="S")
         assert all(any(v) for v in cocircuits_from_gp(gp))
 
 
 def test_rt_cocircuits_push_to_sign_cocircuits():
     rng = random.Random(43)
     for _ in range(5):
-        g = random_full_rank_ground(rng, rng.randint(2, 3), 5)
+        g = random_embedding(rng, rng.randint(2, 3), 5)
         gp_rt = gp_from_matrix(g)
         gp_s = gp_from_matrix(g, target="S")
         from_rt = set()
@@ -672,7 +681,7 @@ def _circuit_lists(rng, grounds):
     that break C0 or C1, and random lists of RT vectors."""
     for trial in range(grounds):
         h = rng.randint(1, 4)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=trial % 2 == 1)
+        g = random_embedding(rng, h, rng.randint(h, 6), constant=trial % 2 == 1)
         circuits = circuits_from_matrix(g)
         yield circuits
         if circuits:
@@ -710,11 +719,12 @@ def _cancellation_ground(rng, height, width):
     """A spanning ground set drawn from the cancellation alphabet."""
     alphabet = [as_series(x) for x in CANCELLATION]
     while True:
-        ground = ground_from_matrix(
-            [[rng.choice(alphabet) for _ in range(width)] for _ in range(height)]
-        )
-        if column_rank(ground.columns) == height:
-            return ground
+        try:
+            return ground_from_matrix(
+                [[rng.choice(alphabet) for _ in range(width)] for _ in range(height)]
+            )
+        except RankDeficientError:
+            pass
 
 
 def test_circuit_axiom_reports_match_the_oracle_on_cancellation_grounds():
@@ -739,7 +749,7 @@ def test_greedy_rank_witness_matches_subset_search():
     rng = random.Random(73)
     for trial in range(40):
         h = rng.randint(1, 4)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 7), constant=trial % 2 == 0)
+        g = random_embedding(rng, h, rng.randint(h, 7), constant=trial % 2 == 0)
         supports = [c.support for c in circuits_from_matrix(g)]
         masks = [sum(1 << e for e in s) for s in supports]
         got = matroids._max_independent(len(g), masks)
@@ -781,7 +791,7 @@ def test_gp_relations_match_hypersum_oracle():
     outcomes = {}
     for trial in range(30):
         h = rng.randint(1, 4)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 6), constant=trial % 3 == 2)
+        g = random_embedding(rng, h, rng.randint(h, 6), constant=trial % 3 == 2)
         for target in ("RT", "T", "S", "K"):
             gp = gp_from_matrix(g, target=target)
             gps = [gp]

@@ -50,7 +50,7 @@ def test_no_module_imports_a_private_name_from_another():
 
 def test_the_check_sees_private_imports(tmp_path):
     probe = tmp_path / "probe.py"
-    probe.write_text("from .matroids import _bits, GroundSet\nfrom realtrop.puiseux import _x\n")
+    probe.write_text("from .matroids import _bits, LinearEmbedding\nfrom realtrop.puiseux import _x\n")
     assert private_imports(probe) == ["probe.py:1 imports _bits", "probe.py:2 imports _x"]
 
 
@@ -72,7 +72,7 @@ def test_the_check_sees_series_field_reads(tmp_path):
 #: Defs that no library code names and ``realtrop`` does not export.
 KEPT = {
     "linalg.inverse": "bench/tracer.py looks it up by name and counts its calls",
-    "tropical.LinearEmbedding.apply": "bench/workloads.py maps its points with it",
+    "matroids.LinearEmbedding.apply": "bench/workloads.py maps its points with it",
     "seminorms.DiagonalSeminorm.normalized": "the homothety representative of a leaf, "
     "whose weights flag_of and phi_abs read without building it",
     "tropical.BergmanFan.maximal_cones": "the maximal cones of the real Bergman fan",

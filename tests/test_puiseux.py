@@ -17,6 +17,7 @@ from realtrop import (
     PuiseuxParseError,
     PuiseuxSeries,
     RT,
+    RankDeficientError,
     as_series,
     compare,
     det,
@@ -775,7 +776,7 @@ def test_column_rank_of_a_tall_deficient_matrix_takes_no_determinant(monkeypatch
         monkeypatch.setattr(puiseux, name, no_det)
     monkeypatch.setattr(matroids, "maximal_minors", no_det)
     assert puiseux.column_rank(cols) == 6
-    with pytest.raises(ValueError, match="^columns do not span the dual space$"):
+    with pytest.raises(RankDeficientError, match="^columns do not span$"):
         LinearEmbedding(cols)
 
 

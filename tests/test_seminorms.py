@@ -53,7 +53,7 @@ from helpers import (
     random_columns,
     random_diagonal,
     random_expression,
-    random_full_rank_ground,
+    random_embedding,
     random_invertible_constant_basis,
     random_rational_vector,
     random_series_vector,
@@ -937,8 +937,6 @@ def test_project_line_embedding():
 
 def test_projection_commutes_with_column_permutation():
     rng = random.Random(157)
-    from helpers import random_embedding
-
     emb = random_embedding(rng, 2, 4)
     s = random_diagonal(rng, 2, constant=False)
     if all(s.value(c).sign == 0 for c in emb.columns):
@@ -967,8 +965,7 @@ def test_projected_values_satisfy_all_circuits():
     for _ in range(6):
         dim = rng.randint(2, 3)
         s = random_diagonal(rng, dim)
-        g = random_full_rank_ground(rng, dim, rng.randint(dim, 6), constant=True)
-        emb = LinearEmbedding(g.columns)
+        emb = random_embedding(rng, dim, rng.randint(dim, 6), constant=True)
         y = project_point(s, emb)
         assert linear_space_member(y, emb)
 
@@ -978,7 +975,7 @@ def test_sign_part_is_a_covector_of_the_restriction():
     for _ in range(5):
         dim = rng.randint(2, 3)
         s = random_diagonal(rng, dim)
-        g = random_full_rank_ground(rng, dim, rng.randint(dim, 5), constant=True)
+        g = random_embedding(rng, dim, rng.randint(dim, 5), constant=True)
         gp = gp_from_matrix(g, target="S")
         poset = covector_closure(cocircuits_from_gp(gp))
         signs = tuple(s.value(c).sign for c in g.columns)
@@ -991,7 +988,7 @@ def test_decomposition_into_scaled_minor_seminorms():
         dim = rng.randint(2, 4)
         s = random_diagonal(rng, dim)
         pieces = scaled_cocircuit_decomposition(s)
-        g = random_full_rank_ground(rng, dim, rng.randint(dim, 8), constant=True)
+        g = random_embedding(rng, dim, rng.randint(dim, 8), constant=True)
         for f in g.columns:
             assert decomposition_value(pieces, f) == s.value(f)
 

@@ -10,9 +10,9 @@ from realtrop import (
     TV,
     BergmanFan,
     EnumerationCapError,
-    GroundSet,
     LinearEmbedding,
     ProjPoint,
+    RankDeficientError,
     bergman_fan,
     bergman_member,
     cocircuits_from_gp,
@@ -25,7 +25,7 @@ from realtrop import (
     rt,
     trop_r_point,
 )
-from realtrop import tropical
+from realtrop import matroids, tropical
 from realtrop.matroids import CovectorPoset, circuits_from_matrix
 from realtrop.puiseux import as_series, dot, signed_value
 
@@ -34,7 +34,6 @@ from helpers import (
     normalized_grid,
     random_constant,
     random_embedding,
-    random_full_rank_ground,
     random_series,
     random_thirds_and_fifths,
     unsigned_hyperplane_member,
@@ -48,7 +47,7 @@ from oracles import (
 )
 
 LINE = LinearEmbedding.from_matrix([[1, 0, 1], [0, 1, 1]])
-LINE_CIRCUIT = circuits_from_matrix(LINE.ground())[0]
+LINE_CIRCUIT = circuits_from_matrix(LINE)[0]
 
 IN_PATTERNS = [
     (1, 1, 1), (-1, -1, -1), (1, -1, -1), (-1, 1, 1), (1, -1, 1), (-1, 1, -1),
@@ -280,9 +279,10 @@ def test_identity_embedding_accepts_everything():
 def test_embedding_is_the_spanning_ground_set():
     rows = [[1, 0, 1], [0, 1, 1]]
     emb = LinearEmbedding.from_matrix(rows)
-    assert isinstance(emb, GroundSet) and type(emb) is LinearEmbedding
+    assert tropical.LinearEmbedding is matroids.LinearEmbedding  # the one type
+    assert type(ground_from_matrix(rows)) is LinearEmbedding
     assert emb.ground() is emb
-    assert emb == LinearEmbedding(ground_from_matrix(rows).columns)
+    assert emb == ground_from_matrix(rows)
     assert (emb.labels, len(emb), emb.height) == ((0, 1, 2), 3, 2)
     assert "minor_table" not in vars(emb)
     assert emb.circuits == circuits_from_matrix(ground_from_matrix(rows))
@@ -296,14 +296,16 @@ def test_embedding_is_the_spanning_ground_set():
     [
         ((), "embedding needs at least one column"),
         (((1, 0), (1,)), "columns of unequal height"),
-        (((1, 2), (2, 4)), "columns do not span the dual space"),
-        (((1, 0, 0), (0, 1, 0)), "columns do not span the dual space"),
+        (((1, 2), (2, 4)), "columns do not span"),
+        (((1, 0, 0), (0, 1, 0)), "columns do not span"),
     ],
     ids=["empty", "unequal-height", "rank-deficient", "too-few-columns"],
 )
 def test_embedding_errors(columns, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{message}$") as info:
         LinearEmbedding(columns)
+    spanning = message == "columns do not span"
+    assert type(info.value) is (RankDeficientError if spanning else ValueError)
 
 
 def test_embedding_height_is_checked_before_its_rank(monkeypatch):
@@ -312,10 +314,12 @@ def test_embedding_height_is_checked_before_its_rank(monkeypatch):
     def no_rank(cols):
         raise AssertionError("column rank of an embedding over the size bound")
 
-    monkeypatch.setattr(tropical, "column_rank", no_rank)
+    monkeypatch.setattr(matroids, "column_rank", no_rank)
     columns = [tuple(int(i == j) for i in range(13)) for j in range(14)]
     with pytest.raises(ValueError, match="^matrix size 13 exceeds bound 12$"):
         LinearEmbedding(columns)
+    with pytest.raises(ValueError, match="^matrix size 13 exceeds bound 12$"):
+        ground_from_matrix([list(row) for row in zip(*columns)])
 
 
 def test_sign_break_fails_linear_space():
@@ -354,7 +358,7 @@ def test_unsigned_membership_checks_lengths():
 
 
 def line_fan():
-    gp = gp_from_matrix(LINE.ground(), target="S")
+    gp = gp_from_matrix(LINE, target="S")
     return bergman_fan(covector_closure(cocircuits_from_gp(gp)))
 
 
@@ -386,7 +390,7 @@ def test_fan_purity_for_random_matroids():
     rng = random.Random(61)
     for _ in range(4):
         h = rng.randint(2, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        g = random_embedding(rng, h, rng.randint(h, 5), constant=True)
         gp = gp_from_matrix(g, target="S")
         fan = bergman_fan(covector_closure(cocircuits_from_gp(gp)))
         assert all(len(c) == h for c in fan.maximal_cones())
@@ -396,7 +400,7 @@ def test_maximal_cones_match_scan_oracle():
     rng = random.Random(67)
     for _ in range(30):
         h = rng.randint(1, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
+        g = random_embedding(rng, h, rng.randint(h, 5), constant=True)
         fan = bergman_fan(covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S"))))
         assert fan.maximal_cones() == maximal_cones_by_scan(fan)
     # a repeated vector lies below and above its copy without being strictly so
@@ -425,7 +429,7 @@ def test_maximal_cones_of_uniform_four_by_five():
 
 def test_cocircuits_are_in_the_fan():
     fan = line_fan()
-    gp = gp_from_matrix(LINE.ground(), target="S")
+    gp = gp_from_matrix(LINE, target="S")
     for v in cocircuits_from_gp(gp):
         y = ProjPoint(tuple(RT(s, 0) if s else RT_ZERO for s in v))
         assert bergman_member(y, fan)
@@ -435,11 +439,10 @@ def test_fan_agrees_with_circuit_membership_exhaustively():
     rng = random.Random(67)
     for _ in range(3):
         h = rng.randint(2, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h, 5), constant=True)
-        emb = LinearEmbedding(g.columns)
-        gp = gp_from_matrix(g, target="S")
+        emb = random_embedding(rng, h, rng.randint(h, 5), constant=True)
+        gp = gp_from_matrix(emb, target="S")
         fan = bergman_fan(covector_closure(cocircuits_from_gp(gp)))
-        for y in normalized_grid(len(g), vals=(0, 1)):
+        for y in normalized_grid(len(emb), vals=(0, 1)):
             assert bergman_member(y, fan) == linear_space_member(y, emb)
 
 
@@ -460,7 +463,7 @@ def test_fan_membership_matches_level_oracle():
     seen = {"in": 0, "out": 0, "tied": 0, "zero": 0}
     for _ in range(8):
         h = rng.randint(1, 3)
-        g = random_full_rank_ground(rng, h, rng.randint(h + 1, 6), constant=True)
+        g = random_embedding(rng, h, rng.randint(h + 1, 6), constant=True)
         fan = bergman_fan(covector_closure(cocircuits_from_gp(gp_from_matrix(g, target="S"))))
         m = fan.poset.width
         for _ in range(25):
@@ -492,4 +495,4 @@ def test_sign_pattern_outside_covectors_rejected():
     fan = bergman_fan(covector_closure(cocircuits_from_gp(gp)))
     y = ProjPoint((rt(1, 0), rt(1, 0), rt(1, 0)))
     assert not bergman_member(y, fan)
-    assert not linear_space_member(y, LinearEmbedding(g.columns))
+    assert not linear_space_member(y, g)
